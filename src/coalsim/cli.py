@@ -25,7 +25,8 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import CATALOG, ExperimentConfig, RegimeError, run_experiment
+from .experiments import (CATALOG, ExperimentConfig, RegimeError,
+                          UnknownKeyError, run_experiment)
 from .limits import FAMILIES, LimitLaw, moehle_factorial_moment, \
     poisson_intensity_tail, sample_cox_extremes
 from .measure import MeasureParseError, parse_measure
@@ -337,7 +338,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             threads=1 if args.threads is None else args.threads)
     except ValueError as exc:
         raise UsageError(str(exc))
-    report = run_experiment(cfg)
+    try:
+        report = run_experiment(cfg)
+    except UnknownKeyError as exc:
+        raise UsageError(str(exc))
 
     primary = report.to_json() + "\n"
     if args.out is None:
@@ -347,6 +351,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         out = Path(args.out)
         out.write_text(primary, encoding="utf-8")
         meta = {"runtime_ms": report.runtime_ms,
+                "sampler": report.sampler,
                 "threads": report.config.get("threads")}
         out.with_suffix(out.suffix + ".meta.json").write_text(
             json.dumps(meta, sort_keys=True, indent=2) + "\n",

@@ -26,7 +26,7 @@ from .ensemble import (BlockCountAtTimesTracker, LevelCrossingTracker,
 from .measure import LambdaMeasure, PowerBetaDensity, parse_measure
 from .quadrature import DEFAULT_CONFIG, adaptive_integrate
 from .rates import RateFunctions, rates_for, t_c_sequence, t_sequence
-from .sim import DEFAULT_SEED, _make_rng, simulate_path
+from .sim import DEFAULT_SEED, MergerSizeSampler, _make_rng, simulate_path
 
 
 class RegimeError(RuntimeError):
@@ -120,6 +120,7 @@ class ExperimentReport:
     seed: int
     runtime_ms: float = 0.0
     ecdf_grids: dict = field(default_factory=dict)
+    sampler: str = ""       # MergerSizeSampler.strategy of the runs
 
     @property
     def verdict(self) -> str:
@@ -311,9 +312,13 @@ def _info(name, value, se=None) -> Statistic:
 def _finish(cfg, stats, resolved, t0, ecdf=None) -> ExperimentReport:
     config = cfg.to_dict()
     config["resolved"] = resolved
+    # The strategy depends on the measure alone, so a two-block sampler
+    # names the one every run of the experiment used.
+    rates = rates_for(parse_measure(cfg.measure))
     return ExperimentReport(config=config, statistics=stats, seed=cfg.seed,
                             runtime_ms=(time.perf_counter() - t0) * 1e3,
-                            ecdf_grids=ecdf or {})
+                            ecdf_grids=ecdf or {},
+                            sampler=MergerSizeSampler(rates, 2).strategy)
 
 
 _ENVELOPE_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -661,17 +666,42 @@ def run_factorial_replay(cfg: ExperimentConfig) -> ExperimentReport:
     return _finish(cfg, stats, resolved, t0)
 
 
+# The runner behind each CATALOG entry, with every params key and every
+# tolerances key it reads.
 _RUNNERS = {
-    "typical": run_typical_length,
-    "independence": run_independence,
-    "tail_identity": run_tail_identity,
-    "lln": run_lln,
-    "order_statistics": run_order_statistics,
-    "bs_extremes": run_bs_extremes,
-    "factorial_replay": run_factorial_replay,
+    "typical": (run_typical_length,
+                {"alpha", "scale", "t_grid"}, {"ks", "envelope"}),
+    "independence": (run_independence, {"k"}, {"corr", "gap"}),
+    "tail_identity": (run_tail_identity,
+                      {"r_rule"}, {"exceedance", "envelope"}),
+    "lln": (run_lln, {"r_rule", "gamma_max", "max_integral"},
+            {"ratio", "log_gap"}),
+    "order_statistics": (run_order_statistics, {"ell", "alpha", "x_grid"},
+                         {"ks", "count_moments"}),
+    "bs_extremes": (run_bs_extremes,
+                    {"ell", "trend_grid", "t_grid", "r", "c", "c_n",
+                     "c_reps"},
+                    {"trend_rise", "moment_z", "c_mean"}),
+    "factorial_replay": (run_factorial_replay,
+                         {"r_rule", "r_values", "variance_paths"},
+                         {"moment_z", "var_slack"}),
 }
 
 
+class UnknownKeyError(ValueError):
+    """A params or tolerances key that the experiment does not read."""
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Dispatch on the config's catalog tag."""
-    return _RUNNERS[CATALOG[cfg.theorem]](cfg)
+    """Dispatch on the config's catalog tag.  A params or tolerances key
+    the runner does not read raises UnknownKeyError before any work, so a
+    misspelt key cannot leave a default in force unnoticed."""
+    runner, params, tolerances = _RUNNERS[CATALOG[cfg.theorem]]
+    for what, given, known in (("params", cfg.params, params),
+                               ("tolerances", cfg.tolerances, tolerances)):
+        unknown = set(given) - known
+        if unknown:
+            raise UnknownKeyError(
+                f"{cfg.theorem} does not read {what} {sorted(unknown)}; "
+                f"it reads {sorted(known)}")
+    return runner(cfg)

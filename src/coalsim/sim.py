@@ -51,15 +51,33 @@ def as_rate_functions(source) -> RateFunctions:
 class MergerSizeSampler:
     """Draws (total rate, merger size) for arrays of block counts.
 
-    Strategy is chosen once per measure:
+    The strategy is chosen once per measure and depends on the measure
+    alone; `strategy` names it.  Power-beta components have density
+    c p**(a-1) (1-p)**(b-1); B is a lane's block count.  When every
+    component is recognized, each has closed-form rates and its own draw
+    of K, and each lane picks a component in proportion to its share of
+    lam(B):
 
-    * every component recognized (mass at 0, uniform density, power-beta
-      with right exponent 1, interior atoms): closed-form per-component
-      rates; K by exact inverse CDF (uniform density), one global prefix
-      table (power-beta b=1, since C(B,k) lam(B,k) = const(B) *
-      Gamma(a+k-2)/k! there), or a short ratio walk (atoms);
-    * anything else: group replications by unique b and invert the exact
-      cached probability vector.  Same law, just slower.
+    * ``kingman`` (mass at 0): rate B(B-1)/2, K = 2;
+    * ``atom`` (interior atom): a short ratio walk up the binomial pmf;
+    * ``uniform`` (power-beta a = b = 1, Bolthausen-Sznitman): exact
+      inverse CDF;
+    * ``powerbeta`` (power-beta with b > 1, a < 2, a != 1, which covers
+      the Beta(2-alpha, alpha) coalescents, or b = 1, a not in {1, 2}):
+      C(B,k) lam(B,k) = const(B) g(k) h(B-k) with g(k) = Gamma(a+k-2)/k!
+      and h(j) = Gamma(b+j)/j!.  K is proposed from g truncated at B by one
+      global prefix table and accepted with probability h(B-K)/h(B-2),
+      which is at most 1 because h is nondecreasing for b >= 1.  The mean
+      number of rounds is at most prefix[B-2]/g(2), bounded in B for
+      a < 2.  For b = 1, h is constant: every proposal is accepted, no
+      acceptance uniform is drawn and lam(B) = const(B) prefix[B-2];
+      otherwise lam(B) comes from the closed-form total rate.
+
+    Several components join as e.g. ``kingman+powerbeta``.  Anything else
+    (power-beta with b < 1, a >= 2 and b != 1, a = 1 and b != 1, custom
+    densities, or closed forms switched off) is ``grouped``: lanes are
+    grouped by unique B and invert the exact cached probability vector.
+    Same law, far slower for large n.
     """
 
     def __init__(self, rates: RateFunctions, max_blocks: int):
@@ -74,31 +92,43 @@ class MergerSizeSampler:
         for p, m in measure.atoms:
             self._components.append(("atom", p, m))
         for dens in measure.densities:
-            if isinstance(dens, PowerBetaDensity) and dens.a == 1.0 \
-                    and dens.b == 1.0:
+            if not isinstance(dens, PowerBetaDensity):
+                self._fast = False
+            elif dens.a == 1.0 and dens.b == 1.0:
                 self._components.append(("uniform", dens.c))
-            elif isinstance(dens, PowerBetaDensity) and dens.b == 1.0 \
-                    and dens.a not in (1.0, 2.0):
-                self._components.append(self._pb1_component(dens))
+            elif (dens.b == 1.0 and dens.a not in (1.0, 2.0)) or \
+                    (dens.b > 1.0 and dens.a < 2.0 and dens.a != 1.0):
+                self._components.append(self._powerbeta_component(dens))
             else:
                 self._fast = False
         if not self._fast:
             self._components = []
 
-    def _pb1_component(self, dens: PowerBetaDensity) -> tuple:
-        # prefix[j] = sum_{k=2}^{j+2} Gamma(a+k-2)/k!; P(K <= j+2 | B) is
-        # prefix[j]/prefix[B-2] for every B, so one table serves all B.
+    @property
+    def strategy(self) -> str:
+        """``grouped``, or the component kinds joined by ``+``."""
+        if not self._fast:
+            return "grouped"
+        return "+".join(dict.fromkeys(comp[0] for comp in self._components))
+
+    def _powerbeta_component(self, dens: PowerBetaDensity) -> tuple:
+        # prefix[j] = sum_{k=2}^{j+2} g(k); P(K <= j+2 | B) under the
+        # proposal is prefix[j]/prefix[B-2] for every B, so one table
+        # serves all B.
         ks = np.arange(2.0, self.max_blocks + 1.0)
         g = np.exp(special.gammaln(dens.a + ks - 2.0)
                    - special.gammaln(ks + 1.0))
         prefix = np.cumsum(g)
-        bs = np.arange(self.max_blocks + 1, dtype=float)
-        scale = np.zeros(self.max_blocks + 1)
-        scale[2:] = dens.c * np.exp(special.gammaln(bs[2:] + 1.0)
-                                    - special.gammaln(dens.a + bs[2:] - 1.0))
         rate_table = np.zeros(self.max_blocks + 1)
-        rate_table[2:] = scale[2:] * prefix[:self.max_blocks - 1]
-        return ("pb1", prefix, rate_table)
+        if dens.b == 1.0:
+            rate_table[2:] = dens.c * np.exp(
+                special.gammaln(ks + 1.0)
+                - special.gammaln(dens.a + ks - 1.0)) * prefix
+            return ("powerbeta", prefix, rate_table, None)
+        rate_table[2:] = self.rates._powerbeta_total_rate(dens, ks)
+        js = np.arange(self.max_blocks + 1.0)
+        log_h = special.gammaln(dens.b + js) - special.gammaln(js + 1.0)
+        return ("powerbeta", prefix, rate_table, log_h)
 
     def _component_rates(self, b: np.ndarray) -> np.ndarray:
         rows = []
@@ -108,7 +138,7 @@ class MergerSizeSampler:
                 rows.append(comp[1] * b * (b - 1.0) / 2.0)
             elif kind == "uniform":
                 rows.append(comp[1] * (b - 1.0))
-            elif kind == "pb1":
+            elif kind == "powerbeta":
                 rows.append(comp[2][b])
             else:
                 _, p, m = comp
@@ -141,16 +171,34 @@ class MergerSizeSampler:
                     u2 = rng.random(rows.shape)
                     raw = np.ceil(1.0 / (1.0 - u2 * (bb - 1.0) / bb))
                     k_out[rows] = np.clip(raw, 2, bb).astype(np.int64)
-                elif kind == "pb1":
-                    prefix = comp[1]
-                    bb = b[rows]
-                    t = rng.random(rows.shape) * prefix[bb - 2]
-                    idx = np.searchsorted(prefix, t, side="left")
-                    k_out[rows] = np.minimum(idx + 2, bb)
+                elif kind == "powerbeta":
+                    k_out[rows] = self._powerbeta_draw(rng, comp, b[rows])
                 else:
                     k_out[rows] = self._atom_walk(rng, comp, b[rows])
             return lam, k_out
         return self._grouped_step(rng, b)
+
+    @staticmethod
+    def _powerbeta_draw(rng: np.random.Generator, comp: tuple,
+                        b: np.ndarray) -> np.ndarray:
+        _, prefix, _, log_h = comp
+
+        def propose(bb):
+            t = rng.random(bb.shape) * prefix[bb - 2]
+            return np.minimum(np.searchsorted(prefix, t, side="left") + 2, bb)
+
+        k = propose(b)
+        if log_h is None:
+            return k
+        todo = np.arange(b.size)
+        while True:
+            bb = b[todo]
+            accept = rng.random(todo.shape) <= np.exp(log_h[bb - k[todo]]
+                                                      - log_h[bb - 2])
+            todo = todo[~accept]
+            if not todo.size:
+                return k
+            k[todo] = propose(b[todo])
 
     def _atom_walk(self, rng: np.random.Generator, comp: tuple,
                    b: np.ndarray) -> np.ndarray:

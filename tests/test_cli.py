@@ -163,11 +163,40 @@ def test_experiment_out_files(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["verdict"] == "PASS"
     meta = json.loads((tmp_path / "report.json.meta.json").read_text())
-    assert set(meta) == {"runtime_ms", "threads"}
+    assert set(meta) == {"runtime_ms", "sampler", "threads"}
+    assert meta["sampler"] == "kingman"
     ecdf = (tmp_path / "report.scaled_length.csv").read_text().split("\n")
     assert ecdf[0] == "value,ecdf"
     assert float(ecdf[-2].split(",")[1]) == 1.0
     assert "[PASS] T1.1" in printed
+
+
+@pytest.mark.parametrize("measure, strategy", [
+    ("beta:0.5,1.5", "powerbeta"),
+    ("kingman + beta:0.5,1.5", "kingman+powerbeta"),
+    ("powerbeta:c=1,a=0.5,b=0.7", "grouped"),
+])
+def test_experiment_meta_names_sampler(tmp_path, capsys, measure, strategy):
+    args = ["experiment", "--measure", measure, "--theorem", "T1.1",
+            "--n", "60", "--reps", "100",
+            "--tol", "ks=1", "--tol", "envelope=1"]
+    code, stdout_report, _ = run_cli(capsys, *args)
+    assert code == 0
+    out = tmp_path / "report.json"
+    assert run_cli(capsys, *args, "--out", str(out))[0] == 0
+    meta = json.loads((tmp_path / "report.json.meta.json").read_text())
+    assert meta["sampler"] == strategy
+    # the strategy lives only in the side file
+    assert out.read_text() == stdout_report
+    assert "sampler" not in stdout_report
+
+
+def test_experiment_unknown_param_is_usage_error(capsys):
+    code, _, err = run_cli(
+        capsys, "experiment", "--measure", "kingman", "--theorem", "T1.1",
+        "--n", "100", "--reps", "100", "--param", "scal=log_n")
+    assert code == 2
+    assert "scal" in err
 
 
 def test_experiment_byte_reproducible_across_threads(tmp_path, capsys):

@@ -9,7 +9,8 @@ import pytest
 from scipy.optimize import brentq
 
 from coalsim.experiments import (CATALOG, ExperimentConfig, ExperimentReport,
-                                 RegimeError, Statistic, _decimated_ecdf,
+                                 RegimeError, Statistic, UnknownKeyError,
+                                 _RUNNERS, _decimated_ecdf,
                                  finite_n_max_cdf, integral_inverse_mu,
                                  known_rv_exponent, ks_statistic, limit_gap,
                                  parse_r_rule, run_bs_extremes,
@@ -372,3 +373,78 @@ def test_run_experiment_dispatch_and_determinism():
     assert set(CATALOG.values()) == {
         "typical", "independence", "order_statistics", "bs_extremes",
         "lln", "tail_identity", "factorial_replay"}
+
+
+def test_misspelt_key_is_rejected():
+    # "scal" would leave the default scale in force and could PASS the
+    # wrong experiment
+    base = dict(n=100, replications=100)
+    with pytest.raises(UnknownKeyError, match="scal"):
+        run_experiment(ExperimentConfig("kingman", "T1.1", **base,
+                                        params={"scal": "log_n"}))
+    with pytest.raises(UnknownKeyError, match="kss"):
+        run_experiment(ExperimentConfig("kingman", "T1.1", **base,
+                                        tolerances={"kss": 0.1}))
+    with pytest.raises(ValueError):      # a parameter of another runner
+        run_experiment(ExperimentConfig("kingman", "T1.1", **base,
+                                        params={"k": 2}))
+
+
+class _ReadLog(dict):
+    """A dict that records every key looked up in it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+# Smoke-size runs of each runner with every key it declares set.
+_ALL_KEYS = {
+    "typical": ("kingman", 100,
+                {"alpha": 2.0, "scale": "mu_over_n", "t_grid": [0.5, 1.0]},
+                {"ks": 1.0, "envelope": 1.0}),
+    "independence": ("kingman", 50, {"k": 2}, {"corr": 1.0, "gap": 1.0}),
+    "tail_identity": ("kingman", 50, {"r_rule": "n/2"},
+                      {"exceedance": 1.0, "envelope": 1.0}),
+    "lln": ("kingman", 200,
+            {"r_rule": "n^0.5", "gamma_max": 0.5, "max_integral": 0.5},
+            {"ratio": 1.0, "log_gap": 1.0}),
+    "order_statistics": ("kingman", 100,
+                         {"ell": 2, "alpha": 2.0, "x_grid": [1.0]},
+                         {"ks": 1.0, "count_moments": 100.0}),
+    "bs_extremes": ("bolthausen-sznitman", 100,
+                    {"ell": 1, "trend_grid": [50, 100], "t_grid": [0.5],
+                     "r": 1, "c": 1.0, "c_n": 100, "c_reps": 100},
+                    {"trend_rise": 1.0, "moment_z": 100.0, "c_mean": 10.0}),
+    "factorial_replay": ("kingman", 50,
+                         {"r_rule": "n/2", "r_values": [1, 2],
+                          "variance_paths": 3},
+                         {"moment_z": 100.0, "var_slack": 1.0}),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(CATALOG))
+def test_every_key_a_runner_reads_is_declared(tag):
+    _, params, tolerances = _RUNNERS[CATALOG[tag]]
+    measure, n, given_params, given_tols = _ALL_KEYS[CATALOG[tag]]
+    assert set(given_params) == params and set(given_tols) == tolerances
+    cfg = ExperimentConfig(measure, tag, n, 100, seed=11,
+                           params=_ReadLog(given_params),
+                           tolerances=_ReadLog(given_tols))
+    report = run_experiment(cfg)
+    assert report.statistics
+    assert cfg.params.read <= params, cfg.params.read - params
+    assert cfg.tolerances.read <= tolerances, \
+        cfg.tolerances.read - tolerances

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from coalsim.measure import bolthausen_sznitman, kingman, parse_measure, power_beta
+from coalsim.measure import (CustomDensity, LambdaMeasure, bolthausen_sznitman,
+                             kingman, parse_measure, power_beta)
 from coalsim.rates import RateFunctions, rates_for
 from coalsim.sim import (CoalescentPath, ExternalLengths, MergerSizeSampler,
                          as_rate_functions, simulate_labeled, simulate_path)
@@ -203,6 +205,86 @@ def test_grouped_sampler_handles_mixed_block_counts():
     lam, k = sampler.sample_step(rng, b)
     np.testing.assert_allclose(lam, b - 1.0, rtol=1e-12)
     assert np.all((k >= 2) & (k <= b))
+
+
+# Beta(2 - alpha, alpha) with alpha = 1.5, an unnormalized power-beta with
+# b > 1, and a mixture that sends lanes to two components.
+REJECTION_MEASURES = ["beta:0.5,1.5", "powerbeta:c=2,a=0.5,b=1.7",
+                      "kingman + beta:0.5,1.5"]
+
+
+@pytest.mark.parametrize("text", REJECTION_MEASURES)
+def test_powerbeta_rejection_chi_square(text):
+    # one call over lanes with three block counts, so the rejection rounds
+    # run on lanes with unequal B; each B is then tested on its own lanes
+    rates = rates_for(parse_measure(text))
+    blocks = (3, 50, 2000)
+    sampler = MergerSizeSampler(rates, max(blocks))
+    assert "powerbeta" in sampler.strategy
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(42)))
+    draws = 400_000
+    b = np.tile(np.array(blocks, dtype=np.int64), draws)
+    _, k = sampler.sample_step(rng, b)
+    for bi in blocks:
+        observed = np.bincount(k[b == bi], minlength=bi + 1)[2:]
+        expected = rates.merger_size_distribution(bi) * draws
+        # pool the cells expected below 5 into one
+        small = expected < 5.0
+        obs = np.append(observed[~small], observed[small].sum())
+        exp = np.append(expected[~small], expected[small].sum())
+        if exp[-1] == 0.0:
+            obs, exp = obs[:-1], exp[:-1]
+        chi2 = float(((obs - exp) ** 2 / exp).sum())
+        p_value = stats.chi2.sf(chi2, obs.size - 1)
+        assert p_value > 1e-3, (bi, chi2, obs.size - 1)
+
+
+@pytest.mark.parametrize("text", REJECTION_MEASURES
+                         + ["powerbeta:c=1,a=0.5,b=1"])
+def test_powerbeta_total_rate_matches_weight_sum(text):
+    rates = rates_for(parse_measure(text))
+    blocks = np.array([2, 3, 50, 2000, 4500], dtype=np.int64)
+    sampler = MergerSizeSampler(rates, int(blocks.max()))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
+    lam, _ = sampler.sample_step(rng, blocks)
+    exact = [rates.merger_size_weights(int(bi)).sum() for bi in blocks]
+    np.testing.assert_allclose(lam, exact, rtol=1e-8)
+
+
+@pytest.mark.parametrize("measure, strategy", [
+    (kingman(), "kingman"),
+    (BS, "uniform"),
+    (PB_HALF, "powerbeta"),
+    (parse_measure("beta:0.5,1.5"), "powerbeta"),
+    (parse_measure("kingman + beta:0.5,1.5"), "kingman+powerbeta"),
+    (MIXED, "kingman+atom"),
+    (parse_measure("beta:1.5,0.5"), "grouped"),          # b < 1
+    (parse_measure("powerbeta:c=1,a=1,b=2"), "grouped"),  # a = 1, b != 1
+    (parse_measure("beta:2.5,3"), "grouped"),            # a >= 2, b > 1
+    (LambdaMeasure(densities=(CustomDensity(lambda p: 2.0 * p,
+                                            left_exponent=2.0),)),
+     "grouped"),
+])
+def test_sampler_strategy(measure, strategy):
+    assert MergerSizeSampler(rates_for(measure), 10).strategy == strategy
+
+
+def test_powerbeta_b1_draws_pinned():
+    # b == 1 accepts every proposal and draws no acceptance uniform, so
+    # three successive steps repeat the draws of the earlier b = 1 table
+    # sampler number for number
+    sampler = MergerSizeSampler(rates_for(PB_HALF), 1000)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(2024)))
+    b = np.array([2, 3, 7, 50, 999, 1000, 400, 12, 5, 1000, 1000, 1000,
+                  200, 30, 4, 1000], dtype=np.int64)
+    steps = [sampler.sample_step(rng, b) for _ in range(3)]
+    assert [k.tolist() for _, k in steps] == [
+        [2, 2, 3, 3, 2, 3, 2, 2, 2, 2, 2, 3, 2, 2, 2, 2],
+        [2, 2, 3, 3, 2, 2, 4, 2, 2, 2, 3, 2, 2, 3, 2, 2],
+        [2, 2, 2, 2, 2, 2, 2, 4, 5, 5, 3, 6, 2, 2, 2, 2]]
+    lam = steps[0][0]
+    assert lam[[2, 3, 5]].tolist() == [20.020202020202035, 413.96225909453057,
+                                       37351.92692079941]
 
 
 def test_uniform_inverse_cdf_matches_exact():
