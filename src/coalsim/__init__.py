@@ -5,8 +5,8 @@ Layers, lowest first:
   quadrature   adaptive Gauss-Legendre with endpoint-singularity substitutions
   measure      finite measures on [0,1]: atoms, densities, a small text grammar
   rates        merger rates, total jump rate, mu and friends, scaling sequences
-  sim          single-path and labeled n-coalescent simulators
-  ensemble     replication-vectorized runs with pluggable statistics trackers
+  sim          merger-size sampler, path records, labeled n-coalescent oracle
+  ensemble     the lockstep jump loop with pluggable statistics trackers
   limits       closed-form limit laws (typical, Frechet, Poisson, logistic, Cox)
   experiments  seeded Monte Carlo verdicts against those laws
   cli          command-line entry point (`coalsim`)
@@ -30,7 +30,6 @@ from .measure import (
     kingman,
     parse_measure,
     power_beta,
-    total_mass,
 )
 from .rates import (
     DustDiagnostic,
@@ -46,13 +45,8 @@ from .sim import (
     LabeledHistory,
     MergerSizeSampler,
     as_rate_functions,
-    block_count_at,
-    conditional_factorial_moment,
-    external_lengths,
     simulate_labeled,
     simulate_path,
-    singleton_count_at,
-    stopping_times,
 )
 from .ensemble import (
     AbsorptionTracker,
@@ -60,6 +54,7 @@ from .ensemble import (
     ChunkTracker,
     LevelCrossingTracker,
     MarkedLeafTracker,
+    PathRecorder,
     ThresholdCountTracker,
     TopLengthsTracker,
     run_ensemble,
@@ -80,6 +75,7 @@ from .limits import (
 )
 from .experiments import (
     CATALOG,
+    ConfigError,
     ExperimentConfig,
     ExperimentReport,
     RegimeError,
@@ -96,21 +92,20 @@ __all__ = [
     "integrate_unit_interval", "power_substitution",
     "CustomDensity", "LambdaMeasure", "MeasureParseError", "PowerBetaDensity",
     "bolthausen_sznitman", "kingman", "parse_measure", "power_beta",
-    "total_mass",
     "DustDiagnostic", "RateFunctions", "rates_for", "t_c_sequence",
     "t_sequence",
     "DEFAULT_SEED", "CoalescentPath", "ExternalLengths", "LabeledHistory",
-    "MergerSizeSampler", "as_rate_functions", "block_count_at",
-    "conditional_factorial_moment", "external_lengths", "simulate_labeled",
-    "simulate_path", "singleton_count_at", "stopping_times",
+    "MergerSizeSampler", "as_rate_functions", "simulate_labeled",
+    "simulate_path",
     "AbsorptionTracker", "BlockCountAtTimesTracker", "ChunkTracker",
-    "LevelCrossingTracker", "MarkedLeafTracker", "ThresholdCountTracker",
-    "TopLengthsTracker", "run_ensemble",
+    "LevelCrossingTracker", "MarkedLeafTracker", "PathRecorder",
+    "ThresholdCountTracker", "TopLengthsTracker", "run_ensemble",
     "LimitLaw", "bs_limit_density", "bs_order_stat_density", "cox_max_cdf",
     "frechet_cdf", "logistic_cdf", "moehle_factorial_moment",
     "order_stat_density", "poisson_intensity_tail", "sample_cox_extremes",
     "typical_cdf", "typical_density",
-    "CATALOG", "ExperimentConfig", "ExperimentReport", "RegimeError",
+    "CATALOG", "ConfigError", "ExperimentConfig", "ExperimentReport",
+    "RegimeError",
     "Statistic", "ks_statistic", "run_experiment", "two_sample_ks",
     "__version__",
 ]

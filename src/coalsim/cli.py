@@ -14,8 +14,8 @@ Conventions shared by all subcommands:
   * unknown flags and unknown config keys are usage errors (exit 2);
   * numeric or regime failures exit 1 with an error JSON on stderr;
   * `experiment` exits 3 when the verdict is FAIL so CI can gate on it;
-  * primary output files are byte-identical across reruns and thread
-    counts; wall-clock goes to a `.meta.json` side file.
+  * primary output files are byte-identical across reruns; wall-clock
+    goes to a `.meta.json` side file.
 """
 
 from __future__ import annotations
@@ -25,32 +25,18 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import (CATALOG, ExperimentConfig, RegimeError,
-                          UnknownKeyError, run_experiment)
+from .experiments import (CATALOG, ConfigError, ExperimentConfig,
+                          RegimeError, run_experiment)
 from .limits import FAMILIES, LimitLaw, moehle_factorial_moment, \
     poisson_intensity_tail, sample_cox_extremes
 from .measure import MeasureParseError, parse_measure
 from .rates import rates_for
-from .sim import DEFAULT_SEED, external_lengths, simulate_path
+from .sim import DEFAULT_SEED, simulate_path
 
 
 class UsageError(ValueError):
     """Bad flags, bad config keys, or missing required values."""
 
-
-_TAG_SUMMARY = {
-    "T1.1": "typical external length, CDF and envelope check",
-    "T1.2": "asymptotic independence of k marked external lengths",
-    "T1.3": "typical length scaled with the estimated exponent",
-    "C1.4": "typical length against the explicit limit density",
-    "T1.5": "top order statistics against Frechet / Poisson counts",
-    "T1.6": "Bolthausen-Sznitman extremes, logistic trend diagnostic",
-    "P2.1": "level-crossing time over the integral of 1/mu",
-    "P2.2": "harmonic sum of the block counts above a level",
-    "T4.1": "exceedance probability identity mu(r)/mu(n)",
-    "L7.1": "conditional factorial-moment replay oracle",
-    "L9.2": "exact Bolthausen-Sznitman block-count moments",
-}
 
 _MEASURE_HELP = (
     'measure text: "kingman[:m]", "bolthausen-sznitman", '
@@ -126,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "Wall-clock goes to a .meta.json side file so the "
                     "primary bytes are reproducible; ECDF grids become "
                     ".csv companions.",
-        epilog="tags: " + "; ".join(f"{k}: {v}"
-                                    for k, v in sorted(_TAG_SUMMARY.items())))
+        epilog="tags: " + "; ".join(f"{tag}: {about}" for tag, (_, about)
+                                    in sorted(CATALOG.items())))
     common(p)
     p.add_argument("--measure", default=None, help=_MEASURE_HELP)
     p.add_argument("--theorem", default=None, metavar="TAG",
@@ -136,9 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial block count")
     p.add_argument("--reps", type=int, default=None,
                    help="Monte Carlo replications (>= 100)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads; results are identical for every "
-                        "value (default 1)")
     p.add_argument("--param", action="append", default=None,
                    metavar="KEY=VALUE",
                    help="experiment parameter, repeatable; VALUE parsed as "
@@ -309,7 +292,7 @@ def _cmd_paths(args: argparse.Namespace, want_lengths: bool) -> int:
             close = True
         try:
             if want_lengths:
-                external_lengths(path).dump_csv(stream)
+                path.external_lengths().dump_csv(stream)
             else:
                 path.dump_csv(stream)
         finally:
@@ -334,13 +317,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             replications=args.reps,
             seed=DEFAULT_SEED if args.seed is None else args.seed,
             params=params,
-            tolerances=_parse_kv_list(args.tol, "--tol"),
-            threads=1 if args.threads is None else args.threads)
+            tolerances=_parse_kv_list(args.tol, "--tol"))
     except ValueError as exc:
         raise UsageError(str(exc))
     try:
         report = run_experiment(cfg)
-    except UnknownKeyError as exc:
+    except ConfigError as exc:
         raise UsageError(str(exc))
 
     primary = report.to_json() + "\n"
@@ -350,9 +332,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     else:
         out = Path(args.out)
         out.write_text(primary, encoding="utf-8")
-        meta = {"runtime_ms": report.runtime_ms,
-                "sampler": report.sampler,
-                "threads": report.config.get("threads")}
+        meta = {"runtime_ms": report.runtime_ms, "sampler": report.sampler}
         out.with_suffix(out.suffix + ".meta.json").write_text(
             json.dumps(meta, sort_keys=True, indent=2) + "\n",
             encoding="utf-8")

@@ -3,22 +3,22 @@
 All replications in a chunk advance in lockstep: one jump of every live
 path per iteration, with the merger-size draws, waiting times and
 hypergeometric singleton losses batched across the chunk.  Statistics are
-accumulated by streaming trackers, so paths are never stored.
+accumulated by streaming trackers, so paths are not stored unless a
+PathRecorder asks for them.  This is the only jump loop: single paths
+(`sim.simulate_path`) are one-replication runs with a recorder.
 
-Reproducibility contract: replications are split into fixed-size chunks
-and chunk i runs on its own Philox stream keyed by seed XOR i.  Results
-therefore depend on (measure, n, reps, seed, chunk_size, tracker order)
-and on nothing else; in particular the thread count only changes which
-worker executes a chunk, never its bytes.
+Reproducibility contract: replications are split into fixed-size chunks,
+run one after another, and chunk i runs on its own Philox stream keyed by
+seed XOR i.  Results therefore depend on (measure, n, reps, seed,
+chunk_size, tracker order) and on nothing else.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-from .sim import MergerSizeSampler, as_rate_functions
+from .sim import (CoalescentPath, MergerSizeSampler, _check_seed, _make_rng,
+                  as_rate_functions)
 
 DEFAULT_CHUNK_SIZE = 1024
 
@@ -222,9 +222,47 @@ class AbsorptionTracker(ChunkTracker):
                 f"{self.name}_jumps": self.jumps}
 
 
+class PathRecorder(ChunkTracker):
+    """Every jump of every replication, returned as one CoalescentPath per
+    replication (an object array) for per-path functionals.
+
+    A path makes at most n - 1 jumps, so each replication gets rows of
+    that length, written jump by jump; the operating system commits
+    memory only for the pages written, so memory grows with the jumps
+    actually made and is never copied at the end."""
+
+    needs_singletons = True
+
+    def __init__(self, name: str = "paths"):
+        self.name = name
+
+    def begin(self, size, n, rng):
+        self.n = n
+        self.jumps = np.zeros(size, dtype=np.int64)
+        self.x, self.k, self.dy = (np.empty((size, n - 1), dtype=np.int64)
+                                   for _ in range(3))
+        self.t = np.empty((size, n - 1))
+
+    def observe(self, rows, x_before, k, dy, t_old, t_new):
+        j = self.jumps[rows]
+        self.x[rows, j] = x_before
+        self.k[rows, j] = k
+        self.dy[rows, j] = dy
+        self.t[rows, j] = t_new
+        self.jumps[rows] = j + 1
+
+    def result(self):
+        paths = np.empty(self.jumps.size, dtype=object)
+        for i, m in enumerate(self.jumps):
+            paths[i] = CoalescentPath(self.n, None, self.x[i, :m],
+                                      self.k[i, :m], self.dy[i, :m],
+                                      self.t[i, :m])
+        return {self.name: paths}
+
+
 def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, key: int,
                factories) -> dict[str, np.ndarray]:
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(key)))
+    rng = _make_rng(key)
     trackers = [f() for f in factories]
     for tr in trackers:
         tr.begin(size, n, rng)
@@ -257,29 +295,25 @@ def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, key: int,
     return out
 
 
-def run_ensemble(rates, n: int, reps: int, seed: int,
-                 tracker_factories, threads: int = 1,
+def run_ensemble(rates, n: int, reps: int, seed: int, tracker_factories,
                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> dict[str, np.ndarray]:
     """Simulate `reps` paths of size n, returning each tracker's arrays
     concatenated in replication order.  `rates` may be a RateFunctions
-    instance or the underlying measure."""
+    instance or the underlying measure; `seed` is an integer in
+    [0, 2**64)."""
     if n < 2:
         raise ValueError("need n >= 2 blocks")
     if reps < 1:
         raise ValueError("need at least one replication")
-    if threads < 1 or chunk_size < 1:
-        raise ValueError("threads and chunk_size must be positive")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+    seed = _check_seed(seed)
+    factories = tuple(tracker_factories)
     sampler = MergerSizeSampler(as_rate_functions(rates), n)
     sizes = [chunk_size] * (reps // chunk_size)
     if reps % chunk_size:
         sizes.append(reps % chunk_size)
-    jobs = [(n, sz, seed ^ ci, tuple(tracker_factories))
-            for ci, sz in enumerate(sizes)]
-    if threads == 1 or len(jobs) == 1:
-        parts = [_run_chunk(sampler, *job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_chunk, sampler, *job) for job in jobs]
-            parts = [f.result() for f in futures]
+    parts = [_run_chunk(sampler, n, size, seed ^ ci, factories)
+             for ci, size in enumerate(sizes)]
     return {name: np.concatenate([p[name] for p in parts])
             for name in parts[0]}

@@ -7,7 +7,7 @@ from the config with documented defaults; they are engineering choices
 calibrated by pilot runs, since the underlying convergence statements
 carry no rates.  Reports are bit-reproducible from (config, seed): the
 ensemble engine chunks replications deterministically and aggregation
-only ever averages, so replication order and thread count cannot leak in.
+only ever averages, so replication order cannot leak in.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import limits
 from .ensemble import (BlockCountAtTimesTracker, LevelCrossingTracker,
-                       MarkedLeafTracker, ThresholdCountTracker,
+                       MarkedLeafTracker, PathRecorder, ThresholdCountTracker,
                        TopLengthsTracker, run_ensemble)
 from .measure import LambdaMeasure, PowerBetaDensity, parse_measure
 from .quadrature import DEFAULT_CONFIG, adaptive_integrate
@@ -36,19 +36,28 @@ class RegimeError(RuntimeError):
     into noise."""
 
 
-# Experiment catalog: every accepted tag and the runner behind it.
+class ConfigError(ValueError):
+    """A params or tolerances key the experiment does not read, or a value
+    of a key it reads that it cannot use."""
+
+
+# Experiment catalog: every accepted tag, the runner behind it (a key of
+# _RUNNERS) and what it checks.
 CATALOG = {
-    "T1.1": "typical",
-    "T1.2": "independence",
-    "T1.3": "typical",
-    "C1.4": "typical",
-    "T1.5": "order_statistics",
-    "T1.6": "bs_extremes",
-    "P2.1": "lln",
-    "P2.2": "lln",
-    "T4.1": "tail_identity",
-    "L7.1": "factorial_replay",
-    "L9.2": "bs_extremes",
+    "T1.1": ("typical", "typical external length, CDF and envelope check"),
+    "T1.2": ("independence",
+             "asymptotic independence of k marked external lengths"),
+    "T1.3": ("typical", "typical length scaled with the estimated exponent"),
+    "C1.4": ("typical", "typical length against the explicit limit density"),
+    "T1.5": ("order_statistics",
+             "top order statistics against Frechet / Poisson counts"),
+    "T1.6": ("bs_extremes",
+             "Bolthausen-Sznitman extremes, logistic trend diagnostic"),
+    "P2.1": ("lln", "level-crossing time over the integral of 1/mu"),
+    "P2.2": ("lln", "harmonic sum of the block counts above a level"),
+    "T4.1": ("tail_identity", "exceedance probability identity mu(r)/mu(n)"),
+    "L7.1": ("factorial_replay", "conditional factorial-moment replay oracle"),
+    "L9.2": ("bs_extremes", "exact Bolthausen-Sznitman block-count moments"),
 }
 
 
@@ -61,7 +70,6 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     params: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.theorem not in CATALOG:
@@ -71,8 +79,6 @@ class ExperimentConfig:
             raise ValueError("n must be >= 2")
         if self.replications < 100:
             raise ValueError("need at least 100 replications")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
         for name, tol in self.tolerances.items():
             if not tol > 0:
                 raise ValueError(f"tolerance {name!r} must be positive")
@@ -84,12 +90,12 @@ class ExperimentConfig:
         return {"measure": self.measure, "theorem": self.theorem,
                 "n": self.n, "replications": self.replications,
                 "seed": self.seed, "params": dict(self.params),
-                "tolerances": dict(self.tolerances), "threads": self.threads}
+                "tolerances": dict(self.tolerances)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         known = {"measure", "theorem", "n", "replications", "seed",
-                 "params", "tolerances", "threads"}
+                 "params", "tolerances"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
@@ -128,11 +134,9 @@ class ExperimentReport:
             else "PASS"
 
     def to_json(self, include_runtime: bool = False) -> str:
-        # runtime and thread count are execution details, not results;
-        # both stay out of the primary serialization so reruns and
-        # different --threads values are byte-identical.
-        config = {k: v for k, v in self.config.items() if k != "threads"}
-        doc = {"config": config,
+        # runtime is an execution detail, not a result; it stays out of
+        # the primary serialization so reruns are byte-identical.
+        doc = {"config": self.config,
                "statistics": [s.to_dict() for s in self.statistics],
                "verdict": self.verdict,
                "seed": self.seed}
@@ -183,6 +187,31 @@ def _require_dustless(rates: RateFunctions) -> None:
                           f"for {rates.measure!r}")
 
 
+def _param(cfg: ExperimentConfig, key: str, default, convert=float):
+    """cfg.params[key], or the default, through convert; a value that
+    convert rejects with TypeError or ValueError raises ConfigError."""
+    value = cfg.params.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{cfg.theorem} cannot use params "
+                          f"{key}={value!r}: {exc}") from None
+
+
+def _count(low: int):
+    """Converter to an int that must be at least `low`."""
+    def convert(value) -> int:
+        out = int(value)
+        if out < low:
+            raise ValueError(f"must be an integer >= {low}")
+        return out
+    return convert
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def known_rv_exponent(measure: LambdaMeasure) -> float | None:
     """The regular-variation exponent of the rate of decrease when every
     component is a recognized family, else None (callers then estimate).
@@ -204,7 +233,7 @@ def known_rv_exponent(measure: LambdaMeasure) -> float | None:
 def _resolve_alpha(cfg: ExperimentConfig,
                    rates: RateFunctions) -> tuple[float, str]:
     if "alpha" in cfg.params:
-        return float(cfg.params["alpha"]), "config"
+        return _param(cfg, "alpha", None), "config"
     known = known_rv_exponent(rates.measure)
     if known is not None:
         return known, "family"
@@ -212,21 +241,23 @@ def _resolve_alpha(cfg: ExperimentConfig,
 
 
 def parse_r_rule(rule, n: int) -> float:
-    """Level rules: a bare number, or 'n', 'n/2', 'n^0.4', 'n*0.25'."""
+    """Level rules: a bare number, or 'n', 'n/2', 'n^0.4', 'n*0.25'.
+    Anything else raises ConfigError."""
     if isinstance(rule, (int, float)):
         return float(rule)
     text = str(rule).strip().lower().replace(" ", "")
-    if not text:
-        raise ValueError("empty r rule")
-    if text == "n":
-        return float(n)
-    if text.startswith("n/"):
-        return n / float(text[2:])
-    if text.startswith("n^"):
-        return float(n) ** float(text[2:])
-    if text.startswith("n*"):
-        return n * float(text[2:])
-    return float(text)
+    try:
+        if text == "n":
+            return float(n)
+        if text.startswith("n/"):
+            return n / float(text[2:])
+        if text.startswith("n^"):
+            return float(n) ** float(text[2:])
+        if text.startswith("n*"):
+            return n * float(text[2:])
+        return float(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"cannot parse r rule {rule!r}") from None
 
 
 def integral_inverse_mu(rates: RateFunctions, lo: float, hi: float) -> float:
@@ -353,12 +384,13 @@ def run_typical_length(cfg: ExperimentConfig) -> ExperimentReport:
     elif scale_rule == "log_n":
         scale = math.log(cfg.n)
     else:
-        raise ValueError(f"unknown scale rule {scale_rule!r}")
+        raise ConfigError(f"unknown scale rule {scale_rule!r}; "
+                          "use mu_over_n or log_n")
     out = run_ensemble(rates, cfg.n, cfg.replications, cfg.seed,
-                       [lambda: MarkedLeafTracker(1)], threads=cfg.threads)
+                       [lambda: MarkedLeafTracker(1)])
     scaled = out["marked_lengths"][:, 0] * scale
     ks = ks_statistic(scaled, lambda x: limits.typical_cdf(alpha, x))
-    t_grid = tuple(cfg.params.get("t_grid", _ENVELOPE_GRID))
+    t_grid = _param(cfg, "t_grid", _ENVELOPE_GRID, tuple)
     stats = [
         _bounded("ks_vs_limit", ks, cfg.tolerance("ks", 0.05)),
         _bounded("envelope_gap", _envelope_gap(scaled, t_grid),
@@ -378,13 +410,13 @@ def run_independence(cfg: ExperimentConfig,
     """Joint law of k tagged external lengths: pairwise correlations and
     the gap between the joint ECDF and the product of its marginals."""
     t0 = time.perf_counter()
-    k = int(cfg.params.get("k", 2) if k is None else k)
+    k = _param(cfg, "k", 2, int) if k is None else int(k)
     if not 1 <= k <= 8:
-        raise ValueError("k must lie in [1, 8]")
+        raise ConfigError(f"k must lie in [1, 8], got {k}")
     rates = rates_for(parse_measure(cfg.measure))
     _require_dustless(rates)
     out = run_ensemble(rates, cfg.n, cfg.replications, cfg.seed,
-                       [lambda: MarkedLeafTracker(k)], threads=cfg.threads)
+                       [lambda: MarkedLeafTracker(k)])
     lengths = out["marked_lengths"]
     stats = []
     if k == 1:
@@ -430,7 +462,7 @@ def run_tail_identity(cfg: ExperimentConfig,
     threshold = integral_inverse_mu(rates, r_level, float(cfg.n))
     target = rates.rate_of_decrease(r_level) / rates.rate_of_decrease(cfg.n)
     out = run_ensemble(rates, cfg.n, cfg.replications, cfg.seed,
-                       [lambda: MarkedLeafTracker(1)], threads=cfg.threads)
+                       [lambda: MarkedLeafTracker(1)])
     lengths = out["marked_lengths"][:, 0]
     est = float(np.mean(lengths > threshold))
     se = math.sqrt(max(est * (1.0 - est), 1e-12) / lengths.size)
@@ -455,11 +487,11 @@ def run_lln(cfg: ExperimentConfig, r_rule=None) -> ExperimentReport:
     _require_dustless(rates)
     r_level = parse_r_rule(cfg.params.get("r_rule", "n^0.5")
                            if r_rule is None else r_rule, cfg.n)
-    gamma = float(cfg.params.get("gamma_max", 0.5))
+    gamma = _param(cfg, "gamma_max", 0.5)
     if not 1 < r_level <= gamma * cfg.n:
         raise RegimeError(f"need 1 < r <= {gamma}*n, got r={r_level}")
     integral = integral_inverse_mu(rates, r_level, float(cfg.n))
-    max_integral = float(cfg.params.get("max_integral", 0.5))
+    max_integral = _param(cfg, "max_integral", 0.5)
     if integral > max_integral:
         raise RegimeError(f"integral of 1/mu is {integral:.3g}, beyond "
                           f"{max_integral}; the small-integral regime fails")
@@ -467,8 +499,7 @@ def run_lln(cfg: ExperimentConfig, r_rule=None) -> ExperimentReport:
     mu_r = rates.rate_of_decrease(r_level)
     log_target = math.log(mu_n / cfg.n * r_level / mu_r)
     out = run_ensemble(rates, cfg.n, cfg.replications, cfg.seed,
-                       [lambda: LevelCrossingTracker(r_level, name="lvl")],
-                       threads=cfg.threads)
+                       [lambda: LevelCrossingTracker(r_level, name="lvl")])
     ratio = out["lvl_time"] / integral
     inv_sum = out["lvl_inv_sum"]
     m = ratio.size
@@ -493,7 +524,7 @@ def run_order_statistics(cfg: ExperimentConfig,
     mean/variance identity on an x-grid.  The distance between the two
     laws is reported as resolved["limit_gap"]."""
     t0 = time.perf_counter()
-    ell = int(cfg.params.get("ell", 3) if ell is None else ell)
+    ell = _param(cfg, "ell", 3, _count(1)) if ell is None else int(ell)
     rates = rates_for(parse_measure(cfg.measure))
     _require_dustless(rates)
     alpha, alpha_src = _resolve_alpha(cfg, rates)
@@ -503,12 +534,11 @@ def run_order_statistics(cfg: ExperimentConfig,
     alpha = min(alpha, 2.0)
     s_n = rates.s_at(cfg.n)
     kappa = rates.rate_of_decrease(s_n) / s_n
-    x_grid = np.asarray(cfg.params.get("x_grid", (1.0,)), dtype=float)
+    x_grid = _param(cfg, "x_grid", (1.0,), _float_array)
     out = run_ensemble(
         rates, cfg.n, cfg.replications, cfg.seed,
         [lambda: TopLengthsTracker(ell),
-         lambda: ThresholdCountTracker(x_grid / kappa)],
-        threads=cfg.threads)
+         lambda: ThresholdCountTracker(x_grid / kappa)])
     top = out["top_lengths"][:, 0]
     scaled_max = top * kappa
     ks = ks_statistic(scaled_max, lambda x: limits.frechet_cdf(alpha, x))
@@ -555,7 +585,7 @@ def run_bs_extremes(cfg: ExperimentConfig,
     if not _is_uniform_measure(measure):
         raise RegimeError("this experiment is specific to the uniform "
                           "measure (bolthausen-sznitman)")
-    ell = int(cfg.params.get("ell", 1) if ell is None else ell)
+    ell = _param(cfg, "ell", 1, _count(1)) if ell is None else int(ell)
     rates = rates_for(measure)
     stats = []
     resolved: dict = {"ell": ell}
@@ -563,12 +593,12 @@ def run_bs_extremes(cfg: ExperimentConfig,
 
     run_trend = "trend_grid" in cfg.params or cfg.theorem == "T1.6"
     if run_trend:
-        trend_grid = [int(v) for v in cfg.params.get("trend_grid", (cfg.n,))]
+        trend_grid = _param(cfg, "trend_grid", (cfg.n,),
+                            lambda grid: [_count(2)(v) for v in grid])
         trend = []
         for i, n_i in enumerate(trend_grid):
             out = run_ensemble(rates, n_i, cfg.replications, cfg.seed + i,
-                               [lambda: TopLengthsTracker(ell)],
-                               threads=cfg.threads)
+                               [lambda: TopLengthsTracker(ell)])
             ll = math.log(math.log(n_i))
             centered = ll * (out["top_lengths"][:, 0] - t_sequence(n_i))
             ks = ks_statistic(centered, limits.logistic_cdf)
@@ -582,12 +612,10 @@ def run_bs_extremes(cfg: ExperimentConfig,
                                   cfg.tolerance("trend_rise", 0.02)))
 
     if "t_grid" in cfg.params or cfg.theorem == "L9.2":
-        t_grid = np.asarray(cfg.params.get("t_grid", (0.25, 0.5, 1.0)),
-                            dtype=float)
-        r = int(cfg.params.get("r", 1))
+        t_grid = _param(cfg, "t_grid", (0.25, 0.5, 1.0), _float_array)
+        r = _param(cfg, "r", 1, _count(1))
         out = run_ensemble(rates, cfg.n, cfg.replications, cfg.seed,
-                           [lambda: BlockCountAtTimesTracker(t_grid)],
-                           threads=cfg.threads)
+                           [lambda: BlockCountAtTimesTracker(t_grid)])
         blocks = out["blocks_at"].astype(float)
         for j, t in enumerate(t_grid):
             vals = np.ones(blocks.shape[0])
@@ -603,13 +631,14 @@ def run_bs_extremes(cfg: ExperimentConfig,
         resolved["r"] = r
 
     if "c" in cfg.params:
-        c = float(cfg.params["c"])
-        n_c = int(cfg.params.get("c_n", cfg.n))
-        reps_c = int(cfg.params.get("c_reps", cfg.replications))
+        c = _param(cfg, "c", None)
+        if not c > 0:
+            raise ConfigError(f"c must be positive, got {c}")
+        n_c = _param(cfg, "c_n", cfg.n, _count(2))
+        reps_c = _param(cfg, "c_reps", cfg.replications, _count(1))
         t_c = t_c_sequence(n_c, c)
         out = run_ensemble(rates, n_c, reps_c, cfg.seed + 101,
-                           [lambda: BlockCountAtTimesTracker([t_c])],
-                           threads=cfg.threads)
+                           [lambda: BlockCountAtTimesTracker([t_c])])
         scaled = math.exp(-t_c) * out["blocks_at"][:, 0].astype(float)
         stats.append(_scored("scaled_count_mean", scaled.mean(), c,
                              cfg.tolerance("c_mean", 0.15 * c),
@@ -628,7 +657,10 @@ def run_factorial_replay(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     rates = rates_for(parse_measure(cfg.measure))
     r_level = parse_r_rule(cfg.params.get("r_rule", "n/2"), cfg.n)
-    r_values = [int(v) for v in cfg.params.get("r_values", (1, 2))]
+    if not r_level >= 1:
+        raise ConfigError(f"need r >= 1, got r={r_level}")
+    r_values = _param(cfg, "r_values", (1, 2),
+                      lambda values: [_count(1)(v) for v in values])
     path = simulate_path(rates, cfg.n, cfg.seed)
     rho, _ = path.stopping_times(r_level)
     reps = cfg.replications
@@ -650,11 +682,13 @@ def run_factorial_replay(cfg: ExperimentConfig) -> ExperimentReport:
                               cfg.tolerance("moment_z", 3.0), se=se))
 
     # variance-mean domination along independent chains, via the exact
-    # r = 1, 2 formulas: Var = E[(Y)_2] + E[Y] - E[Y]^2 <= E[Y].
-    n_paths = int(cfg.params.get("variance_paths", 1000))
+    # r = 1, 2 formulas: Var = E[(Y)_2] + E[Y] - E[Y]^2 <= E[Y].  The
+    # chains run in lockstep as one ensemble that records every path.
+    n_paths = _param(cfg, "variance_paths", 1000, _count(1))
+    paths = run_ensemble(rates, cfg.n, n_paths, cfg.seed + 1000,
+                         [PathRecorder])["paths"]
     worst = -math.inf
-    for i in range(n_paths):
-        p = simulate_path(rates, cfg.n, cfg.seed + 1000 + i)
+    for p in paths:
         rho_i, _ = p.stopping_times(r_level)
         e1 = p.conditional_factorial_moment(rho_i, 1)
         e2 = p.conditional_factorial_moment(rho_i, 2)
@@ -688,20 +722,18 @@ _RUNNERS = {
 }
 
 
-class UnknownKeyError(ValueError):
-    """A params or tolerances key that the experiment does not read."""
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Dispatch on the config's catalog tag.  A params or tolerances key
-    the runner does not read raises UnknownKeyError before any work, so a
-    misspelt key cannot leave a default in force unnoticed."""
-    runner, params, tolerances = _RUNNERS[CATALOG[cfg.theorem]]
+    the runner does not read raises ConfigError before any work, so a
+    misspelt key cannot leave a default in force unnoticed; a value the
+    runner cannot use raises ConfigError when the runner reads it."""
+    kind, _ = CATALOG[cfg.theorem]
+    runner, params, tolerances = _RUNNERS[kind]
     for what, given, known in (("params", cfg.params, params),
                                ("tolerances", cfg.tolerances, tolerances)):
         unknown = set(given) - known
         if unknown:
-            raise UnknownKeyError(
+            raise ConfigError(
                 f"{cfg.theorem} does not read {what} {sorted(unknown)}; "
                 f"it reads {sorted(known)}")
     return runner(cfg)

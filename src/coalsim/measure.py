@@ -199,15 +199,6 @@ class LambdaMeasure:
         return " + ".join(terms)
 
 
-def total_mass(measure: LambdaMeasure) -> float:
-    return measure.total_mass()
-
-
-def integrate(measure: LambdaMeasure, f,
-              config: QuadratureConfig = DEFAULT_CONFIG, **kwargs) -> float:
-    return measure.integrate(f, config, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # parsing
 

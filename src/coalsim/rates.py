@@ -114,8 +114,13 @@ def _event_kernel(p, b: float):
 
 
 def _beta_continued(u, v):
-    """Beta(u, v) by analytic continuation (gammasgn/gammaln), vectorized."""
-    sign = special.gammasgn(u) * special.gammasgn(v) * special.gammasgn(u + v)
+    """Beta(u, v) by analytic continuation (gammasgn/gammaln), vectorized.
+    0 where u + v is a pole of Gamma, as 1/Gamma(u + v) is there; the
+    power-beta rates with a + b = 1 need these values."""
+    # gammasgn is NaN at a pole; fmax makes that sign finite, so the
+    # factor exp(-gammaln(u + v)) = 0 gives 0 instead of NaN
+    sign = (special.gammasgn(u) * special.gammasgn(v)
+            * np.fmax(special.gammasgn(u + v), -1.0))
     return sign * np.exp(special.gammaln(u) + special.gammaln(v)
                          - special.gammaln(u + v))
 
@@ -556,53 +561,9 @@ def t_c_sequence(n, c: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# functional front door, memoized per measure
+# one RateFunctions per measure
 
 @lru_cache(maxsize=64)
 def rates_for(measure: LambdaMeasure,
               use_closed_forms: bool = True) -> RateFunctions:
     return RateFunctions(measure, use_closed_forms=use_closed_forms)
-
-
-def merger_rate(measure: LambdaMeasure, b: int, k: int) -> float:
-    return rates_for(measure).merger_rate(b, k)
-
-
-def total_jump_rate(measure: LambdaMeasure, b) -> float:
-    return rates_for(measure).total_jump_rate(b)
-
-
-def merger_size_distribution(measure: LambdaMeasure, b: int) -> np.ndarray:
-    return rates_for(measure).merger_size_distribution(b)
-
-
-def rate_of_decrease(measure: LambdaMeasure, x) -> float:
-    return rates_for(measure).rate_of_decrease(x)
-
-
-def mu_derivatives(measure: LambdaMeasure, x: float):
-    return rates_for(measure).mu_derivatives(x)
-
-
-def invert_mu(measure: LambdaMeasure, y: float) -> float:
-    return rates_for(measure).invert_mu(y)
-
-
-def s_sequence(measure: LambdaMeasure, n):
-    return rates_for(measure).s_at(n)
-
-
-def H_function(measure: LambdaMeasure, u: float) -> float:
-    return rates_for(measure).H_function(u)
-
-
-def h_function(measure: LambdaMeasure, z: float) -> float:
-    return rates_for(measure).h_function(z)
-
-
-def dust_diagnostic(measure: LambdaMeasure) -> DustDiagnostic:
-    return rates_for(measure).dust_diagnostic()
-
-
-def rv_exponent_estimate(measure: LambdaMeasure, grid=None) -> float:
-    return rates_for(measure).rv_exponent_estimate(grid)

@@ -1,4 +1,4 @@
-"""Single-path simulation of the block and singleton counting processes.
+"""Paths of the block and singleton counting processes.
 
 A path starts from n blocks, all singletons.  While b > 1 blocks remain:
 draw the waiting time W ~ Exp(lam(b)), the merger size K from the embedded
@@ -8,15 +8,17 @@ singletons swallowed by the merger, which given (b, Y, K) is hypergeometric
 of a leaf is the absolute time at which its singleton block disappears, so
 the multiset of external lengths is exactly {(t_jump, dY)} expanded.
 
-RNG is counter-based (Philox keyed by the seed) and the draw order per jump
-is fixed (K, then W, then dY with dY drawn only while singletons remain), so
-a (measure, n, seed) triple pins the path bit for bit.
+Paths are simulated by the lockstep engine in `ensemble`; `simulate_path`
+runs it with one replication and records every jump.  RNG is counter-based
+(Philox keyed by the seed) and the draw order per jump is fixed (K, then W,
+then dY), so a (measure, n, seed) triple pins the path bit for bit.  The
+labeled simulator here is an independent oracle that tracks partitions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -29,10 +31,17 @@ DEFAULT_SEED = 123456789
 _LABELED_MAX_N = 12
 
 
+def _check_seed(seed) -> int:
+    """The seed as a Python int; anything but an integer in [0, 2**64),
+    the range of a Philox key word, raises ValueError."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must be an integer in [0, 2**64)")
+    return int(seed)
+
+
 def _make_rng(seed: int) -> np.random.Generator:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    key = np.uint64(_check_seed(seed))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def as_rate_functions(source) -> RateFunctions:
@@ -276,20 +285,20 @@ class ExternalLengths:
 
 @dataclass(frozen=True, eq=False)
 class CoalescentPath:
-    """Full record of one run: per-jump state plus the seed that made it."""
+    """Full record of one run: per-jump state plus the seed that made it
+    (None when the path is one replication of an ensemble run)."""
 
     n: int
     seed: int | None
     block_count_before: np.ndarray   # X_before, strictly decreasing from n
     merger_size: np.ndarray          # K, in [2, X_before]
     absorbed_singletons: np.ndarray  # dY
-    waiting_time: np.ndarray         # W
-    jump_time: np.ndarray            # t_jump, cumulative sum of W
+    jump_time: np.ndarray            # t_jump, strictly increasing from > 0
 
     def __post_init__(self) -> None:
         x, k = self.block_count_before, self.merger_size
-        dy, w, t = self.absorbed_singletons, self.waiting_time, self.jump_time
-        if not (len(x) == len(k) == len(dy) == len(w) == len(t)):
+        dy, t = self.absorbed_singletons, self.jump_time
+        if not (len(x) == len(k) == len(dy) == len(t)):
             raise ValueError("jump arrays must align")
         if self.n < 2 or x[0] != self.n:
             raise ValueError("path must start at n >= 2 blocks")
@@ -302,8 +311,13 @@ class CoalescentPath:
             raise ValueError("absorbed singletons must total n")
         if np.any(np.cumsum(dy) > self.n):
             raise ValueError("singleton count went negative")
-        if np.any(w <= 0) or not np.allclose(np.cumsum(w), t, rtol=1e-12):
-            raise ValueError("jump times must cumulate the waiting times")
+        if np.any(self.waiting_time <= 0):
+            raise ValueError("jump times must increase strictly from 0")
+
+    @property
+    def waiting_time(self) -> np.ndarray:
+        """W: holding time before each jump, the increments of jump_time."""
+        return np.diff(self.jump_time, prepend=0.0)
 
     @property
     def num_jumps(self) -> int:
@@ -385,44 +399,13 @@ class CoalescentPath:
 # simulators
 
 def simulate_path(rates, n: int, seed: int = DEFAULT_SEED) -> CoalescentPath:
-    """One full trajectory from n blocks down to 1.  `rates` may be a
-    RateFunctions instance or the underlying measure."""
-    if n < 2:
-        raise ValueError("need n >= 2 blocks")
-    sampler = MergerSizeSampler(as_rate_functions(rates), n)
-    rng = _make_rng(seed)
-    return _simulate_with(rng, sampler, n, seed)
+    """One full trajectory from n blocks down to 1: a one-replication
+    ensemble run whose only chunk is keyed by `seed` itself.  `rates` may
+    be a RateFunctions instance or the underlying measure."""
+    from .ensemble import PathRecorder, run_ensemble
 
-
-def _simulate_with(rng: np.random.Generator, sampler: MergerSizeSampler,
-                   n: int, seed: int | None) -> CoalescentPath:
-    xs, ks, dys, ws = [], [], [], []
-    b, y = n, n
-    one = np.empty(1, dtype=np.int64)
-    while b > 1:
-        one[0] = b
-        lam, k_arr = sampler.sample_step(rng, one)
-        w = rng.standard_exponential() / lam[0]
-        k = int(k_arr[0])
-        dy = int(rng.hypergeometric(y, b - y, k)) if y > 0 else 0
-        xs.append(b)
-        ks.append(k)
-        dys.append(dy)
-        ws.append(w)
-        b -= k - 1
-        y -= dy
-    w = np.array(ws)
-    return CoalescentPath(
-        n=n, seed=seed,
-        block_count_before=np.array(xs, dtype=np.int64),
-        merger_size=np.array(ks, dtype=np.int64),
-        absorbed_singletons=np.array(dys, dtype=np.int64),
-        waiting_time=w,
-        jump_time=np.cumsum(w))
-
-
-def external_lengths(path: CoalescentPath) -> ExternalLengths:
-    return path.external_lengths()
+    paths = run_ensemble(rates, n, 1, seed, [PathRecorder])["paths"]
+    return replace(paths[0], seed=seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,8 +427,7 @@ class LabeledHistory:
         times = np.asarray(self.jump_times)
         dy = np.array([np.sum(self.leaf_absorption_times == t)
                        for t in times], dtype=np.int64)
-        w = np.diff(np.concatenate([[0.0], times]))
-        return CoalescentPath(self.n, self.seed, x, k, dy, w, times)
+        return CoalescentPath(self.n, self.seed, x, k, dy, times)
 
 
 def simulate_labeled(rates, n: int, seed: int = DEFAULT_SEED) -> LabeledHistory:
@@ -477,23 +459,3 @@ def simulate_labeled(rates, n: int, seed: int = DEFAULT_SEED) -> LabeledHistory:
         times.append(t)
         states.append(tuple(blocks))
     return LabeledHistory(n, seed, np.array(times), tuple(states), absorbed)
-
-
-# ---------------------------------------------------------------------------
-# functional wrappers matching the path methods
-
-def block_count_at(path: CoalescentPath, t):
-    return path.block_count_at(t)
-
-
-def singleton_count_at(path: CoalescentPath, t):
-    return path.singleton_count_at(t)
-
-
-def stopping_times(path: CoalescentPath, r_level: float):
-    return path.stopping_times(r_level)
-
-
-def conditional_factorial_moment(path: CoalescentPath, rho_index: int,
-                                 r: int) -> float:
-    return path.conditional_factorial_moment(rho_index, r)

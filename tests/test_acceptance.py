@@ -24,8 +24,6 @@ from coalsim.quadrature import adaptive_integrate
 from coalsim.rates import RateFunctions, rates_for
 from coalsim.sim import DEFAULT_SEED, simulate_labeled, simulate_path
 
-THREADS = 4     # result bytes are thread-invariant (criterion 12)
-
 
 @pytest.fixture
 def verdict(capfd):
@@ -43,7 +41,6 @@ def _stat_values(report):
 
 
 def _run(measure, theorem, n, reps, **kw):
-    kw.setdefault("threads", THREADS)
     return run_experiment(ExperimentConfig(measure, theorem, n, reps, **kw))
 
 
@@ -175,7 +172,7 @@ def test_criterion_05_tail_identity(verdict):
 
 def test_criterion_06_laws_of_large_numbers(verdict):
     t0 = time.perf_counter()
-    report = _run("kingman", "P2.1", 10_000, 200, threads=1)
+    report = _run("kingman", "P2.1", 10_000, 200)
     stats = {s.name: s for s in report.statistics}
     ratio = stats["time_over_integral"].value
     hsum = stats["harmonic_sum"]
@@ -195,7 +192,7 @@ def test_criterion_06_laws_of_large_numbers(verdict):
 
 def test_criterion_07_factorial_moments(verdict):
     t0 = time.perf_counter()
-    report = _run("kingman", "L7.1", 8, 100_000, threads=1)
+    report = _run("kingman", "L7.1", 8, 100_000)
     vals = _stat_values(report)
     elapsed = time.perf_counter() - t0
     ok = (vals["replay_zscore_r1"] <= 3.0 and vals["replay_zscore_r2"] <= 3.0
@@ -345,7 +342,7 @@ def test_criterion_11_labeled_equivalence(verdict):
 
 
 # ---------------------------------------------------------------------------
-# 12: byte determinism of report files, including across thread counts
+# 12: byte determinism of report files across reruns
 
 def test_criterion_12_determinism(verdict, tmp_path):
     t0 = time.perf_counter()
@@ -353,16 +350,15 @@ def test_criterion_12_determinism(verdict, tmp_path):
             "--n", "100", "--reps", "1500",
             "--tol", "ks=1", "--tol", "envelope=1"]
     outs = []
-    for name, threads in (("a", 1), ("b", 1), ("c", 4)):
+    for name in ("a", "b", "c"):
         out = tmp_path / f"{name}.json"
-        code = cli_main([*args, "--threads", str(threads),
-                         "--out", str(out)])
+        code = cli_main([*args, "--out", str(out)])
         assert code == 0
         outs.append(out.read_bytes()
                     + (tmp_path / f"{name}.scaled_length.csv").read_bytes())
     elapsed = time.perf_counter() - t0
     ok = outs[0] == outs[1] == outs[2]
     verdict(12, "determinism", ok,
-             f"3 runs, {len(outs[0])} report bytes each, threads 1/1/4",
+             f"3 runs, {len(outs[0])} report bytes each",
              elapsed)
     assert outs[0] == outs[1] == outs[2]

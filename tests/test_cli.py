@@ -149,7 +149,6 @@ def test_experiment_stdout_report(capsys):
     doc = json.loads(out)
     assert set(doc) == {"config", "statistics", "verdict", "seed"}
     assert doc["verdict"] == "PASS"
-    assert "threads" not in doc["config"]
     assert "[PASS] T4.1" in err
 
 
@@ -163,7 +162,7 @@ def test_experiment_out_files(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["verdict"] == "PASS"
     meta = json.loads((tmp_path / "report.json.meta.json").read_text())
-    assert set(meta) == {"runtime_ms", "sampler", "threads"}
+    assert set(meta) == {"runtime_ms", "sampler"}
     assert meta["sampler"] == "kingman"
     ecdf = (tmp_path / "report.scaled_length.csv").read_text().split("\n")
     assert ecdf[0] == "value,ecdf"
@@ -199,19 +198,31 @@ def test_experiment_unknown_param_is_usage_error(capsys):
     assert "scal" in err
 
 
-def test_experiment_byte_reproducible_across_threads(tmp_path, capsys):
+@pytest.mark.parametrize("theorem, param", [
+    ("T1.1", "scale=bogus"),
+    ("T1.2", "k=9"),
+    ("T4.1", "r_rule=n/half"),
+])
+def test_experiment_bad_param_value_is_usage_error(capsys, theorem, param):
+    code, _, err = run_cli(
+        capsys, "experiment", "--measure", "kingman", "--theorem", theorem,
+        "--n", "100", "--reps", "100", "--param", param)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_experiment_byte_reproducible(tmp_path, capsys):
     args = ["experiment", "--measure", "kingman", "--theorem", "T1.1",
             "--n", "100", "--reps", "1500",
             "--tol", "ks=1", "--tol", "envelope=1"]
-    t1 = tmp_path / "t1.json"
-    t4 = tmp_path / "t4.json"
-    assert run_cli(capsys, *args, "--threads", "1", "--out", str(t1))[0] == 0
-    assert run_cli(capsys, *args, "--threads", "4", "--out", str(t4))[0] == 0
-    assert t1.read_bytes() == t4.read_bytes()
-    assert (tmp_path / "t1.scaled_length.csv").read_bytes() == \
-        (tmp_path / "t4.scaled_length.csv").read_bytes()
-    meta = json.loads((tmp_path / "t4.json.meta.json").read_text())
-    assert meta["threads"] == 4
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    assert run_cli(capsys, *args, "--out", str(a))[0] == 0
+    assert run_cli(capsys, *args, "--out", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert (tmp_path / "a.scaled_length.csv").read_bytes() == \
+        (tmp_path / "b.scaled_length.csv").read_bytes()
 
 
 def test_experiment_fail_exits_three(tmp_path, capsys):

@@ -1,81 +1,39 @@
-"""Ensemble layer: streaming trackers are checked jump for jump against a
-path-storing rerun of the same RNG stream, plus the reproducibility and
-validation contracts."""
+"""Ensemble layer: streaming trackers are checked jump for jump against
+the paths a PathRecorder stores on the same run, plus the reproducibility
+and validation contracts."""
 
 import numpy as np
 import pytest
 
 from coalsim.ensemble import (AbsorptionTracker, BlockCountAtTimesTracker,
                               LevelCrossingTracker, MarkedLeafTracker,
-                              ThresholdCountTracker, TopLengthsTracker,
-                              run_ensemble)
+                              PathRecorder, ThresholdCountTracker,
+                              TopLengthsTracker, run_ensemble)
 from coalsim.measure import bolthausen_sznitman, kingman, parse_measure
-from coalsim.sim import CoalescentPath, MergerSizeSampler, as_rate_functions
 
 BS = bolthausen_sznitman()
 MIXED = parse_measure("kingman + dirac:p=0.5,m=1")
 
 
-def run_chunk_storing(measure, n, size, key, factories):
-    """Mirror of the ensemble chunk loop that stores whole paths instead of
-    streaming.  Draw-for-draw identical RNG consumption, so the trajectories
-    are the ones the real chunk saw."""
-    sampler = MergerSizeSampler(as_rate_functions(measure), n)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(key)))
-    trackers = [f() for f in factories]
-    for tr in trackers:
-        tr.begin(size, n, rng)
-    needs_dy = any(tr.needs_singletons for tr in trackers)
-    x = np.full(size, n, dtype=np.int64)
-    y = np.full(size, n, dtype=np.int64)
-    t = np.zeros(size)
-    alive = np.arange(size)
-    hist = [([], [], [], []) for _ in range(size)]
-    while alive.size:
-        b = x[alive]
-        lam, k = sampler.sample_step(rng, b)
-        w = rng.standard_exponential(alive.size) / lam
-        t_new = t[alive] + w
-        if needs_dy:
-            dy = rng.hypergeometric(y[alive], b - y[alive], k)
-        else:
-            dy = np.zeros(alive.size, dtype=np.int64)
-        for i, row in enumerate(alive):
-            hx, hk, hdy, ht = hist[row]
-            hx.append(int(b[i]))
-            hk.append(int(k[i]))
-            hdy.append(int(dy[i]))
-            ht.append(float(t_new[i]))
-        t[alive] = t_new
-        x[alive] = b - k + 1
-        if needs_dy:
-            y[alive] -= dy
-        alive = alive[x[alive] > 1]
-    return trackers, hist
-
-
 def test_singleton_trackers_match_stored_paths():
     n, size, key = 12, 64, 777
-    factories = [lambda: MarkedLeafTracker(k=2),
+    marks = []
+
+    def marked():
+        marks.append(MarkedLeafTracker(k=2))
+        return marks[-1]
+
+    factories = [marked,
                  lambda: TopLengthsTracker(3),
                  lambda: ThresholdCountTracker((0.5, 1.5)),
-                 lambda: AbsorptionTracker()]
+                 lambda: AbsorptionTracker(),
+                 PathRecorder]
     real = run_ensemble(MIXED, n, size, key, factories, chunk_size=size)
-    trackers, hist = run_chunk_storing(MIXED, n, size, key, factories)
-    positions = trackers[0].positions
-    for r, (hx, hk, hdy, ht) in enumerate(hist):
-        times = np.array(ht)
-        # the storing loop replays valid trajectories
-        path = CoalescentPath(
-            n=n, seed=None,
-            block_count_before=np.array(hx, dtype=np.int64),
-            merger_size=np.array(hk, dtype=np.int64),
-            absorbed_singletons=np.array(hdy, dtype=np.int64),
-            waiting_time=np.diff(np.concatenate([[0.0], times])),
-            jump_time=times)
-        cum = np.cumsum(hdy)
+    positions = marks[0].positions
+    for r, path in enumerate(real["paths"]):
+        cum = np.cumsum(path.absorbed_singletons)
         for j, pos in enumerate(positions[r]):
-            expect = times[np.searchsorted(cum, pos, side="right")]
+            expect = path.jump_time[np.searchsorted(cum, pos, side="right")]
             assert real["marked_lengths"][r, j] == expect
         lengths = path.external_lengths().flat()
         top = np.sort(lengths)[::-1][:3]
@@ -87,27 +45,29 @@ def test_singleton_trackers_match_stored_paths():
 
 
 def test_dy_free_trackers_match_stored_paths():
+    # The recorder draws singleton losses, so these trackers run on the
+    # dY branch of the loop here; the dY-free branch is covered by
+    # test_absorption_time_mean_kingman.
     n, size, key = 30, 32, 99
     times_q = (0.3, 1.0, 2.5)
     factories = [lambda: BlockCountAtTimesTracker(times_q),
                  lambda: LevelCrossingTracker(5),
-                 lambda: AbsorptionTracker()]
+                 lambda: AbsorptionTracker(),
+                 PathRecorder]
     real = run_ensemble(BS, n, size, key, factories, chunk_size=size)
-    _, hist = run_chunk_storing(BS, n, size, key, factories)
-    for r, (hx, hk, hdy, ht) in enumerate(hist):
-        hx, hk, ht = np.array(hx), np.array(hk), np.array(ht)
+    for r, path in enumerate(real["paths"]):
+        hx, ht = path.block_count_before, path.jump_time
         t_old = np.concatenate([[0.0], ht[:-1]])
         for c, q in enumerate(times_q):
             inside = (t_old <= q) & (q < ht)
             expect = hx[inside][0] if inside.any() else 1
             assert real["blocks_at"][r, c] == expect
-        after = hx - hk + 1
-        rho = int(np.nonzero(after <= 5)[0][0])
-        assert real["crossing_jumps"][r] == rho + 1
-        assert real["crossing_time"][r] == ht[rho]
+        rho, rho_time = path.stopping_times(5)
+        assert real["crossing_jumps"][r] == rho
+        assert real["crossing_time"][r] == rho_time
         assert real["crossing_inv_sum"][r] == pytest.approx(
-            np.sum(1.0 / hx[:rho + 1]), rel=1e-13)
-        assert real["absorption_jumps"][r] == len(hx)
+            np.sum(1.0 / hx[:rho]), rel=1e-13)
+        assert real["absorption_jumps"][r] == path.num_jumps
 
 
 def test_crossing_trivial_when_level_above_n():
@@ -117,16 +77,19 @@ def test_crossing_trivial_when_level_above_n():
     assert np.all(out["crossing_inv_sum"] == 0.0)
 
 
-def test_thread_count_does_not_change_bytes():
+def test_chunks_concatenate_in_replication_order():
     factories = [lambda: MarkedLeafTracker(), lambda: AbsorptionTracker()]
-    one = run_ensemble(BS, 200, 2500, 31415, factories,
-                       threads=1, chunk_size=512)
-    four = run_ensemble(BS, 200, 2500, 31415, factories,
-                        threads=4, chunk_size=512)
-    assert set(one) == set(four)
-    for name in one:
-        np.testing.assert_array_equal(one[name], four[name])
-        assert len(one[name]) == 2500
+    out = run_ensemble(BS, 200, 2500, 31415, factories, chunk_size=512)
+    assert set(out) == {"marked_lengths", "absorption_time",
+                        "absorption_jumps"}
+    for name in out:
+        assert len(out[name]) == 2500
+    # chunk i is keyed by seed XOR i: chunks 0 and 1 are one-chunk runs
+    for ci in (0, 1):
+        alone = run_ensemble(BS, 200, 512, 31415 ^ ci, factories)
+        for name in out:
+            np.testing.assert_array_equal(
+                out[name][512 * ci:512 * (ci + 1)], alone[name])
 
 
 def test_absorption_time_mean_kingman():
@@ -155,8 +118,9 @@ def test_validation():
         run_ensemble(BS, 1, 10, 1, [lambda: AbsorptionTracker()])
     with pytest.raises(ValueError):
         run_ensemble(BS, 10, 0, 1, [lambda: AbsorptionTracker()])
-    with pytest.raises(ValueError):
-        run_ensemble(BS, 10, 10, 1, [lambda: AbsorptionTracker()], threads=0)
+    for seed in (-1, 1.5, 2 ** 64, "7"):
+        with pytest.raises(ValueError):
+            run_ensemble(BS, 10, 10, seed, [lambda: AbsorptionTracker()])
     with pytest.raises(ValueError):
         run_ensemble(BS, 10, 10, 1, [lambda: AbsorptionTracker()],
                      chunk_size=0)

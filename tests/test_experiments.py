@@ -3,13 +3,15 @@ guards, and small-scale runs of every runner."""
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from coalsim.experiments import (CATALOG, ExperimentConfig, ExperimentReport,
-                                 RegimeError, Statistic, UnknownKeyError,
+from coalsim.experiments import (CATALOG, ConfigError, ExperimentConfig,
+                                 ExperimentReport, RegimeError, Statistic,
                                  _RUNNERS, _decimated_ecdf,
                                  finite_n_max_cdf, integral_inverse_mu,
                                  known_rv_exponent, ks_statistic, limit_gap,
@@ -67,14 +69,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(**{**good, "replications": 99})
     with pytest.raises(ValueError):
-        ExperimentConfig(**good, threads=0)
-    with pytest.raises(ValueError):
         ExperimentConfig(**good, tolerances={"ks": 0.0})
 
 
 def test_config_round_trip():
     cfg = ExperimentConfig("kingman", "T1.1", 100, 200, seed=5,
-                           params={"k": 2}, tolerances={"ks": 0.1}, threads=2)
+                           params={"k": 2}, tolerances={"ks": 0.1})
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     assert cfg.tolerance("ks", 0.05) == 0.1
     assert cfg.tolerance("other", 0.05) == 0.05
@@ -89,12 +89,12 @@ def test_statistic_dict_uses_pass_key():
 
 def test_report_json_stability_and_verdict():
     stats = [Statistic("a", 1.0, passed=True), Statistic("b", 2.0)]
-    cfg = {"measure": "kingman", "theorem": "T1.1", "n": 10, "threads": 4}
+    cfg = {"measure": "kingman", "theorem": "T1.1", "n": 10}
     rep = ExperimentReport(config=cfg, statistics=stats, seed=1,
                            runtime_ms=12.5)
     assert rep.verdict == "PASS"
     doc = json.loads(rep.to_json())
-    assert "threads" not in doc["config"]
+    assert doc["config"] == cfg
     assert "runtime_ms" not in doc
     assert "runtime_ms" in json.loads(rep.to_json(include_runtime=True))
     failing = ExperimentReport(config=cfg, statistics=[
@@ -370,19 +370,27 @@ def test_run_experiment_dispatch_and_determinism():
     assert via_dispatch.to_json() == direct.to_json()
     again = run_experiment(cfg)
     assert via_dispatch.to_json() == again.to_json()
-    assert set(CATALOG.values()) == {
+    assert {kind for kind, _ in CATALOG.values()} == set(_RUNNERS) == {
         "typical", "independence", "order_statistics", "bs_extremes",
         "lln", "tail_identity", "factorial_replay"}
+
+
+def test_readme_tag_table_matches_catalog():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| ([A-Z]\d\.\d) +\| (.+?) +\|$",
+                      readme.read_text(encoding="utf-8"), flags=re.M)
+    assert dict(rows) == {tag: about for tag, (_, about) in CATALOG.items()}
+    assert len(rows) == len(CATALOG)
 
 
 def test_misspelt_key_is_rejected():
     # "scal" would leave the default scale in force and could PASS the
     # wrong experiment
     base = dict(n=100, replications=100)
-    with pytest.raises(UnknownKeyError, match="scal"):
+    with pytest.raises(ConfigError, match="scal"):
         run_experiment(ExperimentConfig("kingman", "T1.1", **base,
                                         params={"scal": "log_n"}))
-    with pytest.raises(UnknownKeyError, match="kss"):
+    with pytest.raises(ConfigError, match="kss"):
         run_experiment(ExperimentConfig("kingman", "T1.1", **base,
                                         tolerances={"kss": 0.1}))
     with pytest.raises(ValueError):      # a parameter of another runner
@@ -437,8 +445,9 @@ _ALL_KEYS = {
 
 @pytest.mark.parametrize("tag", sorted(CATALOG))
 def test_every_key_a_runner_reads_is_declared(tag):
-    _, params, tolerances = _RUNNERS[CATALOG[tag]]
-    measure, n, given_params, given_tols = _ALL_KEYS[CATALOG[tag]]
+    kind, _ = CATALOG[tag]
+    _, params, tolerances = _RUNNERS[kind]
+    measure, n, given_params, given_tols = _ALL_KEYS[kind]
     assert set(given_params) == params and set(given_tols) == tolerances
     cfg = ExperimentConfig(measure, tag, n, 100, seed=11,
                            params=_ReadLog(given_params),

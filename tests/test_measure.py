@@ -9,7 +9,7 @@ from scipy import special
 
 from coalsim.measure import (CustomDensity, LambdaMeasure, MeasureParseError,
                              PowerBetaDensity, bolthausen_sznitman, kingman,
-                             parse_measure, power_beta, total_mass)
+                             parse_measure, power_beta)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_total_mass_sums_components():
     m = kingman(0.5) + power_beta(c=1.0, a=2.0, b=2.0) + LambdaMeasure(
         atoms=((0.25, 0.75),))
     expected = 0.5 + special.beta(2.0, 2.0) + 0.75
-    assert total_mass(m) == pytest.approx(expected, rel=1e-12)
+    assert m.total_mass() == pytest.approx(expected, rel=1e-12)
 
 
 def test_integrate_mixes_atoms_and_density():

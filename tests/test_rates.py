@@ -9,11 +9,8 @@ from scipy import special
 
 from coalsim.measure import (CustomDensity, LambdaMeasure, bolthausen_sznitman,
                              kingman, parse_measure, power_beta)
-from coalsim.rates import (EULER_GAMMA, RateFunctions, dust_diagnostic,
-                           invert_mu, merger_rate, merger_size_distribution,
-                           mu_derivatives, rate_of_decrease, rates_for,
-                           rv_exponent_estimate, s_sequence, t_c_sequence,
-                           t_sequence, total_jump_rate)
+from coalsim.rates import (EULER_GAMMA, RateFunctions, rates_for,
+                           t_c_sequence, t_sequence)
 
 KINGMAN = kingman()
 BS = bolthausen_sznitman()
@@ -113,12 +110,15 @@ def test_closed_forms_match_quadrature():
 
 
 def test_powerbeta_gamma_pole_cases():
-    # a in {1, 2} with b != 1 dodges the continued-Beta pole via per-k sums
-    for params in ["powerbeta:c=1.0,a=1.0,b=2.0", "powerbeta:c=0.7,a=2.0,b=0.5"]:
+    # a in {1, 2} with b != 1 dodges the continued-Beta pole via per-k
+    # sums; a + b = 1 puts a pole of Gamma in the denominator of some
+    # continued Betas, which are 0 there
+    for params in ["powerbeta:c=1.0,a=1.0,b=2.0", "powerbeta:c=0.7,a=2.0,b=0.5",
+                   "beta:0.5,0.5", "powerbeta:c=1,a=0.5,b=0.5"]:
         measure = parse_measure(params)
         closed = RateFunctions(measure)
         quad = RateFunctions(measure, use_closed_forms=False)
-        for b in [2, 5, 20]:
+        for b in [2, 5, 20, 60]:
             assert closed.total_jump_rate(b) == pytest.approx(
                 quad.total_jump_rate(b), rel=1e-9)
         for x in [2.0, 9.5]:
@@ -208,7 +208,7 @@ def test_invert_mu_round_trip():
                 x, rel=1e-9)
         with pytest.raises(ValueError):
             r.invert_mu(-1.0)
-    assert invert_mu(KINGMAN, 0.0) == 1.0
+    assert rates_for(KINGMAN).invert_mu(0.0) == 1.0
 
 
 def test_kappa_is_mu_over_x():
@@ -229,7 +229,7 @@ def test_mu_interpolator_tracks_exact():
 
 def test_s_at_kingman_frozen():
     # s solves s(s-1)/2 = (n-1)/2: for n = 101, s = (1 + sqrt(401))/2
-    assert s_sequence(KINGMAN, 101.0) == pytest.approx(
+    assert rates_for(KINGMAN).s_at(101.0) == pytest.approx(
         (1.0 + math.sqrt(401.0)) / 2.0, rel=1e-10)
 
 
@@ -242,7 +242,7 @@ def test_s_growth_exponents():
         slope = np.polyfit(np.log(ns), np.log(s), 1)[0]
         assert slope == pytest.approx(expo, abs=0.02)
     with pytest.raises(ValueError):
-        s_sequence(KINGMAN, 1.0)
+        rates_for(KINGMAN).s_at(1.0)
 
 
 def test_t_sequence_formula_and_clamps():
@@ -322,39 +322,46 @@ def test_mu_matches_tail_transform():
 # diagnostics
 
 def test_dust_diagnostic_rules():
-    assert dust_diagnostic(KINGMAN).verdict == "dustless"
-    assert dust_diagnostic(BS).verdict == "dustless"
-    assert dust_diagnostic(PB_HALF).verdict == "dustless"
-    assert dust_diagnostic(power_beta(1.0, 1.5)).verdict == "dusty"
-    assert dust_diagnostic(parse_measure("dirac:p=0.5,m=1")).verdict == "dusty"
+    def verdict(measure):
+        return rates_for(measure).dust_diagnostic().verdict
+
+    assert verdict(KINGMAN) == "dustless"
+    assert verdict(BS) == "dustless"
+    assert verdict(PB_HALF) == "dustless"
+    assert verdict(power_beta(1.0, 1.5)) == "dusty"
+    assert verdict(parse_measure("dirac:p=0.5,m=1")) == "dusty"
     declared = LambdaMeasure(densities=(
         CustomDensity(lambda p: p, left_exponent=2.0),))
-    assert dust_diagnostic(declared).verdict == "dusty"
+    assert verdict(declared) == "dusty"
 
 
 def test_dust_diagnostic_trend_fallback():
     # declared exponent <= 1 forces the empirical mu(n)/n trend rule
     undeclared = LambdaMeasure(densities=(
         CustomDensity(lambda p: 1.0 / np.sqrt(p), left_exponent=0.5),))
-    diag = dust_diagnostic(undeclared)
+    diag = rates_for(undeclared).dust_diagnostic()
     assert diag.verdict == "dustless"
     assert "mu(n)/n" in diag.rule
 
 
 def test_rv_exponent_estimates():
-    assert rv_exponent_estimate(KINGMAN) == pytest.approx(2.0, abs=1e-3)
-    assert rv_exponent_estimate(PB_HALF) == pytest.approx(1.5, abs=0.01)
+    def estimate(measure):
+        return rates_for(measure).rv_exponent_estimate()
+
+    assert estimate(KINGMAN) == pytest.approx(2.0, abs=1e-3)
+    assert estimate(PB_HALF) == pytest.approx(1.5, abs=0.01)
     # uniform measure: slowly varying log factor biases the slope upward
-    assert 1.0 < rv_exponent_estimate(BS) < 1.15
+    assert 1.0 < estimate(BS) < 1.15
 
 
 # ---------------------------------------------------------------------------
 # front door
 
-def test_functional_wrappers_and_cache():
-    assert rates_for(BS) is rates_for(BS)
-    assert merger_rate(BS, 5, 3) == pytest.approx(bs_pair_rate(5, 3), rel=1e-12)
-    assert total_jump_rate(BS, 5) == pytest.approx(4.0, rel=1e-12)
-    assert merger_size_distribution(BS, 4).shape == (3,)
-    assert rate_of_decrease(KINGMAN, 4.0) == pytest.approx(6.0, rel=1e-14)
-    assert mu_derivatives(KINGMAN, 4.0)[1] == pytest.approx(3.5, rel=1e-14)
+def test_rates_for_cache_and_methods():
+    bs, km = rates_for(BS), rates_for(KINGMAN)
+    assert rates_for(BS) is bs
+    assert bs.merger_rate(5, 3) == pytest.approx(bs_pair_rate(5, 3), rel=1e-12)
+    assert bs.total_jump_rate(5) == pytest.approx(4.0, rel=1e-12)
+    assert bs.merger_size_distribution(4).shape == (3,)
+    assert km.rate_of_decrease(4.0) == pytest.approx(6.0, rel=1e-14)
+    assert km.mu_derivatives(4.0)[1] == pytest.approx(3.5, rel=1e-14)

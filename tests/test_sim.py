@@ -26,7 +26,6 @@ def handmade_path():
         block_count_before=np.array([5, 3, 2]),
         merger_size=np.array([3, 2, 2]),
         absorbed_singletons=np.array([3, 1, 1]),
-        waiting_time=np.array([0.5, 0.25, 0.25]),
         jump_time=np.array([0.5, 0.75, 1.0]))
 
 
@@ -64,6 +63,33 @@ def test_determinism_and_seed_sensitivity():
                 and np.array_equal(a.waiting_time, c.waiting_time))
 
 
+# (measure, n, seed) -> X_before, K, dY, t_jump of simulate_path, pinned
+# bit for bit; the rows with dY = 0 check that a hypergeometric draw with
+# no singletons left consumes nothing.
+_PINNED_PATHS = {
+    ("kingman + dirac:p=0.5,m=1", 8, 123456789): (
+        [8, 7, 6, 5, 4, 2], [2, 2, 2, 2, 3, 2], [2, 2, 2, 0, 2, 0],
+        [0.02897640741629165, 0.07149496587401849, 0.07152373693020914,
+         0.09563814512954455, 0.20384765791067364, 4.028920758860307]),
+    ("beta:0.5,1.5", 6, 7): (
+        [6, 4, 3, 2], [3, 2, 2, 2], [3, 2, 0, 1],
+        [0.08944600531259209, 0.34169733821977943, 1.652550310861133,
+         2.7094570448517503]),
+}
+
+
+@pytest.mark.parametrize("triple", sorted(_PINNED_PATHS))
+def test_simulate_path_pinned(triple):
+    measure, n, seed = triple
+    path = simulate_path(parse_measure(measure), n, seed)
+    x, k, dy, t = _PINNED_PATHS[triple]
+    np.testing.assert_array_equal(path.block_count_before, x)
+    np.testing.assert_array_equal(path.merger_size, k)
+    np.testing.assert_array_equal(path.absorbed_singletons, dy)
+    np.testing.assert_array_equal(path.jump_time, t)
+    assert path.seed == seed
+
+
 def test_simulate_path_validation():
     with pytest.raises(ValueError):
         simulate_path(BS, 1)
@@ -81,19 +107,18 @@ def test_path_constructor_rejects_broken_chains():
     good = handmade_path()
     with pytest.raises(ValueError):
         CoalescentPath(4, None, good.block_count_before, good.merger_size,
-                       good.absorbed_singletons, good.waiting_time,
-                       good.jump_time)
+                       good.absorbed_singletons, good.jump_time)
     with pytest.raises(ValueError):
         CoalescentPath(5, None, np.array([5, 4, 2]), good.merger_size,
-                       good.absorbed_singletons, good.waiting_time,
-                       good.jump_time)
+                       good.absorbed_singletons, good.jump_time)
     with pytest.raises(ValueError):
         CoalescentPath(5, None, good.block_count_before, good.merger_size,
-                       np.array([3, 1, 0]), good.waiting_time, good.jump_time)
-    with pytest.raises(ValueError):
-        CoalescentPath(5, None, good.block_count_before, good.merger_size,
-                       good.absorbed_singletons, good.waiting_time,
-                       np.array([0.5, 0.75, 2.0]))
+                       np.array([3, 1, 0]), good.jump_time)
+    for times in ([0.5, 0.5, 1.0], [0.0, 0.75, 1.0]):
+        with pytest.raises(ValueError):
+            CoalescentPath(5, None, good.block_count_before,
+                           good.merger_size, good.absorbed_singletons,
+                           np.array(times))
 
 
 def test_counting_processes_right_continuous():
