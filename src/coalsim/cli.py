@@ -252,6 +252,8 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     if args.x is not None:
         lines.append("x,mu,mu_prime,mu_double_prime,kappa,H_inv_x,s_at_x")
         for x in _float_list(args.x, "--x"):
+            if not x >= 1.0:
+                raise UsageError(f"--x entries must be >= 1, got {x!r}")
             mu, d1, d2 = rates.mu_derivatives(x)
             cells = (x, mu, d1, d2, rates.kappa(x),
                      rates.H_function(1.0 / x), rates.s_at(x))

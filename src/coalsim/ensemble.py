@@ -2,10 +2,15 @@
 
 All replications in a chunk advance in lockstep: one jump of every live
 path per iteration, with the merger-size draws, waiting times and
-hypergeometric singleton losses batched across the chunk.  Statistics are
-accumulated by streaming trackers, so paths are not stored unless a
-PathRecorder asks for them.  This is the only jump loop: single paths
-(`sim.simulate_path`) are one-replication runs with a recorder.
+hypergeometric singleton losses batched across the chunk (draw order in
+`sim`).  The loop keeps the state of the live lanes only (block count X,
+singleton count Y, time) and drops lanes as they reach one block.
+Statistics are accumulated by streaming trackers, which see each jump as
+(rows, X_before, Y_before, K, dY, t_old, t_new); Y_before and dY are drawn
+and passed only when some tracker sets `needs_singletons`, and are None
+otherwise.  Paths are not stored unless a PathRecorder asks for them.
+This is the only jump loop: single paths (`sim.simulate_path`) are
+one-replication runs with a recorder.
 
 Reproducibility contract: replications are split into fixed-size chunks,
 run one after another, and chunk i runs on its own Philox stream keyed by
@@ -17,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sim import (CoalescentPath, MergerSizeSampler, _check_seed, _make_rng,
-                  as_rate_functions)
+from .sim import (CoalescentPath, MergerSizeSampler, _check_seed,
+                  _draw_singleton_loss, _make_rng, as_rate_functions)
 
 DEFAULT_CHUNK_SIZE = 1024
 
@@ -26,14 +31,20 @@ DEFAULT_CHUNK_SIZE = 1024
 class ChunkTracker:
     """One statistic over one chunk.  Subclasses allocate in begin(),
     update in observe() for every batched jump, and hand back named
-    arrays (first axis = replication) from result()."""
+    arrays (first axis = replication) from result().  A tracker that
+    reads the singleton count sets `needs_singletons`: then y_before and
+    dy are arrays aligned with rows, else None."""
 
     needs_singletons = False
 
     def begin(self, size: int, n: int, rng: np.random.Generator) -> None:
         raise NotImplementedError
 
-    def observe(self, rows, x_before, k, dy, t_old, t_new) -> None:
+    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new) -> None:
+        """One jump of the live lanes `rows` (replication indices within
+        the chunk): block count X and singleton count Y before the jump,
+        merger size K, singletons absorbed dY, and the jump's holding
+        interval [t_old, t_new)."""
         raise NotImplementedError
 
     def result(self) -> dict[str, np.ndarray]:
@@ -46,7 +57,7 @@ class MarkedLeafTracker(ChunkTracker):
     Lengths are emitted in absorption order, so marking k distinct
     positions of that order gives the joint law of k tagged leaves by
     exchangeability; position j is absorbed by the first jump whose
-    cumulative singleton loss passes j.
+    cumulative singleton loss n - Y_after passes j.
     """
 
     needs_singletons = True
@@ -70,26 +81,26 @@ class MarkedLeafTracker(ChunkTracker):
                 pos[bad] = rng.integers(0, n, size=(int(bad.sum()), self.k))
         self.positions = pos
         self.lengths = np.zeros((size, self.k))
-        self.cum = np.zeros(size, dtype=np.int64)
+        self.n = n
 
-    def observe(self, rows, x_before, k, dy, t_old, t_new):
-        lo = self.cum[rows]
+    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
+        lo = self.n - y_before
         hi = lo + dy
         pos = self.positions[rows]
         hit = (pos >= lo[:, None]) & (pos < hi[:, None])
         if hit.any():
             self.lengths[rows] = np.where(hit, t_new[:, None],
                                           self.lengths[rows])
-        self.cum[rows] = hi
 
     def result(self):
         return {self.name: self.lengths}
 
 
 class TopLengthsTracker(ChunkTracker):
-    """The ell largest external lengths, kept sorted descending.  Lengths
-    arrive in increasing order, so a jump emitting dY of them shifts the
-    current top by dY and fills the lead slots with the jump time."""
+    """The ell largest external lengths, sorted descending.  Lengths
+    arrive in increasing order, so the (j+1)-th longest is the time of the
+    jump that takes the singleton count from above j to at most j; a lane
+    touches its row only on the jumps that end below ell singletons."""
 
     needs_singletons = True
 
@@ -101,73 +112,86 @@ class TopLengthsTracker(ChunkTracker):
 
     def begin(self, size, n, rng):
         self.top = np.zeros((size, self.ell))
+        self.slots = np.arange(self.ell)
 
-    def observe(self, rows, x_before, k, dy, t_old, t_new):
-        emitting = dy > 0
-        if not emitting.any():
+    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
+        y_after = y_before - dy
+        hit = np.nonzero(y_after < np.minimum(y_before, self.ell))[0]
+        if not hit.size:
             return
-        sub = rows[emitting]
-        shift = dy[emitting]
-        t = t_new[emitting]
-        old = self.top[sub]
-        new = np.empty_like(old)
-        for j in range(self.ell):
-            src = np.clip(j - shift, 0, self.ell - 1)
-            new[:, j] = np.where(shift > j, t, old[np.arange(len(sub)), src])
-        self.top[sub] = new
+        fill = ((self.slots >= y_after[hit, None])
+                & (self.slots < y_before[hit, None]))
+        sub = rows[hit]
+        self.top[sub] = np.where(fill, t_new[hit, None], self.top[sub])
 
     def result(self):
         return {self.name: self.top}
 
 
-class ThresholdCountTracker(ChunkTracker):
-    """Number of external lengths strictly exceeding each threshold."""
+class _HeldAtTimesTracker(ChunkTracker):
+    """A count read at fixed times: the value held over the holding
+    interval [t_old, t_new) that contains a time is recorded at that jump.
+    Times below 0 precede every interval and keep their initial value, as
+    do times beyond absorption.  Jump times increase along a lane, so each
+    lane meets the times in sorted order and keeps the next one it has not
+    passed: a jump costs one comparison per lane, however many times."""
+
+    def __init__(self, times, name: str):
+        self.times = np.asarray(times, dtype=float)
+        self.name = name
+
+    def _start(self, size: int, initial: np.ndarray) -> None:
+        self.values = np.tile(initial.astype(np.int64), (size, 1))
+        self.order = np.argsort(self.times, kind="stable")
+        self.queue = np.append(self.times[self.order], np.inf)
+        self.passed = np.full(size, np.searchsorted(self.queue, 0.0))
+        self.upcoming = self.queue[self.passed]
+
+    def _record(self, rows, held, t_new) -> None:
+        hit = np.nonzero(self.upcoming[rows] < t_new)[0]
+        while hit.size:
+            lanes = rows[hit]
+            j = self.passed[lanes]
+            self.values[lanes, self.order[j]] = held[hit]
+            self.passed[lanes] = j + 1
+            self.upcoming[lanes] = self.queue[j + 1]
+            hit = hit[self.upcoming[lanes] < t_new[hit]]
+
+    def result(self):
+        return {self.name: self.values}
+
+
+class ThresholdCountTracker(_HeldAtTimesTracker):
+    """Number of external lengths strictly exceeding each threshold: the
+    singleton count held at the threshold (n for a negative threshold,
+    0 beyond absorption)."""
 
     needs_singletons = True
 
     def __init__(self, thresholds, name: str = "exceed_counts"):
-        self.thresholds = np.asarray(thresholds, dtype=float)
-        self.name = name
+        super().__init__(thresholds, name)
 
     def begin(self, size, n, rng):
-        self.counts = np.zeros((size, len(self.thresholds)), dtype=np.int64)
+        self._start(size, np.where(self.times < 0, n, 0))
 
-    def observe(self, rows, x_before, k, dy, t_old, t_new):
-        emitting = dy > 0
-        if not emitting.any():
-            return
-        sub = rows[emitting]
-        add = dy[emitting, None] * (t_new[emitting, None]
-                                    > self.thresholds[None, :])
-        self.counts[sub] += add
-
-    def result(self):
-        return {self.name: self.counts}
+    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
+        self._record(rows, y_before, t_new)
 
 
-class BlockCountAtTimesTracker(ChunkTracker):
+class BlockCountAtTimesTracker(_HeldAtTimesTracker):
     """Right-continuous block count sampled at fixed absolute times."""
 
     def __init__(self, times, name: str = "blocks_at"):
-        self.times = np.asarray(times, dtype=float)
+        super().__init__(times, name)
         if np.any(self.times < 0):
             raise ValueError("query times must be nonnegative")
-        self.name = name
 
     def begin(self, size, n, rng):
-        # 1 is the value beyond absorption; every earlier query time falls
-        # in exactly one holding interval and is overwritten there.
-        self.values = np.ones((size, len(self.times)), dtype=np.int64)
+        # 1 is the block count from absorption onward
+        self._start(size, np.ones(len(self.times)))
 
-    def observe(self, rows, x_before, k, dy, t_old, t_new):
-        q = self.times[None, :]
-        crossed = (t_old[:, None] <= q) & (q < t_new[:, None])
-        if crossed.any():
-            self.values[rows] = np.where(crossed, x_before[:, None],
-                                         self.values[rows])
-
-    def result(self):
-        return {self.name: self.values}
+    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
+        self._record(rows, x_before, t_new)
 
 
 class LevelCrossingTracker(ChunkTracker):
@@ -186,7 +210,7 @@ class LevelCrossingTracker(ChunkTracker):
         self.jumps = np.zeros(size, dtype=np.int64)
         self.done = np.full(size, n <= self.r_level)
 
-    def observe(self, rows, x_before, k, dy, t_old, t_new):
+    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
         act = ~self.done[rows]
         if not act.any():
             return
@@ -213,7 +237,7 @@ class AbsorptionTracker(ChunkTracker):
         self.tau = np.zeros(size)
         self.jumps = np.zeros(size, dtype=np.int64)
 
-    def observe(self, rows, x_before, k, dy, t_old, t_new):
+    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
         self.tau[rows] = t_new
         self.jumps[rows] += 1
 
@@ -243,7 +267,7 @@ class PathRecorder(ChunkTracker):
                                    for _ in range(3))
         self.t = np.empty((size, n - 1))
 
-    def observe(self, rows, x_before, k, dy, t_old, t_new):
+    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
         j = self.jumps[rows]
         self.x[rows, j] = x_before
         self.k[rows, j] = k
@@ -267,25 +291,29 @@ def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, key: int,
     for tr in trackers:
         tr.begin(size, n, rng)
     needs_dy = any(tr.needs_singletons for tr in trackers)
+    # State of the live lanes only, aligned with `rows`; lanes that reach
+    # one block are dropped from all of it at once.
+    rows = np.arange(size)
     x = np.full(size, n, dtype=np.int64)
-    y = np.full(size, n, dtype=np.int64)
+    y = np.full(size, n, dtype=np.int64) if needs_dy else None
     t = np.zeros(size)
-    alive = np.arange(size)
-    while alive.size:
-        b = x[alive]
-        lam, k = sampler.sample_step(rng, b)
-        w = rng.standard_exponential(alive.size) / lam
-        t_old = t[alive]
-        t_new = t_old + w
-        dy = rng.hypergeometric(y[alive], b - y[alive], k) if needs_dy \
-            else None
-        for tr in trackers:
-            tr.observe(alive, b, k, dy, t_old, t_new)
-        t[alive] = t_new
-        x[alive] = b - k + 1
+    dy = None
+    while rows.size:
+        lam, k = sampler.sample_step(rng, x)
+        t_new = t + rng.standard_exponential(rows.size) / lam
         if needs_dy:
-            y[alive] -= dy
-        alive = alive[x[alive] > 1]
+            dy = _draw_singleton_loss(rng, x, y, k)
+        for tr in trackers:
+            tr.observe(rows, x, y, k, dy, t, t_new)
+        x = x - k + 1
+        t = t_new
+        if needs_dy:
+            y = y - dy
+        live = x > 1
+        if not live.all():
+            rows, x, t = rows[live], x[live], t[live]
+            if needs_dy:
+                y = y[live]
     out: dict[str, np.ndarray] = {}
     for tr in trackers:
         for name, arr in tr.result().items():

@@ -26,7 +26,8 @@ from .ensemble import (BlockCountAtTimesTracker, LevelCrossingTracker,
 from .measure import LambdaMeasure, PowerBetaDensity, parse_measure
 from .quadrature import DEFAULT_CONFIG, adaptive_integrate
 from .rates import RateFunctions, rates_for, t_c_sequence, t_sequence
-from .sim import DEFAULT_SEED, MergerSizeSampler, _make_rng, simulate_path
+from .sim import (DEFAULT_SEED, MergerSizeSampler, _draw_singleton_loss,
+                  _make_rng, simulate_path)
 
 
 class RegimeError(RuntimeError):
@@ -649,8 +650,9 @@ def run_bs_extremes(cfg: ExperimentConfig,
 
 
 def run_factorial_replay(cfg: ExperimentConfig) -> ExperimentReport:
-    """Conditional-law oracle: freeze one block chain, resample the
-    hypergeometric singleton decrements many times, and compare the
+    """Conditional-law oracle: freeze one block chain, redraw its
+    hypergeometric singleton decrements many times with the engine's own
+    dY draw (`sim._draw_singleton_loss`), and compare the
     empirical factorial moments at the first passage below r_level with
     the exact product formula; plus the conditional variance-mean
     inequality over many independent chains."""
@@ -669,7 +671,7 @@ def run_factorial_replay(cfg: ExperimentConfig) -> ExperimentReport:
     for j in range(rho):
         b = int(path.block_count_before[j])
         k = int(path.merger_size[j])
-        y -= rng.hypergeometric(y, b - y, k)
+        y -= _draw_singleton_loss(rng, b, y, k)
     stats = []
     for r in r_values:
         vals = np.ones(reps)

@@ -338,12 +338,22 @@ class RateFunctions:
         if order == 0:
             return c * (arr * _beta_continued(a - 1.0, bp)
                         - _beta_continued(a - 2.0, bp) + tail)
-        d = special.digamma(bp + arr) - special.digamma(a - 2.0 + bp + arr)
-        if order == 1:
-            return c * (_beta_continued(a - 1.0, bp) + tail * d)
-        dp = (special.polygamma(1, bp + arr)
-              - special.polygamma(1, a - 2.0 + bp + arr))
-        return c * tail * (d * d + dp)
+        # z = 0 is a pole of Gamma(z), met at x = 2 - a - bp when a + bp
+        # <= 1: there tail = 0 and d = inf, while -psi(z)/Gamma(z) -> 1 as
+        # z -> 0 gives tail d -> Gamma(a-2) Gamma(bp+x) and
+        # tail (d**2 + dp) -> 2 Gamma(a-2) Gamma(bp+x) (psi(bp+x) + gamma)
+        z = a - 2.0 + bp + arr
+        pole = z == 0.0
+        limit = special.gamma(a - 2.0) * special.gamma(bp + arr)
+        psi = special.digamma(bp + arr)
+        with np.errstate(invalid="ignore"):
+            d = psi - special.digamma(z)
+            if order == 1:
+                return c * (_beta_continued(a - 1.0, bp)
+                            + np.where(pole, limit, tail * d))
+            dp = special.polygamma(1, bp + arr) - special.polygamma(1, z)
+            return c * np.where(pole, 2.0 * limit * (psi + EULER_GAMMA),
+                                tail * (d * d + dp))
 
     def _mu_quad(self, dens, x: float, order: int) -> float:
         kernel = (_mu_kernel, _mu1_kernel, _mu2_kernel)[order]
@@ -387,11 +397,14 @@ class RateFunctions:
         return float(x)
 
     def s_at(self, n) -> float:
-        """Scale s with mu(s) = mu(n)/n; s(n) ~ n**((alpha-1)/alpha)."""
+        """Scale s with mu(s) = mu(n)/n; s(n) ~ n**((alpha-1)/alpha).
+        s(1) = 1, since mu(1) = 0 and mu increases."""
         arr = np.atleast_1d(np.asarray(n, dtype=float))
-        if np.any(arr <= 1.0):
-            raise ValueError("s(n) needs n > 1")
-        out = np.array([self.invert_mu(self.rate_of_decrease(v) / v)
+        if np.any(arr < 1.0):
+            raise ValueError("s(n) needs n >= 1")
+        # the closed forms leave a few ulp of either sign at mu(1)
+        out = np.array([1.0 if v == 1.0 else
+                        self.invert_mu(self.rate_of_decrease(v) / v)
                         for v in arr])
         return float(out[0]) if np.ndim(n) == 0 else out
 

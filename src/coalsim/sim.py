@@ -10,9 +10,19 @@ the multiset of external lengths is exactly {(t_jump, dY)} expanded.
 
 Paths are simulated by the lockstep engine in `ensemble`; `simulate_path`
 runs it with one replication and records every jump.  RNG is counter-based
-(Philox keyed by the seed) and the draw order per jump is fixed (K, then W,
-then dY), so a (measure, n, seed) triple pins the path bit for bit.  The
-labeled simulator here is an independent oracle that tracks partitions.
+(Philox keyed by the seed) and the draw order per lockstep step is fixed,
+so a (measure, n, seed) triple pins the path bit for bit:
+
+1. K for every live lane: a mixture first draws one selection uniform per
+   lane, then each component draws for its lanes in component order; a
+   measure with one component draws no selection uniform;
+2. W, one standard exponential per lane;
+3. dY: when every live lane has K = 2, two uniforms per lane, all lanes'
+   first before their second, also for lanes with no singletons left
+   (`_draw_singleton_loss`); otherwise numpy's hypergeometric draw over
+   all lanes.
+
+The labeled simulator here is an independent oracle that tracks partitions.
 """
 
 from __future__ import annotations
@@ -139,53 +149,55 @@ class MergerSizeSampler:
         log_h = special.gammaln(dens.b + js) - special.gammaln(js + 1.0)
         return ("powerbeta", prefix, rate_table, log_h)
 
-    def _component_rates(self, b: np.ndarray) -> np.ndarray:
-        rows = []
-        for comp in self._components:
-            kind = comp[0]
-            if kind == "kingman":
-                rows.append(comp[1] * b * (b - 1.0) / 2.0)
-            elif kind == "uniform":
-                rows.append(comp[1] * (b - 1.0))
-            elif kind == "powerbeta":
-                rows.append(comp[2][b])
-            else:
-                _, p, m = comp
-                z = (b - 1.0) * math.log1p(-p) + np.log1p((b - 1.0) * p)
-                rows.append(-np.expm1(z) * (m / p ** 2))
-        return np.vstack(rows)
+    @staticmethod
+    def _component_rate(comp: tuple, b: np.ndarray) -> np.ndarray:
+        kind = comp[0]
+        if kind == "kingman":
+            return comp[1] * b * (b - 1.0) / 2.0
+        if kind == "uniform":
+            return comp[1] * (b - 1.0)
+        if kind == "powerbeta":
+            return comp[2][b]
+        _, p, m = comp
+        z = (b - 1.0) * math.log1p(-p) + np.log1p((b - 1.0) * p)
+        return -np.expm1(z) * (m / p ** 2)
+
+    def _component_draw(self, rng: np.random.Generator, comp: tuple,
+                        b: np.ndarray) -> np.ndarray:
+        kind = comp[0]
+        if kind == "kingman":
+            return np.full(b.shape, 2, dtype=np.int64)
+        if kind == "uniform":
+            bb = b.astype(float)
+            u = rng.random(b.shape)
+            raw = np.ceil(1.0 / (1.0 - u * (bb - 1.0) / bb))
+            return np.clip(raw, 2, bb).astype(np.int64)
+        if kind == "powerbeta":
+            return self._powerbeta_draw(rng, comp, b)
+        return self._atom_walk(rng, comp, b)
 
     def sample_step(self, rng: np.random.Generator,
                     b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(lam(b), K) for an int64 array of current block counts >= 2."""
-        if self._fast:
-            per_comp = self._component_rates(b)
-            lam = per_comp.sum(axis=0)
-            k_out = np.full(b.shape, 2, dtype=np.int64)
-            if len(self._components) == 1:
-                which = np.zeros(b.shape, dtype=np.intp)
-            else:
-                u = rng.random(b.shape) * lam
-                which = (np.cumsum(per_comp, axis=0) < u).sum(axis=0)
-                which = np.minimum(which, len(self._components) - 1)
-            for ci, comp in enumerate(self._components):
-                rows = np.nonzero(which == ci)[0]
-                if rows.size == 0:
-                    continue
-                kind = comp[0]
-                if kind == "kingman":
-                    continue
-                if kind == "uniform":
-                    bb = b[rows].astype(float)
-                    u2 = rng.random(rows.shape)
-                    raw = np.ceil(1.0 / (1.0 - u2 * (bb - 1.0) / bb))
-                    k_out[rows] = np.clip(raw, 2, bb).astype(np.int64)
-                elif kind == "powerbeta":
-                    k_out[rows] = self._powerbeta_draw(rng, comp, b[rows])
-                else:
-                    k_out[rows] = self._atom_walk(rng, comp, b[rows])
-            return lam, k_out
-        return self._grouped_step(rng, b)
+        if not self._fast:
+            return self._grouped_step(rng, b)
+        if len(self._components) == 1:
+            # no mixture: no selection uniform, every lane draws K here
+            comp = self._components[0]
+            return (self._component_rate(comp, b),
+                    self._component_draw(rng, comp, b))
+        per_comp = np.vstack([self._component_rate(comp, b)
+                              for comp in self._components])
+        lam = per_comp.sum(axis=0)
+        u = rng.random(b.shape) * lam
+        which = (np.cumsum(per_comp, axis=0) < u).sum(axis=0)
+        which = np.minimum(which, len(self._components) - 1)
+        k_out = np.full(b.shape, 2, dtype=np.int64)
+        for ci, comp in enumerate(self._components):
+            rows = np.nonzero(which == ci)[0]
+            if rows.size and comp[0] != "kingman":
+                k_out[rows] = self._component_draw(rng, comp, b[rows])
+        return lam, k_out
 
     @staticmethod
     def _powerbeta_draw(rng: np.random.Generator, comp: tuple,
@@ -246,6 +258,27 @@ class MergerSizeSampler:
             k_out[rows] = np.minimum(idx + 2, bi)
             lam[rows] = tot
         return lam, k_out
+
+
+# ---------------------------------------------------------------------------
+# singleton losses
+
+def _draw_singleton_loss(rng: np.random.Generator, b, y,
+                         k) -> np.ndarray:
+    """dY for each lane: how many of the K merging blocks, a uniform
+    K-subset of the b current blocks, are among the y singletons
+    (hypergeometric).  When every K is 2, two uniforms per lane decide the
+    two blocks in turn, all lanes' first uniforms before their second:
+    the first block is a singleton when u1 b < y, the second when
+    u2 (b - 1) < y - first.  Each comparison is exact up to one point of
+    the 2**-53 grid, and a lane with no singletons left still consumes its
+    two uniforms.  Otherwise numpy's hypergeometric draw covers every
+    lane; it consumes nothing for a lane with no singletons left."""
+    if np.all(k == 2):
+        u = rng.random((2, len(y)))
+        first = (u[0] * b < y).astype(np.int64)
+        return first + (u[1] * (b - 1) < y - first)
+    return rng.hypergeometric(y, b - y, k)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,21 @@ def test_rates_x_table(capsys):
     assert len(lines) == 3
 
 
+def test_rates_x_at_one_and_below(capsys):
+    # x = 1 is in the domain: mu(1) = 0, so kappa = 0 and s = 1
+    code, out, _ = run_cli(capsys, "rates", "--measure", "kingman",
+                           "--x", "1")
+    assert code == 0
+    lines = out.strip().split("\n")
+    row = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+    assert (row["mu"], row["kappa"], row["s_at_x"]) == (0.0, 0.0, 1.0)
+    for bad in ("0.5", "nan"):
+        code, _, err = run_cli(capsys, "rates", "--measure", "kingman",
+                               "--x", f"2,{bad}")
+        assert code == 2
+        assert "--x" in err
+
+
 def test_rates_b_table(capsys):
     code, out, _ = run_cli(capsys, "rates", "--measure", "kingman",
                            "--b", "5")

@@ -16,6 +16,13 @@ MIXED = parse_measure("kingman + dirac:p=0.5,m=1")
 
 
 def test_singleton_trackers_match_stored_paths():
+    # kingman takes every dY from the two-uniform pair draw; the mixture
+    # also has steps with K = 3 lanes, which take numpy's hypergeometric
+    for measure in (MIXED, kingman()):
+        check_singleton_trackers(measure)
+
+
+def check_singleton_trackers(measure):
     n, size, key = 12, 64, 777
     marks = []
 
@@ -23,25 +30,45 @@ def test_singleton_trackers_match_stored_paths():
         marks.append(MarkedLeafTracker(k=2))
         return marks[-1]
 
-    factories = [marked,
-                 lambda: TopLengthsTracker(3),
-                 lambda: ThresholdCountTracker((0.5, 1.5)),
-                 lambda: AbsorptionTracker(),
-                 PathRecorder]
-    real = run_ensemble(MIXED, n, size, key, factories, chunk_size=size)
+    def run(thresholds):
+        marks.clear()
+        factories = [marked,
+                     lambda: TopLengthsTracker(3),
+                     lambda: TopLengthsTracker(n + 3, name="top_all"),
+                     lambda: ThresholdCountTracker(thresholds),
+                     lambda: AbsorptionTracker(),
+                     PathRecorder]
+        return run_ensemble(measure, n, size, key, factories,
+                            chunk_size=size)
+
+    # a threshold equal to an external length of path 0 (counts are of
+    # lengths strictly above it) and a negative one (every length counts);
+    # thresholds draw nothing, so the rerun repeats the paths
+    first = run((0.5, 1.5))
+    values = first["paths"][0].external_lengths().values
+    tie = values[len(values) // 2]
+    thresholds = (-0.5, 0.5, 1.5, tie)
+    real = run(thresholds)
     positions = marks[0].positions
     for r, path in enumerate(real["paths"]):
+        np.testing.assert_array_equal(path.jump_time,
+                                      first["paths"][r].jump_time)
         cum = np.cumsum(path.absorbed_singletons)
         for j, pos in enumerate(positions[r]):
             expect = path.jump_time[np.searchsorted(cum, pos, side="right")]
             assert real["marked_lengths"][r, j] == expect
-        lengths = path.external_lengths().flat()
-        top = np.sort(lengths)[::-1][:3]
-        np.testing.assert_array_equal(real["top_lengths"][r], top)
-        for c, thr in enumerate((0.5, 1.5)):
+        lengths = np.sort(path.external_lengths().flat())[::-1]
+        np.testing.assert_array_equal(real["top_lengths"][r], lengths[:3])
+        np.testing.assert_array_equal(real["top_all"][r],
+                                      np.append(lengths, np.zeros(3)))
+        for c, thr in enumerate(thresholds):
             assert real["exceed_counts"][r, c] == np.sum(lengths > thr)
         assert real["absorption_time"][r] == path.absorption_time
         assert real["absorption_jumps"][r] == path.num_jumps
+    assert real["exceed_counts"][0, 0] == n
+    # the tie is strict: path 0 has lengths equal to it, none counted
+    lengths = real["paths"][0].external_lengths().flat()
+    assert real["exceed_counts"][0, 3] < np.sum(lengths >= tie)
 
 
 def test_dy_free_trackers_match_stored_paths():

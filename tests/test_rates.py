@@ -2,6 +2,7 @@
 quadrature path, plus the derived sequences s(n) and t(n)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,24 @@ def test_powerbeta_gamma_pole_cases():
                 quad.rate_of_decrease(x), rel=1e-8)
 
 
+@pytest.mark.parametrize("text", ["beta:0.5,0.5",
+                                  "powerbeta:c=1,a=0.5,b=0.5"])
+def test_mu_derivatives_at_gamma_pole(text):
+    # a + b = 1: at x = 1 the closed form's tail Beta is 0 and its digamma
+    # factor infinite; the derivatives take the finite limit, which the
+    # quadrature path gives (0.6667 and 0.8183 for beta:0.5,0.5)
+    measure = parse_measure(text)
+    closed = RateFunctions(measure)
+    quad = RateFunctions(measure, use_closed_forms=False)
+    for x in (1.0, 1.0 + 1e-6):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = closed.mu_derivatives(x)
+        want = quad.mu_derivatives(x)
+        assert got[0] == pytest.approx(want[0], rel=1e-6, abs=1e-15)
+        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-6)
+
+
 def test_weights_sum_to_total_rate():
     r = rates_for(parse_measure("kingman:0.25 + bolthausen-sznitman"
                                 " + dirac:p=0.4,m=0.3"))
@@ -241,8 +260,11 @@ def test_s_growth_exponents():
         assert np.all(np.diff(s) > 0)
         slope = np.polyfit(np.log(ns), np.log(s), 1)[0]
         assert slope == pytest.approx(expo, abs=0.02)
+    # mu(1) = 0 and mu increases, so s(1) = 1; below 1, s is undefined
+    assert rates_for(KINGMAN).s_at(1.0) == 1.0
+    assert rates_for(parse_measure("beta:0.3,0.3")).s_at(1.0) == 1.0
     with pytest.raises(ValueError):
-        rates_for(KINGMAN).s_at(1.0)
+        rates_for(KINGMAN).s_at(0.5)
 
 
 def test_t_sequence_formula_and_clamps():

@@ -12,7 +12,8 @@ from coalsim.measure import (CustomDensity, LambdaMeasure, bolthausen_sznitman,
                              kingman, parse_measure, power_beta)
 from coalsim.rates import RateFunctions, rates_for
 from coalsim.sim import (CoalescentPath, ExternalLengths, MergerSizeSampler,
-                         as_rate_functions, simulate_labeled, simulate_path)
+                         _draw_singleton_loss, as_rate_functions,
+                         simulate_labeled, simulate_path)
 
 BS = bolthausen_sznitman()
 PB_HALF = power_beta(1.0, 0.5)
@@ -64,17 +65,24 @@ def test_determinism_and_seed_sensitivity():
 
 
 # (measure, n, seed) -> X_before, K, dY, t_jump of simulate_path, pinned
-# bit for bit; the rows with dY = 0 check that a hypergeometric draw with
-# no singletons left consumes nothing.
+# bit for bit (numpy 2.4.6).  Rows with K = 2 on every live lane take dY
+# from two uniforms per lane, and they consume both even when no
+# singletons are left: kingman seed 3 has such a dY = 0 row before its
+# last jump, whose time would move otherwise.  The K = 3 row of the
+# mixture takes numpy's hypergeometric draw.
 _PINNED_PATHS = {
+    ("kingman", 6, 3): (
+        [6, 5, 4, 3, 2], [2, 2, 2, 2, 2], [2, 2, 2, 0, 0],
+        [0.12500330669282256, 0.31920752794675517, 0.33201241675143445,
+         0.744480226461661, 5.075087070453943]),
     ("kingman + dirac:p=0.5,m=1", 8, 123456789): (
-        [8, 7, 6, 5, 4, 2], [2, 2, 2, 2, 3, 2], [2, 2, 2, 0, 2, 0],
-        [0.02897640741629165, 0.07149496587401849, 0.07152373693020914,
-         0.09563814512954455, 0.20384765791067364, 4.028920758860307]),
+        [8, 7, 6, 5, 3, 2], [2, 2, 2, 3, 2, 2], [2, 2, 1, 2, 1, 0],
+        [0.02897640741629165, 0.07222704892133261, 0.08944002716462926,
+         0.1608991393785824, 1.6909283797584358, 1.792231508352983]),
     ("beta:0.5,1.5", 6, 7): (
-        [6, 4, 3, 2], [3, 2, 2, 2], [3, 2, 0, 1],
+        [6, 4, 3, 2], [3, 2, 2, 2], [3, 2, 1, 0],
         [0.08944600531259209, 0.34169733821977943, 1.652550310861133,
-         2.7094570448517503]),
+         3.9178142334498878]),
 }
 
 
@@ -310,6 +318,27 @@ def test_powerbeta_b1_draws_pinned():
     lam = steps[0][0]
     assert lam[[2, 3, 5]].tolist() == [20.020202020202035, 413.96225909453057,
                                        37351.92692079941]
+
+
+def test_pair_singleton_loss_chi_square():
+    # one all-pair call over lanes with unequal (b, y), as the engine makes
+    # it; each case is then held to hypergeom(b, y, 2) on its own lanes
+    cases = [(2, 0), (2, 1), (2, 2), (3, 1), (5, 3), (1000, 7), (1000, 999)]
+    draws = 200_000
+    b = np.repeat(np.array([c[0] for c in cases], dtype=np.int64), draws)
+    y = np.repeat(np.array([c[1] for c in cases], dtype=np.int64), draws)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(17)))
+    dy = _draw_singleton_loss(rng, b, y, np.full(b.size, 2))
+    for i, (bi, yi) in enumerate(cases):
+        observed = np.bincount(dy[i * draws:(i + 1) * draws], minlength=3)
+        pmf = stats.hypergeom(bi, yi, 2).pmf(np.arange(3))
+        support = pmf > 0
+        assert observed.size == 3 and observed[~support].sum() == 0
+        obs, exp = observed[support], pmf[support] * draws
+        if obs.size > 1:
+            chi2 = float(((obs - exp) ** 2 / exp).sum())
+            p_value = stats.chi2.sf(chi2, obs.size - 1)
+            assert p_value > 1e-3, (bi, yi, chi2)
 
 
 def test_uniform_inverse_cdf_matches_exact():
