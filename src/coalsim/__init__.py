@@ -15,7 +15,6 @@ Everything downstream of `measure` is deterministic given (config, seed).
 """
 
 from .quadrature import (
-    QuadratureConfig,
     adaptive_integrate,
     integrate_tail,
     integrate_unit_interval,
@@ -49,7 +48,6 @@ from .sim import (
     simulate_path,
 )
 from .ensemble import (
-    AbsorptionTracker,
     BlockCountAtTimesTracker,
     ChunkTracker,
     LevelCrossingTracker,
@@ -61,13 +59,10 @@ from .ensemble import (
 )
 from .limits import (
     LimitLaw,
-    bs_limit_density,
-    bs_order_stat_density,
     cox_max_cdf,
     frechet_cdf,
     logistic_cdf,
     moehle_factorial_moment,
-    order_stat_density,
     poisson_intensity_tail,
     sample_cox_extremes,
     typical_cdf,
@@ -88,8 +83,8 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadratureConfig", "adaptive_integrate", "integrate_tail",
-    "integrate_unit_interval", "power_substitution",
+    "adaptive_integrate", "integrate_tail", "integrate_unit_interval",
+    "power_substitution",
     "CustomDensity", "LambdaMeasure", "MeasureParseError", "PowerBetaDensity",
     "bolthausen_sznitman", "kingman", "parse_measure", "power_beta",
     "DustDiagnostic", "RateFunctions", "rates_for", "t_c_sequence",
@@ -97,13 +92,12 @@ __all__ = [
     "DEFAULT_SEED", "CoalescentPath", "ExternalLengths", "LabeledHistory",
     "MergerSizeSampler", "as_rate_functions", "simulate_labeled",
     "simulate_path",
-    "AbsorptionTracker", "BlockCountAtTimesTracker", "ChunkTracker",
-    "LevelCrossingTracker", "MarkedLeafTracker", "PathRecorder",
-    "ThresholdCountTracker", "TopLengthsTracker", "run_ensemble",
-    "LimitLaw", "bs_limit_density", "bs_order_stat_density", "cox_max_cdf",
-    "frechet_cdf", "logistic_cdf", "moehle_factorial_moment",
-    "order_stat_density", "poisson_intensity_tail", "sample_cox_extremes",
-    "typical_cdf", "typical_density",
+    "BlockCountAtTimesTracker", "ChunkTracker", "LevelCrossingTracker",
+    "MarkedLeafTracker", "PathRecorder", "ThresholdCountTracker",
+    "TopLengthsTracker", "run_ensemble",
+    "LimitLaw", "cox_max_cdf", "frechet_cdf", "logistic_cdf",
+    "moehle_factorial_moment", "poisson_intensity_tail",
+    "sample_cox_extremes", "typical_cdf", "typical_density",
     "CATALOG", "ConfigError", "ExperimentConfig", "ExperimentReport",
     "RegimeError",
     "Statistic", "ks_statistic", "run_experiment", "two_sample_ks",

@@ -11,8 +11,10 @@ Conventions shared by all subcommands:
   * the default seed is the fixed constant 123456789, never OS entropy;
   * `--config FILE` loads flag values from a JSON object, explicit
     command-line flags override the file;
-  * unknown flags and unknown config keys are usage errors (exit 2);
-  * numeric or regime failures exit 1 with an error JSON on stderr;
+  * unknown flags, unknown config keys and values that a flag or the
+    library rejects are usage errors (exit 2);
+  * regime failures and numeric non-convergence exit 1 with an error
+    JSON on stderr;
   * `experiment` exits 3 when the verdict is FAIL so CI can gate on it;
   * primary output files are byte-identical across reruns; wall-clock
     goes to a `.meta.json` side file.
@@ -25,8 +27,8 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import (CATALOG, ConfigError, ExperimentConfig,
-                          RegimeError, run_experiment)
+from .experiments import (CATALOG, ExperimentConfig, RegimeError,
+                          run_experiment)
 from .limits import FAMILIES, LimitLaw, moehle_factorial_moment, \
     poisson_intensity_tail, sample_cox_extremes
 from .measure import MeasureParseError, parse_measure
@@ -174,7 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # config file merge
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+def _apply_config(parser: argparse.ArgumentParser,
+                  args: argparse.Namespace) -> argparse.Namespace:
+    """Fill the flags left unset from the --config file.  A value is read
+    as the flag's own text would be, through the flag's `type`: a file
+    cannot give what the command line refuses (n = 100.5), and "7" is 7."""
     if not args.config:
         return args
     try:
@@ -186,15 +192,30 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
         raise UsageError(f"config file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     ns = vars(args)
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest in ("command", "config") or dest not in ns:
             raise UsageError(f"unknown config key {key!r} for "
                              f"subcommand {args.command!r}")
-        if ns[dest] is None:
-            ns[dest] = value
+        if ns[dest] is None and value is not None:
+            ns[dest] = _config_value(actions[dest], key, value)
     return args
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    convert = action.type or str
+    try:
+        if isinstance(action, argparse._AppendAction):
+            if not isinstance(value, list):
+                raise ValueError
+            return [convert(str(v)) for v in value]
+        return convert(str(value))
+    except ValueError:
+        raise UsageError(f"config key {key!r} cannot take {value!r}") from None
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -311,21 +332,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             params[name] = getattr(args, name)
     if args.r_rule is not None:
         params["r_rule"] = args.r_rule
-    try:
-        cfg = ExperimentConfig(
-            measure=args.measure,
-            theorem=args.theorem,
-            n=args.n,
-            replications=args.reps,
-            seed=DEFAULT_SEED if args.seed is None else args.seed,
-            params=params,
-            tolerances=_parse_kv_list(args.tol, "--tol"))
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    try:
-        report = run_experiment(cfg)
-    except ConfigError as exc:
-        raise UsageError(str(exc))
+    report = run_experiment(ExperimentConfig(
+        measure=args.measure,
+        theorem=args.theorem,
+        n=args.n,
+        replications=args.reps,
+        seed=DEFAULT_SEED if args.seed is None else args.seed,
+        params=params,
+        tolerances=_parse_kv_list(args.tol, "--tol")))
 
     primary = report.to_json() + "\n"
     if args.out is None:
@@ -368,10 +382,7 @@ def _cmd_limits(args: argparse.Namespace) -> int:
 
     _require(args, "x")
     xs = _float_list(args.x, "--x")
-    try:
-        law = LimitLaw(args.family, args.alpha)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    law = LimitLaw(args.family, args.alpha)
     if args.family == "poisson_tail":
         lines = ["x,intensity_tail"]
         lines += [f"{x!r},{float(poisson_intensity_tail(law.alpha, x))!r}"
@@ -411,13 +422,14 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        args = _apply_config(args)
+        args = _apply_config(parser, args)
         return _DISPATCH[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MeasureParseError as exc:
         print(f"error: bad measure: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # usage errors and every value the library rejects
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RegimeError, ArithmeticError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

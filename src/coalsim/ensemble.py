@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .sim import (CoalescentPath, MergerSizeSampler, _check_seed,
-                  _draw_singleton_loss, _make_rng, as_rate_functions)
+                  _draw_singleton_loss, _is_integer, _make_rng,
+                  as_rate_functions)
 
 DEFAULT_CHUNK_SIZE = 1024
 
@@ -196,7 +197,9 @@ class BlockCountAtTimesTracker(_HeldAtTimesTracker):
 
 class LevelCrossingTracker(ChunkTracker):
     """First passage of the block count to <= r_level: jump index, absolute
-    time, and sum of 1/X over the states visited strictly before."""
+    time, and sum of 1/X over the states visited strictly before.  At
+    r_level = 1 the passage is absorption: the jump count and absorption
+    time of each path."""
 
     def __init__(self, r_level: float, name: str = "crossing"):
         if r_level < 1:
@@ -224,25 +227,6 @@ class LevelCrossingTracker(ChunkTracker):
     def result(self):
         return {f"{self.name}_inv_sum": self.inv_sum,
                 f"{self.name}_time": self.time,
-                f"{self.name}_jumps": self.jumps}
-
-
-class AbsorptionTracker(ChunkTracker):
-    """Total jump count and absorption time of each path."""
-
-    def __init__(self, name: str = "absorption"):
-        self.name = name
-
-    def begin(self, size, n, rng):
-        self.tau = np.zeros(size)
-        self.jumps = np.zeros(size, dtype=np.int64)
-
-    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
-        self.tau[rows] = t_new
-        self.jumps[rows] += 1
-
-    def result(self):
-        return {f"{self.name}_time": self.tau,
                 f"{self.name}_jumps": self.jumps}
 
 
@@ -329,10 +313,10 @@ def run_ensemble(rates, n: int, reps: int, seed: int, tracker_factories,
     concatenated in replication order.  `rates` may be a RateFunctions
     instance or the underlying measure; `seed` is an integer in
     [0, 2**64)."""
-    if n < 2:
-        raise ValueError("need n >= 2 blocks")
-    if reps < 1:
-        raise ValueError("need at least one replication")
+    if not _is_integer(n) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    if not _is_integer(reps) or reps < 1:
+        raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
     seed = _check_seed(seed)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -24,10 +25,10 @@ from .ensemble import (BlockCountAtTimesTracker, LevelCrossingTracker,
                        MarkedLeafTracker, PathRecorder, ThresholdCountTracker,
                        TopLengthsTracker, run_ensemble)
 from .measure import LambdaMeasure, PowerBetaDensity, parse_measure
-from .quadrature import DEFAULT_CONFIG, adaptive_integrate
+from .quadrature import adaptive_integrate
 from .rates import RateFunctions, rates_for, t_c_sequence, t_sequence
-from .sim import (DEFAULT_SEED, MergerSizeSampler, _draw_singleton_loss,
-                  _make_rng, simulate_path)
+from .sim import (DEFAULT_SEED, MergerSizeSampler, _check_seed,
+                  _draw_singleton_loss, _is_integer, _make_rng, simulate_path)
 
 
 class RegimeError(RuntimeError):
@@ -76,13 +77,23 @@ class ExperimentConfig:
         if self.theorem not in CATALOG:
             raise ValueError(f"unknown experiment tag {self.theorem!r}; "
                              f"choose from {sorted(CATALOG)}")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if self.replications < 100:
-            raise ValueError("need at least 100 replications")
+        if not _is_integer(self.n) or self.n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        if not _is_integer(self.replications) or self.replications < 100:
+            raise ValueError(f"need an integer of at least 100 replications, "
+                             f"got {self.replications!r}")
+        # plain ints, so that to_dict() serializes
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "replications", int(self.replications))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
+        for what in ("params", "tolerances"):
+            if not isinstance(getattr(self, what), dict):
+                raise ValueError(f"{what} must be a dict")
         for name, tol in self.tolerances.items():
-            if not tol > 0:
-                raise ValueError(f"tolerance {name!r} must be positive")
+            if (not isinstance(tol, numbers.Real) or isinstance(tol, bool)
+                    or not tol > 0):
+                raise ValueError(f"tolerance {name!r} must be a number "
+                                 f"above 0, got {tol!r}")
 
     def tolerance(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))
@@ -266,7 +277,7 @@ def integral_inverse_mu(rates: RateFunctions, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
     return adaptive_integrate(lambda x: 1.0 / rates.rate_of_decrease(x),
-                              lo, hi, DEFAULT_CONFIG)
+                              lo, hi)
 
 
 # The finite-n table stops where the exceedance intensity falls to 1e-6,
@@ -406,12 +417,11 @@ def run_typical_length(cfg: ExperimentConfig) -> ExperimentReport:
                    {"scaled_length": _decimated_ecdf(scaled)})
 
 
-def run_independence(cfg: ExperimentConfig,
-                     k: int | None = None) -> ExperimentReport:
+def run_independence(cfg: ExperimentConfig) -> ExperimentReport:
     """Joint law of k tagged external lengths: pairwise correlations and
     the gap between the joint ECDF and the product of its marginals."""
     t0 = time.perf_counter()
-    k = _param(cfg, "k", 2, int) if k is None else int(k)
+    k = _param(cfg, "k", 2, int)
     if not 1 <= k <= 8:
         raise ConfigError(f"k must lie in [1, 8], got {k}")
     rates = rates_for(parse_measure(cfg.measure))
@@ -449,15 +459,13 @@ def run_independence(cfg: ExperimentConfig,
     return _finish(cfg, stats, {"k": k}, t0)
 
 
-def run_tail_identity(cfg: ExperimentConfig,
-                      r_rule=None) -> ExperimentReport:
+def run_tail_identity(cfg: ExperimentConfig) -> ExperimentReport:
     """P(length > integral threshold) against the rate-function ratio,
     with the square/linear ratio envelope."""
     t0 = time.perf_counter()
     rates = rates_for(parse_measure(cfg.measure))
     _require_dustless(rates)
-    r_level = parse_r_rule(cfg.params.get("r_rule", "n/2")
-                           if r_rule is None else r_rule, cfg.n)
+    r_level = parse_r_rule(cfg.params.get("r_rule", "n/2"), cfg.n)
     if not 1 < r_level <= cfg.n:
         raise RegimeError(f"need 1 < r <= n, got r={r_level} n={cfg.n}")
     threshold = integral_inverse_mu(rates, r_level, float(cfg.n))
@@ -480,14 +488,13 @@ def run_tail_identity(cfg: ExperimentConfig,
     return _finish(cfg, stats, resolved, t0)
 
 
-def run_lln(cfg: ExperimentConfig, r_rule=None) -> ExperimentReport:
+def run_lln(cfg: ExperimentConfig) -> ExperimentReport:
     """First-passage time to <= r blocks against the integral of 1/mu,
     and the harmonic sum over visited states against its log target."""
     t0 = time.perf_counter()
     rates = rates_for(parse_measure(cfg.measure))
     _require_dustless(rates)
-    r_level = parse_r_rule(cfg.params.get("r_rule", "n^0.5")
-                           if r_rule is None else r_rule, cfg.n)
+    r_level = parse_r_rule(cfg.params.get("r_rule", "n^0.5"), cfg.n)
     gamma = _param(cfg, "gamma_max", 0.5)
     if not 1 < r_level <= gamma * cfg.n:
         raise RegimeError(f"need 1 < r <= {gamma}*n, got r={r_level}")
@@ -517,15 +524,14 @@ def run_lln(cfg: ExperimentConfig, r_rule=None) -> ExperimentReport:
     return _finish(cfg, stats, resolved, t0)
 
 
-def run_order_statistics(cfg: ExperimentConfig,
-                         ell: int | None = None) -> ExperimentReport:
+def run_order_statistics(cfg: ExperimentConfig) -> ExperimentReport:
     """Top-ell external lengths scaled by kappa(s_n): the maximum against
     its heavy-tail limit CDF and, unscaled, against its finite-n law
     (finite_n_max_cdf), and exceedance counts against the Poisson
     mean/variance identity on an x-grid.  The distance between the two
     laws is reported as resolved["limit_gap"]."""
     t0 = time.perf_counter()
-    ell = _param(cfg, "ell", 3, _count(1)) if ell is None else int(ell)
+    ell = _param(cfg, "ell", 3, _count(1))
     rates = rates_for(parse_measure(cfg.measure))
     _require_dustless(rates)
     alpha, alpha_src = _resolve_alpha(cfg, rates)
@@ -575,8 +581,7 @@ def _is_uniform_measure(measure: LambdaMeasure) -> bool:
             and measure.densities[0] == PowerBetaDensity(1.0, 1.0, 1.0))
 
 
-def run_bs_extremes(cfg: ExperimentConfig,
-                    ell: int | None = None) -> ExperimentReport:
+def run_bs_extremes(cfg: ExperimentConfig) -> ExperimentReport:
     """Uniform-measure extreme diagnostics: the informational KS trend of
     the centered-scaled maximum toward the logistic law, plus the exact
     block-count checks (ascending factorial moments; the exponential law
@@ -586,7 +591,7 @@ def run_bs_extremes(cfg: ExperimentConfig,
     if not _is_uniform_measure(measure):
         raise RegimeError("this experiment is specific to the uniform "
                           "measure (bolthausen-sznitman)")
-    ell = _param(cfg, "ell", 1, _count(1)) if ell is None else int(ell)
+    ell = _param(cfg, "ell", 1, _count(1))
     rates = rates_for(measure)
     stats = []
     resolved: dict = {"ell": ell}

@@ -3,11 +3,10 @@
 Covers the scaled typical-length family indexed by the regular-variation
 exponent alpha in [1, 2] (alpha = 1 degenerates to the standard
 exponential), the Frechet law and Poisson tail intensity of the scaled
-maximum for alpha > 1, the finite-sample and limiting joint densities of
-the top order statistics, the logistic law of the centered maximum in the
-alpha = 1 regime together with an exact sampler of its Cox-process
-construction, and the exact ascending factorial moments of the block count
-under the uniform measure.
+maximum for alpha > 1, the logistic law of the centered maximum in the
+alpha = 1 regime together with its Cox-mixture quadrature and an exact
+sampler of the Cox-process construction, and the exact ascending
+factorial moments of the block count under the uniform measure.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .quadrature import DEFAULT_CONFIG, adaptive_integrate
+from .quadrature import adaptive_integrate
 from .sim import DEFAULT_SEED, _make_rng
 
 FAMILIES = ("typical", "frechet", "poisson_tail", "logistic",
@@ -99,67 +98,6 @@ def frechet_cdf(alpha: float, x) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# joint densities of the top order statistics
-
-def _check_ordered(u, ell: int, nonneg: bool) -> np.ndarray:
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (ell,):
-        raise ValueError(f"u must hold exactly {ell} values")
-    if np.any(np.diff(u) > 0):
-        raise ValueError("u must be sorted in decreasing order")
-    if nonneg and np.any(u < 0):
-        raise ValueError("u must be nonnegative")
-    return u
-
-
-def order_stat_density(alpha: float, y: int, ell: int, u,
-                       shifted: bool = False) -> float:
-    """Joint density at u (decreasing) of the ell largest among y draws
-    from the typical law; with shifted=True, its y -> infinity limit after
-    the appropriate power rescaling (needs alpha > 1)."""
-    if ell < 1 or (not shifted and ell > y):
-        raise ValueError("need 1 <= ell <= y")
-    u = _check_ordered(u, ell, nonneg=not shifted)
-    if shifted:
-        alpha = _check_alpha(alpha, low_open=True)
-        if u[-1] <= 0:
-            return 0.0
-        inv_beta = alpha / (alpha - 1.0)
-        tail = ((alpha - 1.0) * u[-1]) ** -inv_beta
-        dens = math.exp(-tail)
-        for ui in u:
-            dens *= alpha * ((alpha - 1.0) * ui) ** (-1.0 - inv_beta)
-        return dens
-    alpha = _check_alpha(alpha)
-    # ell! C(y, ell) = y!/(y-ell)!
-    dens = math.exp(special.gammaln(y + 1) - special.gammaln(y - ell + 1))
-    dens *= typical_cdf(alpha, u[-1]) ** (y - ell)
-    for ui in u:
-        dens *= typical_density(alpha, ui)
-    return float(dens)
-
-
-def bs_order_stat_density(y: int, ell: int, u) -> float:
-    """Exact joint density of the ell largest of y i.i.d. standard
-    exponentials, evaluated at decreasing u >= 0."""
-    if not 1 <= ell <= y:
-        raise ValueError("need 1 <= ell <= y")
-    u = _check_ordered(u, ell, nonneg=True)
-    dens = math.exp(special.gammaln(y + 1) - special.gammaln(y - ell + 1))
-    dens *= (-math.expm1(-u[-1])) ** (y - ell)
-    return float(dens * np.exp(-u).prod())
-
-
-def bs_limit_density(ell: int, u) -> float:
-    """Shifted limit: density of the ell top points of a Poisson process
-    with intensity e^-x dx, at decreasing real u."""
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    u = _check_ordered(u, ell, nonneg=False)
-    return float(math.exp(-math.exp(-u[-1])) * np.exp(-u).prod())
-
-
-# ---------------------------------------------------------------------------
 # alpha = 1 extremes: logistic law and the Cox construction
 
 def logistic_cdf(x) -> float | np.ndarray:
@@ -168,13 +106,11 @@ def logistic_cdf(x) -> float | np.ndarray:
     return _scalar_or_array(special.expit(x), scalar)
 
 
-def cox_max_cdf(x, integral_form: bool = False) -> float:
-    """CDF of the centered maximum: mixing the Gumbel void probability
-    e^(-y e^-x) over the unit-exponential intensity level y gives the
-    logistic law; integral_form=True evaluates that mixture by quadrature
-    instead of returning the closed form."""
-    if not integral_form:
-        return logistic_cdf(x)
+def cox_max_cdf(x) -> float:
+    """CDF of the centered maximum as the Cox mixture: the Gumbel void
+    probability e^(-y e^-x) averaged over the unit-exponential intensity
+    level y, by quadrature.  The mixture is the logistic law, so this is
+    an independent check of `logistic_cdf`."""
     x = float(x)
     rate = 1.0 + math.exp(-x)
     upper = 60.0 / rate
@@ -182,7 +118,7 @@ def cox_max_cdf(x, integral_form: bool = False) -> float:
     def integrand(y):
         return np.exp(-y * rate)
 
-    return adaptive_integrate(integrand, 0.0, upper, DEFAULT_CONFIG)
+    return adaptive_integrate(integrand, 0.0, upper)
 
 
 def sample_cox_extremes(ell: int, seed: int = DEFAULT_SEED,
@@ -246,12 +182,6 @@ class LimitLaw:
             _check_alpha(self.alpha, low_open=True)
         elif self.alpha is not None:
             raise ValueError(f"{self.family} takes no alpha")
-
-    @property
-    def beta(self) -> float:
-        if self.alpha is None:
-            raise ValueError(f"{self.family} has no exponent")
-        return (self.alpha - 1.0) / self.alpha
 
     def cdf(self, x):
         if self.family == "typical":

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_unit_interval
+from .quadrature import integrate_unit_interval
 
 
 class MeasureParseError(ValueError):
@@ -68,10 +68,6 @@ class PowerBetaDensity:
 
     def mass(self) -> float:
         return self.c * special.beta(self.a, self.b)
-
-    def moment(self, j: float, k: float) -> float:
-        """int p**j (1-p)**k against this component: c * B(a+j, b+k)."""
-        return self.c * special.beta(self.a + j, self.b + k)
 
 
 @dataclass(frozen=True)
@@ -150,53 +146,6 @@ class LambdaMeasure:
     def total_mass(self) -> float:
         return (self.atom_at_zero + sum(m for _, m in self.atoms)
                 + sum(d.mass() for d in self.densities))
-
-    def integrate(self, f, config: QuadratureConfig = DEFAULT_CONFIG,
-                  left_exponent: float = 1.0,
-                  right_exponent: float = 1.0) -> float:
-        """Integral of f against the measure (no 1/p**2 kernel).
-
-        ``f`` must be vectorized on (0, 1) and finite at 0 and 1 (the atom
-        endpoints evaluate it pointwise).  If f itself vanishes algebraically
-        at an endpoint, declaring that via left/right_exponent (> 1) tightens
-        the substitution; the defaults assume f bounded and nonvanishing.
-        """
-        total = 0.0
-        if self.atom_at_zero:
-            total += self.atom_at_zero * float(f(0.0))
-        for p, m in self.atoms:
-            total += m * float(f(p))
-        for dens in self.densities:
-            def integrand(p, dens=dens):
-                return np.asarray(f(p)) * dens(p)
-
-            total += integrate_unit_interval(
-                integrand,
-                dens.left_exponent + left_exponent - 1.0,
-                dens.right_exponent + right_exponent - 1.0,
-                config)
-        return total
-
-    def serialize(self) -> str:
-        """Canonical text form; parse(serialize(m)) reproduces m exactly."""
-        terms = []
-        if self.atom_at_zero:
-            if self.atom_at_zero == 1.0:
-                terms.append("kingman")
-            else:
-                terms.append(f"kingman:{self.atom_at_zero!r}")
-        for dens in self.densities:
-            if isinstance(dens, CustomDensity):
-                raise ValueError("custom densities have no text form")
-            if dens.c == 1.0 and dens.a == 1.0 and dens.b == 1.0:
-                terms.append("bolthausen-sznitman")
-            else:
-                terms.append(f"powerbeta:c={dens.c!r},a={dens.a!r},b={dens.b!r}")
-        for p, m in self.atoms:
-            terms.append(f"dirac:p={p!r},m={m!r}")
-        if not terms:
-            raise ValueError("cannot serialize the zero measure")
-        return " + ".join(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ removed by the power substitution ``p = t**m`` with integer ``m >= 1/a``,
 after which panel-adaptive Gauss-Legendre converges geometrically.
 
 Only the panel driver lives here; nodes come from
-``numpy.polynomial.legendre.leggauss``.
+``numpy.polynomial.legendre.leggauss``.  Every integral is held to the
+same tolerances, ``REL_TOL`` relative to the running estimate and
+``ABS_TOL`` absolute, the floor that keeps an integral that is genuinely
+zero from refining without end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,33 +27,13 @@ _ORDER_HIGH = 31
 _MAX_DEPTH = 48
 _MAX_PANELS = 4096
 
-DEFAULT_REL_TOL = 1e-10
-DEFAULT_ABS_TOL = 1e-14
+REL_TOL = 1e-10
+ABS_TOL = 1e-14
 
 # Floor for the reflected distance-to-endpoint coordinate: below 2**-52 the
 # expression 1 - q rounds to 1.0 and a right-singular integrand would be
 # evaluated at its pole.  The clamp discards only O(eps**exponent) mass.
 _REFLECT_MIN = 2.0 ** -52
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances for adaptive integration.
-
-    ``rel_tol`` is relative to the accumulated integral estimate,
-    ``abs_tol`` is an absolute floor so that integrals that are genuinely
-    zero do not trigger endless refinement.
-    """
-
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 
 @lru_cache(maxsize=32)
@@ -70,8 +52,7 @@ def _panel_estimates(f, lo: float, hi: float) -> tuple[float, float]:
     return coarse, fine
 
 
-def adaptive_integrate(f, lo: float, hi: float,
-                       config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def adaptive_integrate(f, lo: float, hi: float) -> float:
     """Integrate a vectorized callable over [lo, hi] by adaptive bisection.
 
     ``f`` must accept a numpy array and return an array of the same shape.
@@ -93,7 +74,7 @@ def adaptive_integrate(f, lo: float, hi: float,
         a, b, depth = stack.pop()
         coarse, fine = _panel_estimates(f, a, b)
         err = abs(fine - coarse)
-        budget = max(config.abs_tol, config.rel_tol * max(scale, abs(result))) \
+        budget = max(ABS_TOL, REL_TOL * max(scale, abs(result))) \
             * (b - a) / total_width
         if err <= budget or depth >= _MAX_DEPTH or npanels >= _MAX_PANELS:
             result += fine
@@ -124,8 +105,7 @@ def power_substitution(f, exponent: float):
 
 
 def integrate_unit_interval(f, left_exponent: float = 1.0,
-                            right_exponent: float = 1.0,
-                            config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+                            right_exponent: float = 1.0) -> float:
     """Integrate f over (0, 1) given its algebraic endpoint exponents.
 
     ``left_exponent`` a means f(p) = O(p**(a-1)) as p -> 0; ``right_exponent``
@@ -136,19 +116,18 @@ def integrate_unit_interval(f, left_exponent: float = 1.0,
     if left_exponent <= 0 or right_exponent <= 0:
         raise ValueError("endpoint exponents must be positive for integrability")
     gl, ml = power_substitution(f, left_exponent)
-    left = adaptive_integrate(gl, 0.0, 0.5 ** (1.0 / ml), config)
+    left = adaptive_integrate(gl, 0.0, 0.5 ** (1.0 / ml))
 
     def reflected(q):
         return f(1.0 - np.maximum(q, _REFLECT_MIN))
 
     gr, mr = power_substitution(reflected, right_exponent)
-    right = adaptive_integrate(gr, 0.0, 0.5 ** (1.0 / mr), config)
+    right = adaptive_integrate(gr, 0.0, 0.5 ** (1.0 / mr))
     return left + right
 
 
 def integrate_tail(f, lo: float, hi: float = 1.0,
-                   right_exponent: float = 1.0,
-                   config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+                   right_exponent: float = 1.0) -> float:
     """Integrate f over (lo, hi) in log space, for integrands peaked near lo.
 
     Used for tail moments like int_u^1 p**(a-3) dp where the mass sits at the
@@ -166,11 +145,11 @@ def integrate_tail(f, lo: float, hi: float = 1.0,
             p = np.exp(v)
             return p * f(p)
 
-        result += adaptive_integrate(g, math.log(lo), math.log(split), config)
+        result += adaptive_integrate(g, math.log(lo), math.log(split))
     if split < hi:
         def reflected(q):
             return f(hi - np.maximum(q, _REFLECT_MIN))
 
         gr, mr = power_substitution(reflected, right_exponent)
-        result += adaptive_integrate(gr, 0.0, (hi - split) ** (1.0 / mr), config)
+        result += adaptive_integrate(gr, 0.0, (hi - split) ** (1.0 / mr))
     return result

@@ -29,13 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .measure import CustomDensity, LambdaMeasure, PowerBetaDensity
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, adaptive_integrate,
-                         power_substitution, integrate_tail,
-                         integrate_unit_interval)
+from .quadrature import (adaptive_integrate, integrate_tail,
+                         integrate_unit_interval, power_substitution)
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -144,22 +142,15 @@ class DustDiagnostic:
 class RateFunctions:
     """All rate-level quantities for one measure, with per-measure caches."""
 
-    def __init__(self, measure: LambdaMeasure,
-                 config: QuadratureConfig = DEFAULT_CONFIG,
-                 use_closed_forms: bool = True):
+    def __init__(self, measure: LambdaMeasure, use_closed_forms: bool = True):
         if measure.is_trivial:
             raise ValueError("rates need a nonzero measure")
         self.measure = measure
-        self.config = config
         self.use_closed_forms = use_closed_forms
         self._weights = lru_cache(maxsize=512)(self._weights_uncached)
         self._custom_rate = lru_cache(maxsize=4096)(self._custom_rate_uncached)
-        self._mu_interp = None
 
     # -- component views ----------------------------------------------------
-
-    def _density_parts(self):
-        return self.measure.densities
 
     def _closed_powerbeta(self, dens) -> bool:
         return self.use_closed_forms and isinstance(dens, PowerBetaDensity)
@@ -178,7 +169,7 @@ class RateFunctions:
         for p, m in self.measure.atoms:
             total += m * math.exp((k - 2) * math.log(p)
                                   + (b - k) * math.log1p(-p))
-        for dens in self._density_parts():
+        for dens in self.measure.densities:
             if self._closed_powerbeta(dens):
                 total += dens.c * math.exp(
                     special.betaln(dens.a + k - 2, dens.b + b - k))
@@ -189,20 +180,18 @@ class RateFunctions:
                 def f(p, dens=dens):
                     return p ** (k - 2) * (1.0 - p) ** (b - k) * dens(p)
 
-                total += integrate_unit_interval(f, le, re, self.config)
+                total += integrate_unit_interval(f, le, re)
         return total
 
-    def _custom_rate_uncached(self, which: str, b: float) -> float:
-        """Quadrature values that only depend on (kernel, b); memoized."""
+    def _custom_rate_uncached(self, b: float) -> float:
+        """lam(b) of the density components by quadrature; memoized."""
         total = 0.0
-        for dens in self._density_parts():
-            if which == "event":
-                def f(p, dens=dens):
-                    return _event_kernel(p, b) * dens(p)
-            else:
-                raise AssertionError(which)
+        for dens in self.measure.densities:
+            def f(p, dens=dens):
+                return _event_kernel(p, b) * dens(p)
+
             total += integrate_unit_interval(f, dens.left_exponent,
-                                             dens.right_exponent, self.config)
+                                             dens.right_exponent)
         return total
 
     def total_jump_rate(self, b) -> float:
@@ -216,11 +205,11 @@ class RateFunctions:
         for p, m in self.measure.atoms:
             z = (arr - 1.0) * math.log1p(-p) + np.log1p((arr - 1.0) * p)
             out += -np.expm1(z) * (m / p ** 2)
-        for dens in self._density_parts():
+        for dens in self.measure.densities:
             if self._closed_powerbeta(dens):
                 out += self._powerbeta_total_rate(dens, arr)
             else:
-                out += np.array([self._custom_rate("event", bi) for bi in arr])
+                out += np.array([self._custom_rate(bi) for bi in arr])
         return float(out[0]) if np.isscalar(b) or np.ndim(b) == 0 else out
 
     def _powerbeta_total_rate(self, dens: PowerBetaDensity, arr: np.ndarray):
@@ -257,7 +246,7 @@ class RateFunctions:
         for p, m in self.measure.atoms:
             w += m * np.exp(logc + (ks - 2.0) * math.log(p)
                             + (b - ks) * math.log1p(-p))
-        for dens in self._density_parts():
+        for dens in self.measure.densities:
             if self._closed_powerbeta(dens):
                 w += dens.c * np.exp(
                     logc + special.gammaln(dens.a + ks - 2.0)
@@ -310,7 +299,7 @@ class RateFunctions:
         for p, m in self.measure.atoms:
             out += m * np.array([float(kernel(np.array([p]), xi)[0])
                                  for xi in arr])
-        for dens in self._density_parts():
+        for dens in self.measure.densities:
             if self._closed_powerbeta(dens) and self._has_mu_closed_form(dens):
                 out += self._powerbeta_mu(dens, arr, order)
             else:
@@ -362,7 +351,7 @@ class RateFunctions:
             return kernel(p, x) * dens(p)
 
         return integrate_unit_interval(f, dens.left_exponent,
-                                       dens.right_exponent, self.config)
+                                       dens.right_exponent)
 
     def kappa(self, x):
         """mu(x)/x, the per-block decay rate."""
@@ -421,7 +410,7 @@ class RateFunctions:
         if u >= 1.0:
             return dens.mass()
         g, m = power_substitution(dens, dens.left_exponent)
-        return adaptive_integrate(g, 0.0, u ** (1.0 / m), self.config)
+        return adaptive_integrate(g, 0.0, u ** (1.0 / m))
 
     def _density_tail_moment(self, dens, u: float, power: int) -> float:
         """int_(u,1] p**(-power) against the density component."""
@@ -436,20 +425,7 @@ class RateFunctions:
         def f(p, dens=dens):
             return dens(p) / p ** power
 
-        return integrate_tail(f, u, 1.0, dens.right_exponent, self.config)
-
-    def h_function(self, z: float) -> float:
-        """h(z) = int_(z,1] (p - z) L(dp) / p**2, the inner H integrand."""
-        if not 0.0 <= z <= 1.0:
-            raise ValueError("h is defined on [0, 1]")
-        total = 0.0
-        for p, m in self.measure.atoms:
-            if p > z:
-                total += m * (p - z) / p ** 2
-        for dens in self._density_parts():
-            total += (self._density_tail_moment(dens, z, 1)
-                      - z * self._density_tail_moment(dens, z, 2))
-        return total
+        return integrate_tail(f, u, 1.0, dens.right_exponent)
 
     def H_function(self, u: float) -> float:
         """H(u) = L({0})/2 + int_0^u h(z) dz, by exact reduction to
@@ -462,7 +438,7 @@ class RateFunctions:
                 total += m / 2.0
             else:
                 total += m * (u / p - u * u / (2.0 * p * p))
-        for dens in self._density_parts():
+        for dens in self.measure.densities:
             total += self._density_partial_mass(dens, u) / 2.0
             if u > 0.0:
                 total += u * self._density_tail_moment(dens, u, 1)
@@ -475,9 +451,9 @@ class RateFunctions:
         """Does int L(dp)/p diverge (dustless regime of the limit theorems)?"""
         if self.measure.atom_at_zero > 0:
             return DustDiagnostic("dustless", "atom at zero")
-        power_beta = [d for d in self._density_parts()
+        power_beta = [d for d in self.measure.densities
                       if isinstance(d, PowerBetaDensity)]
-        custom = [d for d in self._density_parts()
+        custom = [d for d in self.measure.densities
                   if isinstance(d, CustomDensity)]
         if any(d.a <= 1.0 for d in power_beta):
             return DustDiagnostic("dustless",
@@ -518,22 +494,6 @@ class RateFunctions:
         mu = self.rate_of_decrease(grid)
         slope, _ = np.polyfit(np.log(grid), np.log(mu), 1)
         return float(slope)
-
-    def mu_interpolator(self, lo: float = 1.5, hi: float = 1e6):
-        """Monotone cubic interpolant of mu on a 64-points-per-decade log
-        grid.  Plotting convenience only; every quantitative path calls the
-        exact evaluators."""
-        if self._mu_interp is None:
-            decades = math.log10(hi / lo)
-            grid = np.geomspace(lo, hi, max(2, int(64 * decades) + 1))
-            self._mu_interp = PchipInterpolator(
-                np.log(grid), np.log(self.rate_of_decrease(grid)))
-        interp = self._mu_interp
-
-        def mu_approx(x):
-            return np.exp(interp(np.log(np.asarray(x, dtype=float))))
-
-        return mu_approx
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,16 @@ DEFAULT_SEED = 123456789
 _LABELED_MAX_N = 12
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
 def _check_seed(seed) -> int:
     """The seed as a Python int; anything but an integer in [0, 2**64),
     the range of a Philox key word, raises ValueError."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+    if not _is_integer(seed) or not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be an integer in [0, 2**64)")
     return int(seed)
 
@@ -307,9 +313,6 @@ class ExternalLengths:
     def flat(self) -> np.ndarray:
         return np.repeat(self.values, self.multiplicities)
 
-    def count_exceeding(self, x: float) -> int:
-        return int(self.multiplicities[self.values > x].sum())
-
     def dump_csv(self, stream) -> None:
         stream.write("length,multiplicity\n")
         for v, m in zip(self.values, self.multiplicities):
@@ -362,25 +365,6 @@ class CoalescentPath:
 
     def _blocks_after(self) -> np.ndarray:
         return self.block_count_before - self.merger_size + 1
-
-    def block_count_at(self, t) -> np.ndarray:
-        """N(t): right-continuous block count, 1 from absorption onward."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("time must be nonnegative")
-        idx = np.searchsorted(self.jump_time, t, side="right")
-        after = np.concatenate([[self.n], self._blocks_after()])
-        return after[idx]
-
-    def singleton_count_at(self, t) -> np.ndarray:
-        """M(t): right-continuous count of surviving singletons."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("time must be nonnegative")
-        idx = np.searchsorted(self.jump_time, t, side="right")
-        remaining = np.concatenate(
-            [[self.n], self.n - np.cumsum(self.absorbed_singletons)])
-        return remaining[idx]
 
     def external_lengths(self) -> ExternalLengths:
         keep = self.absorbed_singletons > 0

@@ -3,7 +3,6 @@ and the byte-reproducibility contract, all exercised in process."""
 
 import json
 
-import numpy as np
 import pytest
 
 from coalsim.cli import main
@@ -46,6 +45,33 @@ def test_bad_measure_text(capsys):
                            "--x", "2")
     assert code == 2
     assert "bad measure" in err
+
+
+_EXPERIMENT = ("experiment", "--measure", "kingman", "--theorem", "T1.1",
+               "--n", "100", "--reps", "100")
+
+
+@pytest.mark.parametrize("argv", [
+    ("limits", "--sample-ell", "0"),
+    ("limits", "--sample-ell", "2", "--reps", "0"),
+    ("simulate", "--measure", "kingman", "--n", "1"),
+    ("simulate", "--measure", "kingman", "--n", "5", "--seed", "-1"),
+    _EXPERIMENT + ("--seed", "-5"),
+    ("limits", "--family", "exact_bs_moment", "--n", "0", "--t", "1",
+     "--r", "1"),
+    ("limits", "--family", "exact_bs_moment", "--n", "5", "--t", "-1",
+     "--r", "1"),
+    ("rates", "--measure", "kingman", "--b", "1"),
+    ("limits", "--family", "typical", "--alpha", "1.5", "--x", "-1"),
+    ("limits", "--family", "frechet", "--alpha", "1.5", "--x", "0"),
+    _EXPERIMENT + ("--tol", "ks=abc"),
+    _EXPERIMENT + ("--tol", "ks=null"),
+])
+def test_library_value_errors_are_usage_errors(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +341,30 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "rates", "--config", str(cfg))
     assert code == 2
     assert "junk" in err
+
+
+def test_config_values_take_their_flag_type(tmp_path, capsys):
+    # n = 100.5 from a file is refused as --n 100.5 is, not truncated
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"measure": "kingman", "theorem": "T1.1",
+                               "n": 100.5, "reps": 150}))
+    code, _, err = run_cli(capsys, "experiment", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error: ") and "100.5" in err
+    # a string "7" is read as --n 7 would be
+    cfg.write_text(json.dumps({"measure": "kingman", "n": "7"}))
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 0
+    assert out == run_cli(capsys, "simulate", "--measure", "kingman",
+                          "--n", "7")[1]
+    # flags without a type take the value's text
+    cfg.write_text(json.dumps({"measure": "kingman", "x": 2}))
+    code, out, _ = run_cli(capsys, "rates", "--config", str(cfg))
+    assert code == 0
+    assert out == run_cli(capsys, "rates", "--measure", "kingman",
+                          "--x", "2")[1]
+    cfg.write_text(json.dumps({"measure": 5, "x": "2"}))
+    assert run_cli(capsys, "rates", "--config", str(cfg))[0] == 2
 
 
 def test_config_file_must_be_object(tmp_path, capsys):

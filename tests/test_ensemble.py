@@ -5,14 +5,19 @@ and validation contracts."""
 import numpy as np
 import pytest
 
-from coalsim.ensemble import (AbsorptionTracker, BlockCountAtTimesTracker,
-                              LevelCrossingTracker, MarkedLeafTracker,
-                              PathRecorder, ThresholdCountTracker,
-                              TopLengthsTracker, run_ensemble)
+from coalsim.ensemble import (BlockCountAtTimesTracker, LevelCrossingTracker,
+                              MarkedLeafTracker, PathRecorder,
+                              ThresholdCountTracker, TopLengthsTracker,
+                              run_ensemble)
 from coalsim.measure import bolthausen_sznitman, kingman, parse_measure
 
 BS = bolthausen_sznitman()
 MIXED = parse_measure("kingman + dirac:p=0.5,m=1")
+
+
+def absorption():
+    """Passage to one block: absorption time and jump count of each path."""
+    return LevelCrossingTracker(1, name="absorption")
 
 
 def test_singleton_trackers_match_stored_paths():
@@ -36,7 +41,7 @@ def check_singleton_trackers(measure):
                      lambda: TopLengthsTracker(3),
                      lambda: TopLengthsTracker(n + 3, name="top_all"),
                      lambda: ThresholdCountTracker(thresholds),
-                     lambda: AbsorptionTracker(),
+                     absorption,
                      PathRecorder]
         return run_ensemble(measure, n, size, key, factories,
                             chunk_size=size)
@@ -79,7 +84,7 @@ def test_dy_free_trackers_match_stored_paths():
     times_q = (0.3, 1.0, 2.5)
     factories = [lambda: BlockCountAtTimesTracker(times_q),
                  lambda: LevelCrossingTracker(5),
-                 lambda: AbsorptionTracker(),
+                 absorption,
                  PathRecorder]
     real = run_ensemble(BS, n, size, key, factories, chunk_size=size)
     for r, path in enumerate(real["paths"]):
@@ -105,10 +110,10 @@ def test_crossing_trivial_when_level_above_n():
 
 
 def test_chunks_concatenate_in_replication_order():
-    factories = [lambda: MarkedLeafTracker(), lambda: AbsorptionTracker()]
+    factories = [lambda: MarkedLeafTracker(), absorption]
     out = run_ensemble(BS, 200, 2500, 31415, factories, chunk_size=512)
     assert set(out) == {"marked_lengths", "absorption_time",
-                        "absorption_jumps"}
+                        "absorption_jumps", "absorption_inv_sum"}
     for name in out:
         assert len(out[name]) == 2500
     # chunk i is keyed by seed XOR i: chunks 0 and 1 are one-chunk runs
@@ -121,7 +126,7 @@ def test_chunks_concatenate_in_replication_order():
 
 def test_absorption_time_mean_kingman():
     # E[tau] = sum_b 2/(b(b-1)) = 2 (1 - 1/n)
-    out = run_ensemble(kingman(), 50, 4096, 8, [lambda: AbsorptionTracker()])
+    out = run_ensemble(kingman(), 50, 4096, 8, [absorption])
     assert out["absorption_time"].mean() == pytest.approx(1.96, abs=0.08)
     assert np.all(out["absorption_jumps"] == 49)
 
@@ -136,20 +141,29 @@ def test_marked_positions_distinct():
 
 def test_duplicate_output_names_rejected():
     with pytest.raises(ValueError):
-        run_ensemble(BS, 10, 10, 1, [lambda: AbsorptionTracker(),
-                                     lambda: AbsorptionTracker()])
+        run_ensemble(BS, 10, 10, 1, [absorption, absorption])
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        run_ensemble(BS, 1, 10, 1, [lambda: AbsorptionTracker()])
+        run_ensemble(BS, 1, 10, 1, [absorption])
     with pytest.raises(ValueError):
-        run_ensemble(BS, 10, 0, 1, [lambda: AbsorptionTracker()])
-    for seed in (-1, 1.5, 2 ** 64, "7"):
+        run_ensemble(BS, 10, 0, 1, [absorption])
+    # n and reps are integers, never truncated floats or bools
+    for n in (10.5, 10.0, True, "10"):
         with pytest.raises(ValueError):
-            run_ensemble(BS, 10, 10, seed, [lambda: AbsorptionTracker()])
+            run_ensemble(BS, n, 10, 1, [absorption])
+    for reps in (10.5, 10.0, True):
+        with pytest.raises(ValueError):
+            run_ensemble(BS, 10, reps, 1, [absorption])
+    for seed in (-1, 1.5, 2 ** 64, "7", True):
+        with pytest.raises(ValueError):
+            run_ensemble(BS, 10, 10, seed, [absorption])
+    out = run_ensemble(BS, np.int64(10), np.int32(3), np.uint64(1),
+                       [absorption])
+    assert out["absorption_jumps"].shape == (3,)
     with pytest.raises(ValueError):
-        run_ensemble(BS, 10, 10, 1, [lambda: AbsorptionTracker()],
+        run_ensemble(BS, 10, 10, 1, [absorption],
                      chunk_size=0)
     with pytest.raises(ValueError):
         MarkedLeafTracker(k=0)

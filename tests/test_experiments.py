@@ -70,6 +70,20 @@ def test_config_validation():
         ExperimentConfig(**{**good, "replications": 99})
     with pytest.raises(ValueError):
         ExperimentConfig(**good, tolerances={"ks": 0.0})
+    # integers only: n = 100.5 would simulate 100 and scale by mu(100.5)
+    for bad in ({"n": 100.5}, {"n": 100.0}, {"n": True},
+                {"replications": 150.5}, {"replications": 150.0},
+                {"seed": -5}, {"seed": 1.5}, {"seed": 2 ** 64},
+                {"seed": True}, {"params": [1]}, {"tolerances": [1]},
+                {"tolerances": {"ks": "abc"}}, {"tolerances": {"ks": None}},
+                {"tolerances": {"ks": True}},
+                {"tolerances": {"ks": float("nan")}}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{**good, **bad})
+    numpy_ints = ExperimentConfig("kingman", "T1.1", np.int64(100),
+                                  np.int32(150), seed=np.uint64(7),
+                                  tolerances={"ks": np.float64(0.1)})
+    assert json.loads(json.dumps(numpy_ints.to_dict()))["n"] == 100
 
 
 def test_config_round_trip():

@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from coalsim.experiments import ks_statistic
-from coalsim.limits import (LimitLaw, bs_limit_density, bs_order_stat_density,
-                            cox_max_cdf, frechet_cdf, logistic_cdf,
-                            moehle_factorial_moment, order_stat_density,
-                            poisson_intensity_tail, sample_cox_extremes,
-                            typical_cdf, typical_density)
+from coalsim.limits import (LimitLaw, cox_max_cdf, frechet_cdf, logistic_cdf,
+                            moehle_factorial_moment, poisson_intensity_tail,
+                            sample_cox_extremes, typical_cdf, typical_density)
 from coalsim.quadrature import adaptive_integrate
 
 
@@ -85,62 +83,6 @@ def test_tail_intensity_is_scaled_cdf_limit():
 
 
 # ---------------------------------------------------------------------------
-# order statistics
-
-def test_order_stat_density_reduces_to_typical():
-    for u in [0.3, 1.7]:
-        assert order_stat_density(1.5, 1, 1, [u]) == pytest.approx(
-            typical_density(1.5, u), rel=1e-12)
-
-
-def test_order_stat_density_frozen():
-    # alpha 2, y 3, ell 2 at (1, 0.5): 6 F(1/2) f(1) f(1/2) = 40/81
-    assert order_stat_density(2.0, 3, 2, [1.0, 0.5]) == pytest.approx(
-        40.0 / 81.0, rel=1e-12)
-
-
-def test_order_stat_density_shifted():
-    # ell 1 shifted is the Frechet density: exp(-x**-2) 2 x**-3 at alpha 2
-    got = order_stat_density(2.0, 1, 1, [1.0], shifted=True)
-    assert got == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
-    h = 1e-6
-    fd = (frechet_cdf(2.0, 1.0 + h) - frechet_cdf(2.0, 1.0 - h)) / (2.0 * h)
-    assert got == pytest.approx(fd, rel=1e-8)
-    assert order_stat_density(2.0, 1, 2, [1.0, -0.5], shifted=True) == 0.0
-
-
-def test_order_stat_density_validation():
-    with pytest.raises(ValueError):
-        order_stat_density(1.5, 2, 3, [1.0, 0.5, 0.2])
-    with pytest.raises(ValueError):
-        order_stat_density(1.5, 3, 2, [0.5, 1.0])      # increasing
-    with pytest.raises(ValueError):
-        order_stat_density(1.5, 3, 2, [1.0])           # wrong length
-    with pytest.raises(ValueError):
-        order_stat_density(1.0, 1, 1, [1.0], shifted=True)
-
-
-def test_bs_order_stat_density():
-    u = 0.5
-    expect = 2.0 * (1.0 - math.exp(-u)) * math.exp(-u)
-    assert bs_order_stat_density(2, 1, [u]) == pytest.approx(expect, rel=1e-12)
-    assert bs_order_stat_density(1, 1, [u]) == pytest.approx(math.exp(-u),
-                                                             rel=1e-12)
-    with pytest.raises(ValueError):
-        bs_order_stat_density(2, 3, [1.0, 0.5, 0.1])
-
-
-def test_bs_limit_density():
-    # ell 1 is the standard Gumbel density
-    law = LimitLaw("gumbel_shifted")
-    for u in [-1.0, 0.0, 2.0]:
-        assert bs_limit_density(1, [u]) == pytest.approx(law.density(u),
-                                                         rel=1e-12)
-    assert bs_limit_density(2, [2.0, 0.0]) == pytest.approx(math.exp(-3.0),
-                                                            rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # alpha = 1 extremes
 
 def test_logistic_cdf_values():
@@ -153,8 +95,7 @@ def test_logistic_cdf_values():
 
 def test_cox_max_cdf_integral_matches_closed_form():
     for x in [-1.0, 0.0, 1.3]:
-        assert cox_max_cdf(x, integral_form=True) == pytest.approx(
-            cox_max_cdf(x), rel=1e-9)
+        assert cox_max_cdf(x) == pytest.approx(logistic_cdf(x), rel=1e-9)
 
 
 def test_cox_sampler_shapes_and_order():
@@ -216,9 +157,6 @@ def test_limit_law_validation():
         LimitLaw("frechet", 1.0)
     with pytest.raises(ValueError):
         LimitLaw("logistic", 1.5)
-    assert LimitLaw("typical", 1.5).beta == pytest.approx(1.0 / 3.0)
-    with pytest.raises(ValueError):
-        LimitLaw("logistic").beta
 
 
 def test_limit_law_dispatch():
@@ -235,3 +173,8 @@ def test_limit_law_dispatch():
         LimitLaw("exact_bs_moment").density(1.0)
     p = LimitLaw("logistic").density(0.0)
     assert p == pytest.approx(0.25, rel=1e-14)
+    # the Gumbel density is the derivative of its CDF
+    gumbel, h = LimitLaw("gumbel_shifted"), 1e-6
+    for u in [-1.0, 0.0, 2.0]:
+        fd = (gumbel.cdf(u + h) - gumbel.cdf(u - h)) / (2.0 * h)
+        assert gumbel.density(u) == pytest.approx(fd, rel=1e-8)

@@ -1,5 +1,5 @@
 """Quadrature layer: exactness on polynomials, endpoint singularities,
-tail integrals, and config validation."""
+and tail integrals."""
 
 import math
 
@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from coalsim.quadrature import (QuadratureConfig, adaptive_integrate,
-                                integrate_tail, integrate_unit_interval,
-                                power_substitution)
+from coalsim.quadrature import (adaptive_integrate, integrate_tail,
+                                integrate_unit_interval, power_substitution)
 
 
 def test_polynomial_exact():
@@ -96,15 +95,3 @@ def test_unit_interval_rejects_nonintegrable():
     with pytest.raises(ValueError):
         integrate_unit_interval(lambda p: p ** -1.5, left_exponent=-0.5)
 
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=-1.0)
-
-
-def test_loose_config_still_converges():
-    loose = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-8)
-    got = adaptive_integrate(lambda p: p ** 5, 0.0, 1.0, loose)
-    assert got == pytest.approx(1.0 / 6.0, rel=1e-4)

@@ -2,12 +2,17 @@
 quadrature path, plus the derived sequences s(n) and t(n)."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
+import coalsim
 from coalsim.measure import (CustomDensity, LambdaMeasure, bolthausen_sznitman,
                              kingman, parse_measure, power_beta)
 from coalsim.rates import (EULER_GAMMA, RateFunctions, rates_for,
@@ -236,13 +241,6 @@ def test_kappa_is_mu_over_x():
                                          rel=1e-14)
 
 
-def test_mu_interpolator_tracks_exact():
-    r = rates_for(PB_HALF)
-    approx = r.mu_interpolator()
-    x = np.array([3.3, 47.0, 1.2e4])
-    np.testing.assert_allclose(approx(x), r.rate_of_decrease(x), rtol=1e-5)
-
-
 # ---------------------------------------------------------------------------
 # scale sequences
 
@@ -294,11 +292,10 @@ def test_H_kingman_constant():
     r = rates_for(kingman(3.0))
     for u in [0.0, 0.2, 1.0]:
         assert r.H_function(u) == pytest.approx(1.5, rel=1e-14)
-    assert r.h_function(0.5) == 0.0
 
 
 def test_H_bs_closed_form():
-    # uniform density: H(u) = -u log u + u**2/2, h(z) = -log z - 1 + z
+    # uniform density: H(u) = -u log u + u**2/2
     r = rates_for(BS)
     assert r.H_function(0.0) == 0.0
     assert r.H_function(1.0) == pytest.approx(0.5, rel=1e-10)
@@ -306,13 +303,8 @@ def test_H_bs_closed_form():
         assert r.H_function(u) == pytest.approx(
             -u * math.log(u) + u * u / 2.0, rel=1e-10)
     assert r.H_function(0.5) == pytest.approx(0.4715735902799727, rel=1e-10)
-    for z in [0.1, 0.5, 1.0]:
-        assert r.h_function(z) == pytest.approx(-math.log(z) - 1.0 + z,
-                                                rel=1e-9, abs=1e-12)
     with pytest.raises(ValueError):
         r.H_function(1.5)
-    with pytest.raises(ValueError):
-        r.h_function(-0.1)
 
 
 def test_H_pb_half_closed_form():
@@ -387,3 +379,14 @@ def test_rates_for_cache_and_methods():
     assert bs.merger_size_distribution(4).shape == (3,)
     assert km.rate_of_decrease(4.0) == pytest.approx(6.0, rel=1e-14)
     assert km.mu_derivatives(4.0)[1] == pytest.approx(3.5, rel=1e-14)
+
+
+def test_import_leaves_out_scipy_interpolate():
+    # every rate is evaluated exactly; no interpolant is built on import
+    src = str(Path(coalsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, coalsim; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -2,12 +2,12 @@
 the derived per-path functionals."""
 
 import io
-import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from coalsim.ensemble import BlockCountAtTimesTracker, ThresholdCountTracker
 from coalsim.measure import (CustomDensity, LambdaMeasure, bolthausen_sznitman,
                              kingman, parse_measure, power_beta)
 from coalsim.rates import RateFunctions, rates_for
@@ -130,24 +130,36 @@ def test_path_constructor_rejects_broken_chains():
 
 
 def test_counting_processes_right_continuous():
+    # the trackers read the block count N(t) and the singleton count M(t)
+    # right-continuously: a time equal to a jump time sees the counts
+    # after that jump
     path = handmade_path()
     t = np.array([0.0, 0.49, 0.5, 0.74, 0.75, 1.0, 5.0])
-    np.testing.assert_array_equal(path.block_count_at(t),
+    trackers = (BlockCountAtTimesTracker(t), ThresholdCountTracker(t))
+    for tr in trackers:
+        tr.begin(1, path.n, None)
+    y, t_old = path.n, 0.0
+    for x, k, dy, t_new in zip(path.block_count_before, path.merger_size,
+                               path.absorbed_singletons, path.jump_time):
+        for tr in trackers:
+            tr.observe(np.array([0]), np.array([x]), np.array([y]),
+                       np.array([k]), np.array([dy]), np.array([t_old]),
+                       np.array([t_new]))
+        y, t_old = y - dy, t_new
+    np.testing.assert_array_equal(trackers[0].result()["blocks_at"][0],
                                   [5, 5, 3, 3, 2, 1, 1])
-    np.testing.assert_array_equal(path.singleton_count_at(t),
+    np.testing.assert_array_equal(trackers[1].result()["exceed_counts"][0],
                                   [5, 5, 2, 2, 1, 0, 0])
-    with pytest.raises(ValueError):
-        path.block_count_at(-0.1)
-    with pytest.raises(ValueError):
-        path.singleton_count_at(np.array([0.5, -1.0]))
 
 
 def test_singletons_match_external_length_tail():
     path = simulate_path(PB_HALF, 80, seed=5)
     ext = path.external_lengths()
     assert ext.total == 80
+    # the lengths above x are the singletons no jump up to x absorbed
     for x in [0.0, 0.1, path.absorption_time]:
-        assert ext.count_exceeding(x) == int(path.singleton_count_at(x))
+        survivors = 80 - path.absorbed_singletons[path.jump_time <= x].sum()
+        assert np.sum(ext.flat() > x) == survivors
 
 
 def test_external_lengths_validation_and_dump():
