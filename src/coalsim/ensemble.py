@@ -12,13 +12,22 @@ otherwise.  Paths are not stored unless a PathRecorder asks for them.
 This is the only jump loop: single paths (`sim.simulate_path`) are
 one-replication runs with a recorder.
 
-Reproducibility contract: replications are split into fixed-size chunks,
-run one after another, and chunk i runs on its own Philox stream keyed by
-seed XOR i.  Results therefore depend on (measure, n, reps, seed,
-chunk_size, tracker order) and on nothing else.
+Reproducibility contract: replications are split into chunks of
+CHUNK_SIZE, and chunk i runs on its own Philox stream, keyed by the two
+key words (seed, i).  Chunk 0's key is the one `Philox(key=seed)` takes,
+so a run of at most CHUNK_SIZE replications draws what a single stream
+under `seed` draws.  When a run has two or more chunks and the process
+may use two or more CPUs, the chunks run in a pool of forked worker
+processes, one per usable CPU (at most one per chunk); otherwise they run
+in order in this process.  Either way the chunks' arrays are joined in
+chunk order, so results depend on (measure, n, reps, seed, tracker order)
+and on nothing else: they are byte-identical for any CPU count.  To use
+fewer CPUs, restrict the process's affinity (for example with `taskset`).
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -26,7 +35,7 @@ from .sim import (CoalescentPath, MergerSizeSampler, _check_seed,
                   _draw_singleton_loss, _is_integer, _make_rng,
                   as_rate_functions)
 
-DEFAULT_CHUNK_SIZE = 1024
+CHUNK_SIZE = 1024
 
 
 class ChunkTracker:
@@ -34,7 +43,12 @@ class ChunkTracker:
     update in observe() for every batched jump, and hand back named
     arrays (first axis = replication) from result().  A tracker that
     reads the singleton count sets `needs_singletons`: then y_before and
-    dy are arrays aligned with rows, else None."""
+    dy are arrays aligned with rows, else None.
+
+    `run_ensemble` builds one tracker per chunk by calling its factory,
+    and a chunk may run in a forked worker process: there the factory's
+    and the tracker's side effects stay in the worker, and only the
+    arrays of result() come back."""
 
     needs_singletons = False
 
@@ -268,9 +282,9 @@ class PathRecorder(ChunkTracker):
         return {self.name: paths}
 
 
-def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, key: int,
-               factories) -> dict[str, np.ndarray]:
-    rng = _make_rng(key)
+def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, seed: int,
+               chunk: int, factories) -> dict[str, np.ndarray]:
+    rng = _make_rng(seed, chunk)
     trackers = [f() for f in factories]
     for tr in trackers:
         tr.begin(size, n, rng)
@@ -307,8 +321,47 @@ def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, key: int,
     return out
 
 
-def run_ensemble(rates, n: int, reps: int, seed: int, tracker_factories,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE) -> dict[str, np.ndarray]:
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+# The run a pool worker serves, set in each worker by _adopt when the pool
+# starts: under fork the sampler and the tracker factories (often lambdas)
+# are inherited, never pickled or rebuilt.
+_JOB = None
+
+
+def _adopt(job) -> None:
+    global _JOB
+    _JOB = job
+
+
+def _pooled_chunk(chunk: int) -> dict[str, np.ndarray]:
+    sampler, n, sizes, seed, factories = _JOB
+    return _run_chunk(sampler, n, sizes[chunk], seed, chunk, factories)
+
+
+def _run_pooled(job, workers: int) -> list[dict[str, np.ndarray]] | None:
+    """Every chunk of `job` on a fork pool, in chunk order; None where the
+    platform cannot fork or this process is a daemon, such as a worker of
+    another pool, which may not start processes."""
+    import multiprocessing   # only here: its import cost is paid per pool
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return None
+    sizes = job[2]
+    with multiprocessing.get_context("fork").Pool(
+            workers, initializer=_adopt, initargs=(job,)) as pool:
+        return pool.map(_pooled_chunk, range(len(sizes)), chunksize=1)
+
+
+def run_ensemble(rates, n: int, reps: int, seed: int,
+                 tracker_factories) -> dict[str, np.ndarray]:
     """Simulate `reps` paths of size n, returning each tracker's arrays
     concatenated in replication order.  `rates` may be a RateFunctions
     instance or the underlying measure; `seed` is an integer in
@@ -317,15 +370,18 @@ def run_ensemble(rates, n: int, reps: int, seed: int, tracker_factories,
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
     if not _is_integer(reps) or reps < 1:
         raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     seed = _check_seed(seed)
     factories = tuple(tracker_factories)
     sampler = MergerSizeSampler(as_rate_functions(rates), n)
-    sizes = [chunk_size] * (reps // chunk_size)
-    if reps % chunk_size:
-        sizes.append(reps % chunk_size)
-    parts = [_run_chunk(sampler, n, size, seed ^ ci, factories)
-             for ci, size in enumerate(sizes)]
+    sizes = [CHUNK_SIZE] * (reps // CHUNK_SIZE)
+    if reps % CHUNK_SIZE:
+        sizes.append(reps % CHUNK_SIZE)
+    workers = min(len(sizes), _usable_cpus())
+    parts = None
+    if workers > 1:
+        parts = _run_pooled((sampler, n, sizes, seed, factories), workers)
+    if parts is None:
+        parts = [_run_chunk(sampler, n, size, seed, ci, factories)
+                 for ci, size in enumerate(sizes)]
     return {name: np.concatenate([p[name] for p in parts])
             for name in parts[0]}

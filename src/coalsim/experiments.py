@@ -220,6 +220,15 @@ def _count(low: int):
     return convert
 
 
+def _trend_grid(grid) -> list[int]:
+    """Block counts >= 2, at most 100 of them: trend run i is seeded
+    seed + i, below the c branch's seed + 101."""
+    out = [_count(2)(v) for v in grid]
+    if len(out) > 100:
+        raise ValueError("at most 100 trend sizes")
+    return out
+
+
 def _float_array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
@@ -597,10 +606,13 @@ def run_bs_extremes(cfg: ExperimentConfig) -> ExperimentReport:
     resolved: dict = {"ell": ell}
     ecdf = {}
 
+    # Sub-run seeds, each its own: trend run i takes seed + i, the moment
+    # run the next seed after the trend's, and the c branch seed + 101.
+    moment_seed = cfg.seed
     run_trend = "trend_grid" in cfg.params or cfg.theorem == "T1.6"
     if run_trend:
-        trend_grid = _param(cfg, "trend_grid", (cfg.n,),
-                            lambda grid: [_count(2)(v) for v in grid])
+        trend_grid = _param(cfg, "trend_grid", (cfg.n,), _trend_grid)
+        moment_seed += len(trend_grid)
         trend = []
         for i, n_i in enumerate(trend_grid):
             out = run_ensemble(rates, n_i, cfg.replications, cfg.seed + i,
@@ -620,7 +632,7 @@ def run_bs_extremes(cfg: ExperimentConfig) -> ExperimentReport:
     if "t_grid" in cfg.params or cfg.theorem == "L9.2":
         t_grid = _param(cfg, "t_grid", (0.25, 0.5, 1.0), _float_array)
         r = _param(cfg, "r", 1, _count(1))
-        out = run_ensemble(rates, cfg.n, cfg.replications, cfg.seed,
+        out = run_ensemble(rates, cfg.n, cfg.replications, moment_seed,
                            [lambda: BlockCountAtTimesTracker(t_grid)])
         blocks = out["blocks_at"].astype(float)
         for j, t in enumerate(t_grid):

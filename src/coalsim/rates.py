@@ -174,19 +174,26 @@ class RateFunctions:
                 total += dens.c * math.exp(
                     special.betaln(dens.a + k - 2, dens.b + b - k))
             else:
-                le = dens.left_exponent + k - 2
-                re = dens.right_exponent + b - k
-
-                def f(p, dens=dens):
-                    return p ** (k - 2) * (1.0 - p) ** (b - k) * dens(p)
-
-                total += integrate_unit_interval(f, le, re)
+                total += self._quad_merger_rate(dens, b, k)
         return total
 
+    @staticmethod
+    def _quad_merger_rate(dens, b: int, k: int) -> float:
+        """One density's share of lam(b, k), by quadrature."""
+        def f(p):
+            return p ** (k - 2) * (1.0 - p) ** (b - k) * dens(p)
+
+        return integrate_unit_interval(f, dens.left_exponent + k - 2,
+                                       dens.right_exponent + b - k)
+
     def _custom_rate_uncached(self, b: float) -> float:
-        """lam(b) of the density components by quadrature; memoized."""
+        """lam(b) of the density components without a closed form, by
+        quadrature; memoized."""
         total = 0.0
         for dens in self.measure.densities:
+            if self._closed_powerbeta(dens):
+                continue
+
             def f(p, dens=dens):
                 return _event_kernel(p, b) * dens(p)
 
@@ -208,8 +215,9 @@ class RateFunctions:
         for dens in self.measure.densities:
             if self._closed_powerbeta(dens):
                 out += self._powerbeta_total_rate(dens, arr)
-            else:
-                out += np.array([self._custom_rate(bi) for bi in arr])
+        if not all(map(self._closed_powerbeta, self.measure.densities)):
+            # one term sums every density without a closed form
+            out += np.array([self._custom_rate(bi) for bi in arr])
         return float(out[0]) if np.isscalar(b) or np.ndim(b) == 0 else out
 
     def _powerbeta_total_rate(self, dens: PowerBetaDensity, arr: np.ndarray):
@@ -255,7 +263,8 @@ class RateFunctions:
             else:
                 w += np.array([
                     math.exp(_log_binom(float(b), float(k)))
-                    * self.merger_rate(b, int(k)) for k in range(2, b + 1)])
+                    * self._quad_merger_rate(dens, b, k)
+                    for k in range(2, b + 1)])
         w.setflags(write=False)
         return w
 

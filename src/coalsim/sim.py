@@ -55,8 +55,10 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
-def _make_rng(seed: int) -> np.random.Generator:
-    key = np.uint64(_check_seed(seed))
+def _make_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """The Philox stream keyed by the two key words (seed, stream).
+    Stream 0 is the stream `Philox(key=seed)` gives."""
+    key = np.array([_check_seed(seed), stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

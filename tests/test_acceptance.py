@@ -15,6 +15,7 @@ from scipy import special
 
 from coalsim import limits
 from coalsim.cli import main as cli_main
+from coalsim.ensemble import PathRecorder, run_ensemble
 from coalsim.experiments import (ExperimentConfig, finite_n_max_cdf,
                                  ks_statistic, limit_gap, run_experiment,
                                  two_sample_ks)
@@ -22,7 +23,7 @@ from coalsim.measure import (bolthausen_sznitman, kingman, parse_measure,
                              power_beta)
 from coalsim.quadrature import adaptive_integrate
 from coalsim.rates import RateFunctions, rates_for
-from coalsim.sim import DEFAULT_SEED, simulate_labeled, simulate_path
+from coalsim.sim import DEFAULT_SEED, simulate_labeled
 
 
 @pytest.fixture
@@ -322,13 +323,11 @@ def test_criterion_11_labeled_equivalence(verdict):
     ks = {}
     for meas in ("kingman", "bolthausen-sznitman"):
         rates = rates_for(parse_measure(meas))
-        labeled, unlabeled = [], []
-        for i in range(10_000):
-            labeled.append(simulate_labeled(rates, 6, DEFAULT_SEED + i)
-                           .leaf_absorption_times)
-            unlabeled.append(
-                simulate_path(rates, 6, DEFAULT_SEED + 500_000 + i)
-                .external_lengths().flat())
+        labeled = [simulate_labeled(rates, 6, DEFAULT_SEED + i)
+                   .leaf_absorption_times for i in range(10_000)]
+        paths = run_ensemble(rates, 6, 10_000, DEFAULT_SEED + 500_000,
+                             [PathRecorder])["paths"]
+        unlabeled = [p.external_lengths().flat() for p in paths]
         ks[meas] = two_sample_ks(np.concatenate(labeled),
                                  np.concatenate(unlabeled))
     elapsed = time.perf_counter() - t0

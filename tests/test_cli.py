@@ -160,7 +160,8 @@ def test_simulate_rep_files(tmp_path, capsys):
     rep1 = tmp_path / "path_rep1.csv"
     assert rep0.exists() and rep1.exists() and not base.exists()
     assert rep0.read_text() != rep1.read_text()
-    # replication 0 uses seed XOR 0, identical to a single run
+    # replication i is the single path under seed XOR i: replication 0
+    # is the path under the seed itself, identical to a single run
     single = tmp_path / "single.csv"
     run_cli(capsys, "simulate", "--measure", "bolthausen-sznitman",
             "--n", "10", "--out", str(single))

@@ -2,14 +2,23 @@
 the paths a PathRecorder stores on the same run, plus the reproducibility
 and validation contracts."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from coalsim.ensemble import (BlockCountAtTimesTracker, LevelCrossingTracker,
-                              MarkedLeafTracker, PathRecorder,
-                              ThresholdCountTracker, TopLengthsTracker,
-                              run_ensemble)
+import coalsim
+from coalsim.ensemble import (CHUNK_SIZE, BlockCountAtTimesTracker,
+                              LevelCrossingTracker, MarkedLeafTracker,
+                              PathRecorder, ThresholdCountTracker,
+                              TopLengthsTracker, _run_chunk, run_ensemble)
 from coalsim.measure import bolthausen_sznitman, kingman, parse_measure
+from coalsim.rates import rates_for
+from coalsim.sim import MergerSizeSampler
 
 BS = bolthausen_sznitman()
 MIXED = parse_measure("kingman + dirac:p=0.5,m=1")
@@ -43,8 +52,7 @@ def check_singleton_trackers(measure):
                      lambda: ThresholdCountTracker(thresholds),
                      absorption,
                      PathRecorder]
-        return run_ensemble(measure, n, size, key, factories,
-                            chunk_size=size)
+        return run_ensemble(measure, n, size, key, factories)
 
     # a threshold equal to an external length of path 0 (counts are of
     # lengths strictly above it) and a negative one (every length counts);
@@ -86,7 +94,7 @@ def test_dy_free_trackers_match_stored_paths():
                  lambda: LevelCrossingTracker(5),
                  absorption,
                  PathRecorder]
-    real = run_ensemble(BS, n, size, key, factories, chunk_size=size)
+    real = run_ensemble(BS, n, size, key, factories)
     for r, path in enumerate(real["paths"]):
         hx, ht = path.block_count_before, path.jump_time
         t_old = np.concatenate([[0.0], ht[:-1]])
@@ -110,18 +118,82 @@ def test_crossing_trivial_when_level_above_n():
 
 
 def test_chunks_concatenate_in_replication_order():
+    n, reps, seed = 200, 2 * CHUNK_SIZE + 452, 31415
     factories = [lambda: MarkedLeafTracker(), absorption]
-    out = run_ensemble(BS, 200, 2500, 31415, factories, chunk_size=512)
+    out = run_ensemble(BS, n, reps, seed, factories)
     assert set(out) == {"marked_lengths", "absorption_time",
                         "absorption_jumps", "absorption_inv_sum"}
     for name in out:
-        assert len(out[name]) == 2500
-    # chunk i is keyed by seed XOR i: chunks 0 and 1 are one-chunk runs
-    for ci in (0, 1):
-        alone = run_ensemble(BS, 200, 512, 31415 ^ ci, factories)
+        assert len(out[name]) == reps
+    # chunk i is keyed by the Philox key words (seed, i)
+    sampler = MergerSizeSampler(rates_for(BS), n)
+    for ci in range(3):
+        lo = ci * CHUNK_SIZE
+        size = min(CHUNK_SIZE, reps - lo)
+        alone = _run_chunk(sampler, n, size, seed, ci, factories)
         for name in out:
-            np.testing.assert_array_equal(
-                out[name][512 * ci:512 * (ci + 1)], alone[name])
+            np.testing.assert_array_equal(out[name][lo:lo + size],
+                                          alone[name])
+
+
+def test_seeds_differing_in_low_bits_draw_different_streams():
+    # keyed by seed XOR chunk, seeds 1, 2 and 3 ran the same eight
+    # streams in another order, so every order-free statistic agreed
+    runs = [np.sort(run_ensemble(kingman(), 10, 8 * CHUNK_SIZE, seed,
+                                 [absorption])["absorption_time"])
+            for seed in (1, 2, 3)]
+    for i in range(3):
+        for j in range(i):
+            assert not np.array_equal(runs[i], runs[j])
+
+
+def three_chunk_run():
+    return run_ensemble(BS, 40, 3 * CHUNK_SIZE - 5, 2718,
+                        [lambda: TopLengthsTracker(2)])["top_lengths"]
+
+
+_PINNED_RUN = """
+import os, sys
+import numpy as np
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, sys.argv[2])
+from coalsim.ensemble import _usable_cpus
+from test_ensemble import three_chunk_run
+np.save(sys.argv[1], three_chunk_run())
+print(_usable_cpus())
+"""
+
+
+def test_bytes_do_not_depend_on_cpu_count(tmp_path):
+    # a child pinned to one CPU runs the chunks in order; this process
+    # runs them on a fork pool when it may use two or more CPUs
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("CPU affinity is not available")
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork is not available")
+    src = str(Path(coalsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    saved = tmp_path / "pinned.npy"
+    proc = subprocess.run([sys.executable, "-c", _PINNED_RUN, str(saved),
+                           str(Path(__file__).resolve().parent)],
+                          env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "1"
+    assert np.load(saved).tobytes() == three_chunk_run().tobytes()
+
+
+def _two_chunk_absorption(seed):
+    return run_ensemble(kingman(), 10, CHUNK_SIZE + 1, seed,
+                        [absorption])["absorption_time"]
+
+
+def test_run_inside_a_pool_worker_runs_in_order():
+    # a pool's workers are daemons, which may not start a pool of their own
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork is not available")
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        inside = pool.map(_two_chunk_absorption, [5])[0]
+    assert inside.tobytes() == _two_chunk_absorption(5).tobytes()
 
 
 def test_absorption_time_mean_kingman():
@@ -162,9 +234,6 @@ def test_validation():
     out = run_ensemble(BS, np.int64(10), np.int32(3), np.uint64(1),
                        [absorption])
     assert out["absorption_jumps"].shape == (3,)
-    with pytest.raises(ValueError):
-        run_ensemble(BS, 10, 10, 1, [absorption],
-                     chunk_size=0)
     with pytest.raises(ValueError):
         MarkedLeafTracker(k=0)
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from coalsim import ensemble
 from coalsim.experiments import (CATALOG, ConfigError, ExperimentConfig,
                                  ExperimentReport, RegimeError, Statistic,
                                  _RUNNERS, _decimated_ecdf,
@@ -364,6 +365,14 @@ def test_run_bs_extremes_c_branch():
     assert res["t_c"] > 0.0
 
 
+def test_trend_grid_leaves_the_c_branch_its_seed():
+    # trend run i is seeded seed + i, the c branch seed + 101
+    with pytest.raises(ConfigError, match="trend_grid"):
+        run_bs_extremes(ExperimentConfig(
+            "bolthausen-sznitman", "T1.6", 10, 100,
+            params={"trend_grid": [10] * 101}))
+
+
 def test_run_factorial_replay_exact_law():
     cfg = ExperimentConfig("kingman", "L7.1", 50, 2000,
                            params={"variance_paths": 100})
@@ -471,3 +480,29 @@ def test_every_key_a_runner_reads_is_declared(tag):
     assert cfg.params.read <= params, cfg.params.read - params
     assert cfg.tolerances.read <= tolerances, \
         cfg.tolerances.read - tolerances
+
+
+@pytest.mark.parametrize("tag", sorted(CATALOG))
+def test_every_stream_in_a_report_is_distinct(tag, monkeypatch):
+    # every Philox key a report constructs, its sub-runs three chunks long
+    keys = []
+    philox = np.random.Philox
+
+    def recording(*args, key, **kwargs):
+        words = np.atleast_1d(np.asarray(key, dtype=np.uint64)).tolist()
+        keys.append(tuple(words + [0] * (2 - len(words))))
+        return philox(*args, key=key, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", recording)
+    # chunks run in worker processes would construct their keys there
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 1)
+    kind, _ = CATALOG[tag]
+    measure, n, params, tolerances = _ALL_KEYS[kind]
+    reps = 2 * ensemble.CHUNK_SIZE + 1
+    longer = {"trend_grid": [30, 40, 50], "c_reps": reps,
+              "variance_paths": reps}
+    params = {key: longer.get(key, value) for key, value in params.items()}
+    run_experiment(ExperimentConfig(measure, tag, n, reps, params=params,
+                                    tolerances=tolerances))
+    assert len(keys) >= 3
+    assert len(set(keys)) == len(keys), sorted(keys)

@@ -162,6 +162,24 @@ def test_weights_sum_to_total_rate():
         assert np.all(dist >= 0)
 
 
+@pytest.mark.parametrize("closed", [True, False])
+def test_each_density_counts_once(closed):
+    # the rates of a sum of components are the sums of their rates
+    uniform = LambdaMeasure(densities=(CustomDensity(np.ones_like),))
+    for parts in ((uniform, uniform), (BS, uniform), (KINGMAN, uniform),
+                  (uniform, uniform, BS, KINGMAN)):
+        r = RateFunctions(sum(parts[1:], parts[0]), use_closed_forms=closed)
+        for b in (2, 5, 9):
+            single = sum(RateFunctions(m, use_closed_forms=closed)
+                         .total_jump_rate(b) for m in parts)
+            assert r.total_jump_rate(b) == pytest.approx(single, rel=1e-10)
+            assert r.merger_size_weights(b).sum() == pytest.approx(
+                single, rel=1e-10)
+    # lam(5) = 4 for each uniform density
+    two = RateFunctions(uniform + uniform, use_closed_forms=closed)
+    assert two.total_jump_rate(5) == pytest.approx(8.0, rel=1e-10)
+
+
 def test_mean_decrement_bs():
     # mu(b)/lam(b) = b (H_b - 1) / (b - 1)
     r = rates_for(BS)
