@@ -27,13 +27,14 @@ import json
 import sys
 from pathlib import Path
 
+from .ensemble import PathRecorder, _run_chunk
 from .experiments import (CATALOG, ExperimentConfig, RegimeError,
                           run_experiment)
 from .limits import FAMILIES, LimitLaw, moehle_factorial_moment, \
     poisson_intensity_tail, sample_cox_extremes
 from .measure import MeasureParseError, parse_measure
 from .rates import rates_for
-from .sim import DEFAULT_SEED, simulate_path
+from .sim import DEFAULT_SEED, MergerSizeSampler
 
 
 class UsageError(ValueError):
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="dump jump-chain paths",
         description="Simulate full block-count paths; one CSV per "
                     "replication with columns j,X_before,K,dY,W,t_jump. "
-                    "Replication i uses seed XOR i.")
+                    "Replication i runs on the Philox key (seed, i).")
     common(p)
     p.add_argument("--measure", default=None, help=_MEASURE_HELP)
     p.add_argument("--n", type=int, default=None,
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lengths", help="dump external length multisets",
         description="Simulate paths and emit the external length multiset "
                     "of each as CSV (length,multiplicity). Replication i "
-                    "uses seed XOR i.")
+                    "runs on the Philox key (seed, i).")
     common(p)
     p.add_argument("--measure", default=None, help=_MEASURE_HELP)
     p.add_argument("--n", type=int, default=None,
@@ -304,10 +305,16 @@ def _cmd_paths(args: argparse.Namespace, want_lengths: bool) -> int:
     reps = 1 if args.reps is None else int(args.reps)
     if reps < 1:
         raise UsageError("--reps must be >= 1")
+    if args.n < 2:
+        raise UsageError(f"--n must be >= 2, got {args.n}")
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    rates = rates_for(parse_measure(args.measure))
+    sampler = MergerSizeSampler(rates_for(parse_measure(args.measure)),
+                                args.n)
     for i in range(reps):
-        path = simulate_path(rates, args.n, seed=seed ^ i)
+        # replication i is the one-path chunk on the Philox key (seed, i),
+        # the key run_ensemble gives chunk i; replication 0 is simulate_path
+        path = _run_chunk(sampler, args.n, 1, seed, i,
+                          [PathRecorder])["paths"][0]
         if args.out is None:
             stream, close = sys.stdout, False
         else:

@@ -29,7 +29,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from .measure import CustomDensity, LambdaMeasure, PowerBetaDensity
 from .quadrature import (adaptive_integrate, integrate_tail,
@@ -126,6 +125,71 @@ def _beta_continued(u, v):
 def _log_binom(b, k):
     return (special.gammaln(b + 1.0) - special.gammaln(k + 1.0)
             - special.gammaln(b - k + 1.0))
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int) -> float:
+    """A root of f in [xa, xb] by Brent's method: inverse quadratic
+    interpolation, secant steps and bisection, stopping once the bracket
+    half-width is below (xtol + rtol |x|)/2.  The steps and the arithmetic
+    are those of scipy.optimize.brentq (Brent 1973, ch. 4), so both return
+    the same float; importing scipy.optimize would cost every process a
+    third of its start-up time for this one routine."""
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            bound = 3 * abs(sbis) - delta
+            if abs(spre) < bound:
+                bound = abs(spre)
+            if 2 * abs(stry) < bound:
+                spre, scur = scur, stry      # good short step
+            else:
+                spre = scur = sbis           # bisect
+        else:
+            spre = scur = sbis               # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ArithmeticError(
+        f"brentq did not converge after {maxiter} iterations, value is {xcur}")
 
 
 @dataclass(frozen=True)
@@ -379,9 +443,9 @@ class RateFunctions:
             hi *= 2.0
         else:
             raise ValueError(f"mu never reaches {y}")
-        x = brentq(lambda t: self.rate_of_decrease(t) - y, 1.0, hi,
-                   rtol=8.9e-16, maxiter=200)
-        # Newton polish; brentq already lands within a few ulp.
+        x = _brentq(lambda t: self.rate_of_decrease(t) - y, 1.0, hi,
+                    xtol=2e-12, rtol=8.9e-16, maxiter=200)
+        # Newton polish; Brent's method already lands within a few ulp.
         for _ in range(3):
             err = self.rate_of_decrease(x) - y
             if abs(err) <= 1e-10 * max(1.0, y):

@@ -40,6 +40,10 @@ DEFAULT_SEED = 123456789
 
 _LABELED_MAX_N = 12
 
+# A scalar hypergeometric call costs about 2.5 us, an array call about
+# 50 us whatever its length; below this many lanes the scalar loop wins.
+_SCALAR_DRAW_LANES = 20
+
 
 def _is_integer(value) -> bool:
     """A Python or numpy integer; a bool is not one."""
@@ -142,19 +146,18 @@ class MergerSizeSampler:
         # prefix[j] = sum_{k=2}^{j+2} g(k); P(K <= j+2 | B) under the
         # proposal is prefix[j]/prefix[B-2] for every B, so one table
         # serves all B.
-        ks = np.arange(2.0, self.max_blocks + 1.0)
-        g = np.exp(special.gammaln(dens.a + ks - 2.0)
-                   - special.gammaln(ks + 1.0))
+        js = np.arange(self.max_blocks + 1.0)
+        log_fact = special.gammaln(js + 1.0)    # log j!, j = 0 .. max_blocks
+        ks = js[2:]
+        g = np.exp(special.gammaln(dens.a + ks - 2.0) - log_fact[2:])
         prefix = np.cumsum(g)
         rate_table = np.zeros(self.max_blocks + 1)
         if dens.b == 1.0:
             rate_table[2:] = dens.c * np.exp(
-                special.gammaln(ks + 1.0)
-                - special.gammaln(dens.a + ks - 1.0)) * prefix
+                log_fact[2:] - special.gammaln(dens.a + ks - 1.0)) * prefix
             return ("powerbeta", prefix, rate_table, None)
         rate_table[2:] = self.rates._powerbeta_total_rate(dens, ks)
-        js = np.arange(self.max_blocks + 1.0)
-        log_h = special.gammaln(dens.b + js) - special.gammaln(js + 1.0)
+        log_h = special.gammaln(dens.b + js) - log_fact
         return ("powerbeta", prefix, rate_table, log_h)
 
     @staticmethod
@@ -281,11 +284,18 @@ def _draw_singleton_loss(rng: np.random.Generator, b, y,
     u2 (b - 1) < y - first.  Each comparison is exact up to one point of
     the 2**-53 grid, and a lane with no singletons left still consumes its
     two uniforms.  Otherwise numpy's hypergeometric draw covers every
-    lane; it consumes nothing for a lane with no singletons left."""
+    lane; it consumes nothing for a lane with no singletons left.  Below
+    _SCALAR_DRAW_LANES lanes it is made as one scalar call per lane, in
+    lane order: the same draws from the same stream, without the array
+    call's fixed cost of checking its arguments."""
     if np.all(k == 2):
         u = rng.random((2, len(y)))
         first = (u[0] * b < y).astype(np.int64)
         return first + (u[1] * (b - 1) < y - first)
+    if len(y) < _SCALAR_DRAW_LANES:
+        return np.array([rng.hypergeometric(*lane) for lane in
+                         zip(y.tolist(), (b - y).tolist(), k.tolist())],
+                        dtype=np.int64)
     return rng.hypergeometric(y, b - y, k)
 
 

@@ -160,12 +160,34 @@ def test_simulate_rep_files(tmp_path, capsys):
     rep1 = tmp_path / "path_rep1.csv"
     assert rep0.exists() and rep1.exists() and not base.exists()
     assert rep0.read_text() != rep1.read_text()
-    # replication i is the single path under seed XOR i: replication 0
-    # is the path under the seed itself, identical to a single run
+    # replication 0 is the path under the seed itself, identical to a
+    # single run
     single = tmp_path / "single.csv"
     run_cli(capsys, "simulate", "--measure", "bolthausen-sznitman",
             "--n", "10", "--out", str(single))
     assert single.read_text() == rep0.read_text()
+
+
+@pytest.mark.parametrize("command", ["simulate", "lengths"])
+def test_replications_are_keyed_by_seed_and_index(tmp_path, capsys, command):
+    # replication i runs on the Philox key (seed, i), so --seed 0
+    # replication 1 is not --seed 1 replication 0, as it was when
+    # replication i ran under seed XOR i
+    def reps(seed, count):
+        base = tmp_path / f"{command}_{seed}_{count}.csv"
+        code, _, _ = run_cli(capsys, command, "--measure", "kingman",
+                             "--n", "10", "--reps", str(count),
+                             "--seed", str(seed), "--out", str(base))
+        assert code == 0
+        if count == 1:
+            return [base.read_text()]
+        return [(tmp_path / f"{base.stem}_rep{i}.csv").read_text()
+                for i in range(count)]
+
+    seed0, seed1 = reps(0, 2), reps(1, 2)
+    assert seed0[1] != seed1[0]
+    assert seed0[0] == reps(0, 1)[0]
+    assert seed1[0] == reps(1, 1)[0]
 
 
 def test_lengths_schema(capsys):

@@ -10,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import optimize, special
 
 import coalsim
+from coalsim import rates as rates_module
 from coalsim.measure import (CustomDensity, LambdaMeasure, bolthausen_sznitman,
                              kingman, parse_measure, power_beta)
-from coalsim.rates import (EULER_GAMMA, RateFunctions, rates_for,
+from coalsim.rates import (EULER_GAMMA, RateFunctions, _brentq, rates_for,
                            t_c_sequence, t_sequence)
 
 KINGMAN = kingman()
@@ -399,12 +400,75 @@ def test_rates_for_cache_and_methods():
     assert km.mu_derivatives(4.0)[1] == pytest.approx(3.5, rel=1e-14)
 
 
-def test_import_leaves_out_scipy_interpolate():
-    # every rate is evaluated exactly; no interpolant is built on import
+@pytest.mark.parametrize("module", ["coalsim", "coalsim.cli"])
+def test_import_leaves_out_scipy_optimize_linalg_sparse_interpolate(module):
+    # every rate is evaluated exactly and roots are found by rates._brentq:
+    # no interpolant, no solver module and what they pull in is loaded
     src = str(Path(coalsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, coalsim; "
-            "print('scipy.interpolate' in sys.modules)")
+    heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse",
+             "scipy.interpolate")
+    code = (f"import sys, {module}; "
+            f"print(sorted(set({heavy!r}) & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def _same_float(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+def test_brentq_matches_scipy_on_invert_mu_calls(monkeypatch):
+    pairs = []
+
+    def both(f, xa, xb, xtol, rtol, maxiter):
+        ours = _brentq(f, xa, xb, xtol, rtol, maxiter)
+        pairs.append((ours, optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol,
+                                            maxiter=maxiter)))
+        return ours
+
+    monkeypatch.setattr(rates_module, "_brentq", both)
+    measures = ["kingman", "bolthausen-sznitman", "powerbeta:c=1,a=0.5,b=1",
+                "beta:0.5,1.5", "beta:0.3,0.3", "kingman+dirac:p=0.5,m=1"]
+    for text in measures:
+        r = RateFunctions(parse_measure(text))
+        for y in [0.5, 1.0, 2.0, 3.0, 10.0, 33.0, 1e2, 1e3, 1e4, 3e5]:
+            r.invert_mu(y)
+        r.s_at(np.array([10.0, 1e3, 1e5]))
+    assert len(pairs) == 13 * len(measures)
+    assert all(_same_float(ours, ref) for ours, ref in pairs)
+
+
+def test_brentq_matches_scipy_on_random_brackets():
+    rng = np.random.default_rng(20240611)
+    families = [
+        lambda c: lambda x: (x - c[0]) * (x - c[1]) * (x - c[2]) + c[3],
+        lambda c: lambda x: math.exp(c[0] * x) - math.exp(c[1]),
+        lambda c: lambda x: math.tanh(50.0 * c[0] * (x - c[1])) + 0.1 * c[3],
+        lambda c: lambda x: abs(x - c[0]) ** 1.5 * math.copysign(1.0, x - c[0])
+        + 1e-3 * c[3],
+    ]
+    tolerances = [(2e-12, 8.881784197001252e-16), (1e-6, 1e-10),
+                  (1e-3, 8.9e-16)]
+    checked = 0
+    for i in range(800):
+        f = families[i % len(families)](rng.uniform(-2.0, 2.0, 4))
+        lo, hi = np.sort(rng.uniform(-4.0, 4.0, 2))
+        if not f(lo) * f(hi) < 0:
+            continue
+        xtol, rtol = tolerances[i % len(tolerances)]
+        for a, b in [(lo, hi), (hi, lo)]:
+            ours = _brentq(f, float(a), float(b), xtol, rtol, 100)
+            ref = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
+            assert _same_float(ours, ref), (i, a, b)
+            checked += 1
+    assert checked >= 600
+
+
+def test_brentq_needs_a_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 2.0, 2e-12, 8.9e-16, 100)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan, 0.0, 1.0, 2e-12, 8.9e-16, 100)
+    assert _brentq(lambda x: x - 1.0, 1.0, 2.0, 2e-12, 8.9e-16, 100) == 1.0

@@ -11,9 +11,9 @@ from coalsim.ensemble import BlockCountAtTimesTracker, ThresholdCountTracker
 from coalsim.measure import (CustomDensity, LambdaMeasure, bolthausen_sznitman,
                              kingman, parse_measure, power_beta)
 from coalsim.rates import RateFunctions, rates_for
-from coalsim.sim import (CoalescentPath, ExternalLengths, MergerSizeSampler,
-                         _draw_singleton_loss, as_rate_functions,
-                         simulate_labeled, simulate_path)
+from coalsim.sim import (_SCALAR_DRAW_LANES, CoalescentPath, ExternalLengths,
+                         MergerSizeSampler, _draw_singleton_loss,
+                         as_rate_functions, simulate_labeled, simulate_path)
 
 BS = bolthausen_sznitman()
 PB_HALF = power_beta(1.0, 0.5)
@@ -351,6 +351,31 @@ def test_pair_singleton_loss_chi_square():
             chi2 = float(((obs - exp) ** 2 / exp).sum())
             p_value = stats.chi2.sf(chi2, obs.size - 1)
             assert p_value > 1e-3, (bi, yi, chi2)
+
+
+@pytest.mark.parametrize("lanes", [1, 5, 19])
+def test_few_lane_singleton_loss_is_the_array_draw(lanes):
+    # below 20 lanes the hypergeometric dY is drawn lane by lane; it must
+    # give the array call's values and leave the generator where it does
+    assert lanes < _SCALAR_DRAW_LANES
+    state_rng = np.random.default_rng(lanes)
+    for trial in range(20):
+        b = state_rng.integers(2, 60, lanes)
+        k = np.minimum(state_rng.integers(2, 30, lanes), b)
+        y = np.minimum(state_rng.integers(0, 40, lanes), b)
+        big = (trial + 1) % lanes
+        b[big], k[big], y[big] = 50, 12, 30       # K >= 10: numpy's HRUA
+        if lanes > 1 or trial % 2:
+            y[trial % lanes] = 0                  # no singletons left
+        key = np.uint64(1000 * lanes + trial)
+        ours = np.random.Generator(np.random.Philox(key=key))
+        ref = np.random.Generator(np.random.Philox(key=key))
+        dy = _draw_singleton_loss(ours, b, y, k)
+        assert dy.dtype == np.int64
+        np.testing.assert_array_equal(dy, ref.hypergeometric(y, b - y, k))
+        np.testing.assert_equal(ours.bit_generator.state,
+                                ref.bit_generator.state)
+        assert ours.random() == ref.random()
 
 
 def test_uniform_inverse_cdf_matches_exact():
