@@ -1,13 +1,14 @@
 """Seeded Monte Carlo experiments with quantitative pass/fail verdicts.
 
-Each runner simulates an ensemble, compares empirical statistics against
-the matching closed-form target, and emits an ExperimentReport whose
-statistics each carry (value, se, target, tol, pass).  Tolerances come
-from the config with documented defaults; they are engineering choices
-calibrated by pilot runs, since the underlying convergence statements
-carry no rates.  Reports are bit-reproducible from (config, seed): the
-ensemble engine chunks replications deterministically and aggregation
-only ever averages, so replication order cannot leak in.
+Each runner simulates an ensemble and compares empirical statistics
+against the matching closed-form target; `run_experiment` builds the rate
+functions, guards the regime and wraps the runner's statistics, each
+carrying (value, se, target, tol, pass), into an ExperimentReport.
+Tolerances come from the config with documented defaults; they are
+engineering choices calibrated by pilot runs, since the underlying
+convergence statements carry no rates.  Reports are bit-reproducible from
+(config, seed): the ensemble engine chunks replications deterministically
+and aggregation only ever averages, so replication order cannot leak in.
 """
 
 from __future__ import annotations
@@ -104,15 +105,6 @@ class ExperimentConfig:
                 "seed": self.seed, "params": dict(self.params),
                 "tolerances": dict(self.tolerances)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {"measure", "theorem", "n", "replications", "seed",
-                 "params", "tolerances"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class Statistic:
@@ -145,15 +137,13 @@ class ExperimentReport:
         return "FAIL" if any(s.passed is False for s in self.statistics) \
             else "PASS"
 
-    def to_json(self, include_runtime: bool = False) -> str:
+    def to_json(self) -> str:
         # runtime is an execution detail, not a result; it stays out of
         # the primary serialization so reruns are byte-identical.
         doc = {"config": self.config,
                "statistics": [s.to_dict() for s in self.statistics],
                "verdict": self.verdict,
                "seed": self.seed}
-        if include_runtime:
-            doc["runtime_ms"] = self.runtime_ms
         return json.dumps(doc, sort_keys=True, indent=2)
 
     def __str__(self) -> str:
@@ -197,6 +187,14 @@ def _require_dustless(rates: RateFunctions) -> None:
         raise RegimeError(f"experiment needs a dustless measure, "
                           f"diagnostic says {verdict!r} "
                           f"for {rates.measure!r}")
+
+
+def _require_uniform(rates: RateFunctions) -> None:
+    measure = rates.measure
+    if not (measure.atom_at_zero == 0.0 and not measure.atoms
+            and measure.densities == (PowerBetaDensity(1.0, 1.0, 1.0),)):
+        raise RegimeError("this experiment is specific to the uniform "
+                          "measure (bolthausen-sznitman)")
 
 
 def _param(cfg: ExperimentConfig, key: str, default, convert=float):
@@ -361,18 +359,6 @@ def _info(name, value, se=None) -> Statistic:
     return Statistic(name, float(value), None if se is None else float(se))
 
 
-def _finish(cfg, stats, resolved, t0, ecdf=None) -> ExperimentReport:
-    config = cfg.to_dict()
-    config["resolved"] = resolved
-    # The strategy depends on the measure alone, so a two-block sampler
-    # names the one every run of the experiment used.
-    rates = rates_for(parse_measure(cfg.measure))
-    return ExperimentReport(config=config, statistics=stats, seed=cfg.seed,
-                            runtime_ms=(time.perf_counter() - t0) * 1e3,
-                            ecdf_grids=ecdf or {},
-                            sampler=MergerSizeSampler(rates, 2).strategy)
-
-
 _ENVELOPE_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
@@ -388,16 +374,13 @@ def _envelope_gap(scaled: np.ndarray, t_grid) -> float:
 # ---------------------------------------------------------------------------
 # runners
 
-def run_typical_length(cfg: ExperimentConfig) -> ExperimentReport:
+def run_typical_length(cfg: ExperimentConfig, rates: RateFunctions):
     """One uniformly tagged external length per path, scaled, against the
     limit CDF for the measure's exponent; plus the analytic tail envelope.
 
     One length per path keeps the sample i.i.d. across replications;
     within-path lengths are dependent at finite n.
     """
-    t0 = time.perf_counter()
-    rates = rates_for(parse_measure(cfg.measure))
-    _require_dustless(rates)
     alpha, alpha_src = _resolve_alpha(cfg, rates)
     scale_rule = cfg.params.get("scale", "mu_over_n")
     if scale_rule == "mu_over_n":
@@ -422,58 +405,42 @@ def run_typical_length(cfg: ExperimentConfig) -> ExperimentReport:
     resolved = {"alpha": alpha, "alpha_source": alpha_src,
                 "scale": float(scale), "scale_rule": scale_rule,
                 "t_grid": list(t_grid)}
-    return _finish(cfg, stats, resolved, t0,
-                   {"scaled_length": _decimated_ecdf(scaled)})
+    return stats, resolved, {"scaled_length": _decimated_ecdf(scaled)}
 
 
-def run_independence(cfg: ExperimentConfig) -> ExperimentReport:
+def run_independence(cfg: ExperimentConfig, rates: RateFunctions):
     """Joint law of k tagged external lengths: pairwise correlations and
     the gap between the joint ECDF and the product of its marginals."""
-    t0 = time.perf_counter()
     k = _param(cfg, "k", 2, int)
-    if not 1 <= k <= 8:
-        raise ConfigError(f"k must lie in [1, 8], got {k}")
-    rates = rates_for(parse_measure(cfg.measure))
-    _require_dustless(rates)
+    if not 2 <= k <= 8:
+        raise ConfigError(f"k must lie in [2, 8], got {k}")
     out = run_ensemble(rates, cfg.n, cfg.replications, cfg.seed,
                        [lambda: MarkedLeafTracker(k)])
     lengths = out["marked_lengths"]
-    stats = []
-    if k == 1:
-        stats.append(_bounded("max_abs_corr", 0.0,
-                              cfg.tolerance("corr", 0.05)))
-        stats.append(_bounded("joint_product_gap", 0.0,
-                              cfg.tolerance("gap", 0.05)))
-    else:
-        corr = np.corrcoef(lengths, rowvar=False)
-        off = corr[~np.eye(k, dtype=bool)]
-        stats.append(_bounded("max_abs_corr", np.max(np.abs(off)),
-                              cfg.tolerance("corr", 0.05),
-                              se=1.0 / math.sqrt(lengths.shape[0])))
-        qs = np.linspace(0.1, 0.9, 5)
-        pooled = np.quantile(lengths, qs)
-        gap = 0.0
-        for i in range(k):
-            for j in range(i + 1, k):
-                below_i = lengths[:, i, None] <= pooled[None, :]
-                below_j = lengths[:, j, None] <= pooled[None, :]
-                joint = (below_i[:, :, None]
-                         & below_j[:, None, :]).mean(axis=0)
-                prod = below_i.mean(axis=0)[:, None] \
-                    * below_j.mean(axis=0)[None, :]
-                gap = max(gap, float(np.max(np.abs(joint - prod))))
-        stats.append(_bounded("joint_product_gap", gap,
-                              cfg.tolerance("gap", 0.05),
-                              se=0.5 / math.sqrt(lengths.shape[0])))
-    return _finish(cfg, stats, {"k": k}, t0)
+    corr = np.corrcoef(lengths, rowvar=False)
+    off = corr[~np.eye(k, dtype=bool)]
+    qs = np.linspace(0.1, 0.9, 5)
+    pooled = np.quantile(lengths, qs)
+    gap = 0.0
+    for i in range(k):
+        for j in range(i + 1, k):
+            below_i = lengths[:, i, None] <= pooled[None, :]
+            below_j = lengths[:, j, None] <= pooled[None, :]
+            joint = (below_i[:, :, None] & below_j[:, None, :]).mean(axis=0)
+            prod = below_i.mean(axis=0)[:, None] \
+                * below_j.mean(axis=0)[None, :]
+            gap = max(gap, float(np.max(np.abs(joint - prod))))
+    stats = [_bounded("max_abs_corr", np.max(np.abs(off)),
+                      cfg.tolerance("corr", 0.05),
+                      se=1.0 / math.sqrt(lengths.shape[0])),
+             _bounded("joint_product_gap", gap, cfg.tolerance("gap", 0.05),
+                      se=0.5 / math.sqrt(lengths.shape[0]))]
+    return stats, {"k": k}, {}
 
 
-def run_tail_identity(cfg: ExperimentConfig) -> ExperimentReport:
+def run_tail_identity(cfg: ExperimentConfig, rates: RateFunctions):
     """P(length > integral threshold) against the rate-function ratio,
     with the square/linear ratio envelope."""
-    t0 = time.perf_counter()
-    rates = rates_for(parse_measure(cfg.measure))
-    _require_dustless(rates)
     r_level = parse_r_rule(cfg.params.get("r_rule", "n/2"), cfg.n)
     if not 1 < r_level <= cfg.n:
         raise RegimeError(f"need 1 < r <= n, got r={r_level} n={cfg.n}")
@@ -494,24 +461,27 @@ def run_tail_identity(cfg: ExperimentConfig) -> ExperimentReport:
     ]
     resolved = {"r_level": r_level, "threshold": threshold,
                 "mu_ratio": target, "envelope": [ratio ** 2, ratio]}
-    return _finish(cfg, stats, resolved, t0)
+    return stats, resolved, {}
 
 
-def run_lln(cfg: ExperimentConfig) -> ExperimentReport:
+# P2.1/P2.2 regime: the level r is at most half of n and the integral of
+# 1/mu from r to n at most 1/2.
+_LLN_MAX_LEVEL = 0.5
+_LLN_MAX_INTEGRAL = 0.5
+
+
+def run_lln(cfg: ExperimentConfig, rates: RateFunctions):
     """First-passage time to <= r blocks against the integral of 1/mu,
     and the harmonic sum over visited states against its log target."""
-    t0 = time.perf_counter()
-    rates = rates_for(parse_measure(cfg.measure))
-    _require_dustless(rates)
     r_level = parse_r_rule(cfg.params.get("r_rule", "n^0.5"), cfg.n)
-    gamma = _param(cfg, "gamma_max", 0.5)
-    if not 1 < r_level <= gamma * cfg.n:
-        raise RegimeError(f"need 1 < r <= {gamma}*n, got r={r_level}")
+    if not 1 < r_level <= _LLN_MAX_LEVEL * cfg.n:
+        raise RegimeError(f"need 1 < r <= {_LLN_MAX_LEVEL}*n, "
+                          f"got r={r_level}")
     integral = integral_inverse_mu(rates, r_level, float(cfg.n))
-    max_integral = _param(cfg, "max_integral", 0.5)
-    if integral > max_integral:
+    if integral > _LLN_MAX_INTEGRAL:
         raise RegimeError(f"integral of 1/mu is {integral:.3g}, beyond "
-                          f"{max_integral}; the small-integral regime fails")
+                          f"{_LLN_MAX_INTEGRAL}; the small-integral regime "
+                          "fails")
     mu_n = rates.rate_of_decrease(cfg.n)
     mu_r = rates.rate_of_decrease(r_level)
     log_target = math.log(mu_n / cfg.n * r_level / mu_r)
@@ -530,19 +500,16 @@ def run_lln(cfg: ExperimentConfig) -> ExperimentReport:
     ]
     resolved = {"r_level": r_level, "integral": integral,
                 "log_target": log_target}
-    return _finish(cfg, stats, resolved, t0)
+    return stats, resolved, {}
 
 
-def run_order_statistics(cfg: ExperimentConfig) -> ExperimentReport:
+def run_order_statistics(cfg: ExperimentConfig, rates: RateFunctions):
     """Top-ell external lengths scaled by kappa(s_n): the maximum against
     its heavy-tail limit CDF and, unscaled, against its finite-n law
     (finite_n_max_cdf), and exceedance counts against the Poisson
     mean/variance identity on an x-grid.  The distance between the two
     laws is reported as resolved["limit_gap"]."""
-    t0 = time.perf_counter()
     ell = _param(cfg, "ell", 3, _count(1))
-    rates = rates_for(parse_measure(cfg.measure))
-    _require_dustless(rates)
     alpha, alpha_src = _resolve_alpha(cfg, rates)
     if not alpha > 1.0:
         raise RegimeError(f"heavy-tail regime needs alpha > 1, "
@@ -579,29 +546,15 @@ def run_order_statistics(cfg: ExperimentConfig) -> ExperimentReport:
                 "s_n": float(s_n), "kappa": float(kappa),
                 "x_grid": x_grid.tolist(),
                 "limit_gap": limit_gap(finite_n, kappa, alpha)}
-    return _finish(cfg, stats, resolved, t0,
-                   {"scaled_max": _decimated_ecdf(scaled_max)})
+    return stats, resolved, {"scaled_max": _decimated_ecdf(scaled_max)}
 
 
-def _is_uniform_measure(measure: LambdaMeasure) -> bool:
-    return (measure.atom_at_zero == 0.0 and not measure.atoms
-            and len(measure.densities) == 1
-            and isinstance(measure.densities[0], PowerBetaDensity)
-            and measure.densities[0] == PowerBetaDensity(1.0, 1.0, 1.0))
-
-
-def run_bs_extremes(cfg: ExperimentConfig) -> ExperimentReport:
+def run_bs_extremes(cfg: ExperimentConfig, rates: RateFunctions):
     """Uniform-measure extreme diagnostics: the informational KS trend of
     the centered-scaled maximum toward the logistic law, plus the exact
     block-count checks (ascending factorial moments; the exponential law
     of the scaled count at the c-dependent centering time)."""
-    t0 = time.perf_counter()
-    measure = parse_measure(cfg.measure)
-    if not _is_uniform_measure(measure):
-        raise RegimeError("this experiment is specific to the uniform "
-                          "measure (bolthausen-sznitman)")
     ell = _param(cfg, "ell", 1, _count(1))
-    rates = rates_for(measure)
     stats = []
     resolved: dict = {"ell": ell}
     ecdf = {}
@@ -663,18 +616,16 @@ def run_bs_extremes(cfg: ExperimentConfig) -> ExperimentReport:
                              se=scaled.std(ddof=1) / math.sqrt(scaled.size)))
         resolved.update({"c": c, "c_n": n_c, "t_c": t_c})
 
-    return _finish(cfg, stats, resolved, t0, ecdf)
+    return stats, resolved, ecdf
 
 
-def run_factorial_replay(cfg: ExperimentConfig) -> ExperimentReport:
+def run_factorial_replay(cfg: ExperimentConfig, rates: RateFunctions):
     """Conditional-law oracle: freeze one block chain, redraw its
     hypergeometric singleton decrements many times with the engine's own
     dY draw (`sim._draw_singleton_loss`), and compare the
     empirical factorial moments at the first passage below r_level with
     the exact product formula; plus the conditional variance-mean
     inequality over many independent chains."""
-    t0 = time.perf_counter()
-    rates = rates_for(parse_measure(cfg.measure))
     r_level = parse_r_rule(cfg.params.get("r_rule", "n/2"), cfg.n)
     if not r_level >= 1:
         raise ConfigError(f"need r >= 1, got r={r_level}")
@@ -716,38 +667,44 @@ def run_factorial_replay(cfg: ExperimentConfig) -> ExperimentReport:
                           cfg.tolerance("var_slack", 1e-9)))
     resolved = {"r_level": r_level, "rho": rho, "r_values": r_values,
                 "variance_paths": n_paths}
-    return _finish(cfg, stats, resolved, t0)
+    return stats, resolved, {}
 
 
-# The runner behind each CATALOG entry, with every params key and every
-# tolerances key it reads.
+# The runner behind each CATALOG entry, the regime guard its measure must
+# pass (None: any measure), and every params key and every tolerances key
+# it reads.
 _RUNNERS = {
-    "typical": (run_typical_length,
+    "typical": (run_typical_length, _require_dustless,
                 {"alpha", "scale", "t_grid"}, {"ks", "envelope"}),
-    "independence": (run_independence, {"k"}, {"corr", "gap"}),
-    "tail_identity": (run_tail_identity,
+    "independence": (run_independence, _require_dustless,
+                     {"k"}, {"corr", "gap"}),
+    "tail_identity": (run_tail_identity, _require_dustless,
                       {"r_rule"}, {"exceedance", "envelope"}),
-    "lln": (run_lln, {"r_rule", "gamma_max", "max_integral"},
-            {"ratio", "log_gap"}),
-    "order_statistics": (run_order_statistics, {"ell", "alpha", "x_grid"},
-                         {"ks", "count_moments"}),
-    "bs_extremes": (run_bs_extremes,
+    "lln": (run_lln, _require_dustless, {"r_rule"}, {"ratio", "log_gap"}),
+    "order_statistics": (run_order_statistics, _require_dustless,
+                         {"ell", "alpha", "x_grid"}, {"ks", "count_moments"}),
+    "bs_extremes": (run_bs_extremes, _require_uniform,
                     {"ell", "trend_grid", "t_grid", "r", "c", "c_n",
                      "c_reps"},
                     {"trend_rise", "moment_z", "c_mean"}),
-    "factorial_replay": (run_factorial_replay,
+    "factorial_replay": (run_factorial_replay, None,
                          {"r_rule", "r_values", "variance_paths"},
                          {"moment_z", "var_slack"}),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Dispatch on the config's catalog tag.  A params or tolerances key
-    the runner does not read raises ConfigError before any work, so a
-    misspelt key cannot leave a default in force unnoticed; a value the
-    runner cannot use raises ConfigError when the runner reads it."""
+    """Run the experiment behind the config's catalog tag.
+
+    A params or tolerances key the runner does not read raises ConfigError
+    before any work, so a misspelt key cannot leave a default in force
+    unnoticed.  Then the measure's rates are built once and its regime
+    guarded, and the runner simulates and scores, returning (statistics,
+    resolved, ecdf_grids); a value the runner cannot use raises ConfigError
+    when the runner reads it.
+    """
     kind, _ = CATALOG[cfg.theorem]
-    runner, params, tolerances = _RUNNERS[kind]
+    runner, guard, params, tolerances = _RUNNERS[kind]
     for what, given, known in (("params", cfg.params, params),
                                ("tolerances", cfg.tolerances, tolerances)):
         unknown = set(given) - known
@@ -755,4 +712,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             raise ConfigError(
                 f"{cfg.theorem} does not read {what} {sorted(unknown)}; "
                 f"it reads {sorted(known)}")
-    return runner(cfg)
+    t0 = time.perf_counter()
+    rates = rates_for(parse_measure(cfg.measure))
+    if guard is not None:
+        guard(rates)
+    stats, resolved, ecdf_grids = runner(cfg, rates)
+    config = cfg.to_dict()
+    config["resolved"] = resolved
+    # The strategy depends on the measure alone, so a two-block sampler
+    # names the one every run of the experiment used.
+    sampler = MergerSizeSampler(rates, 2).strategy
+    return ExperimentReport(config=config, statistics=stats, seed=cfg.seed,
+                            runtime_ms=(time.perf_counter() - t0) * 1e3,
+                            ecdf_grids=ecdf_grids, sampler=sampler)

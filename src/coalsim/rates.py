@@ -16,9 +16,9 @@ well defined for any nontrivial measure.
 
 Everything here has two evaluation paths: exact expressions for recognized
 components (point masses, power-beta densities, the uniform density via
-digamma) and kernel quadrature for the rest.  Construct with
-``use_closed_forms=False`` to force quadrature; the test suite compares the
-two against each other and against direct sums over k.
+digamma) and kernel quadrature for the rest.  The test suite compares the
+two, through a custom density of the same power-beta formula, and both
+against direct sums over k.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ EULER_GAMMA = float(np.euler_gamma)
 # Below p0 = _SERIES_CROSSOVER * min(1, 1/x) the kernels are evaluated by
 # 4-term series; direct evaluation there loses digits to cancellation.
 _SERIES_CROSSOVER = 1e-3
+
+_RV_GRID = np.geomspace(1e3, 1e6, 25)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +129,15 @@ def _log_binom(b, k):
             - special.gammaln(b - k + 1.0))
 
 
+def _powerbeta_weights(dens: PowerBetaDensity, b: float) -> np.ndarray:
+    """C(b,k) B(a+k-2, bp+b-k), k = 2..b, for a power-beta density with
+    exponents (a, bp): its merger-size weights C(b,k) lam(b,k) over c."""
+    ks = np.arange(2.0, b + 1.0)
+    return np.exp(_log_binom(b, ks) + special.gammaln(dens.a + ks - 2.0)
+                  + special.gammaln(dens.b + b - ks)
+                  - special.gammaln(dens.a + dens.b + b - 2.0))
+
+
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
             maxiter: int) -> float:
     """A root of f in [xa, xb] by Brent's method: inverse quadratic
@@ -206,18 +217,12 @@ class DustDiagnostic:
 class RateFunctions:
     """All rate-level quantities for one measure, with per-measure caches."""
 
-    def __init__(self, measure: LambdaMeasure, use_closed_forms: bool = True):
+    def __init__(self, measure: LambdaMeasure):
         if measure.is_trivial:
             raise ValueError("rates need a nonzero measure")
         self.measure = measure
-        self.use_closed_forms = use_closed_forms
         self._weights = lru_cache(maxsize=512)(self._weights_uncached)
         self._custom_rate = lru_cache(maxsize=4096)(self._custom_rate_uncached)
-
-    # -- component views ----------------------------------------------------
-
-    def _closed_powerbeta(self, dens) -> bool:
-        return self.use_closed_forms and isinstance(dens, PowerBetaDensity)
 
     # -- merger rates -------------------------------------------------------
 
@@ -234,7 +239,7 @@ class RateFunctions:
             total += m * math.exp((k - 2) * math.log(p)
                                   + (b - k) * math.log1p(-p))
         for dens in self.measure.densities:
-            if self._closed_powerbeta(dens):
+            if isinstance(dens, PowerBetaDensity):
                 total += dens.c * math.exp(
                     special.betaln(dens.a + k - 2, dens.b + b - k))
             else:
@@ -255,7 +260,7 @@ class RateFunctions:
         quadrature; memoized."""
         total = 0.0
         for dens in self.measure.densities:
-            if self._closed_powerbeta(dens):
+            if isinstance(dens, PowerBetaDensity):
                 continue
 
             def f(p, dens=dens):
@@ -277,9 +282,10 @@ class RateFunctions:
             z = (arr - 1.0) * math.log1p(-p) + np.log1p((arr - 1.0) * p)
             out += -np.expm1(z) * (m / p ** 2)
         for dens in self.measure.densities:
-            if self._closed_powerbeta(dens):
+            if isinstance(dens, PowerBetaDensity):
                 out += self._powerbeta_total_rate(dens, arr)
-        if not all(map(self._closed_powerbeta, self.measure.densities)):
+        if not all(isinstance(dens, PowerBetaDensity)
+                   for dens in self.measure.densities):
             # one term sums every density without a closed form
             out += np.array([self._custom_rate(bi) for bi in arr])
         return float(out[0]) if np.isscalar(b) or np.ndim(b) == 0 else out
@@ -294,14 +300,8 @@ class RateFunctions:
                         - arr * _beta_continued(a - 1.0, bp + arr - 1.0))
         # a in {1, 2} with bp != 1: continuation hits a gamma pole; sum the
         # closed per-k terms instead (O(b), exact).
-        out = np.empty_like(arr)
-        for i, bi in enumerate(arr):
-            ks = np.arange(2.0, bi + 1.0)
-            logw = (_log_binom(bi, ks) + special.gammaln(a + ks - 2.0)
-                    + special.gammaln(bp + bi - ks)
-                    - special.gammaln(a + bp + bi - 2.0))
-            out[i] = c * np.exp(logw).sum()
-        return out
+        return np.array([c * _powerbeta_weights(dens, bi).sum()
+                         for bi in arr])
 
     def merger_size_weights(self, b: int) -> np.ndarray:
         """Unnormalized P(K = k) weights C(b,k) lam(b,k) for k = 2..b."""
@@ -319,11 +319,8 @@ class RateFunctions:
             w += m * np.exp(logc + (ks - 2.0) * math.log(p)
                             + (b - ks) * math.log1p(-p))
         for dens in self.measure.densities:
-            if self._closed_powerbeta(dens):
-                w += dens.c * np.exp(
-                    logc + special.gammaln(dens.a + ks - 2.0)
-                    + special.gammaln(dens.b + b - ks)
-                    - special.gammaln(dens.a + dens.b + b - 2.0))
+            if isinstance(dens, PowerBetaDensity):
+                w += dens.c * _powerbeta_weights(dens, float(b))
             else:
                 w += np.array([
                     math.exp(_log_binom(float(b), float(k)))
@@ -373,7 +370,8 @@ class RateFunctions:
             out += m * np.array([float(kernel(np.array([p]), xi)[0])
                                  for xi in arr])
         for dens in self.measure.densities:
-            if self._closed_powerbeta(dens) and self._has_mu_closed_form(dens):
+            if (isinstance(dens, PowerBetaDensity)
+                    and self._has_mu_closed_form(dens)):
                 out += self._powerbeta_mu(dens, arr, order)
             else:
                 out += np.array([self._mu_quad(dens, xi, order) for xi in arr])
@@ -553,19 +551,17 @@ class RateFunctions:
         return DustDiagnostic("inconclusive",
                               f"mu(n)/n trend factor {ratio:.3g} in [1.5, 5]")
 
-    def rv_exponent_estimate(self, grid=None) -> float:
-        """Least-squares slope of log mu over a log-spaced grid.
+    def rv_exponent_estimate(self) -> float:
+        """Least-squares slope of log mu over 25 log-spaced points on
+        [1e3, 1e6].
 
-        Estimates the regular-variation index alpha of mu; default grid is
-        25 points on [1e3, 1e6].  Slowly varying factors (e.g. the uniform
-        measure's log) bias the fit, which is why this is an estimate and
-        the dust diagnostic is a separate rule-based check.
+        Estimates the regular-variation index alpha of mu.  Slowly varying
+        factors (e.g. the uniform measure's log) bias the fit, which is why
+        this is an estimate and the dust diagnostic is a separate rule-based
+        check.
         """
-        if grid is None:
-            grid = np.geomspace(1e3, 1e6, 25)
-        grid = np.asarray(grid, dtype=float)
-        mu = self.rate_of_decrease(grid)
-        slope, _ = np.polyfit(np.log(grid), np.log(mu), 1)
+        mu = self.rate_of_decrease(_RV_GRID)
+        slope, _ = np.polyfit(np.log(_RV_GRID), np.log(mu), 1)
         return float(slope)
 
 
@@ -610,6 +606,5 @@ def t_c_sequence(n, c: float) -> float:
 # one RateFunctions per measure
 
 @lru_cache(maxsize=64)
-def rates_for(measure: LambdaMeasure,
-              use_closed_forms: bool = True) -> RateFunctions:
-    return RateFunctions(measure, use_closed_forms=use_closed_forms)
+def rates_for(measure: LambdaMeasure) -> RateFunctions:
+    return RateFunctions(measure)

@@ -105,9 +105,9 @@ class MergerSizeSampler:
       otherwise lam(B) comes from the closed-form total rate.
 
     Several components join as e.g. ``kingman+powerbeta``.  Anything else
-    (power-beta with b < 1, a >= 2 and b != 1, a = 1 and b != 1, custom
-    densities, or closed forms switched off) is ``grouped``: lanes are
-    grouped by unique B and invert the exact cached probability vector.
+    (power-beta with b < 1, a >= 2 and b != 1, a = 1 and b != 1, or custom
+    densities) is ``grouped``: lanes are grouped by unique B and invert the
+    exact cached probability vector.
     Same law, far slower for large n.
     """
 
@@ -116,7 +116,7 @@ class MergerSizeSampler:
         self.max_blocks = int(max_blocks)
         self._grouped_cache: dict[int, tuple[np.ndarray, float]] = {}
         self._components: list[tuple] = []
-        self._fast = rates.use_closed_forms
+        self._fast = True
         measure = rates.measure
         if measure.atom_at_zero:
             self._components.append(("kingman", measure.atom_at_zero))

@@ -48,9 +48,9 @@ def _run(measure, theorem, n, reps, **kw):
 # ---------------------------------------------------------------------------
 # 1: uniform-measure pair rates, quadrature against the factorial form
 
-def test_criterion_01_exact_pair_rates(verdict):
+def test_criterion_01_exact_pair_rates(verdict, quadrature_twin):
     t0 = time.perf_counter()
-    quad = RateFunctions(bolthausen_sznitman(), use_closed_forms=False)
+    quad = RateFunctions(quadrature_twin(bolthausen_sznitman()))
     worst_pair = worst_total = 0.0
     for b in range(2, 31):
         for k in range(2, b + 1):
@@ -73,11 +73,11 @@ def test_criterion_01_exact_pair_rates(verdict):
 # ---------------------------------------------------------------------------
 # 2: mu(b) as an integral against the weighted sum of pair rates
 
-def test_criterion_02_mu_consistency(verdict):
+def test_criterion_02_mu_consistency(verdict, quadrature_twin):
     t0 = time.perf_counter()
     worst_sum = worst_fd = 0.0
     for m in (kingman(), bolthausen_sznitman(), power_beta(1.0, 0.5)):
-        quad = RateFunctions(m, use_closed_forms=False)
+        quad = RateFunctions(quadrature_twin(m))
         closed = rates_for(m)
         for b in range(2, 51):
             k = np.arange(2, b + 1)

@@ -16,11 +16,8 @@ from coalsim.experiments import (CATALOG, ConfigError, ExperimentConfig,
                                  _RUNNERS, _decimated_ecdf,
                                  finite_n_max_cdf, integral_inverse_mu,
                                  known_rv_exponent, ks_statistic, limit_gap,
-                                 parse_r_rule, run_bs_extremes,
-                                 run_experiment, run_factorial_replay,
-                                 run_independence, run_lln,
-                                 run_order_statistics, run_tail_identity,
-                                 run_typical_length, two_sample_ks)
+                                 parse_r_rule, run_experiment,
+                                 two_sample_ks)
 from coalsim.measure import (CustomDensity, LambdaMeasure,
                              bolthausen_sznitman, kingman, parse_measure,
                              power_beta)
@@ -90,11 +87,9 @@ def test_config_validation():
 def test_config_round_trip():
     cfg = ExperimentConfig("kingman", "T1.1", 100, 200, seed=5,
                            params={"k": 2}, tolerances={"ks": 0.1})
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    assert ExperimentConfig(**cfg.to_dict()) == cfg
     assert cfg.tolerance("ks", 0.05) == 0.1
     assert cfg.tolerance("other", 0.05) == 0.05
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_dict({**cfg.to_dict(), "bogus": 1})
 
 
 def test_statistic_dict_uses_pass_key():
@@ -111,7 +106,6 @@ def test_report_json_stability_and_verdict():
     doc = json.loads(rep.to_json())
     assert doc["config"] == cfg
     assert "runtime_ms" not in doc
-    assert "runtime_ms" in json.loads(rep.to_json(include_runtime=True))
     failing = ExperimentReport(config=cfg, statistics=[
         Statistic("a", 1.0, passed=False)], seed=1)
     assert failing.verdict == "FAIL"
@@ -213,28 +207,28 @@ def test_decimated_ecdf():
 def test_regime_guards():
     base = dict(n=2000, replications=100)
     with pytest.raises(RegimeError):
-        run_typical_length(ExperimentConfig(
+        run_experiment(ExperimentConfig(
             "powerbeta:c=1,a=1.5,b=1", "T1.1", **base))
     with pytest.raises(RegimeError):
-        run_order_statistics(ExperimentConfig(
+        run_experiment(ExperimentConfig(
             "bolthausen-sznitman", "T1.5", **base))
     with pytest.raises(RegimeError):
-        run_bs_extremes(ExperimentConfig("kingman", "T1.6", **base))
+        run_experiment(ExperimentConfig("kingman", "T1.6", **base))
     with pytest.raises(RegimeError):
-        run_tail_identity(ExperimentConfig(
+        run_experiment(ExperimentConfig(
             "kingman", "T4.1", **base, params={"r_rule": 1}))
     with pytest.raises(RegimeError):
-        run_lln(ExperimentConfig(
+        run_experiment(ExperimentConfig(
             "kingman", "P2.1", **base, params={"r_rule": "n*0.9"}))
     with pytest.raises(RegimeError):
         # integral of 1/mu too large for the small-integral regime
-        run_lln(ExperimentConfig(
+        run_experiment(ExperimentConfig(
             "kingman", "P2.1", **base, params={"r_rule": 2}))
     with pytest.raises(ValueError):
-        run_typical_length(ExperimentConfig(
+        run_experiment(ExperimentConfig(
             "kingman", "T1.1", **base, params={"scale": "bogus"}))
     with pytest.raises(ValueError):
-        run_independence(ExperimentConfig(
+        run_experiment(ExperimentConfig(
             "kingman", "T1.2", **base, params={"k": 9}))
 
 
@@ -248,7 +242,7 @@ def stat_names(report):
 def test_run_typical_length_small():
     cfg = ExperimentConfig("kingman", "T1.1", 200, 2000,
                            tolerances={"ks": 0.2, "envelope": 0.2})
-    rep = run_typical_length(cfg)
+    rep = run_experiment(cfg)
     assert stat_names(rep) == ["ks_vs_limit", "envelope_gap", "scaled_mean"]
     assert rep.verdict == "PASS"
     res = rep.config["resolved"]
@@ -263,7 +257,7 @@ def test_run_typical_length_log_scale():
     cfg = ExperimentConfig("bolthausen-sznitman", "T1.3", 300, 500,
                            params={"scale": "log_n"},
                            tolerances={"ks": 0.5, "envelope": 0.5})
-    rep = run_typical_length(cfg)
+    rep = run_experiment(cfg)
     assert rep.config["resolved"]["scale_rule"] == "log_n"
     assert rep.config["resolved"]["scale"] == pytest.approx(math.log(300.0))
 
@@ -271,20 +265,20 @@ def test_run_typical_length_log_scale():
 def test_run_independence_small():
     cfg = ExperimentConfig("kingman", "T1.2", 100, 1000,
                            tolerances={"corr": 0.15, "gap": 0.15})
-    rep = run_independence(cfg)
+    rep = run_experiment(cfg)
     assert stat_names(rep) == ["max_abs_corr", "joint_product_gap"]
     assert rep.config["resolved"]["k"] == 2
     assert rep.verdict == "PASS"
-    solo = run_independence(ExperimentConfig(
-        "kingman", "T1.2", 100, 100, params={"k": 1}))
-    assert solo.verdict == "PASS"
-    assert all(s.value == 0.0 for s in solo.statistics)
+    # one tagged length has no partner to be independent of
+    with pytest.raises(ConfigError, match=r"\[2, 8\]"):
+        run_experiment(ExperimentConfig(
+            "kingman", "T1.2", 100, 100, params={"k": 1}))
 
 
 def test_run_tail_identity_small():
     cfg = ExperimentConfig("kingman:2", "T4.1", 400, 2000,
                            tolerances={"exceedance": 0.1})
-    rep = run_tail_identity(cfg)
+    rep = run_experiment(cfg)
     assert stat_names(rep) == ["exceedance_prob", "envelope_gap"]
     res = rep.config["resolved"]
     assert res["r_level"] == 200.0
@@ -295,7 +289,7 @@ def test_run_tail_identity_small():
 
 def test_run_lln_small():
     cfg = ExperimentConfig("kingman", "P2.1", 2000, 200)
-    rep = run_lln(cfg)
+    rep = run_experiment(cfg)
     assert stat_names(rep) == ["time_over_integral", "harmonic_sum"]
     res = rep.config["resolved"]
     assert res["r_level"] == pytest.approx(math.sqrt(2000.0))
@@ -310,7 +304,7 @@ def test_run_order_statistics_small():
     cfg = ExperimentConfig("kingman", "T1.5", 500, 1000,
                            params={"ell": 2, "x_grid": (1.0, 2.0)},
                            tolerances={"ks": 0.3, "count_moments": 1.0})
-    rep = run_order_statistics(cfg)
+    rep = run_experiment(cfg)
     assert stat_names(rep) == ["ks_max_vs_limit",
                                "ks_max_vs_finite_n",
                                "count_mean_rel_err_x1",
@@ -330,7 +324,7 @@ def test_run_order_statistics_alpha_override():
     cfg = ExperimentConfig("kingman", "T1.5", 300, 500,
                            params={"alpha": 1.5},
                            tolerances={"ks": 1.0, "count_moments": 50.0})
-    rep = run_order_statistics(cfg)
+    rep = run_experiment(cfg)
     assert rep.config["resolved"]["alpha_source"] == "config"
     assert rep.config["resolved"]["alpha"] == 1.5
 
@@ -339,14 +333,14 @@ def test_run_bs_extremes_trend_and_moments():
     cfg = ExperimentConfig("bolthausen-sznitman", "T1.6", 300, 500,
                            params={"trend_grid": (300, 600)},
                            tolerances={"trend_rise": 0.5})
-    rep = run_bs_extremes(cfg)
+    rep = run_experiment(cfg)
     names = stat_names(rep)
     assert names[:2] == ["ks_logistic_n300", "ks_logistic_n600"]
     assert "trend_max_rise" in names
     assert "centered_max_n300" in rep.ecdf_grids
     assert rep.verdict == "PASS"
 
-    moments = run_bs_extremes(ExperimentConfig(
+    moments = run_experiment(ExperimentConfig(
         "bolthausen-sznitman", "L9.2", 500, 2000,
         params={"t_grid": (0.5,), "r": 1}))
     assert stat_names(moments) == ["moment_zscore_r1_t0.5"]
@@ -358,7 +352,7 @@ def test_run_bs_extremes_c_branch():
     cfg = ExperimentConfig("bolthausen-sznitman", "L9.2", 150, 500,
                            params={"t_grid": (), "c": 1.0, "c_reps": 500},
                            tolerances={"c_mean": 0.5})
-    rep = run_bs_extremes(cfg)
+    rep = run_experiment(cfg)
     assert "scaled_count_mean" in stat_names(rep)
     res = rep.config["resolved"]
     assert res["c"] == 1.0 and res["c_n"] == 150
@@ -368,7 +362,7 @@ def test_run_bs_extremes_c_branch():
 def test_trend_grid_leaves_the_c_branch_its_seed():
     # trend run i is seeded seed + i, the c branch seed + 101
     with pytest.raises(ConfigError, match="trend_grid"):
-        run_bs_extremes(ExperimentConfig(
+        run_experiment(ExperimentConfig(
             "bolthausen-sznitman", "T1.6", 10, 100,
             params={"trend_grid": [10] * 101}))
 
@@ -376,7 +370,7 @@ def test_trend_grid_leaves_the_c_branch_its_seed():
 def test_run_factorial_replay_exact_law():
     cfg = ExperimentConfig("kingman", "L7.1", 50, 2000,
                            params={"variance_paths": 100})
-    rep = run_factorial_replay(cfg)
+    rep = run_experiment(cfg)
     assert stat_names(rep) == ["replay_zscore_r1", "replay_zscore_r2",
                                "max_var_minus_mean"]
     assert rep.config["resolved"]["r_values"] == [1, 2]
@@ -388,11 +382,10 @@ def test_run_factorial_replay_exact_law():
 
 def test_run_experiment_dispatch_and_determinism():
     cfg = ExperimentConfig("kingman:2", "T4.1", 400, 1000)
-    via_dispatch = run_experiment(cfg)
-    direct = run_tail_identity(cfg)
-    assert via_dispatch.to_json() == direct.to_json()
+    first = run_experiment(cfg)
     again = run_experiment(cfg)
-    assert via_dispatch.to_json() == again.to_json()
+    assert first.to_json() == again.to_json()
+    assert stat_names(first) == ["exceedance_prob", "envelope_gap"]
     assert {kind for kind, _ in CATALOG.values()} == set(_RUNNERS) == {
         "typical", "independence", "order_statistics", "bs_extremes",
         "lln", "tail_identity", "factorial_replay"}
@@ -450,7 +443,7 @@ _ALL_KEYS = {
     "tail_identity": ("kingman", 50, {"r_rule": "n/2"},
                       {"exceedance": 1.0, "envelope": 1.0}),
     "lln": ("kingman", 200,
-            {"r_rule": "n^0.5", "gamma_max": 0.5, "max_integral": 0.5},
+            {"r_rule": "n^0.5"},
             {"ratio": 1.0, "log_gap": 1.0}),
     "order_statistics": ("kingman", 100,
                          {"ell": 2, "alpha": 2.0, "x_grid": [1.0]},
@@ -469,7 +462,7 @@ _ALL_KEYS = {
 @pytest.mark.parametrize("tag", sorted(CATALOG))
 def test_every_key_a_runner_reads_is_declared(tag):
     kind, _ = CATALOG[tag]
-    _, params, tolerances = _RUNNERS[kind]
+    _, _, params, tolerances = _RUNNERS[kind]
     measure, n, given_params, given_tols = _ALL_KEYS[kind]
     assert set(given_params) == params and set(given_tols) == tolerances
     cfg = ExperimentConfig(measure, tag, n, 100, seed=11,

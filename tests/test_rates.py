@@ -101,10 +101,10 @@ def test_pair_rate_pascal_recursion(text):
                 rel=1e-11)
 
 
-def test_closed_forms_match_quadrature():
+def test_closed_forms_match_quadrature(quadrature_twin):
     measure = power_beta(1.3, 0.5, 2.5)
     closed = RateFunctions(measure)
-    quad = RateFunctions(measure, use_closed_forms=False)
+    quad = RateFunctions(quadrature_twin(measure))
     for b, k in [(2, 2), (6, 3), (15, 11)]:
         assert closed.merger_rate(b, k) == pytest.approx(
             quad.merger_rate(b, k), rel=1e-9)
@@ -116,7 +116,7 @@ def test_closed_forms_match_quadrature():
             quad.rate_of_decrease(x), rel=1e-9, abs=1e-12)
 
 
-def test_powerbeta_gamma_pole_cases():
+def test_powerbeta_gamma_pole_cases(quadrature_twin):
     # a in {1, 2} with b != 1 dodges the continued-Beta pole via per-k
     # sums; a + b = 1 puts a pole of Gamma in the denominator of some
     # continued Betas, which are 0 there
@@ -124,7 +124,7 @@ def test_powerbeta_gamma_pole_cases():
                    "beta:0.5,0.5", "powerbeta:c=1,a=0.5,b=0.5"]:
         measure = parse_measure(params)
         closed = RateFunctions(measure)
-        quad = RateFunctions(measure, use_closed_forms=False)
+        quad = RateFunctions(quadrature_twin(measure))
         for b in [2, 5, 20, 60]:
             assert closed.total_jump_rate(b) == pytest.approx(
                 quad.total_jump_rate(b), rel=1e-9)
@@ -135,13 +135,13 @@ def test_powerbeta_gamma_pole_cases():
 
 @pytest.mark.parametrize("text", ["beta:0.5,0.5",
                                   "powerbeta:c=1,a=0.5,b=0.5"])
-def test_mu_derivatives_at_gamma_pole(text):
+def test_mu_derivatives_at_gamma_pole(text, quadrature_twin):
     # a + b = 1: at x = 1 the closed form's tail Beta is 0 and its digamma
     # factor infinite; the derivatives take the finite limit, which the
     # quadrature path gives (0.6667 and 0.8183 for beta:0.5,0.5)
     measure = parse_measure(text)
     closed = RateFunctions(measure)
-    quad = RateFunctions(measure, use_closed_forms=False)
+    quad = RateFunctions(quadrature_twin(measure))
     for x in (1.0, 1.0 + 1e-6):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -164,20 +164,21 @@ def test_weights_sum_to_total_rate():
 
 
 @pytest.mark.parametrize("closed", [True, False])
-def test_each_density_counts_once(closed):
+def test_each_density_counts_once(closed, quadrature_twin):
     # the rates of a sum of components are the sums of their rates
+    twin = (lambda m: m) if closed else quadrature_twin
     uniform = LambdaMeasure(densities=(CustomDensity(np.ones_like),))
     for parts in ((uniform, uniform), (BS, uniform), (KINGMAN, uniform),
                   (uniform, uniform, BS, KINGMAN)):
-        r = RateFunctions(sum(parts[1:], parts[0]), use_closed_forms=closed)
+        r = RateFunctions(twin(sum(parts[1:], parts[0])))
         for b in (2, 5, 9):
-            single = sum(RateFunctions(m, use_closed_forms=closed)
-                         .total_jump_rate(b) for m in parts)
+            single = sum(RateFunctions(twin(m)).total_jump_rate(b)
+                         for m in parts)
             assert r.total_jump_rate(b) == pytest.approx(single, rel=1e-10)
             assert r.merger_size_weights(b).sum() == pytest.approx(
                 single, rel=1e-10)
     # lam(5) = 4 for each uniform density
-    two = RateFunctions(uniform + uniform, use_closed_forms=closed)
+    two = RateFunctions(twin(uniform + uniform))
     assert two.total_jump_rate(5) == pytest.approx(8.0, rel=1e-10)
 
 

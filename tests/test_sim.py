@@ -218,8 +218,8 @@ def test_first_waiting_time_mean():
 # ---------------------------------------------------------------------------
 # merger-size sampler
 
-def empirical_pmf(measure, b, reps=200_000, seed=42, closed=True):
-    rates = RateFunctions(measure, use_closed_forms=closed)
+def empirical_pmf(measure, b, reps=200_000, seed=42):
+    rates = RateFunctions(measure)
     sampler = MergerSizeSampler(rates, b)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     lam, k = sampler.sample_step(rng, np.full(reps, b, dtype=np.int64))
@@ -235,15 +235,15 @@ def test_fast_sampler_matches_exact_law(measure):
     assert np.max(np.abs(pmf - exact)) < 0.006
 
 
-def test_grouped_sampler_matches_exact_law():
+def test_grouped_sampler_matches_exact_law(quadrature_twin):
     b = 7
     exact = rates_for(BS).merger_size_distribution(b)
-    pmf = empirical_pmf(BS, b, closed=False)
+    pmf = empirical_pmf(quadrature_twin(BS), b)
     assert np.max(np.abs(pmf - exact)) < 0.006
 
 
-def test_grouped_sampler_handles_mixed_block_counts():
-    rates = RateFunctions(BS, use_closed_forms=False)
+def test_grouped_sampler_handles_mixed_block_counts(quadrature_twin):
+    rates = RateFunctions(quadrature_twin(BS))
     sampler = MergerSizeSampler(rates, 9)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(1)))
     b = np.array([2, 5, 9, 5, 2], dtype=np.int64)
