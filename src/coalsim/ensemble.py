@@ -8,7 +8,10 @@ singleton count Y, time) and drops lanes as they reach one block.
 Statistics are accumulated by streaming trackers, which see each jump as
 (rows, X_before, Y_before, K, dY, t_old, t_new); Y_before and dY are drawn
 and passed only when some tracker sets `needs_singletons`, and are None
-otherwise.  Paths are not stored unless a PathRecorder asks for them.
+otherwise.  A tracker may draw from the chunk's stream itself, after dY
+and in tracker order: MarkedLeafTracker decides its tagged leaves from
+its own uniforms, so a run that tracks only tagged leaves draws no dY.
+Paths are not stored unless a PathRecorder asks for them.
 This is the only jump loop: single paths (`sim.simulate_path`) are
 one-replication runs with a recorder.
 
@@ -43,7 +46,8 @@ class ChunkTracker:
     update in observe() for every batched jump, and hand back named
     arrays (first axis = replication) from result().  A tracker that
     reads the singleton count sets `needs_singletons`: then y_before and
-    dy are arrays aligned with rows, else None.
+    dy are arrays aligned with rows, else None.  A tracker that draws
+    keeps the chunk's rng from begin() and draws in observe().
 
     `run_ensemble` builds one tracker per chunk by calling its factory,
     and a chunk may run in a forked worker process: there the factory's
@@ -67,15 +71,20 @@ class ChunkTracker:
 
 
 class MarkedLeafTracker(ChunkTracker):
-    """External branch lengths of k uniformly chosen distinct leaves.
+    """External branch lengths of k distinct tagged leaves.
 
-    Lengths are emitted in absorption order, so marking k distinct
-    positions of that order gives the joint law of k tagged leaves by
-    exchangeability; position j is absorbed by the first jump whose
-    cumulative singleton loss n - Y_after passes j.
+    An unabsorbed tagged leaf is a singleton block, and the K merging
+    blocks, a uniform K-subset of the X current blocks, take it with
+    probability K/X.  Each jump draws k uniforms per live lane, one per
+    mark, and decides the unabsorbed marks in mark order, without
+    replacement: mark j goes when u_j (X - seen) < K - taken, where seen
+    counts the unabsorbed marks decided before it at this jump and taken
+    those of them that went.  So no singleton count is read.  When another
+    tracker makes the run draw dY, the absorbed singletons are a uniform
+    dY-subset of the Y singletons, and the marks are decided against
+    (dY, Y) in place of (K, X), so that they agree with the run's paths.
+    Each comparison is exact up to one point of the 2**-53 grid.
     """
-
-    needs_singletons = True
 
     def __init__(self, k: int = 1, name: str = "marked_lengths"):
         if k < 1:
@@ -86,26 +95,33 @@ class MarkedLeafTracker(ChunkTracker):
     def begin(self, size, n, rng):
         if self.k > n:
             raise ValueError("cannot mark more leaves than the sample has")
-        pos = rng.integers(0, n, size=(size, self.k))
-        if self.k > 1:
-            while True:
-                srt = np.sort(pos, axis=1)
-                bad = (np.diff(srt, axis=1) == 0).any(axis=1)
-                if not bad.any():
-                    break
-                pos[bad] = rng.integers(0, n, size=(int(bad.sum()), self.k))
-        self.positions = pos
+        self.rng = rng
         self.lengths = np.zeros((size, self.k))
-        self.n = n
+        self.alive = np.ones((size, self.k), dtype=bool)
 
     def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
-        lo = self.n - y_before
-        hi = lo + dy
-        pos = self.positions[rows]
-        hit = (pos >= lo[:, None]) & (pos < hi[:, None])
-        if hit.any():
-            self.lengths[rows] = np.where(hit, t_new[:, None],
-                                          self.lengths[rows])
+        u = self.rng.random((self.k, rows.size))
+        num, den = (k, x_before) if dy is None else (dy, y_before)
+        mark, lane = np.nonzero(
+            self._absorbed(u, self.alive[rows].T, num, den))
+        if lane.size:
+            sub = rows[lane]
+            self.lengths[sub, mark] = t_new[lane]
+            self.alive[sub, mark] = False
+
+    @staticmethod
+    def _absorbed(u, alive, num, den):
+        """Which of the unabsorbed marks `alive` (marks x lanes), distinct
+        members of a pool of `den` per lane, fall in a uniform num-subset
+        of it; u holds one row of uniforms per mark.  Each mark visited
+        leaves the pool, and each mark taken leaves the subset."""
+        hit = np.empty_like(alive)
+        for j, a in enumerate(alive):
+            hit[j] = a & (u[j] * den < num)
+            if j + 1 < len(alive):
+                den = den - a
+                num = num - hit[j]
+        return hit
 
     def result(self):
         return {self.name: self.lengths}

@@ -17,10 +17,12 @@ so a (measure, n, seed) triple pins the path bit for bit:
    lane, then each component draws for its lanes in component order; a
    measure with one component draws no selection uniform;
 2. W, one standard exponential per lane;
-3. dY: when every live lane has K = 2, two uniforms per lane, all lanes'
-   first before their second, also for lanes with no singletons left
-   (`_draw_singleton_loss`); otherwise numpy's hypergeometric draw over
-   all lanes.
+3. dY, when some tracker reads the singletons: when every live lane has
+   K = 2, two uniforms per lane, all lanes' first before their second,
+   also for lanes with no singletons left (`_draw_singleton_loss`);
+   otherwise numpy's hypergeometric draw over all lanes;
+4. each tracker's own draws, in tracker order (`MarkedLeafTracker`: one
+   uniform per mark and live lane).
 
 The labeled simulator here is an independent oracle that tracks partitions.
 """

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 import coalsim
+from coalsim import ensemble
 from coalsim.ensemble import (CHUNK_SIZE, BlockCountAtTimesTracker,
                               LevelCrossingTracker, MarkedLeafTracker,
                               PathRecorder, ThresholdCountTracker,
@@ -37,16 +39,12 @@ def test_singleton_trackers_match_stored_paths():
 
 
 def check_singleton_trackers(measure):
+    # every leaf is marked, so the marks, decided against the run's dY,
+    # are each path's external lengths in some order
     n, size, key = 12, 64, 777
-    marks = []
-
-    def marked():
-        marks.append(MarkedLeafTracker(k=2))
-        return marks[-1]
 
     def run(thresholds):
-        marks.clear()
-        factories = [marked,
+        factories = [lambda: MarkedLeafTracker(k=n),
                      lambda: TopLengthsTracker(3),
                      lambda: TopLengthsTracker(n + 3, name="top_all"),
                      lambda: ThresholdCountTracker(thresholds),
@@ -62,15 +60,12 @@ def check_singleton_trackers(measure):
     tie = values[len(values) // 2]
     thresholds = (-0.5, 0.5, 1.5, tie)
     real = run(thresholds)
-    positions = marks[0].positions
     for r, path in enumerate(real["paths"]):
         np.testing.assert_array_equal(path.jump_time,
                                       first["paths"][r].jump_time)
-        cum = np.cumsum(path.absorbed_singletons)
-        for j, pos in enumerate(positions[r]):
-            expect = path.jump_time[np.searchsorted(cum, pos, side="right")]
-            assert real["marked_lengths"][r, j] == expect
         lengths = np.sort(path.external_lengths().flat())[::-1]
+        np.testing.assert_array_equal(
+            np.sort(real["marked_lengths"][r])[::-1], lengths)
         np.testing.assert_array_equal(real["top_lengths"][r], lengths[:3])
         np.testing.assert_array_equal(real["top_all"][r],
                                       np.append(lengths, np.zeros(3)))
@@ -203,12 +198,97 @@ def test_absorption_time_mean_kingman():
     assert np.all(out["absorption_jumps"] == 49)
 
 
-def test_marked_positions_distinct():
-    tr = MarkedLeafTracker(k=3)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(5)))
-    tr.begin(512, 5, rng)
-    srt = np.sort(tr.positions, axis=1)
-    assert np.all(np.diff(srt, axis=1) > 0)
+def beta_tagged_mean(a, b, n):
+    """Exact mean external length of a tagged leaf of the Beta(a, b)
+    coalescent from n blocks, by first-step analysis over the holding
+    time and the merger size K, the tag surviving a k-merger of m blocks
+    with probability 1 - k/m:
+
+        e(m) = (1 + sum_k lam(m, k) C(m, k) (1 - k/m) e(m - k + 1)) / lam(m)
+
+    with lam(m, k) = B(a+k-2, b+m-k)/B(a, b) from scipy's betaln."""
+    e = np.zeros(n + 1)
+    log_fact = special.gammaln(np.arange(n + 1.0) + 1.0)
+    base = special.betaln(a, b)
+    for m in range(2, n + 1):
+        k = np.arange(2, m + 1)
+        w = np.exp(log_fact[m] - log_fact[k] - log_fact[m - k]
+                   + special.betaln(a + k - 2.0, b + m - k) - base)
+        # k = m ends every branch; the rest land on m - k + 1 >= 2 blocks
+        survive = w[:-1] * (1.0 - k[:-1] / m)
+        e[m] = (1.0 + np.dot(survive, e[m - k[:-1] + 1])) / w.sum()
+    return float(e[n])
+
+
+def tagged_mean_z(tracker, measure, exact, k, n=200, reps=4096, seed=606):
+    """z-score of each mark's mean length against the exact mean, from a
+    run whose only tracker is `tracker(k)`, so that no dY is drawn."""
+    lengths = run_ensemble(parse_measure(measure), n, reps, seed,
+                           [lambda: tracker(k)])["marked_lengths"]
+    se = lengths.std(axis=0, ddof=1) / np.sqrt(reps)
+    return (lengths.mean(axis=0) - exact) / se
+
+
+TAGGED = {"kingman": 2.0 / 200,          # E = 2/n for Kingman
+          "beta:0.5,1.5": beta_tagged_mean(0.5, 1.5, 200),
+          "beta:1.5,0.7": beta_tagged_mean(1.5, 0.7, 200)}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("measure", sorted(TAGGED))
+def test_marked_lengths_have_the_exact_mean(measure, k):
+    z = tagged_mean_z(MarkedLeafTracker, measure, TAGGED[measure], k)
+    assert np.all(np.abs(z) <= 4.5), z
+
+
+class AbsorbsKMinusOne(MarkedLeafTracker):
+    """Seeded defect: a mark goes with probability (K - 1)/X."""
+
+    @staticmethod
+    def _absorbed(u, alive, num, den):
+        return MarkedLeafTracker._absorbed(u, alive, num - 1, den)
+
+
+class ForgetsTaken(MarkedLeafTracker):
+    """Seeded defect: a mark's threshold ignores the marks taken before
+    it at the same jump, so a second mark goes with probability
+    K/(X - 1) after the first went."""
+
+    @staticmethod
+    def _absorbed(u, alive, num, den):
+        hit = np.empty_like(alive)
+        for j, a in enumerate(alive):
+            hit[j] = a & (u[j] * den < num)
+            den = den - a
+        return hit
+
+
+@pytest.mark.parametrize("defect", [AbsorbsKMinusOne, ForgetsTaken])
+def test_mean_check_catches_seeded_defects(defect):
+    # the exact-mean check for two marks of beta:0.5,1.5 at n = 10 and
+    # 2**15 reps: ForgetsTaken errs only at jumps that take both marks,
+    # which are rare unless few blocks are left, so n is small: its z is
+    # about -14 here, while at n = 200 with 4096 reps it moves z by 0.2
+    n, reps = 10, 2 ** 15
+    exact = beta_tagged_mean(0.5, 1.5, n)
+    real = tagged_mean_z(MarkedLeafTracker, "beta:0.5,1.5", exact, 2, n, reps)
+    assert np.all(np.abs(real) <= 4.5), real
+    broken = tagged_mean_z(defect, "beta:0.5,1.5", exact, 2, n, reps)
+    assert np.any(np.abs(broken) > 4.5), broken
+
+
+def test_marked_leaves_alone_draw_no_singleton_loss(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dY drawn")
+
+    monkeypatch.setattr(ensemble, "_draw_singleton_loss", refuse)
+    # one chunk, so the run stays in this process
+    for measure in (kingman(), MIXED, BS):
+        out = run_ensemble(measure, 30, 64, 3,
+                           [lambda: MarkedLeafTracker(k=2)])
+        assert np.all(out["marked_lengths"] > 0)
+    with pytest.raises(AssertionError, match="dY drawn"):
+        run_ensemble(BS, 30, 64, 3, [MarkedLeafTracker, PathRecorder])
 
 
 def test_duplicate_output_names_rejected():
