@@ -12,6 +12,15 @@ otherwise.  A tracker may draw from the chunk's stream itself, after dY
 and in tracker order: MarkedLeafTracker decides its tagged leaves from
 its own uniforms, so a run that tracks only tagged leaves draws no dY.
 Paths are not stored unless a PathRecorder asks for them.
+
+A tracker that can finish with a lane says so through done(rows): a
+tagged-leaf tracker once the lane's marks are absorbed, a level crossing
+once the lane has crossed.  When every tracker of a run overrides done,
+the loop retires a lane, with its state, after the first jump at which
+every tracker is done with it, and the lane draws nothing more.  A run
+with any tracker that keeps the default (never done) does not ask, and
+runs each lane down to one block.
+
 This is the only jump loop: single paths (`sim.simulate_path`) are
 one-replication runs with a recorder.
 
@@ -19,12 +28,14 @@ Reproducibility contract: replications are split into chunks of
 CHUNK_SIZE, and chunk i runs on its own Philox stream, keyed by the two
 key words (seed, i).  Chunk 0's key is the one `Philox(key=seed)` takes,
 so a run of at most CHUNK_SIZE replications draws what a single stream
-under `seed` draws.  When a run has two or more chunks and the process
-may use two or more CPUs, the chunks run in a pool of forked worker
-processes, one per usable CPU (at most one per chunk); otherwise they run
-in order in this process.  Either way the chunks' arrays are joined in
-chunk order, so results depend on (measure, n, reps, seed, tracker order)
-and on nothing else: they are byte-identical for any CPU count.  To use
+under `seed` draws.  When a run has two or more chunks, its replications
+times n reach POOL_MIN_WORK, and the process may use two or more CPUs,
+the chunks run in a pool of forked worker processes, one per usable CPU
+(at most one per chunk); otherwise they run in order in this process,
+since a smaller run loses more to the pool's start-up than it gains.
+Either way the chunks' arrays are joined in chunk order, so results
+depend on (measure, n, reps, seed, tracker order) and on nothing else:
+they are byte-identical for any CPU count and either choice.  To use
 fewer CPUs, restrict the process's affinity (for example with `taskset`).
 """
 
@@ -39,6 +50,15 @@ from .sim import (CoalescentPath, MergerSizeSampler, _check_seed,
                   as_rate_functions)
 
 CHUNK_SIZE = 1024
+# A run of two or more chunks pools them from this much work on,
+# counted as replications times n.  Below it the pool's fixed cost (fork,
+# worker start-up, sending the arrays back) outweighs the CPUs it adds.
+# Measured pooled against in order on a 2-vCPU Xeon VM, with one
+# TopLengthsTracker(3) and 2048 replications: kingman at n = 200 takes
+# 0.035 s against 0.020 s, at n = 1000 0.058 s against 0.093 s;
+# Bolthausen-Sznitman at n = 200 0.029 s against 0.020 s, at n = 1000
+# 0.045 s against 0.064 s.
+POOL_MIN_WORK = 2_000_000
 
 
 class ChunkTracker:
@@ -47,12 +67,18 @@ class ChunkTracker:
     arrays (first axis = replication) from result().  A tracker that
     reads the singleton count sets `needs_singletons`: then y_before and
     dy are arrays aligned with rows, else None.  A tracker that draws
-    keeps the chunk's rng from begin() and draws in observe().
+    keeps the chunk's rng from begin() and draws in observe().  A tracker
+    that reads nothing more of a lane after some jump overrides done();
+    when every tracker of a run does, the loop asks them after each jump
+    and retires the lanes they are all done with.  The default is never
+    done, and a run with such a tracker never asks.
 
     `run_ensemble` builds one tracker per chunk by calling its factory,
-    and a chunk may run in a forked worker process: there the factory's
-    and the tracker's side effects stay in the worker, and only the
-    arrays of result() come back."""
+    and a chunk may run in a forked worker process (when the run pools:
+    two or more chunks, replications times n at least POOL_MIN_WORK, two
+    or more usable CPUs): there the factory's and the tracker's side
+    effects stay in the worker, and only the arrays of result() come
+    back."""
 
     needs_singletons = False
 
@@ -65,6 +91,11 @@ class ChunkTracker:
         merger size K, singletons absorbed dY, and the jump's holding
         interval [t_old, t_new)."""
         raise NotImplementedError
+
+    def done(self, rows) -> np.ndarray:
+        """One bool per live lane `rows`, after observe() has seen the
+        jump: True once this tracker reads nothing more of the lane."""
+        return np.zeros(rows.size, dtype=bool)
 
     def result(self) -> dict[str, np.ndarray]:
         raise NotImplementedError
@@ -87,8 +118,9 @@ class MarkedLeafTracker(ChunkTracker):
     """
 
     def __init__(self, k: int = 1, name: str = "marked_lengths"):
-        if k < 1:
-            raise ValueError("need at least one marked leaf")
+        if not _is_integer(k) or k < 1:
+            raise ValueError(f"need an integer of at least one marked "
+                             f"leaf, got {k!r}")
         self.k = k
         self.name = name
 
@@ -123,6 +155,9 @@ class MarkedLeafTracker(ChunkTracker):
                 num = num - hit[j]
         return hit
 
+    def done(self, rows):
+        return ~self.alive[rows].any(1)
+
     def result(self):
         return {self.name: self.lengths}
 
@@ -136,8 +171,8 @@ class TopLengthsTracker(ChunkTracker):
     needs_singletons = True
 
     def __init__(self, ell: int, name: str = "top_lengths"):
-        if ell < 1:
-            raise ValueError("ell must be positive")
+        if not _is_integer(ell) or ell < 1:
+            raise ValueError(f"ell must be a positive integer, got {ell!r}")
         self.ell = ell
         self.name = name
 
@@ -169,6 +204,8 @@ class _HeldAtTimesTracker(ChunkTracker):
 
     def __init__(self, times, name: str):
         self.times = np.asarray(times, dtype=float)
+        if np.isnan(self.times).any():
+            raise ValueError("times must not be NaN")
         self.name = name
 
     def _start(self, size: int, initial: np.ndarray) -> None:
@@ -232,8 +269,8 @@ class LevelCrossingTracker(ChunkTracker):
     time of each path."""
 
     def __init__(self, r_level: float, name: str = "crossing"):
-        if r_level < 1:
-            raise ValueError("r_level must be >= 1")
+        if not r_level >= 1:     # also rejects NaN
+            raise ValueError(f"r_level must be >= 1, got {r_level!r}")
         self.r_level = r_level
         self.name = name
 
@@ -241,10 +278,10 @@ class LevelCrossingTracker(ChunkTracker):
         self.inv_sum = np.zeros(size)
         self.time = np.zeros(size)
         self.jumps = np.zeros(size, dtype=np.int64)
-        self.done = np.full(size, n <= self.r_level)
+        self.crossed = np.full(size, n <= self.r_level)
 
     def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
-        act = ~self.done[rows]
+        act = ~self.crossed[rows]
         if not act.any():
             return
         sub = rows[act]
@@ -252,7 +289,10 @@ class LevelCrossingTracker(ChunkTracker):
         self.jumps[sub] += 1
         hit = (x_before[act] - k[act] + 1) <= self.r_level
         self.time[sub[hit]] = t_new[act][hit]
-        self.done[sub[hit]] = True
+        self.crossed[sub[hit]] = True
+
+    def done(self, rows):
+        return self.crossed[rows]
 
     def result(self):
         return {f"{self.name}_inv_sum": self.inv_sum,
@@ -305,8 +345,11 @@ def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, seed: int,
     for tr in trackers:
         tr.begin(size, n, rng)
     needs_dy = any(tr.needs_singletons for tr in trackers)
+    retiring = all(type(tr).done is not ChunkTracker.done
+                   for tr in trackers)
     # State of the live lanes only, aligned with `rows`; lanes that reach
-    # one block are dropped from all of it at once.
+    # one block, or that every tracker is done with, are dropped from all
+    # of it at once.
     rows = np.arange(size)
     x = np.full(size, n, dtype=np.int64)
     y = np.full(size, n, dtype=np.int64) if needs_dy else None
@@ -324,6 +367,8 @@ def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, seed: int,
         if needs_dy:
             y = y - dy
         live = x > 1
+        if retiring:
+            live &= ~np.logical_and.reduce([tr.done(rows) for tr in trackers])
         if not live.all():
             rows, x, t = rows[live], x[live], t[live]
             if needs_dy:
@@ -388,13 +433,15 @@ def run_ensemble(rates, n: int, reps: int, seed: int,
         raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
     seed = _check_seed(seed)
     factories = tuple(tracker_factories)
+    if not factories:
+        raise ValueError("need at least one tracker factory")
     sampler = MergerSizeSampler(as_rate_functions(rates), n)
     sizes = [CHUNK_SIZE] * (reps // CHUNK_SIZE)
     if reps % CHUNK_SIZE:
         sizes.append(reps % CHUNK_SIZE)
     workers = min(len(sizes), _usable_cpus())
     parts = None
-    if workers > 1:
+    if workers > 1 and int(reps) * int(n) >= POOL_MIN_WORK:
         parts = _run_pooled((sampler, n, sizes, seed, factories), workers)
     if parts is None:
         parts = [_run_chunk(sampler, n, size, seed, ci, factories)

@@ -227,8 +227,22 @@ def _trend_grid(grid) -> list[int]:
     return out
 
 
-def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+def _grid(positive: bool = False, allow_empty: bool = False):
+    """Converter to a 1-D float array of finite values, each > 0 when
+    `positive` and >= 0 otherwise, nonempty unless `allow_empty`: a NaN
+    compares false everywhere and an empty grid scores nothing, so
+    neither may pass unnoticed."""
+    bound = "> 0" if positive else ">= 0"
+
+    def convert(value) -> np.ndarray:
+        out = np.asarray(value, dtype=float)
+        if out.ndim != 1 or not (out.size or allow_empty):
+            raise ValueError("must be a nonempty list of numbers")
+        if not np.all(np.isfinite(out) & ((out > 0) if positive
+                                          else (out >= 0))):
+            raise ValueError(f"each value must be finite and {bound}")
+        return out
+    return convert
 
 
 def known_rv_exponent(measure: LambdaMeasure) -> float | None:
@@ -390,11 +404,11 @@ def run_typical_length(cfg: ExperimentConfig, rates: RateFunctions):
     else:
         raise ConfigError(f"unknown scale rule {scale_rule!r}; "
                           "use mu_over_n or log_n")
+    t_grid = _param(cfg, "t_grid", _ENVELOPE_GRID, _grid())
     out = run_ensemble(rates, cfg.n, cfg.replications, cfg.seed,
                        [lambda: MarkedLeafTracker(1)])
     scaled = out["marked_lengths"][:, 0] * scale
     ks = ks_statistic(scaled, lambda x: limits.typical_cdf(alpha, x))
-    t_grid = _param(cfg, "t_grid", _ENVELOPE_GRID, tuple)
     stats = [
         _bounded("ks_vs_limit", ks, cfg.tolerance("ks", 0.05)),
         _bounded("envelope_gap", _envelope_gap(scaled, t_grid),
@@ -404,7 +418,7 @@ def run_typical_length(cfg: ExperimentConfig, rates: RateFunctions):
     ]
     resolved = {"alpha": alpha, "alpha_source": alpha_src,
                 "scale": float(scale), "scale_rule": scale_rule,
-                "t_grid": list(t_grid)}
+                "t_grid": t_grid.tolist()}
     return stats, resolved, {"scaled_length": _decimated_ecdf(scaled)}
 
 
@@ -517,7 +531,7 @@ def run_order_statistics(cfg: ExperimentConfig, rates: RateFunctions):
     alpha = min(alpha, 2.0)
     s_n = rates.s_at(cfg.n)
     kappa = rates.rate_of_decrease(s_n) / s_n
-    x_grid = _param(cfg, "x_grid", (1.0,), _float_array)
+    x_grid = _param(cfg, "x_grid", (1.0,), _grid(positive=True))
     out = run_ensemble(
         rates, cfg.n, cfg.replications, cfg.seed,
         [lambda: TopLengthsTracker(ell),
@@ -583,7 +597,9 @@ def run_bs_extremes(cfg: ExperimentConfig, rates: RateFunctions):
                                   cfg.tolerance("trend_rise", 0.02)))
 
     if "t_grid" in cfg.params or cfg.theorem == "L9.2":
-        t_grid = _param(cfg, "t_grid", (0.25, 0.5, 1.0), _float_array)
+        # an empty grid is how a c-branch run skips the moments
+        t_grid = _param(cfg, "t_grid", (0.25, 0.5, 1.0),
+                        _grid(allow_empty=True))
         r = _param(cfg, "r", 1, _count(1))
         out = run_ensemble(rates, cfg.n, cfg.replications, moment_seed,
                            [lambda: BlockCountAtTimesTracker(t_grid)])

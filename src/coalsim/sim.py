@@ -24,6 +24,11 @@ so a (measure, n, seed) triple pins the path bit for bit:
 4. each tracker's own draws, in tracker order (`MarkedLeafTracker`: one
    uniform per mark and live lane).
 
+A lane is live until it reaches one block or, in a run whose trackers
+can all finish with a lane, until every tracker is done with it (a
+tagged-leaf run: once the lane's marks are absorbed).  A retired lane
+draws nothing in any of the four steps.
+
 The labeled simulator here is an independent oracle that tracks partitions.
 """
 

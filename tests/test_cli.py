@@ -66,6 +66,9 @@ _EXPERIMENT = ("experiment", "--measure", "kingman", "--theorem", "T1.1",
     ("limits", "--family", "frechet", "--alpha", "1.5", "--x", "0"),
     _EXPERIMENT + ("--tol", "ks=abc"),
     _EXPERIMENT + ("--tol", "ks=null"),
+    _EXPERIMENT + ("--param", "t_grid=[0.5, NaN]"),
+    ("experiment", "--measure", "kingman", "--theorem", "T1.5", "--n", "100",
+     "--reps", "100", "--param", "x_grid=[]"),
 ])
 def test_library_value_errors_are_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -143,8 +143,35 @@ def test_seeds_differing_in_low_bits_draw_different_streams():
 
 
 def three_chunk_run():
-    return run_ensemble(BS, 40, 3 * CHUNK_SIZE - 5, 2718,
-                        [lambda: TopLengthsTracker(2)])["top_lengths"]
+    """A run that draws dY and one whose lanes retire, each of three
+    chunks."""
+    reps = 3 * CHUNK_SIZE - 5
+    top = run_ensemble(BS, 40, reps, 2718,
+                       [lambda: TopLengthsTracker(2)])["top_lengths"]
+    marked = run_ensemble(BS, 40, reps, 2718,
+                          [lambda: MarkedLeafTracker(2)])["marked_lengths"]
+    return np.stack([top, marked])
+
+
+# What each _run_pooled call of this process returned: True for the
+# chunks' arrays, False for None (the run then went in order).  A forked
+# pool worker logs into its own copy.
+_POOLED = []
+
+
+def log_pooling(monkeypatch):
+    """Pool every run of two or more chunks, however small, and log each
+    _run_pooled call into _POOLED."""
+    real = ensemble._run_pooled
+
+    def spy(job, workers):
+        parts = real(job, workers)
+        _POOLED.append(parts is not None)
+        return parts
+
+    _POOLED.clear()
+    monkeypatch.setattr(ensemble, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(ensemble, "_run_pooled", spy)
 
 
 _PINNED_RUN = """
@@ -159,13 +186,14 @@ print(_usable_cpus())
 """
 
 
-def test_bytes_do_not_depend_on_cpu_count(tmp_path):
+def test_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
     # a child pinned to one CPU runs the chunks in order; this process
     # runs them on a fork pool when it may use two or more CPUs
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("CPU affinity is not available")
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork is not available")
+    log_pooling(monkeypatch)
     src = str(Path(coalsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     saved = tmp_path / "pinned.npy"
@@ -175,6 +203,8 @@ def test_bytes_do_not_depend_on_cpu_count(tmp_path):
                           check=True)
     assert proc.stdout.strip() == "1"
     assert np.load(saved).tobytes() == three_chunk_run().tobytes()
+    # on one CPU (as the child is) a run never tries the pool
+    assert _POOLED == ([True, True] if ensemble._usable_cpus() > 1 else [])
 
 
 def _two_chunk_absorption(seed):
@@ -182,13 +212,33 @@ def _two_chunk_absorption(seed):
                         [absorption])["absorption_time"]
 
 
-def test_run_inside_a_pool_worker_runs_in_order():
+def _logged_two_chunk_absorption(seed):
+    return _two_chunk_absorption(seed), list(_POOLED)
+
+
+def test_run_inside_a_pool_worker_runs_in_order(monkeypatch):
     # a pool's workers are daemons, which may not start a pool of their own
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork is not available")
+    log_pooling(monkeypatch)
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        inside = pool.map(_two_chunk_absorption, [5])[0]
+        inside, worker_log = pool.map(_logged_two_chunk_absorption, [5])[0]
     assert inside.tobytes() == _two_chunk_absorption(5).tobytes()
+    if ensemble._usable_cpus() > 1:
+        assert worker_log == [False]
+        assert _POOLED == [True]
+
+
+def test_small_runs_stay_in_order(monkeypatch):
+    # below POOL_MIN_WORK (replications times n) no pool is started
+    def refuse(job, workers):
+        raise AssertionError("pooled")
+
+    monkeypatch.setattr(ensemble, "_run_pooled", refuse)
+    reps = ensemble.POOL_MIN_WORK // 100 - 1
+    assert reps > CHUNK_SIZE
+    out = run_ensemble(kingman(), 100, reps, 5, [absorption])
+    assert out["absorption_time"].shape == (reps,)
 
 
 def test_absorption_time_mean_kingman():
@@ -263,7 +313,30 @@ class ForgetsTaken(MarkedLeafTracker):
         return hit
 
 
-@pytest.mark.parametrize("defect", [AbsorbsKMinusOne, ForgetsTaken])
+class RetiresOneJumpEarly(MarkedLeafTracker):
+    """Seeded defect: also done with a lane once it is down to two blocks,
+    one jump early for the marks still alive, which the last merger would
+    take."""
+
+    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
+        super().observe(rows, x_before, y_before, k, dy, t_old, t_new)
+        self.at_two = np.zeros(self.alive.shape[0], dtype=bool)
+        self.at_two[rows] = x_before - k + 1 == 2
+
+    def done(self, rows):
+        return super().done(rows) | self.at_two[rows]
+
+
+class RetiresAtFirstMark(MarkedLeafTracker):
+    """Seeded defect: done with a lane once any one of its marks is
+    absorbed, while a second may still be alive."""
+
+    def done(self, rows):
+        return ~self.alive[rows].all(1)
+
+
+@pytest.mark.parametrize("defect", [AbsorbsKMinusOne, ForgetsTaken,
+                                    RetiresOneJumpEarly, RetiresAtFirstMark])
 def test_mean_check_catches_seeded_defects(defect):
     # the exact-mean check for two marks of beta:0.5,1.5 at n = 10 and
     # 2**15 reps: ForgetsTaken errs only at jumps that take both marks,
@@ -275,6 +348,64 @@ def test_mean_check_catches_seeded_defects(defect):
     assert np.all(np.abs(real) <= 4.5), real
     broken = tagged_mean_z(defect, "beta:0.5,1.5", exact, 2, n, reps)
     assert np.any(np.abs(broken) > 4.5), broken
+
+
+class CountsObserves(MarkedLeafTracker):
+    """Counts the observe calls that include each lane, and notes the
+    count at the jump that absorbs the lane's mark."""
+
+    def begin(self, size, n, rng):
+        super().begin(size, n, rng)
+        self.calls = np.zeros(size, dtype=np.int64)
+        self.absorbed_at = np.zeros(size, dtype=np.int64)
+
+    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
+        self.calls[rows] += 1
+        before = self.alive[rows, 0]
+        super().observe(rows, x_before, y_before, k, dy, t_old, t_new)
+        went = rows[before & ~self.alive[rows, 0]]
+        self.absorbed_at[went] = self.calls[went]
+
+    def result(self):
+        return {**super().result(), "calls": self.calls,
+                "absorbed_at": self.absorbed_at}
+
+
+@pytest.mark.parametrize("measure", [kingman(), BS, MIXED])
+def test_lane_retires_at_the_jump_that_absorbs_its_mark(measure):
+    # the jumps up to the absorbing one reach the tracker, and no more
+    out = run_ensemble(measure, 300, 256, 41, [lambda: CountsObserves(1)])
+    assert np.all(out["absorbed_at"] >= 1)
+    np.testing.assert_array_equal(out["calls"], out["absorbed_at"])
+
+
+class CountsCrossingObserves(LevelCrossingTracker):
+    """Counts the observe calls that include each lane."""
+
+    def begin(self, size, n, rng):
+        super().begin(size, n, rng)
+        self.calls = np.zeros(size, dtype=np.int64)
+
+    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
+        self.calls[rows] += 1
+        super().observe(rows, x_before, y_before, k, dy, t_old, t_new)
+
+    def result(self):
+        return {**super().result(), "calls": self.calls}
+
+
+def test_lane_retires_at_the_jump_that_crosses_its_level():
+    out = run_ensemble(BS, 300, 256, 41,
+                       [lambda: CountsCrossingObserves(20)])
+    assert np.all(out["crossing_jumps"] >= 1)
+    np.testing.assert_array_equal(out["calls"], out["crossing_jumps"])
+
+
+def test_lane_runs_on_until_every_tracker_is_done():
+    # the mark is absorbed early, the level-1 crossing only at the end
+    out = run_ensemble(kingman(), 50, 256, 8, [MarkedLeafTracker, absorption])
+    assert np.all(out["absorption_jumps"] == 49)
+    assert np.all(out["marked_lengths"][:, 0] <= out["absorption_time"])
 
 
 def test_marked_leaves_alone_draw_no_singleton_loss(monkeypatch):
@@ -314,14 +445,23 @@ def test_validation():
     out = run_ensemble(BS, np.int64(10), np.int32(3), np.uint64(1),
                        [absorption])
     assert out["absorption_jumps"].shape == (3,)
+    # no tracker: nothing to simulate for
     with pytest.raises(ValueError):
-        MarkedLeafTracker(k=0)
-    with pytest.raises(ValueError):
-        TopLengthsTracker(0)
+        run_ensemble(BS, 10, 10, 1, [])
+    # bad tracker arguments raise at construction, never in a worker
+    for k in (0, True, 1.0, 2.5):
+        with pytest.raises(ValueError):
+            MarkedLeafTracker(k=k)
+        with pytest.raises(ValueError):
+            TopLengthsTracker(k)
     with pytest.raises(ValueError):
         BlockCountAtTimesTracker([-1.0])
-    with pytest.raises(ValueError):
-        LevelCrossingTracker(0.5)
+    for level in (0.5, np.nan):
+        with pytest.raises(ValueError):
+            LevelCrossingTracker(level)
+    for tracker in (ThresholdCountTracker, BlockCountAtTimesTracker):
+        with pytest.raises(ValueError):
+            tracker([0.5, np.nan])
     with pytest.raises(ValueError):
         # more marks than leaves surfaces at begin time
         run_ensemble(BS, 4, 8, 1, [lambda: MarkedLeafTracker(k=5)])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from coalsim import ensemble
+from coalsim import ensemble, experiments
 from coalsim.experiments import (CATALOG, ConfigError, ExperimentConfig,
                                  ExperimentReport, RegimeError, Statistic,
                                  _RUNNERS, _decimated_ecdf,
@@ -412,6 +412,30 @@ def test_misspelt_key_is_rejected():
     with pytest.raises(ValueError):      # a parameter of another runner
         run_experiment(ExperimentConfig("kingman", "T1.1", **base,
                                         params={"k": 2}))
+
+
+@pytest.mark.parametrize("tag, key, grid", [
+    ("T1.1", "t_grid", [0.5, math.nan]),
+    ("T1.1", "t_grid", []),
+    ("T1.1", "t_grid", [-1.0]),
+    ("T1.5", "x_grid", [1.0, math.nan]),
+    ("T1.5", "x_grid", []),
+    ("T1.5", "x_grid", [0.0]),
+    ("L9.2", "t_grid", [0.5, math.nan]),
+    ("L9.2", "t_grid", [math.inf]),
+])
+def test_unusable_grids_are_rejected_before_simulating(monkeypatch, tag,
+                                                       key, grid):
+    # a NaN compares false everywhere: T1.1's envelope gap read 0.0 and
+    # passed, T1.5 and L9.2 reported NaN statistics
+    def refuse(*args):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(experiments, "run_ensemble", refuse)
+    measure = "bolthausen-sznitman" if tag == "L9.2" else "kingman"
+    with pytest.raises(ConfigError, match=key):
+        run_experiment(ExperimentConfig(measure, tag, 100, 100,
+                                        params={key: grid}))
 
 
 class _ReadLog(dict):
