@@ -26,17 +26,23 @@ one-replication runs with a recorder.
 
 Reproducibility contract: replications are split into chunks of
 CHUNK_SIZE, and chunk i runs on its own Philox stream, keyed by the two
-key words (seed, i).  Chunk 0's key is the one `Philox(key=seed)` takes,
-so a run of at most CHUNK_SIZE replications draws what a single stream
+key words (seed, i).  One rule splits a wide one-chunk run: a run of
+more than CHUNK_SIZE // 2 and at most CHUNK_SIZE replications whose
+replications times n reach SPLIT_MIN_WORK runs as two chunks, ceil(reps/2)
+lanes on key (seed, 0) and floor(reps/2) on key (seed, 1), so that it can
+pool.  Chunk 0's key is the one `Philox(key=seed)` takes, so a run of at
+most CHUNK_SIZE replications below that rule draws what a single stream
 under `seed` draws.  When a run has two or more chunks, its replications
 times n reach POOL_MIN_WORK, and the process may use two or more CPUs,
 the chunks run in a pool of forked worker processes, one per usable CPU
 (at most one per chunk); otherwise they run in order in this process,
-since a smaller run loses more to the pool's start-up than it gains.
-Either way the chunks' arrays are joined in chunk order, so results
-depend on (measure, n, reps, seed, tracker order) and on nothing else:
-they are byte-identical for any CPU count and either choice.  To use
-fewer CPUs, restrict the process's affinity (for example with `taskset`).
+since a smaller run loses more to the pool's start-up than it gains.  A
+run with a tracker that is not `poolable` (PathRecorder) neither splits
+nor pools.  Either way the chunks' arrays are joined in chunk order, so
+results depend on (measure, n, reps, seed, trackers) and on nothing
+else: the split reads only n, reps and the trackers' class, and results
+are byte-identical for any CPU count and either choice.  To use fewer
+CPUs, restrict the process's affinity (for example with `taskset`).
 """
 
 from __future__ import annotations
@@ -59,6 +65,23 @@ CHUNK_SIZE = 1024
 # Bolthausen-Sznitman at n = 200 0.029 s against 0.020 s, at n = 1000
 # 0.045 s against 0.064 s.
 POOL_MIN_WORK = 2_000_000
+# A run of more than CHUNK_SIZE // 2 and at most CHUNK_SIZE replications
+# runs as two chunks, of ceil(reps/2) and floor(reps/2) lanes, from this
+# much work on (replications times n), so that a second CPU takes half
+# of it.  Measured one chunk against two pooled halves on a 2-vCPU Xeon
+# VM, 1000 replications, medians of 4 to 6 alternated runs: the cheapest
+# lane step, Bolthausen-Sznitman with BlockCountAtTimesTracker alone,
+# takes 0.148 s against 0.175 s at n = 2e4 and 0.48 against 0.42 s at
+# n = 5e4; Bolthausen-Sznitman with TopLengthsTracker(1) 0.44 against
+# 0.51 s and 0.40 against 0.35 s in two series at n = 1e4, 1.74 against
+# 1.36 s at n = 5e4 and 2.50 against 2.15 s at n = 1e5; kingman with
+# TopLengthsTracker(3) and ThresholdCountTracker 3.46 against 3.08 s at
+# n = 5e4.  Each half pays the fixed cost of a lockstep step, so narrow
+# halves gain nothing: Bolthausen-Sznitman with TopLengthsTracker(1) at
+# n = 1e5 takes 2.26 s whole against 2.43 s split at 512 replications,
+# and 1.59 against 1.58 s at 256.  Runs of at most CHUNK_SIZE // 2
+# replications stay whole.
+SPLIT_MIN_WORK = 50_000_000
 
 
 class ChunkTracker:
@@ -78,9 +101,13 @@ class ChunkTracker:
     two or more chunks, replications times n at least POOL_MIN_WORK, two
     or more usable CPUs): there the factory's and the tracker's side
     effects stay in the worker, and only the arrays of result() come
-    back."""
+    back.  A tracker whose arrays cost more to send back than a second
+    CPU saves sets `poolable = False`; a run with such a tracker neither
+    splits nor pools.  `run_ensemble` calls each factory once more in
+    its own process to read these class attributes."""
 
     needs_singletons = False
+    poolable = True
 
     def begin(self, size: int, n: int, rng: np.random.Generator) -> None:
         raise NotImplementedError
@@ -177,6 +204,9 @@ class TopLengthsTracker(ChunkTracker):
         self.name = name
 
     def begin(self, size, n, rng):
+        if self.ell > n:
+            raise ValueError("cannot track more lengths than the sample "
+                             "has leaves")
         self.top = np.zeros((size, self.ell))
         self.slots = np.arange(self.ell)
 
@@ -307,9 +337,14 @@ class PathRecorder(ChunkTracker):
     A path makes at most n - 1 jumps, so each replication gets rows of
     that length, written jump by jump; the operating system commits
     memory only for the pages written, so memory grows with the jumps
-    actually made and is never copied at the end."""
+    actually made and is never copied at the end.
+
+    Not poolable: a worker would pickle every path's arrays back, and
+    kingman n = 1000 with 2048 replications takes 0.35 s pooled against
+    0.21 s in order on 2 vCPUs."""
 
     needs_singletons = True
+    poolable = False
 
     def __init__(self, name: str = "paths"):
         self.name = name
@@ -436,12 +471,19 @@ def run_ensemble(rates, n: int, reps: int, seed: int,
     if not factories:
         raise ValueError("need at least one tracker factory")
     sampler = MergerSizeSampler(as_rate_functions(rates), n)
-    sizes = [CHUNK_SIZE] * (reps // CHUNK_SIZE)
-    if reps % CHUNK_SIZE:
-        sizes.append(reps % CHUNK_SIZE)
+    # one tracker per factory, built here only to read its class
+    poolable = all(f().poolable for f in factories)
+    work = int(reps) * int(n)
+    if (poolable and CHUNK_SIZE // 2 < reps <= CHUNK_SIZE
+            and work >= SPLIT_MIN_WORK):
+        sizes = [(reps + 1) // 2, reps // 2]
+    else:
+        sizes = [CHUNK_SIZE] * (reps // CHUNK_SIZE)
+        if reps % CHUNK_SIZE:
+            sizes.append(reps % CHUNK_SIZE)
     workers = min(len(sizes), _usable_cpus())
     parts = None
-    if workers > 1 and int(reps) * int(n) >= POOL_MIN_WORK:
+    if poolable and workers > 1 and work >= POOL_MIN_WORK:
         parts = _run_pooled((sampler, n, sizes, seed, factories), workers)
     if parts is None:
         parts = [_run_chunk(sampler, n, size, seed, ci, factories)

@@ -219,12 +219,19 @@ def _count(low: int):
 
 
 def _trend_grid(grid) -> list[int]:
-    """Block counts >= 2, at most 100 of them: trend run i is seeded
+    """Block counts >= 2, one to 100 of them: trend run i is seeded
     seed + i, below the c branch's seed + 101."""
     out = [_count(2)(v) for v in grid]
-    if len(out) > 100:
-        raise ValueError("at most 100 trend sizes")
+    if not 1 <= len(out) <= 100:
+        raise ValueError("need one to 100 trend sizes")
     return out
+
+
+def _require_ell_at_most(ell: int, n: int) -> None:
+    """A sample of n leaves has n external lengths; asking for more than
+    that would score zero-filled slots."""
+    if ell > n:
+        raise ConfigError(f"ell={ell} exceeds the smallest sample size {n}")
 
 
 def _grid(positive: bool = False, allow_empty: bool = False):
@@ -524,6 +531,7 @@ def run_order_statistics(cfg: ExperimentConfig, rates: RateFunctions):
     mean/variance identity on an x-grid.  The distance between the two
     laws is reported as resolved["limit_gap"]."""
     ell = _param(cfg, "ell", 3, _count(1))
+    _require_ell_at_most(ell, cfg.n)
     alpha, alpha_src = _resolve_alpha(cfg, rates)
     if not alpha > 1.0:
         raise RegimeError(f"heavy-tail regime needs alpha > 1, "
@@ -579,6 +587,7 @@ def run_bs_extremes(cfg: ExperimentConfig, rates: RateFunctions):
     run_trend = "trend_grid" in cfg.params or cfg.theorem == "T1.6"
     if run_trend:
         trend_grid = _param(cfg, "trend_grid", (cfg.n,), _trend_grid)
+        _require_ell_at_most(ell, min(trend_grid))
         moment_seed += len(trend_grid)
         trend = []
         for i, n_i in enumerate(trend_grid):
@@ -597,13 +606,16 @@ def run_bs_extremes(cfg: ExperimentConfig, rates: RateFunctions):
                                   cfg.tolerance("trend_rise", 0.02)))
 
     if "t_grid" in cfg.params or cfg.theorem == "L9.2":
-        # an empty grid is how a c-branch run skips the moments
+        # an empty grid is how a c-branch run skips the moments, and
+        # their run; `resolved` keeps both keys all the same
         t_grid = _param(cfg, "t_grid", (0.25, 0.5, 1.0),
                         _grid(allow_empty=True))
         r = _param(cfg, "r", 1, _count(1))
-        out = run_ensemble(rates, cfg.n, cfg.replications, moment_seed,
-                           [lambda: BlockCountAtTimesTracker(t_grid)])
-        blocks = out["blocks_at"].astype(float)
+        if t_grid.size:
+            blocks = run_ensemble(
+                rates, cfg.n, cfg.replications, moment_seed,
+                [lambda: BlockCountAtTimesTracker(t_grid)]
+            )["blocks_at"].astype(float)
         for j, t in enumerate(t_grid):
             vals = np.ones(blocks.shape[0])
             for i in range(r):

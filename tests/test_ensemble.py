@@ -46,7 +46,7 @@ def check_singleton_trackers(measure):
     def run(thresholds):
         factories = [lambda: MarkedLeafTracker(k=n),
                      lambda: TopLengthsTracker(3),
-                     lambda: TopLengthsTracker(n + 3, name="top_all"),
+                     lambda: TopLengthsTracker(n, name="top_all"),
                      lambda: ThresholdCountTracker(thresholds),
                      absorption,
                      PathRecorder]
@@ -67,8 +67,7 @@ def check_singleton_trackers(measure):
         np.testing.assert_array_equal(
             np.sort(real["marked_lengths"][r])[::-1], lengths)
         np.testing.assert_array_equal(real["top_lengths"][r], lengths[:3])
-        np.testing.assert_array_equal(real["top_all"][r],
-                                      np.append(lengths, np.zeros(3)))
+        np.testing.assert_array_equal(real["top_all"][r], lengths)
         for c, thr in enumerate(thresholds):
             assert real["exceed_counts"][r, c] == np.sum(lengths > thr)
         assert real["absorption_time"][r] == path.absorption_time
@@ -112,6 +111,11 @@ def test_crossing_trivial_when_level_above_n():
     assert np.all(out["crossing_inv_sum"] == 0.0)
 
 
+def _chunk_draws(n, size, seed, chunk, factories):
+    sampler = MergerSizeSampler(rates_for(BS), n)
+    return _run_chunk(sampler, n, size, seed, chunk, factories)
+
+
 def test_chunks_concatenate_in_replication_order():
     n, reps, seed = 200, 2 * CHUNK_SIZE + 452, 31415
     factories = [lambda: MarkedLeafTracker(), absorption]
@@ -121,11 +125,10 @@ def test_chunks_concatenate_in_replication_order():
     for name in out:
         assert len(out[name]) == reps
     # chunk i is keyed by the Philox key words (seed, i)
-    sampler = MergerSizeSampler(rates_for(BS), n)
     for ci in range(3):
         lo = ci * CHUNK_SIZE
         size = min(CHUNK_SIZE, reps - lo)
-        alone = _run_chunk(sampler, n, size, seed, ci, factories)
+        alone = _chunk_draws(n, size, seed, ci, factories)
         for name in out:
             np.testing.assert_array_equal(out[name][lo:lo + size],
                                           alone[name])
@@ -144,13 +147,16 @@ def test_seeds_differing_in_low_bits_draw_different_streams():
 
 def three_chunk_run():
     """A run that draws dY and one whose lanes retire, each of three
-    chunks."""
+    chunks, and a one-chunk run split in two halves (with SPLIT_MIN_WORK
+    set to 0)."""
     reps = 3 * CHUNK_SIZE - 5
     top = run_ensemble(BS, 40, reps, 2718,
                        [lambda: TopLengthsTracker(2)])["top_lengths"]
     marked = run_ensemble(BS, 40, reps, 2718,
                           [lambda: MarkedLeafTracker(2)])["marked_lengths"]
-    return np.stack([top, marked])
+    split = run_ensemble(BS, 40, CHUNK_SIZE - 23, 2718,
+                         [lambda: TopLengthsTracker(2)])["top_lengths"]
+    return np.concatenate([top, marked, split])
 
 
 # What each _run_pooled call of this process returned: True for the
@@ -160,8 +166,9 @@ _POOLED = []
 
 
 def log_pooling(monkeypatch):
-    """Pool every run of two or more chunks, however small, and log each
-    _run_pooled call into _POOLED."""
+    """Pool every run of two or more chunks, however small, split every
+    run of more than CHUNK_SIZE // 2 and at most CHUNK_SIZE replications,
+    and log each _run_pooled call into _POOLED."""
     real = ensemble._run_pooled
 
     def spy(job, workers):
@@ -171,6 +178,7 @@ def log_pooling(monkeypatch):
 
     _POOLED.clear()
     monkeypatch.setattr(ensemble, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(ensemble, "SPLIT_MIN_WORK", 0)
     monkeypatch.setattr(ensemble, "_run_pooled", spy)
 
 
@@ -179,8 +187,10 @@ import os, sys
 import numpy as np
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 sys.path.insert(0, sys.argv[2])
+from coalsim import ensemble
 from coalsim.ensemble import _usable_cpus
 from test_ensemble import three_chunk_run
+ensemble.SPLIT_MIN_WORK = 0
 np.save(sys.argv[1], three_chunk_run())
 print(_usable_cpus())
 """
@@ -204,7 +214,7 @@ def test_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
     assert proc.stdout.strip() == "1"
     assert np.load(saved).tobytes() == three_chunk_run().tobytes()
     # on one CPU (as the child is) a run never tries the pool
-    assert _POOLED == ([True, True] if ensemble._usable_cpus() > 1 else [])
+    assert _POOLED == ([True] * 3 if ensemble._usable_cpus() > 1 else [])
 
 
 def _two_chunk_absorption(seed):
@@ -239,6 +249,54 @@ def test_small_runs_stay_in_order(monkeypatch):
     assert reps > CHUNK_SIZE
     out = run_ensemble(kingman(), 100, reps, 5, [absorption])
     assert out["absorption_time"].shape == (reps,)
+
+
+def test_wide_run_splits_into_two_keyed_halves(monkeypatch):
+    # from SPLIT_MIN_WORK on, ceil(reps/2) lanes on key (seed, 0) and
+    # floor(reps/2) on key (seed, 1)
+    n, reps, seed = 40, CHUNK_SIZE - 23, 99
+    monkeypatch.setattr(ensemble, "SPLIT_MIN_WORK", n * reps)
+    factories = [lambda: TopLengthsTracker(2), absorption]
+    out = run_ensemble(BS, n, reps, seed, factories)
+    halves = [_chunk_draws(n, (reps + 1) // 2, seed, 0, factories),
+              _chunk_draws(n, reps // 2, seed, 1, factories)]
+    assert set(out) == set(halves[0])
+    for name in out:
+        np.testing.assert_array_equal(
+            out[name], np.concatenate([h[name] for h in halves]))
+
+
+@pytest.mark.parametrize("reps, split_min_work", [
+    (CHUNK_SIZE // 2, 0),                 # too narrow to split
+    (CHUNK_SIZE, 40 * CHUNK_SIZE + 1),    # below the work threshold
+])
+def test_narrow_or_light_runs_stay_one_chunk(monkeypatch, reps,
+                                             split_min_work):
+    # such a run draws exactly chunk 0 of the same seed
+    monkeypatch.setattr(ensemble, "SPLIT_MIN_WORK", split_min_work)
+    factories = [lambda: TopLengthsTracker(2)]
+    out = run_ensemble(BS, 40, reps, 99, factories)
+    np.testing.assert_array_equal(
+        out["top_lengths"],
+        _chunk_draws(40, reps, 99, 0, factories)["top_lengths"])
+
+
+def test_path_recorder_runs_neither_split_nor_pool(monkeypatch):
+    def refuse(job, workers):
+        raise AssertionError("pooled")
+
+    monkeypatch.setattr(ensemble, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(ensemble, "SPLIT_MIN_WORK", 0)
+    monkeypatch.setattr(ensemble, "_run_pooled", refuse)
+    factories = [absorption, PathRecorder]
+    # two chunks, in order
+    out = run_ensemble(BS, 20, CHUNK_SIZE + 1, 7, factories)
+    assert out["paths"].shape == (CHUNK_SIZE + 1,)
+    # one chunk, not split: chunk 0 of the same seed
+    out = run_ensemble(BS, 20, CHUNK_SIZE, 7, factories)
+    alone = _chunk_draws(20, CHUNK_SIZE, 7, 0, factories)
+    np.testing.assert_array_equal(out["absorption_time"],
+                                  alone["absorption_time"])
 
 
 def test_absorption_time_mean_kingman():
@@ -462,6 +520,9 @@ def test_validation():
     for tracker in (ThresholdCountTracker, BlockCountAtTimesTracker):
         with pytest.raises(ValueError):
             tracker([0.5, np.nan])
-    with pytest.raises(ValueError):
-        # more marks than leaves surfaces at begin time
-        run_ensemble(BS, 4, 8, 1, [lambda: MarkedLeafTracker(k=5)])
+    # more marks or top lengths than leaves surface at begin time
+    for tracker in (MarkedLeafTracker, TopLengthsTracker):
+        with pytest.raises(ValueError):
+            run_ensemble(BS, 4, 8, 1, [lambda: tracker(5)])
+        out = run_ensemble(BS, 4, 8, 1, [lambda: tracker(4)])
+        assert all(arr.shape == (8, 4) for arr in out.values())

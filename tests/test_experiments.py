@@ -348,13 +348,24 @@ def test_run_bs_extremes_trend_and_moments():
     assert moments.verdict == "PASS"
 
 
-def test_run_bs_extremes_c_branch():
+def test_run_bs_extremes_c_branch(monkeypatch):
+    # an empty t_grid skips the moment run: the c branch is the only one
+    calls = []
+    real = experiments.run_ensemble
+
+    def counting(rates, n, reps, seed, factories):
+        calls.append((n, reps, seed))
+        return real(rates, n, reps, seed, factories)
+
+    monkeypatch.setattr(experiments, "run_ensemble", counting)
     cfg = ExperimentConfig("bolthausen-sznitman", "L9.2", 150, 500,
-                           params={"t_grid": (), "c": 1.0, "c_reps": 500},
+                           params={"t_grid": (), "c": 1.0, "c_reps": 400},
                            tolerances={"c_mean": 0.5})
     rep = run_experiment(cfg)
-    assert "scaled_count_mean" in stat_names(rep)
+    assert calls == [(150, 400, cfg.seed + 101)]
+    assert stat_names(rep) == ["scaled_count_mean"]
     res = rep.config["resolved"]
+    assert res["t_grid"] == [] and res["r"] == 1
     assert res["c"] == 1.0 and res["c_n"] == 150
     assert res["t_c"] > 0.0
 
@@ -481,6 +492,30 @@ _ALL_KEYS = {
                           "variance_paths": 3},
                          {"moment_z": 100.0, "var_slack": 1.0}),
 }
+
+
+@pytest.mark.parametrize("tag, n, params", [
+    ("T1.5", 3, {"ell": 5}),
+    ("T1.6", 3, {"ell": 7}),
+    ("T1.6", 100, {"ell": 20, "trend_grid": [50, 10]}),
+])
+def test_ell_above_the_sample_is_rejected_before_simulating(monkeypatch, tag,
+                                                           n, params):
+    # a sample of n leaves has n external lengths: the slots beyond them
+    # held zeros, and T1.6 at n = 3 with ell = 7 reported PASS
+    def refuse(*args):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(experiments, "run_ensemble", refuse)
+    measure = "bolthausen-sznitman" if tag == "T1.6" else "kingman"
+    with pytest.raises(ConfigError, match="ell"):
+        run_experiment(ExperimentConfig(measure, tag, n, 100, params=params))
+
+
+def test_empty_trend_grid_is_rejected():
+    with pytest.raises(ConfigError, match="trend_grid"):
+        run_experiment(ExperimentConfig("bolthausen-sznitman", "T1.6", 100,
+                                        100, params={"trend_grid": []}))
 
 
 @pytest.mark.parametrize("tag", sorted(CATALOG))
