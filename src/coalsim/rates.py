@@ -14,11 +14,11 @@ with integrand x(x-1)/2 at p = 0.  mu is increasing and convex with
 mu(1) = 0, which makes the scale sequence s(n) solving mu(s) = mu(n)/n
 well defined for any nontrivial measure.
 
-Everything here has two evaluation paths: exact expressions for recognized
-components (point masses, power-beta densities, the uniform density via
-digamma) and kernel quadrature for the rest.  The test suite compares the
-two, through a custom density of the same power-beta formula, and both
-against direct sums over k.
+Everything here has two evaluation paths: exact expressions for point masses
+and every power-beta density (digamma limits at a = 1, the uniform density
+among them, and at a = 2), and kernel quadrature for custom densities.  The
+test suite compares the two, through a custom density of the same
+power-beta formula, and both against direct sums over k.
 """
 
 from __future__ import annotations
@@ -127,15 +127,6 @@ def _beta_continued(u, v):
 def _log_binom(b, k):
     return (special.gammaln(b + 1.0) - special.gammaln(k + 1.0)
             - special.gammaln(b - k + 1.0))
-
-
-def _powerbeta_weights(dens: PowerBetaDensity, b: float) -> np.ndarray:
-    """C(b,k) B(a+k-2, bp+b-k), k = 2..b, for a power-beta density with
-    exponents (a, bp): its merger-size weights C(b,k) lam(b,k) over c."""
-    ks = np.arange(2.0, b + 1.0)
-    return np.exp(_log_binom(b, ks) + special.gammaln(dens.a + ks - 2.0)
-                  + special.gammaln(dens.b + b - ks)
-                  - special.gammaln(dens.a + dens.b + b - 2.0))
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
@@ -292,16 +283,17 @@ class RateFunctions:
 
     def _powerbeta_total_rate(self, dens: PowerBetaDensity, arr: np.ndarray):
         c, a, bp = dens.c, dens.a, dens.b
-        if a == 1.0 and bp == 1.0:
-            return c * (arr - 1.0)
-        if a not in (1.0, 2.0):
-            return c * (_beta_continued(a - 2.0, bp)
-                        - _beta_continued(a - 2.0, bp + arr)
-                        - arr * _beta_continued(a - 1.0, bp + arr - 1.0))
-        # a in {1, 2} with bp != 1: continuation hits a gamma pole; sum the
-        # closed per-k terms instead (O(b), exact).
-        return np.array([c * _powerbeta_weights(dens, bi).sum()
-                         for bi in arr])
+        # lam(b) = c [B(a-2,bp) - B(a-2,bp+b) - b B(a-1,bp+b-1)]; at a = 1
+        # and a = 2 the poles of Gamma cancel to the digamma limits
+        if a == 1.0:
+            psi = special.digamma(bp) - special.digamma(bp + arr - 1.0)
+            return c * (arr - 1.0 + (bp - 1.0) * psi)
+        if a == 2.0:
+            return c * (special.digamma(bp + arr) - special.digamma(bp)
+                        - arr / (bp + arr - 1.0))
+        return c * (_beta_continued(a - 2.0, bp)
+                    - _beta_continued(a - 2.0, bp + arr)
+                    - arr * _beta_continued(a - 1.0, bp + arr - 1.0))
 
     def merger_size_weights(self, b: int) -> np.ndarray:
         """Unnormalized P(K = k) weights C(b,k) lam(b,k) for k = 2..b."""
@@ -320,7 +312,11 @@ class RateFunctions:
                             + (b - ks) * math.log1p(-p))
         for dens in self.measure.densities:
             if isinstance(dens, PowerBetaDensity):
-                w += dens.c * _powerbeta_weights(dens, float(b))
+                # c C(b,k) B(a+k-2, bp+b-k) for exponents (a, bp)
+                a, bp = dens.a, dens.b
+                w += dens.c * np.exp(logc + special.gammaln(a + ks - 2.0)
+                                     + special.gammaln(bp + b - ks)
+                                     - special.gammaln(a + bp + b - 2.0))
             else:
                 w += np.array([
                     math.exp(_log_binom(float(b), float(k)))
@@ -370,29 +366,33 @@ class RateFunctions:
             out += m * np.array([float(kernel(np.array([p]), xi)[0])
                                  for xi in arr])
         for dens in self.measure.densities:
-            if (isinstance(dens, PowerBetaDensity)
-                    and self._has_mu_closed_form(dens)):
+            if isinstance(dens, PowerBetaDensity):
                 out += self._powerbeta_mu(dens, arr, order)
             else:
                 out += np.array([self._mu_quad(dens, xi, order) for xi in arr])
         return out
 
-    @staticmethod
-    def _has_mu_closed_form(dens: PowerBetaDensity) -> bool:
-        return (dens.a == 1.0 and dens.b == 1.0) or dens.a not in (1.0, 2.0)
-
     def _powerbeta_mu(self, dens: PowerBetaDensity, arr: np.ndarray,
                       order: int) -> np.ndarray:
         c, a, bp = dens.c, dens.a, dens.b
-        if a == 1.0 and bp == 1.0:
-            # uniform density: mu(x) = x (psi(x+1) + gamma - 1)
+        if a == 1.0:
+            # digamma limits at the poles of Gamma, y = x + (bp - 1); bp = 1
+            # is the uniform density, mu(x) = x (psi(x+1) + gamma - 1)
+            y = arr + (bp - 1.0)
+            if order == 2:
+                return c * (2.0 * special.polygamma(1, y + 1.0)
+                            + y * special.polygamma(2, y + 1.0))
+            d = special.digamma(y + 1.0) - special.digamma(bp) - 1.0
             if order == 0:
-                return c * arr * (special.digamma(arr + 1.0) + EULER_GAMMA - 1.0)
+                return c * y * d + c * (bp - 1.0)
+            return c * (d + y * special.polygamma(1, y + 1.0))
+        if a == 2.0:
+            if order == 0:
+                return c * (arr / bp + special.digamma(bp)
+                            - special.digamma(bp + arr))
             if order == 1:
-                return c * (special.digamma(arr + 1.0) + EULER_GAMMA - 1.0
-                            + arr * special.polygamma(1, arr + 1.0))
-            return c * (2.0 * special.polygamma(1, arr + 1.0)
-                        + arr * special.polygamma(2, arr + 1.0))
+                return c * (1.0 / bp - special.polygamma(1, bp + arr))
+            return -c * special.polygamma(2, bp + arr)
         # mu(x) = c [x B(a-1,bp) - B(a-2,bp) + B(a-2,bp+x)], continued Betas
         tail = _beta_continued(a - 2.0, bp + arr)
         if order == 0:

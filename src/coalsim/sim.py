@@ -100,8 +100,8 @@ class MergerSizeSampler:
     * ``atom`` (interior atom): a short ratio walk up the binomial pmf;
     * ``uniform`` (power-beta a = b = 1, Bolthausen-Sznitman): exact
       inverse CDF;
-    * ``powerbeta`` (power-beta with b > 1, a < 2, a != 1, which covers
-      the Beta(2-alpha, alpha) coalescents, or b = 1, a not in {1, 2}):
+    * ``powerbeta`` (power-beta with b > 1 and a < 2, which covers the
+      Beta(2-alpha, alpha) coalescents, or b = 1 and any other a):
       C(B,k) lam(B,k) = const(B) g(k) h(B-k) with g(k) = Gamma(a+k-2)/k!
       and h(j) = Gamma(b+j)/j!.  K is proposed from g truncated at B by one
       global prefix table and accepted with probability h(B-K)/h(B-2),
@@ -112,9 +112,9 @@ class MergerSizeSampler:
       otherwise lam(B) comes from the closed-form total rate.
 
     Several components join as e.g. ``kingman+powerbeta``.  Anything else
-    (power-beta with b < 1, a >= 2 and b != 1, a = 1 and b != 1, or custom
-    densities) is ``grouped``: lanes are grouped by unique B and invert the
-    exact cached probability vector.
+    (power-beta with b < 1 or with a >= 2 and b > 1, or custom densities)
+    is ``grouped``: lanes are grouped by unique B and invert the exact
+    cached probability vector.
     Same law, far slower for large n.
     """
 
@@ -134,8 +134,7 @@ class MergerSizeSampler:
                 self._fast = False
             elif dens.a == 1.0 and dens.b == 1.0:
                 self._components.append(("uniform", dens.c))
-            elif (dens.b == 1.0 and dens.a not in (1.0, 2.0)) or \
-                    (dens.b > 1.0 and dens.a < 2.0 and dens.a != 1.0):
+            elif dens.b == 1.0 or (dens.b > 1.0 and dens.a < 2.0):
                 self._components.append(self._powerbeta_component(dens))
             else:
                 self._fast = False

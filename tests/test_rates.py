@@ -8,14 +8,16 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import optimize, special
 
 import coalsim
 from coalsim import rates as rates_module
-from coalsim.measure import (CustomDensity, LambdaMeasure, bolthausen_sznitman,
-                             kingman, parse_measure, power_beta)
+from coalsim.measure import (CustomDensity, LambdaMeasure, PowerBetaDensity,
+                             bolthausen_sznitman, kingman, parse_measure,
+                             power_beta)
 from coalsim.rates import (EULER_GAMMA, RateFunctions, _brentq, rates_for,
                            t_c_sequence, t_sequence)
 
@@ -117,9 +119,9 @@ def test_closed_forms_match_quadrature(quadrature_twin):
 
 
 def test_powerbeta_gamma_pole_cases(quadrature_twin):
-    # a in {1, 2} with b != 1 dodges the continued-Beta pole via per-k
-    # sums; a + b = 1 puts a pole of Gamma in the denominator of some
-    # continued Betas, which are 0 there
+    # a in {1, 2} puts the continued Betas on poles of Gamma, whose
+    # digamma limits the closed forms take; a + b = 1 puts a pole of Gamma
+    # in the denominator of some continued Betas, which are 0 there
     for params in ["powerbeta:c=1.0,a=1.0,b=2.0", "powerbeta:c=0.7,a=2.0,b=0.5",
                    "beta:0.5,0.5", "powerbeta:c=1,a=0.5,b=0.5"]:
         measure = parse_measure(params)
@@ -131,6 +133,123 @@ def test_powerbeta_gamma_pole_cases(quadrature_twin):
         for x in [2.0, 9.5]:
             assert closed.rate_of_decrease(x) == pytest.approx(
                 quad.rate_of_decrease(x), rel=1e-8)
+
+
+def _mp_kernel_series(x, order, terms=6):
+    """Coefficients of p**(j-2), j = 2, 3, ..., in the mu kernel (order 0)
+    or its x-derivative (order 1): (-1)**j C(x,j) and (-1)**j d/dx C(x,j)."""
+    out = []
+    for j in range(2, 2 + terms):
+        facs = [x - i for i in range(j)]
+        if order == 0:
+            v = mp.fprod(facs)
+        else:
+            v = mp.fsum(mp.fprod(facs[:i] + facs[i + 1:]) for i in range(j))
+        out.append((-1) ** j * v / mp.factorial(j))
+    return out
+
+
+def mp_powerbeta_mu(a, b, x, order):
+    """mu(x), mu'(x) or mu''(x) for the density p**(a-1) (1-p)**(b-1) by
+    mpmath quadrature at 30 digits.  The kernels cancel as p -> 0, so below
+    p = 1e-10/x they are summed as series; the right half is integrated in
+    t = (1-p)**b, which removes the singular factor and keeps 1 - p exact."""
+    with mp.workdps(30):
+        x = mp.mpf(x)
+        cut = mp.mpf(10) ** -10 / x
+        coef = _mp_kernel_series(x, order)[::-1] if order < 2 else None
+
+        def kernel(p, w):       # w = log(1 - p)
+            if order == 2:
+                return mp.exp(x * w) * w * w / p ** 2
+            if p < cut:
+                return mp.polyval(coef, p)
+            if order == 0:
+                return (x * p + mp.expm1(x * w)) / p ** 2
+            return (mp.exp(x * w) * w + p) / p ** 2
+
+        def right(t):
+            q = t ** (1 / mp.mpf(b))
+            return kernel(1 - q, mp.log(q)) * (1 - q) ** (a - 1) / b
+
+        half = mp.mpf(1) / 2
+        split = [0, 1 / x, half] if 1 / x < half else [0, half]
+        total = (mp.quad(lambda p: kernel(p, mp.log1p(-p))
+                         * p ** (a - 1) * (1 - p) ** (b - 1), split)
+                 + mp.quad(right, [0, half ** b]))
+        return float(total)
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+@pytest.mark.parametrize("b", [0.1, 0.3, 0.5, 1.0, 1.5, 3.0])
+def test_pole_corner_mu_matches_mpmath(a, b):
+    # the digamma limits at a = 1 and a = 2 against an independent
+    # integral of the kernels; 3e-15 is the worst seen
+    r = RateFunctions(LambdaMeasure(densities=(PowerBetaDensity(1.0, a, b),)))
+    for x in (1.5, 2.0, 50.0, 1e4):
+        got = r.mu_derivatives(x)
+        for order in range(3):
+            assert got[order] == pytest.approx(
+                mp_powerbeta_mu(a, b, x, order), rel=1e-10), (x, order)
+
+
+@pytest.mark.parametrize("text", [
+    "powerbeta:c=0.7,a=1,b=0.1", "beta:1,0.3", "beta:1,1.5",
+    "powerbeta:c=2,a=1,b=3", "powerbeta:c=0.7,a=2,b=0.5",
+    "powerbeta:c=1,a=2,b=1", "powerbeta:c=1.5,a=2,b=3"])
+def test_pole_corner_total_rate_is_the_weight_sum(text):
+    r = RateFunctions(parse_measure(text))
+    blocks = np.array([2, 3, 4, 10, 99, 500, 2000])
+    sums = [r.merger_size_weights(int(b)).sum() for b in blocks]
+    np.testing.assert_allclose(r.total_jump_rate(blocks), sums, rtol=1e-10)
+
+
+def test_bs_closed_forms_are_the_digamma_expressions():
+    # at b = 1 the a = 1 limit has y = x, psi(1) = -gamma and a zero
+    # constant: float for float the uniform density's expressions
+    xs = np.concatenate([np.linspace(1.0, 3.0, 41),
+                         np.geomspace(1.0, 1e6, 60)])
+    blocks = np.arange(2, 3000)
+    for c in (1.0, 0.7):
+        r = RateFunctions(power_beta(c, 1.0, 1.0))
+        psi = special.digamma(xs + 1.0) + EULER_GAMMA - 1.0
+        want = [c * xs * psi,
+                c * (psi + xs * special.polygamma(1, xs + 1.0)),
+                c * (2.0 * special.polygamma(1, xs + 1.0)
+                     + xs * special.polygamma(2, xs + 1.0))]
+        got = np.array([r.mu_derivatives(x) for x in xs]).T
+        for order in range(3):
+            assert list(map(float.hex, got[order])) == list(
+                map(float.hex, want[order]))
+        assert list(map(float.hex, r.rate_of_decrease(xs))) == list(
+            map(float.hex, want[0]))
+        assert list(map(float.hex, r.total_jump_rate(blocks))) == list(
+            map(float.hex, c * (blocks - 1.0)))
+
+
+PARSED_POWER_BETAS = [
+    "bolthausen-sznitman", "beta:1,0.3", "beta:1,1.5",
+    "powerbeta:c=0.7,a=2,b=0.5", "powerbeta:c=1,a=2,b=1", "beta:0.5,1.5",
+    "beta:0.5,0.5", "powerbeta:c=1,a=0.5,b=1", "beta:2.5,3",
+    "kingman:0.5 + beta:1,0.3 + dirac:p=0.4,m=0.3"]
+
+
+def test_no_parsed_measure_reaches_quadrature(monkeypatch, quadrature_twin):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature reached")
+
+    monkeypatch.setattr(rates_module, "integrate_unit_interval", refuse)
+    for text in PARSED_POWER_BETAS:
+        r = RateFunctions(parse_measure(text))
+        r.rate_of_decrease(np.array([1.0, 2.0, 50.0, 1e4]))
+        r.mu_derivatives(7.5)
+        r.total_jump_rate(np.array([2, 3, 100]))
+        r.merger_size_weights(40)
+        r.invert_mu(10.0)
+    # the patch bites: a custom density of the same formula reaches it
+    twin = RateFunctions(quadrature_twin(parse_measure("beta:1,0.3")))
+    with pytest.raises(AssertionError, match="quadrature reached"):
+        twin.rate_of_decrease(2.0)
 
 
 @pytest.mark.parametrize("text", ["beta:0.5,0.5",
@@ -404,11 +523,12 @@ def test_rates_for_cache_and_methods():
 @pytest.mark.parametrize("module", ["coalsim", "coalsim.cli"])
 def test_import_leaves_out_scipy_optimize_linalg_sparse_interpolate(module):
     # every rate is evaluated exactly and roots are found by rates._brentq:
-    # no interpolant, no solver module and what they pull in is loaded
+    # no interpolant, no solver module and what they pull in is loaded;
+    # mpmath is the tests' oracle only
     src = str(Path(coalsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse",
-             "scipy.interpolate")
+             "scipy.interpolate", "mpmath")
     code = (f"import sys, {module}; "
             f"print(sorted(set({heavy!r}) & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
@@ -431,7 +551,8 @@ def test_brentq_matches_scipy_on_invert_mu_calls(monkeypatch):
 
     monkeypatch.setattr(rates_module, "_brentq", both)
     measures = ["kingman", "bolthausen-sznitman", "powerbeta:c=1,a=0.5,b=1",
-                "beta:0.5,1.5", "beta:0.3,0.3", "kingman+dirac:p=0.5,m=1"]
+                "beta:0.5,1.5", "beta:0.3,0.3", "kingman+dirac:p=0.5,m=1",
+                "beta:1,0.3", "beta:1,1.5", "powerbeta:c=0.7,a=2,b=0.5"]
     for text in measures:
         r = RateFunctions(parse_measure(text))
         for y in [0.5, 1.0, 2.0, 3.0, 10.0, 33.0, 1e2, 1e3, 1e4, 3e5]:

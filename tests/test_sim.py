@@ -253,9 +253,11 @@ def test_grouped_sampler_handles_mixed_block_counts(quadrature_twin):
 
 
 # Beta(2 - alpha, alpha) with alpha = 1.5, an unnormalized power-beta with
-# b > 1, and a mixture that sends lanes to two components.
+# b > 1, a mixture that sends lanes to two components, and the a = 1 and
+# a = 2 corners, whose rates are digamma limits.
 REJECTION_MEASURES = ["beta:0.5,1.5", "powerbeta:c=2,a=0.5,b=1.7",
-                      "kingman + beta:0.5,1.5"]
+                      "kingman + beta:0.5,1.5", "powerbeta:c=1,a=1,b=2",
+                      "beta:1,1.5", "powerbeta:c=1,a=2,b=1"]
 
 
 @pytest.mark.parametrize("text", REJECTION_MEASURES)
@@ -304,11 +306,14 @@ def test_powerbeta_total_rate_matches_weight_sum(text):
     (parse_measure("kingman + beta:0.5,1.5"), "kingman+powerbeta"),
     (MIXED, "kingman+atom"),
     (parse_measure("beta:1.5,0.5"), "grouped"),          # b < 1
-    (parse_measure("powerbeta:c=1,a=1,b=2"), "grouped"),  # a = 1, b != 1
+    (parse_measure("beta:0.5,0.5"), "grouped"),          # b < 1
     (parse_measure("beta:2.5,3"), "grouped"),            # a >= 2, b > 1
     (LambdaMeasure(densities=(CustomDensity(lambda p: 2.0 * p,
                                             left_exponent=2.0),)),
      "grouped"),
+    (parse_measure("beta:1,0.3"), "grouped"),            # b < 1
+    (parse_measure("powerbeta:c=1,a=1,b=2"), "powerbeta"),
+    (parse_measure("powerbeta:c=1,a=2,b=1"), "powerbeta"),
 ])
 def test_sampler_strategy(measure, strategy):
     assert MergerSizeSampler(rates_for(measure), 10).strategy == strategy
