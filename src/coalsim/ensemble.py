@@ -24,25 +24,32 @@ runs each lane down to one block.
 This is the only jump loop: single paths (`sim.simulate_path`) are
 one-replication runs with a recorder.
 
-Reproducibility contract: replications are split into chunks of
-CHUNK_SIZE, and chunk i runs on its own Philox stream, keyed by the two
-key words (seed, i).  One rule splits a wide one-chunk run: a run of
-more than CHUNK_SIZE // 2 and at most CHUNK_SIZE replications whose
-replications times n reach SPLIT_MIN_WORK runs as two chunks, ceil(reps/2)
-lanes on key (seed, 0) and floor(reps/2) on key (seed, 1), so that it can
-pool.  Chunk 0's key is the one `Philox(key=seed)` takes, so a run of at
-most CHUNK_SIZE replications below that rule draws what a single stream
-under `seed` draws.  When a run has two or more chunks, its replications
-times n reach POOL_MIN_WORK, and the process may use two or more CPUs,
-the chunks run in a pool of forked worker processes, one per usable CPU
-(at most one per chunk); otherwise they run in order in this process,
-since a smaller run loses more to the pool's start-up than it gains.  A
-run with a tracker that is not `poolable` (PathRecorder) neither splits
-nor pools.  Either way the chunks' arrays are joined in chunk order, so
+Reproducibility contract: a run of reps replications is cut into
+P = ceil(reps / MAX_LANES) chunks of near-equal size, the larger first
+(sizes differ by at most one), and chunk i runs on its own Philox
+stream, keyed by the two key words (seed, i).  P is raised to two for a
+run of more than MAX_LANES // 4 replications whose replications times n
+reach SPLIT_MIN_WORK, so that a second CPU can take half of it.  Chunk
+0's key is the one `Philox(key=seed)` takes, so a one-chunk run draws
+what a single stream under `seed` draws.  When a run has two or more
+chunks, its replications times n reach POOL_MIN_WORK, and the process
+may use two or more CPUs, the chunks run in a pool of forked worker
+processes, one per usable CPU (at most one per chunk); otherwise they
+run in order in this process, since a smaller run loses more to the
+pool's start-up than it gains.  A run with a tracker that is not
+`poolable` (PathRecorder) is never raised to two chunks and never
+pools.  Either way the chunks' arrays are joined in chunk order, so
 results depend on (measure, n, reps, seed, trackers) and on nothing
-else: the split reads only n, reps and the trackers' class, and results
-are byte-identical for any CPU count and either choice.  To use fewer
-CPUs, restrict the process's affinity (for example with `taskset`).
+else: the chunk count reads only n, reps and the trackers' class, and
+results are byte-identical for any CPU count and either choice.  To use
+fewer CPUs, restrict the process's affinity (for example with
+`taskset`).
+
+Wide chunks pay the fixed cost of a lockstep step (a few tens of
+microseconds, whatever the width) fewer times, and two of them fill two
+CPUs.  The price is on larger machines: a run uses at most P CPUs, so a
+run of MAX_LANES + 1 to 2 * MAX_LANES replications keeps two CPUs busy
+however many the machine has.
 """
 
 from __future__ import annotations
@@ -55,7 +62,21 @@ from .sim import (CoalescentPath, MergerSizeSampler, _check_seed,
                   _draw_singleton_loss, _is_integer, _make_rng,
                   as_rate_functions)
 
-CHUNK_SIZE = 1024
+# The most lanes a chunk holds.  A lockstep step has a fixed cost,
+# whatever its width (one CPU, 2-vCPU Xeon VM, lanes held at X = 3000,
+# Y = 2000 with TopLengthsTracker(5) and ThresholdCountTracker at
+# n = 1e4): power-beta a = 0.5 takes 50, 161 and 252 us per step at 32,
+# 1024 and 2048 lanes, Bolthausen-Sznitman 53, 155 and 255 us, Kingman
+# 22, 54 and 95 us, so one 2048-lane step costs 20 to 22 % less than two
+# of 1024.  Measured 2048 against 4096 on whole runs, 2 vCPUs, medians
+# of 5 alternated runs: 4096 is 4 to 15 % faster on runs of more than
+# 4096 replications (C1.4 at 10 000 replications: Bolthausen-Sznitman
+# 0.49 against 0.55 s, power-beta 1.95 against 2.03 s, Kingman 1.11
+# against 1.20 s; power-beta T1.5 at 8192 replications 4.05 against
+# 4.75 s), but then only a run of more than 1024 replications splits
+# for a second CPU, and the Bolthausen-Sznitman T1.6 run at n = 1e5 with
+# 1000 replications takes 2.44 s whole against 2.02 s in two halves.
+MAX_LANES = 2048
 # A run of two or more chunks pools them from this much work on,
 # counted as replications times n.  Below it the pool's fixed cost (fork,
 # worker start-up, sending the arrays back) outweighs the CPUs it adds.
@@ -65,23 +86,30 @@ CHUNK_SIZE = 1024
 # Bolthausen-Sznitman at n = 200 0.029 s against 0.020 s, at n = 1000
 # 0.045 s against 0.064 s.
 POOL_MIN_WORK = 2_000_000
-# A run of more than CHUNK_SIZE // 2 and at most CHUNK_SIZE replications
-# runs as two chunks, of ceil(reps/2) and floor(reps/2) lanes, from this
-# much work on (replications times n), so that a second CPU takes half
-# of it.  Measured one chunk against two pooled halves on a 2-vCPU Xeon
-# VM, 1000 replications, medians of 4 to 6 alternated runs: the cheapest
-# lane step, Bolthausen-Sznitman with BlockCountAtTimesTracker alone,
-# takes 0.148 s against 0.175 s at n = 2e4 and 0.48 against 0.42 s at
-# n = 5e4; Bolthausen-Sznitman with TopLengthsTracker(1) 0.44 against
-# 0.51 s and 0.40 against 0.35 s in two series at n = 1e4, 1.74 against
-# 1.36 s at n = 5e4 and 2.50 against 2.15 s at n = 1e5; kingman with
-# TopLengthsTracker(3) and ThresholdCountTracker 3.46 against 3.08 s at
-# n = 5e4.  Each half pays the fixed cost of a lockstep step, so narrow
-# halves gain nothing: Bolthausen-Sznitman with TopLengthsTracker(1) at
-# n = 1e5 takes 2.26 s whole against 2.43 s split at 512 replications,
-# and 1.59 against 1.58 s at 256.  Runs of at most CHUNK_SIZE // 2
-# replications stay whole.
-SPLIT_MIN_WORK = 50_000_000
+# A run of more than MAX_LANES // 4 replications runs as at least two
+# chunks from this much work on (replications times n), so that a
+# second CPU takes half of it.  Measured one chunk against two pooled
+# halves on a 2-vCPU Xeon VM, medians of 7 to 9 alternated runs.  The
+# cheapest lane step, Bolthausen-Sznitman with BlockCountAtTimesTracker
+# alone, takes 0.116 s whole against 0.157 s split at 1000 replications
+# and n = 1e4, 0.118 against 0.138 s at 600 and n = 2e4; from 1.5e7 to
+# 2e7 the two are within noise (split / whole 0.91 to 1.06 over five
+# shapes), and at 5e7 the halves win (0.34 against 0.41 s).  Every
+# heavier step gains at 2e7 and below: Bolthausen-Sznitman with
+# TopLengthsTracker(1) 0.38 against 0.51 s at 2048 replications and
+# n = 1e4; Kingman and power-beta a = 0.5 with TopLengthsTracker(5) and
+# ThresholdCountTracker 1.04 against 1.48 s and 1.42 against 1.90 s at
+# the same size, and 0.68 against 0.81 s and 0.94 against 1.32 s at 1000
+# replications and n = 1e4.  The threshold is set by the cheapest step,
+# so heavier steps below it leave a gain unclaimed: at 2048 replications
+# and n = 2500 (5.1e6), power-beta a = 0.5 with those two trackers takes
+# 0.60 s whole against 0.45 s in halves, while the cheapest step takes
+# 0.060 against 0.092 s.  Runs of at most MAX_LANES // 4 replications
+# stay whole: each half pays the fixed cost of a step, so narrow halves
+# gain nothing (Bolthausen-Sznitman with TopLengthsTracker(1) at n = 1e5
+# took 2.26 s whole against 2.43 s split at 512 replications, and 1.59
+# against 1.58 s at 256).
+SPLIT_MIN_WORK = 20_000_000
 
 
 class ChunkTracker:
@@ -96,15 +124,17 @@ class ChunkTracker:
     and retires the lanes they are all done with.  The default is never
     done, and a run with such a tracker never asks.
 
-    `run_ensemble` builds one tracker per chunk by calling its factory,
-    and a chunk may run in a forked worker process (when the run pools:
-    two or more chunks, replications times n at least POOL_MIN_WORK, two
-    or more usable CPUs): there the factory's and the tracker's side
-    effects stay in the worker, and only the arrays of result() come
-    back.  A tracker whose arrays cost more to send back than a second
-    CPU saves sets `poolable = False`; a run with such a tracker neither
-    splits nor pools.  `run_ensemble` calls each factory once more in
-    its own process to read these class attributes."""
+    `run_ensemble` builds one tracker per chunk of up to MAX_LANES
+    lanes by calling its factory, and a chunk may run in a forked worker
+    process (when the run pools: two or more chunks, replications times
+    n at least POOL_MIN_WORK, two or more usable CPUs): there the
+    factory's and the tracker's side effects stay in the worker, and
+    only the arrays of result() come back.  A tracker whose arrays cost
+    more to send back than a second CPU saves sets `poolable = False`; a
+    run with such a tracker is cut only into chunks of at most MAX_LANES
+    lanes, never into two for a second CPU, and never pools.
+    `run_ensemble` calls each factory once more in its own process to
+    read these class attributes."""
 
     needs_singletons = False
     poolable = True
@@ -474,13 +504,11 @@ def run_ensemble(rates, n: int, reps: int, seed: int,
     # one tracker per factory, built here only to read its class
     poolable = all(f().poolable for f in factories)
     work = int(reps) * int(n)
-    if (poolable and CHUNK_SIZE // 2 < reps <= CHUNK_SIZE
-            and work >= SPLIT_MIN_WORK):
-        sizes = [(reps + 1) // 2, reps // 2]
-    else:
-        sizes = [CHUNK_SIZE] * (reps // CHUNK_SIZE)
-        if reps % CHUNK_SIZE:
-            sizes.append(reps % CHUNK_SIZE)
+    chunks = -(-reps // MAX_LANES)
+    if poolable and reps > MAX_LANES // 4 and work >= SPLIT_MIN_WORK:
+        chunks = max(chunks, 2)
+    # near-equal sizes, the larger first
+    sizes = [(reps + i) // chunks for i in range(chunks - 1, -1, -1)]
     workers = min(len(sizes), _usable_cpus())
     parts = None
     if poolable and workers > 1 and work >= POOL_MIN_WORK:

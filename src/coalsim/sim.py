@@ -51,6 +51,9 @@ _LABELED_MAX_N = 12
 # 50 us whatever its length; below this many lanes the scalar loop wins.
 _SCALAR_DRAW_LANES = 20
 
+# Entries per block when the power-beta sampler fills its tables.
+_TABLE_BLOCK = 65_536
+
 
 def _is_integer(value) -> bool:
     """A Python or numpy integer; a bool is not one."""
@@ -151,19 +154,33 @@ class MergerSizeSampler:
     def _powerbeta_component(self, dens: PowerBetaDensity) -> tuple:
         # prefix[j] = sum_{k=2}^{j+2} g(k); P(K <= j+2 | B) under the
         # proposal is prefix[j]/prefix[B-2] for every B, so one table
-        # serves all B.
-        js = np.arange(self.max_blocks + 1.0)
-        log_fact = special.gammaln(js + 1.0)    # log j!, j = 0 .. max_blocks
-        ks = js[2:]
-        g = np.exp(special.gammaln(dens.a + ks - 2.0) - log_fact[2:])
-        prefix = np.cumsum(g)
-        rate_table = np.zeros(self.max_blocks + 1)
-        if dens.b == 1.0:
-            rate_table[2:] = dens.c * np.exp(
-                log_fact[2:] - special.gammaln(dens.a + ks - 1.0)) * prefix
-            return ("powerbeta", prefix, rate_table, None)
-        rate_table[2:] = self.rates._powerbeta_total_rate(dens, ks)
-        log_h = special.gammaln(dens.b + js) - log_fact
+        # serves all B.  The tables are filled in blocks of _TABLE_BLOCK
+        # entries, which keeps the temporaries small.  Each block's first
+        # g carries the sum so far, so cumsum makes the same additions in
+        # the same order as over the whole array.
+        size = self.max_blocks + 1
+        prefix = np.empty(size - 2)
+        rate_table = np.zeros(size)
+        log_h = None if dens.b == 1.0 else np.empty(size)
+        total = 0.0
+        for lo in range(0, size, _TABLE_BLOCK):
+            hi = min(lo + _TABLE_BLOCK, size)
+            js = np.arange(float(lo), float(hi))
+            log_fact = special.gammaln(js + 1.0)    # log j!
+            if log_h is not None:
+                log_h[lo:hi] = special.gammaln(dens.b + js) - log_fact
+            first = max(lo, 2)
+            ks, log_fact = js[first - lo:], log_fact[first - lo:]
+            g = np.exp(special.gammaln(dens.a + ks - 2.0) - log_fact)
+            g[0] += total
+            part = np.cumsum(g, out=prefix[first - 2:hi - 2])
+            total = part[-1]
+            if log_h is None:
+                rate_table[first:hi] = dens.c * np.exp(
+                    log_fact - special.gammaln(dens.a + ks - 1.0)) * part
+            else:
+                rate_table[first:hi] = self.rates._powerbeta_total_rate(
+                    dens, ks)
         return ("powerbeta", prefix, rate_table, log_h)
 
     @staticmethod
@@ -188,7 +205,7 @@ class MergerSizeSampler:
             bb = b.astype(float)
             u = rng.random(b.shape)
             raw = np.ceil(1.0 / (1.0 - u * (bb - 1.0) / bb))
-            return np.clip(raw, 2, bb).astype(np.int64)
+            return np.minimum(np.maximum(raw, 2.0), bb).astype(np.int64)
         if kind == "powerbeta":
             return self._powerbeta_draw(rng, comp, b)
         return self._atom_walk(rng, comp, b)
@@ -284,17 +301,17 @@ def _draw_singleton_loss(rng: np.random.Generator, b, y,
                          k) -> np.ndarray:
     """dY for each lane: how many of the K merging blocks, a uniform
     K-subset of the b current blocks, are among the y singletons
-    (hypergeometric).  When every K is 2, two uniforms per lane decide the
-    two blocks in turn, all lanes' first uniforms before their second:
-    the first block is a singleton when u1 b < y, the second when
-    u2 (b - 1) < y - first.  Each comparison is exact up to one point of
-    the 2**-53 grid, and a lane with no singletons left still consumes its
-    two uniforms.  Otherwise numpy's hypergeometric draw covers every
+    (hypergeometric); b, y and k are aligned int64 arrays.  When every K
+    is 2, two uniforms per lane decide the two blocks in turn, all lanes'
+    first uniforms before their second: the first block is a singleton
+    when u1 b < y, the second when u2 (b - 1) < y - first.  Each
+    comparison is exact up to one point of the 2**-53 grid, and a lane
+    with no singletons left still consumes its two uniforms.  Otherwise numpy's hypergeometric draw covers every
     lane; it consumes nothing for a lane with no singletons left.  Below
     _SCALAR_DRAW_LANES lanes it is made as one scalar call per lane, in
     lane order: the same draws from the same stream, without the array
     call's fixed cost of checking its arguments."""
-    if np.all(k == 2):
+    if (k == 2).all():
         u = rng.random((2, len(y)))
         first = (u[0] * b < y).astype(np.int64)
         return first + (u[1] * (b - 1) < y - first)

@@ -14,7 +14,7 @@ from scipy import special
 
 import coalsim
 from coalsim import ensemble
-from coalsim.ensemble import (CHUNK_SIZE, BlockCountAtTimesTracker,
+from coalsim.ensemble import (MAX_LANES, BlockCountAtTimesTracker,
                               LevelCrossingTracker, MarkedLeafTracker,
                               PathRecorder, ThresholdCountTracker,
                               TopLengthsTracker, _run_chunk, run_ensemble)
@@ -117,27 +117,81 @@ def _chunk_draws(n, size, seed, chunk, factories):
 
 
 def test_chunks_concatenate_in_replication_order():
-    n, reps, seed = 200, 2 * CHUNK_SIZE + 452, 31415
+    n, reps, seed = 200, 2 * MAX_LANES + 451, 31415
     factories = [lambda: MarkedLeafTracker(), absorption]
     out = run_ensemble(BS, n, reps, seed, factories)
     assert set(out) == {"marked_lengths", "absorption_time",
                         "absorption_jumps", "absorption_inv_sum"}
     for name in out:
         assert len(out[name]) == reps
-    # chunk i is keyed by the Philox key words (seed, i)
-    for ci in range(3):
-        lo = ci * CHUNK_SIZE
-        size = min(CHUNK_SIZE, reps - lo)
+    # three chunks of near-equal size, the larger first; chunk i is keyed
+    # by the Philox key words (seed, i)
+    q, r = divmod(reps, 3)
+    assert r
+    lo = 0
+    for ci, size in enumerate([q + (ci < r) for ci in range(3)]):
         alone = _chunk_draws(n, size, seed, ci, factories)
         for name in out:
             np.testing.assert_array_equal(out[name][lo:lo + size],
                                           alone[name])
+        lo += size
+    assert lo == reps
+
+
+def record_chunks(monkeypatch):
+    """Replace _run_chunk by a stub that logs (size, seed, chunk) for each
+    chunk a run makes, in call order, and draws nothing."""
+    calls = []
+
+    def stub(sampler, n, size, seed, chunk, factories):
+        calls.append((size, seed, chunk))
+        return {"lane": np.zeros(size)}
+
+    monkeypatch.setattr(ensemble, "_run_chunk", stub)
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 1)
+    return calls
+
+
+@pytest.mark.parametrize("reps", [
+    1, MAX_LANES // 4, MAX_LANES // 4 + 1, MAX_LANES - 1, MAX_LANES,
+    MAX_LANES + 1, 2 * MAX_LANES + 1, 3 * MAX_LANES - 5, 5 * MAX_LANES - 1,
+])
+@pytest.mark.parametrize("split_min_work", [0, 10 ** 18])
+def test_chunk_sizes_differ_by_at_most_one(monkeypatch, reps,
+                                           split_min_work):
+    # the fewest chunks of at most MAX_LANES lanes, raised to two for a
+    # run of more than MAX_LANES // 4 replications from SPLIT_MIN_WORK on,
+    # cut into near-equal sizes, the larger first, on keys (seed, i)
+    monkeypatch.setattr(ensemble, "SPLIT_MIN_WORK", split_min_work)
+    calls = record_chunks(monkeypatch)
+    run_ensemble(BS, 2, reps, 17, [absorption])
+    sizes = [size for size, _, _ in calls]
+    chunks = -(-reps // MAX_LANES)
+    if split_min_work == 0 and reps > MAX_LANES // 4:
+        chunks = max(chunks, 2)
+    assert len(sizes) == chunks
+    assert sum(sizes) == reps
+    assert max(sizes) <= MAX_LANES
+    assert max(sizes) - min(sizes) <= 1
+    assert sizes == sorted(sizes, reverse=True)
+    assert [(seed, chunk) for _, seed, chunk in calls] == [
+        (17, ci) for ci in range(chunks)]
+
+
+def test_criterion_9_c_branch_shape_stays_one_chunk(monkeypatch):
+    # Bolthausen-Sznitman at n = 1e6 with 256 replications, the shape of
+    # acceptance criterion 9's c branch, is too narrow to split: it draws
+    # one chunk on key (seed, 0) under the module's own constants
+    calls = record_chunks(monkeypatch)
+    run_ensemble(BS, 1_000_000, 256, 5,
+                 [lambda: BlockCountAtTimesTracker([1.0])])
+    assert calls == [(256, 5, 0)]
 
 
 def test_seeds_differing_in_low_bits_draw_different_streams():
     # keyed by seed XOR chunk, seeds 1, 2 and 3 ran the same eight
     # streams in another order, so every order-free statistic agreed
-    runs = [np.sort(run_ensemble(kingman(), 10, 8 * CHUNK_SIZE, seed,
+    runs = [np.sort(run_ensemble(kingman(), 10, 8 * MAX_LANES, seed,
                                  [absorption])["absorption_time"])
             for seed in (1, 2, 3)]
     for i in range(3):
@@ -147,14 +201,14 @@ def test_seeds_differing_in_low_bits_draw_different_streams():
 
 def three_chunk_run():
     """A run that draws dY and one whose lanes retire, each of three
-    chunks, and a one-chunk run split in two halves (with SPLIT_MIN_WORK
-    set to 0)."""
-    reps = 3 * CHUNK_SIZE - 5
+    chunks and more than 2 * MAX_LANES replications, and a one-chunk run
+    split in two halves (with SPLIT_MIN_WORK set to 0)."""
+    reps = 3 * MAX_LANES - 5
     top = run_ensemble(BS, 40, reps, 2718,
                        [lambda: TopLengthsTracker(2)])["top_lengths"]
     marked = run_ensemble(BS, 40, reps, 2718,
                           [lambda: MarkedLeafTracker(2)])["marked_lengths"]
-    split = run_ensemble(BS, 40, CHUNK_SIZE - 23, 2718,
+    split = run_ensemble(BS, 40, MAX_LANES - 23, 2718,
                          [lambda: TopLengthsTracker(2)])["top_lengths"]
     return np.concatenate([top, marked, split])
 
@@ -167,7 +221,7 @@ _POOLED = []
 
 def log_pooling(monkeypatch):
     """Pool every run of two or more chunks, however small, split every
-    run of more than CHUNK_SIZE // 2 and at most CHUNK_SIZE replications,
+    run of more than MAX_LANES // 4 and at most MAX_LANES replications,
     and log each _run_pooled call into _POOLED."""
     real = ensemble._run_pooled
 
@@ -218,7 +272,7 @@ def test_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
 
 
 def _two_chunk_absorption(seed):
-    return run_ensemble(kingman(), 10, CHUNK_SIZE + 1, seed,
+    return run_ensemble(kingman(), 10, MAX_LANES + 1, seed,
                         [absorption])["absorption_time"]
 
 
@@ -246,7 +300,7 @@ def test_small_runs_stay_in_order(monkeypatch):
 
     monkeypatch.setattr(ensemble, "_run_pooled", refuse)
     reps = ensemble.POOL_MIN_WORK // 100 - 1
-    assert reps > CHUNK_SIZE
+    assert reps > MAX_LANES
     out = run_ensemble(kingman(), 100, reps, 5, [absorption])
     assert out["absorption_time"].shape == (reps,)
 
@@ -254,7 +308,7 @@ def test_small_runs_stay_in_order(monkeypatch):
 def test_wide_run_splits_into_two_keyed_halves(monkeypatch):
     # from SPLIT_MIN_WORK on, ceil(reps/2) lanes on key (seed, 0) and
     # floor(reps/2) on key (seed, 1)
-    n, reps, seed = 40, CHUNK_SIZE - 23, 99
+    n, reps, seed = 40, MAX_LANES - 23, 99
     monkeypatch.setattr(ensemble, "SPLIT_MIN_WORK", n * reps)
     factories = [lambda: TopLengthsTracker(2), absorption]
     out = run_ensemble(BS, n, reps, seed, factories)
@@ -267,8 +321,8 @@ def test_wide_run_splits_into_two_keyed_halves(monkeypatch):
 
 
 @pytest.mark.parametrize("reps, split_min_work", [
-    (CHUNK_SIZE // 2, 0),                 # too narrow to split
-    (CHUNK_SIZE, 40 * CHUNK_SIZE + 1),    # below the work threshold
+    (MAX_LANES // 4, 0),                         # too narrow to split
+    (MAX_LANES // 2, 40 * (MAX_LANES // 2) + 1),  # below the threshold
 ])
 def test_narrow_or_light_runs_stay_one_chunk(monkeypatch, reps,
                                              split_min_work):
@@ -290,11 +344,11 @@ def test_path_recorder_runs_neither_split_nor_pool(monkeypatch):
     monkeypatch.setattr(ensemble, "_run_pooled", refuse)
     factories = [absorption, PathRecorder]
     # two chunks, in order
-    out = run_ensemble(BS, 20, CHUNK_SIZE + 1, 7, factories)
-    assert out["paths"].shape == (CHUNK_SIZE + 1,)
+    out = run_ensemble(BS, 20, MAX_LANES + 1, 7, factories)
+    assert out["paths"].shape == (MAX_LANES + 1,)
     # one chunk, not split: chunk 0 of the same seed
-    out = run_ensemble(BS, 20, CHUNK_SIZE, 7, factories)
-    alone = _chunk_draws(20, CHUNK_SIZE, 7, 0, factories)
+    out = run_ensemble(BS, 20, MAX_LANES, 7, factories)
+    alone = _chunk_draws(20, MAX_LANES, 7, 0, factories)
     np.testing.assert_array_equal(out["absorption_time"],
                                   alone["absorption_time"])
 

@@ -550,7 +550,7 @@ def test_every_stream_in_a_report_is_distinct(tag, monkeypatch):
     monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 1)
     kind, _ = CATALOG[tag]
     measure, n, params, tolerances = _ALL_KEYS[kind]
-    reps = 2 * ensemble.CHUNK_SIZE + 1
+    reps = 2 * ensemble.MAX_LANES + 1
     longer = {"trend_grid": [30, 40, 50], "c_reps": reps,
               "variance_paths": reps}
     params = {key: longer.get(key, value) for key, value in params.items()}

@@ -5,8 +5,9 @@ import io
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+from coalsim import sim
 from coalsim.ensemble import BlockCountAtTimesTracker, ThresholdCountTracker
 from coalsim.measure import (CustomDensity, LambdaMeasure, bolthausen_sznitman,
                              kingman, parse_measure, power_beta)
@@ -296,6 +297,40 @@ def test_powerbeta_total_rate_matches_weight_sum(text):
     lam, _ = sampler.sample_step(rng, blocks)
     exact = [rates.merger_size_weights(int(bi)).sum() for bi in blocks]
     np.testing.assert_allclose(lam, exact, rtol=1e-8)
+
+
+def _whole_powerbeta_tables(rates, dens, max_blocks):
+    """The power-beta sampler's tables, each computed over one array."""
+    js = np.arange(max_blocks + 1.0)
+    log_fact = special.gammaln(js + 1.0)
+    ks = js[2:]
+    g = np.exp(special.gammaln(dens.a + ks - 2.0) - log_fact[2:])
+    prefix = np.cumsum(g)
+    rate_table = np.zeros(max_blocks + 1)
+    if dens.b == 1.0:
+        rate_table[2:] = dens.c * np.exp(
+            log_fact[2:] - special.gammaln(dens.a + ks - 1.0)) * prefix
+        return prefix, rate_table, None
+    rate_table[2:] = rates._powerbeta_total_rate(dens, ks)
+    return prefix, rate_table, special.gammaln(dens.b + js) - log_fact
+
+
+@pytest.mark.parametrize("text", ["powerbeta:c=1,a=0.5,b=1",
+                                  "beta:0.5,1.5"])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_blocked_powerbeta_tables_keep_their_bytes(text, shift):
+    # the tables are filled block by block; at n around one block they
+    # equal, byte for byte, the tables computed over one array
+    rates = rates_for(parse_measure(text))
+    dens = rates.measure.densities[0]
+    n = sim._TABLE_BLOCK + shift
+    _, *tables = MergerSizeSampler(rates, n)._components[0]
+    for got, want in zip(tables, _whole_powerbeta_tables(rates, dens, n)):
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("measure, strategy", [
