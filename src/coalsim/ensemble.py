@@ -27,11 +27,13 @@ one-replication runs with a recorder.
 Reproducibility contract: a run of reps replications is cut into
 P = ceil(reps / MAX_LANES) chunks of near-equal size, the larger first
 (sizes differ by at most one), and chunk i runs on its own Philox
-stream, keyed by the two key words (seed, i).  P is raised to two for a
-run of more than MAX_LANES // 4 replications whose replications times n
-reach SPLIT_MIN_WORK, so that a second CPU can take half of it.  Chunk
-0's key is the one `Philox(key=seed)` takes, so a one-chunk run draws
-what a single stream under `seed` draws.  When a run has two or more
+stream, keyed by the two key words (seed, i).  P is raised to two, so
+that a second CPU can take half of a run, for a run of more than
+MAX_LANES // 2 replications whose replications times n reach
+POOL_MIN_WORK, and for one of more than MAX_LANES // 4 replications
+whose replications times n reach SPLIT_MIN_WORK.  Chunk 0's key is the
+one `Philox(key=seed)` takes, so a one-chunk run draws what a single
+stream under `seed` draws.  When a run has two or more
 chunks, its replications times n reach POOL_MIN_WORK, and the process
 may use two or more CPUs, the chunks run in a pool of forked worker
 processes, one per usable CPU (at most one per chunk); otherwise they
@@ -84,31 +86,40 @@ MAX_LANES = 2048
 # TopLengthsTracker(3) and 2048 replications: kingman at n = 200 takes
 # 0.035 s against 0.020 s, at n = 1000 0.058 s against 0.093 s;
 # Bolthausen-Sznitman at n = 200 0.029 s against 0.020 s, at n = 1000
-# 0.045 s against 0.064 s.
+# 0.045 s against 0.064 s.  From this much work on, a run of more than
+# MAX_LANES // 2 replications also runs as at least two chunks.  Measured
+# one chunk against two pooled halves, same VM, medians of 7 to 9
+# alternated runs: at 2048 replications and n = 2500 (5.1e6), power-beta
+# a = 0.5 with TopLengthsTracker(5) and ThresholdCountTracker takes
+# 0.45 s in halves against 0.60 s whole, Kingman with the same trackers
+# 0.28 against 0.36 s, Bolthausen-Sznitman with TopLengthsTracker(1)
+# 0.17 against 0.21 s.  Near the threshold the two are close (halves /
+# whole 0.89 to 1.19 over those three at 2048 replications and n = 1000,
+# 0.92 to 1.03 at 1100 and n = 2000), and the cheapest lane step,
+# Bolthausen-Sznitman with BlockCountAtTimesTracker alone, loses by
+# splitting (0.092 against 0.060 s at 2048 and n = 2500; 1.28 to 1.36
+# times near the threshold).
 POOL_MIN_WORK = 2_000_000
 # A run of more than MAX_LANES // 4 replications runs as at least two
 # chunks from this much work on (replications times n), so that a
-# second CPU takes half of it.  Measured one chunk against two pooled
-# halves on a 2-vCPU Xeon VM, medians of 7 to 9 alternated runs.  The
-# cheapest lane step, Bolthausen-Sznitman with BlockCountAtTimesTracker
-# alone, takes 0.116 s whole against 0.157 s split at 1000 replications
-# and n = 1e4, 0.118 against 0.138 s at 600 and n = 2e4; from 1.5e7 to
-# 2e7 the two are within noise (split / whole 0.91 to 1.06 over five
-# shapes), and at 5e7 the halves win (0.34 against 0.41 s).  Every
-# heavier step gains at 2e7 and below: Bolthausen-Sznitman with
-# TopLengthsTracker(1) 0.38 against 0.51 s at 2048 replications and
-# n = 1e4; Kingman and power-beta a = 0.5 with TopLengthsTracker(5) and
-# ThresholdCountTracker 1.04 against 1.48 s and 1.42 against 1.90 s at
-# the same size, and 0.68 against 0.81 s and 0.94 against 1.32 s at 1000
-# replications and n = 1e4.  The threshold is set by the cheapest step,
-# so heavier steps below it leave a gain unclaimed: at 2048 replications
-# and n = 2500 (5.1e6), power-beta a = 0.5 with those two trackers takes
-# 0.60 s whole against 0.45 s in halves, while the cheapest step takes
-# 0.060 against 0.092 s.  Runs of at most MAX_LANES // 4 replications
-# stay whole: each half pays the fixed cost of a step, so narrow halves
-# gain nothing (Bolthausen-Sznitman with TopLengthsTracker(1) at n = 1e5
-# took 2.26 s whole against 2.43 s split at 512 replications, and 1.59
-# against 1.58 s at 256).
+# second CPU takes half of it; a run of more than MAX_LANES // 2 splits
+# from the lower POOL_MIN_WORK on.  Measured one chunk against two
+# pooled halves on a 2-vCPU Xeon VM, medians of 7 to 9 alternated runs.
+# The cheapest lane step, Bolthausen-Sznitman with
+# BlockCountAtTimesTracker alone, takes 0.116 s whole against 0.157 s
+# split at 1000 replications and n = 1e4, 0.118 against 0.138 s at 600
+# and n = 2e4; from 1.5e7 to 2e7 the two are within noise (split / whole
+# 0.91 to 1.06 over five shapes), and at 5e7 the halves win (0.34
+# against 0.41 s).  Every heavier step gains at 2e7 and below: Kingman
+# and power-beta a = 0.5 with TopLengthsTracker(5) and
+# ThresholdCountTracker take 0.68 against 0.81 s and 0.94 against
+# 1.32 s at 1000 replications and n = 1e4.  The threshold is set by the
+# cheapest step, so heavier steps below it leave a gain unclaimed.  Runs
+# of at most MAX_LANES // 4 replications stay whole: each half pays the
+# fixed cost of a step, so narrow halves gain nothing
+# (Bolthausen-Sznitman with TopLengthsTracker(1) at n = 1e5 took 2.26 s
+# whole against 2.43 s split at 512 replications, and 1.59 against
+# 1.58 s at 256).
 SPLIT_MIN_WORK = 20_000_000
 
 
@@ -505,7 +516,8 @@ def run_ensemble(rates, n: int, reps: int, seed: int,
     poolable = all(f().poolable for f in factories)
     work = int(reps) * int(n)
     chunks = -(-reps // MAX_LANES)
-    if poolable and reps > MAX_LANES // 4 and work >= SPLIT_MIN_WORK:
+    if poolable and (reps > MAX_LANES // 2 and work >= POOL_MIN_WORK
+                     or reps > MAX_LANES // 4 and work >= SPLIT_MIN_WORK):
         chunks = max(chunks, 2)
     # near-equal sizes, the larger first
     sizes = [(reps + i) // chunks for i in range(chunks - 1, -1, -1)]

@@ -665,8 +665,8 @@ def run_factorial_replay(cfg: ExperimentConfig, rates: RateFunctions):
     rng = _make_rng(cfg.seed + 1)
     y = np.full(reps, cfg.n, dtype=np.int64)
     for j in range(rho):
-        b = np.full(reps, path.block_count_before[j])
-        k = np.full(reps, path.merger_size[j])
+        b = int(path.block_count_before[j])
+        k = int(path.merger_size[j])
         y -= _draw_singleton_loss(rng, b, y, k)
     stats = []
     for r in r_values:

@@ -301,17 +301,17 @@ def _draw_singleton_loss(rng: np.random.Generator, b, y,
                          k) -> np.ndarray:
     """dY for each lane: how many of the K merging blocks, a uniform
     K-subset of the b current blocks, are among the y singletons
-    (hypergeometric); b, y and k are aligned int64 arrays.  When every K
-    is 2, two uniforms per lane decide the two blocks in turn, all lanes'
-    first uniforms before their second: the first block is a singleton
-    when u1 b < y, the second when u2 (b - 1) < y - first.  Each
-    comparison is exact up to one point of the 2**-53 grid, and a lane
-    with no singletons left still consumes its two uniforms.  Otherwise numpy's hypergeometric draw covers every
+    (hypergeometric).  When every K is 2, two uniforms per lane decide the
+    two blocks in turn, all lanes' first uniforms before their second:
+    the first block is a singleton when u1 b < y, the second when
+    u2 (b - 1) < y - first.  Each comparison is exact up to one point of
+    the 2**-53 grid, and a lane with no singletons left still consumes its
+    two uniforms.  Otherwise numpy's hypergeometric draw covers every
     lane; it consumes nothing for a lane with no singletons left.  Below
     _SCALAR_DRAW_LANES lanes it is made as one scalar call per lane, in
     lane order: the same draws from the same stream, without the array
     call's fixed cost of checking its arguments."""
-    if (k == 2).all():
+    if np.all(k == 2):
         u = rng.random((2, len(y)))
         first = (u[0] * b < y).astype(np.int64)
         return first + (u[1] * (b - 1) < y - first)

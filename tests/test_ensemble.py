@@ -153,21 +153,28 @@ def record_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("reps", [
-    1, MAX_LANES // 4, MAX_LANES // 4 + 1, MAX_LANES - 1, MAX_LANES,
-    MAX_LANES + 1, 2 * MAX_LANES + 1, 3 * MAX_LANES - 5, 5 * MAX_LANES - 1,
+    1, MAX_LANES // 4, MAX_LANES // 4 + 1, MAX_LANES // 2,
+    MAX_LANES // 2 + 1, MAX_LANES - 1, MAX_LANES, MAX_LANES + 1,
+    2 * MAX_LANES + 1, 3 * MAX_LANES - 5, 5 * MAX_LANES - 1,
 ])
-@pytest.mark.parametrize("split_min_work", [0, 10 ** 18])
-def test_chunk_sizes_differ_by_at_most_one(monkeypatch, reps,
-                                           split_min_work):
+@pytest.mark.parametrize("pool_min_work, split_min_work, split_above", [
+    (10 ** 18, 10 ** 18, None),           # below both thresholds
+    (0, 10 ** 18, MAX_LANES // 2),        # from POOL_MIN_WORK on
+    (10 ** 18, 0, MAX_LANES // 4),        # from SPLIT_MIN_WORK on
+], ids=["light", "pool-min-work", "split-min-work"])
+def test_chunk_sizes_differ_by_at_most_one(monkeypatch, reps, pool_min_work,
+                                           split_min_work, split_above):
     # the fewest chunks of at most MAX_LANES lanes, raised to two for a
-    # run of more than MAX_LANES // 4 replications from SPLIT_MIN_WORK on,
-    # cut into near-equal sizes, the larger first, on keys (seed, i)
+    # run of more than MAX_LANES // 2 replications from POOL_MIN_WORK on
+    # and of more than MAX_LANES // 4 from SPLIT_MIN_WORK on, cut into
+    # near-equal sizes, the larger first, on keys (seed, i)
+    monkeypatch.setattr(ensemble, "POOL_MIN_WORK", pool_min_work)
     monkeypatch.setattr(ensemble, "SPLIT_MIN_WORK", split_min_work)
     calls = record_chunks(monkeypatch)
     run_ensemble(BS, 2, reps, 17, [absorption])
     sizes = [size for size, _, _ in calls]
     chunks = -(-reps // MAX_LANES)
-    if split_min_work == 0 and reps > MAX_LANES // 4:
+    if split_above is not None and reps > split_above:
         chunks = max(chunks, 2)
     assert len(sizes) == chunks
     assert sum(sizes) == reps
@@ -178,14 +185,30 @@ def test_chunk_sizes_differ_by_at_most_one(monkeypatch, reps,
         (17, ci) for ci in range(chunks)]
 
 
-def test_criterion_9_c_branch_shape_stays_one_chunk(monkeypatch):
-    # Bolthausen-Sznitman at n = 1e6 with 256 replications, the shape of
-    # acceptance criterion 9's c branch, is too narrow to split: it draws
-    # one chunk on key (seed, 0) under the module's own constants
+@pytest.mark.parametrize("n, reps, chunks", [
+    (2000, 2048, [(1024, 5, 0), (1024, 5, 1)]),   # from POOL_MIN_WORK on
+    (500, 2048, [(2048, 5, 0)]),                  # below POOL_MIN_WORK
+    (20_000, 1000, [(500, 5, 0), (500, 5, 1)]),   # from SPLIT_MIN_WORK on
+    (2000, 1000, [(1000, 5, 0)]),                 # below SPLIT_MIN_WORK
+    (1_000_000, 256, [(256, 5, 0)]),              # too narrow to split
+], ids=["kingman-t15-smoke", "light-wide", "heavy-half-width",
+        "light-half-width", "criterion-9-c-branch"])
+def test_module_constants_split_runs_for_a_second_cpu(monkeypatch, n, reps,
+                                                      chunks):
+    # under the module's own constants a run of more than MAX_LANES // 2
+    # replications splits in two from POOL_MIN_WORK on, and one of more
+    # than MAX_LANES // 4 from SPLIT_MIN_WORK on.  2048 replications at
+    # n = 2000 is the benchmark's smoke-size Kingman T1.5 cell; 256 at
+    # n = 1e6 is acceptance criterion 9's c branch, which must draw one
+    # chunk on key (seed, 0)
+    assert MAX_LANES // 2 < 2048 <= MAX_LANES
+    assert MAX_LANES // 4 < 1000 <= MAX_LANES // 2
+    assert 256 <= MAX_LANES // 4
+    assert 500 * 2048 < ensemble.POOL_MIN_WORK <= 2000 * 2048
+    assert 2000 * 1000 < ensemble.SPLIT_MIN_WORK <= 20_000 * 1000
     calls = record_chunks(monkeypatch)
-    run_ensemble(BS, 1_000_000, 256, 5,
-                 [lambda: BlockCountAtTimesTracker([1.0])])
-    assert calls == [(256, 5, 0)]
+    run_ensemble(BS, n, reps, 5, [absorption])
+    assert calls == chunks
 
 
 def test_seeds_differing_in_low_bits_draw_different_streams():
