@@ -127,24 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo replications (>= 100)")
     p.add_argument("--param", action="append", default=None,
                    metavar="KEY=VALUE",
-                   help="experiment parameter, repeatable; VALUE parsed as "
-                        "JSON when possible (examples: ell=3, k=2, c=2, "
-                        "r_rule=\"n/2\", t_grid=[0.25,0.5,1])")
+                   help="experiment parameter, repeatable, the only way to "
+                        "set one; VALUE parsed as JSON when possible "
+                        "(examples: ell=3, k=2, c=2, r_rule=\"n/2\", "
+                        "t_grid=[0.25,0.5,1])")
     p.add_argument("--tol", action="append", default=None,
                    metavar="NAME=VALUE",
                    help="tolerance override, repeatable (example: ks=0.05)")
-    p.add_argument("--ell", type=int, default=None,
-                   help="number of top order statistics (shorthand for "
-                        "--param ell=...)")
-    p.add_argument("--k", type=int, default=None,
-                   help="number of marked leaves (shorthand for "
-                        "--param k=...)")
-    p.add_argument("--c", type=float, default=None,
-                   help="shift constant of the time t_{c,n} = t_n - "
-                        "log(c)/loglog(n) (shorthand for --param c=...)")
-    p.add_argument("--r-rule", default=None, metavar="RULE",
-                   help='level rule such as "n/2", "n^0.4", or a number '
-                        "(shorthand for --param r_rule=...)")
 
     p = sub.add_parser(
         "limits", help="evaluate closed-form limit laws",
@@ -171,6 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=None,
                    help="replications for --sample-ell (default 1)")
 
+    # a flag is taken only by its full name: "--c" is not "--config"
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return parser
 
 
@@ -232,6 +224,8 @@ def _parse_kv_list(entries, what: str) -> dict:
         key, sep, raw = entry.partition("=")
         if not sep or not key:
             raise UsageError(f"{what} must look like KEY=VALUE, got {entry!r}")
+        if key in out:
+            raise UsageError(f"{what} sets {key!r} twice")
         try:
             out[key] = json.loads(raw)
         except json.JSONDecodeError:
@@ -333,19 +327,13 @@ def _cmd_paths(args: argparse.Namespace, want_lengths: bool) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     _require(args, "measure", "theorem", "n", "reps")
-    params = _parse_kv_list(args.param, "--param")
-    for name in ("ell", "k", "c"):
-        if getattr(args, name) is not None:
-            params[name] = getattr(args, name)
-    if args.r_rule is not None:
-        params["r_rule"] = args.r_rule
     report = run_experiment(ExperimentConfig(
         measure=args.measure,
         theorem=args.theorem,
         n=args.n,
         replications=args.reps,
         seed=DEFAULT_SEED if args.seed is None else args.seed,
-        params=params,
+        params=_parse_kv_list(args.param, "--param"),
         tolerances=_parse_kv_list(args.tol, "--tol")))
 
     primary = report.to_json() + "\n"

@@ -6,12 +6,13 @@ hypergeometric singleton losses batched across the chunk (draw order in
 `sim`).  The loop keeps the state of the live lanes only (block count X,
 singleton count Y, time) and drops lanes as they reach one block.
 Statistics are accumulated by streaming trackers, which see each jump as
-(rows, X_before, Y_before, K, dY, t_old, t_new); Y_before and dY are drawn
-and passed only when some tracker sets `needs_singletons`, and are None
-otherwise.  A tracker may draw from the chunk's stream itself, after dY
-and in tracker order: MarkedLeafTracker decides its tagged leaves from
-its own uniforms, so a run that tracks only tagged leaves draws no dY.
-Paths are not stored unless a PathRecorder asks for them.
+(rows, X_before, Y_before, K, dY, t_new), t_new the time of the jump;
+Y_before and dY are drawn and passed only when some tracker sets
+`needs_singletons`, and are None otherwise.  A tracker may draw from the
+chunk's stream itself, after dY and in tracker order: MarkedLeafTracker
+decides its tagged leaves from its own uniforms, so a run that tracks
+only tagged leaves draws no dY.  Paths are not stored unless a
+PathRecorder asks for them.
 
 A tracker that can finish with a lane says so through done(rows): a
 tagged-leaf tracker once the lane's marks are absorbed, a level crossing
@@ -153,11 +154,11 @@ class ChunkTracker:
     def begin(self, size: int, n: int, rng: np.random.Generator) -> None:
         raise NotImplementedError
 
-    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new) -> None:
+    def observe(self, rows, x_before, y_before, k, dy, t_new) -> None:
         """One jump of the live lanes `rows` (replication indices within
         the chunk): block count X and singleton count Y before the jump,
-        merger size K, singletons absorbed dY, and the jump's holding
-        interval [t_old, t_new)."""
+        merger size K, singletons absorbed dY, and the time t_new of the
+        jump, which ends the holding interval of X and Y."""
         raise NotImplementedError
 
     def done(self, rows) -> np.ndarray:
@@ -199,7 +200,7 @@ class MarkedLeafTracker(ChunkTracker):
         self.lengths = np.zeros((size, self.k))
         self.alive = np.ones((size, self.k), dtype=bool)
 
-    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
+    def observe(self, rows, x_before, y_before, k, dy, t_new):
         u = self.rng.random((self.k, rows.size))
         num, den = (k, x_before) if dy is None else (dy, y_before)
         mark, lane = np.nonzero(
@@ -251,7 +252,7 @@ class TopLengthsTracker(ChunkTracker):
         self.top = np.zeros((size, self.ell))
         self.slots = np.arange(self.ell)
 
-    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
+    def observe(self, rows, x_before, y_before, k, dy, t_new):
         y_after = y_before - dy
         hit = np.nonzero(y_after < np.minimum(y_before, self.ell))[0]
         if not hit.size:
@@ -266,8 +267,8 @@ class TopLengthsTracker(ChunkTracker):
 
 
 class _HeldAtTimesTracker(ChunkTracker):
-    """A count read at fixed times: the value held over the holding
-    interval [t_old, t_new) that contains a time is recorded at that jump.
+    """A count read at fixed times: a time gets the value held just before
+    the first jump later than it, recorded at that jump.
     Times below 0 precede every interval and keep their initial value, as
     do times beyond absorption.  Jump times increase along a lane, so each
     lane meets the times in sorted order and keeps the next one it has not
@@ -313,7 +314,7 @@ class ThresholdCountTracker(_HeldAtTimesTracker):
     def begin(self, size, n, rng):
         self._start(size, np.where(self.times < 0, n, 0))
 
-    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
+    def observe(self, rows, x_before, y_before, k, dy, t_new):
         self._record(rows, y_before, t_new)
 
 
@@ -329,7 +330,7 @@ class BlockCountAtTimesTracker(_HeldAtTimesTracker):
         # 1 is the block count from absorption onward
         self._start(size, np.ones(len(self.times)))
 
-    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
+    def observe(self, rows, x_before, y_before, k, dy, t_new):
         self._record(rows, x_before, t_new)
 
 
@@ -351,7 +352,7 @@ class LevelCrossingTracker(ChunkTracker):
         self.jumps = np.zeros(size, dtype=np.int64)
         self.crossed = np.full(size, n <= self.r_level)
 
-    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
+    def observe(self, rows, x_before, y_before, k, dy, t_new):
         act = ~self.crossed[rows]
         if not act.any():
             return
@@ -397,7 +398,7 @@ class PathRecorder(ChunkTracker):
                                    for _ in range(3))
         self.t = np.empty((size, n - 1))
 
-    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
+    def observe(self, rows, x_before, y_before, k, dy, t_new):
         j = self.jumps[rows]
         self.x[rows, j] = x_before
         self.k[rows, j] = k
@@ -437,7 +438,7 @@ def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, seed: int,
         if needs_dy:
             dy = _draw_singleton_loss(rng, x, y, k)
         for tr in trackers:
-            tr.observe(rows, x, y, k, dy, t, t_new)
+            tr.observe(rows, x, y, k, dy, t_new)
         x = x - k + 1
         t = t_new
         if needs_dy:

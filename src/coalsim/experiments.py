@@ -54,13 +54,13 @@ CATALOG = {
     "C1.4": ("typical", "typical length against the explicit limit density"),
     "T1.5": ("order_statistics",
              "top order statistics against Frechet / Poisson counts"),
-    "T1.6": ("bs_extremes",
+    "T1.6": ("bs_trend",
              "Bolthausen-Sznitman extremes, logistic trend diagnostic"),
     "P2.1": ("lln", "level-crossing time over the integral of 1/mu"),
     "P2.2": ("lln", "harmonic sum of the block counts above a level"),
     "T4.1": ("tail_identity", "exceedance probability identity mu(r)/mu(n)"),
     "L7.1": ("factorial_replay", "conditional factorial-moment replay oracle"),
-    "L9.2": ("bs_extremes", "exact Bolthausen-Sznitman block-count moments"),
+    "L9.2": ("bs_moments", "exact Bolthausen-Sznitman block-count moments"),
 }
 
 
@@ -219,11 +219,10 @@ def _count(low: int):
 
 
 def _trend_grid(grid) -> list[int]:
-    """Block counts >= 2, one to 100 of them: trend run i is seeded
-    seed + i, below the c branch's seed + 101."""
+    """Block counts >= 2, at least two of them: one size has no trend."""
     out = [_count(2)(v) for v in grid]
-    if not 1 <= len(out) <= 100:
-        raise ValueError("need one to 100 trend sizes")
+    if len(out) < 2:
+        raise ValueError("need at least two trend sizes")
     return out
 
 
@@ -571,64 +570,38 @@ def run_order_statistics(cfg: ExperimentConfig, rates: RateFunctions):
     return stats, resolved, {"scaled_max": _decimated_ecdf(scaled_max)}
 
 
-def run_bs_extremes(cfg: ExperimentConfig, rates: RateFunctions):
-    """Uniform-measure extreme diagnostics: the informational KS trend of
-    the centered-scaled maximum toward the logistic law, plus the exact
-    block-count checks (ascending factorial moments; the exponential law
-    of the scaled count at the c-dependent centering time)."""
+def run_bs_trend(cfg: ExperimentConfig, rates: RateFunctions):
+    """Uniform-measure extremes: the KS distance of the centered-scaled
+    maximum from the logistic law at each trend size, run i on seed + i,
+    and the largest rise of that distance from one size to the next."""
     ell = _param(cfg, "ell", 1, _count(1))
-    stats = []
-    resolved: dict = {"ell": ell}
-    ecdf = {}
+    trend_grid = _param(cfg, "trend_grid", (), _trend_grid)
+    _require_ell_at_most(ell, min(trend_grid))
+    stats, ecdf = [], {}
+    for i, n_i in enumerate(trend_grid):
+        out = run_ensemble(rates, n_i, cfg.replications, cfg.seed + i,
+                           [lambda: TopLengthsTracker(ell)])
+        ll = math.log(math.log(n_i))
+        centered = ll * (out["top_lengths"][:, 0] - t_sequence(n_i))
+        stats.append(_info(f"ks_logistic_n{n_i}",
+                           ks_statistic(centered, limits.logistic_cdf)))
+        ecdf[f"centered_max_n{n_i}"] = _decimated_ecdf(centered)
+    trend = [s.value for s in stats]
+    worst_rise = max(b - a for a, b in zip(trend, trend[1:]))
+    stats.append(_bounded("trend_max_rise", max(worst_rise, 0.0),
+                          cfg.tolerance("trend_rise", 0.02)))
+    return stats, {"ell": ell, "trend_grid": trend_grid}, ecdf
 
-    # Sub-run seeds, each its own: trend run i takes seed + i, the moment
-    # run the next seed after the trend's, and the c branch seed + 101.
-    moment_seed = cfg.seed
-    run_trend = "trend_grid" in cfg.params or cfg.theorem == "T1.6"
-    if run_trend:
-        trend_grid = _param(cfg, "trend_grid", (cfg.n,), _trend_grid)
-        _require_ell_at_most(ell, min(trend_grid))
-        moment_seed += len(trend_grid)
-        trend = []
-        for i, n_i in enumerate(trend_grid):
-            out = run_ensemble(rates, n_i, cfg.replications, cfg.seed + i,
-                               [lambda: TopLengthsTracker(ell)])
-            ll = math.log(math.log(n_i))
-            centered = ll * (out["top_lengths"][:, 0] - t_sequence(n_i))
-            ks = ks_statistic(centered, limits.logistic_cdf)
-            trend.append(ks)
-            stats.append(_info(f"ks_logistic_n{n_i}", ks))
-            ecdf[f"centered_max_n{n_i}"] = _decimated_ecdf(centered)
-        resolved["trend_grid"] = trend_grid
-        if len(trend) > 1:
-            worst_rise = max(b - a for a, b in zip(trend, trend[1:]))
-            stats.append(_bounded("trend_max_rise", max(worst_rise, 0.0),
-                                  cfg.tolerance("trend_rise", 0.02)))
 
-    if "t_grid" in cfg.params or cfg.theorem == "L9.2":
-        # an empty grid is how a c-branch run skips the moments, and
-        # their run; `resolved` keeps both keys all the same
-        t_grid = _param(cfg, "t_grid", (0.25, 0.5, 1.0),
-                        _grid(allow_empty=True))
-        r = _param(cfg, "r", 1, _count(1))
-        if t_grid.size:
-            blocks = run_ensemble(
-                rates, cfg.n, cfg.replications, moment_seed,
-                [lambda: BlockCountAtTimesTracker(t_grid)]
-            )["blocks_at"].astype(float)
-        for j, t in enumerate(t_grid):
-            vals = np.ones(blocks.shape[0])
-            for i in range(r):
-                vals *= blocks[:, j] + i
-            exact = limits.moehle_factorial_moment(cfg.n, float(t), r)
-            se = vals.std(ddof=1) / math.sqrt(vals.size)
-            stats.append(_bounded(
-                f"moment_zscore_r{r}_t{t:g}",
-                abs(vals.mean() - exact) / se,
-                cfg.tolerance("moment_z", 3.0), se=se))
-        resolved["t_grid"] = t_grid.tolist()
-        resolved["r"] = r
-
+def run_bs_moments(cfg: ExperimentConfig, rates: RateFunctions):
+    """Exact uniform-measure block-count checks: ascending factorial
+    moments at the times of t_grid, on seed, and with params c the
+    exponential law of the scaled count at the c-dependent centering
+    time, on seed + 101.  An empty t_grid skips the moments and their
+    run, and then c is required."""
+    t_grid = _param(cfg, "t_grid", (0.25, 0.5, 1.0), _grid(allow_empty=True))
+    r = _param(cfg, "r", 1, _count(1))
+    resolved = {"t_grid": t_grid.tolist(), "r": r}
     if "c" in cfg.params:
         c = _param(cfg, "c", None)
         if not c > 0:
@@ -636,15 +609,36 @@ def run_bs_extremes(cfg: ExperimentConfig, rates: RateFunctions):
         n_c = _param(cfg, "c_n", cfg.n, _count(2))
         reps_c = _param(cfg, "c_reps", cfg.replications, _count(1))
         t_c = t_c_sequence(n_c, c)
+        resolved.update({"c": c, "c_n": n_c, "t_c": t_c})
+    elif not t_grid.size:
+        raise ConfigError("L9.2 with an empty t_grid scores nothing; "
+                          "give params c or a nonempty t_grid")
+
+    stats = []
+    if t_grid.size:
+        blocks = run_ensemble(
+            rates, cfg.n, cfg.replications, cfg.seed,
+            [lambda: BlockCountAtTimesTracker(t_grid)]
+        )["blocks_at"].astype(float)
+    for j, t in enumerate(t_grid):
+        vals = np.ones(blocks.shape[0])
+        for i in range(r):
+            vals *= blocks[:, j] + i
+        exact = limits.moehle_factorial_moment(cfg.n, float(t), r)
+        se = vals.std(ddof=1) / math.sqrt(vals.size)
+        stats.append(_bounded(
+            f"moment_zscore_r{r}_t{t:g}",
+            abs(vals.mean() - exact) / se,
+            cfg.tolerance("moment_z", 3.0), se=se))
+
+    if "c" in cfg.params:
         out = run_ensemble(rates, n_c, reps_c, cfg.seed + 101,
                            [lambda: BlockCountAtTimesTracker([t_c])])
         scaled = math.exp(-t_c) * out["blocks_at"][:, 0].astype(float)
         stats.append(_scored("scaled_count_mean", scaled.mean(), c,
                              cfg.tolerance("c_mean", 0.15 * c),
                              se=scaled.std(ddof=1) / math.sqrt(scaled.size)))
-        resolved.update({"c": c, "c_n": n_c, "t_c": t_c})
-
-    return stats, resolved, ecdf
+    return stats, resolved, {}
 
 
 def run_factorial_replay(cfg: ExperimentConfig, rates: RateFunctions):
@@ -711,10 +705,11 @@ _RUNNERS = {
     "lln": (run_lln, _require_dustless, {"r_rule"}, {"ratio", "log_gap"}),
     "order_statistics": (run_order_statistics, _require_dustless,
                          {"ell", "alpha", "x_grid"}, {"ks", "count_moments"}),
-    "bs_extremes": (run_bs_extremes, _require_uniform,
-                    {"ell", "trend_grid", "t_grid", "r", "c", "c_n",
-                     "c_reps"},
-                    {"trend_rise", "moment_z", "c_mean"}),
+    "bs_trend": (run_bs_trend, _require_uniform,
+                 {"ell", "trend_grid"}, {"trend_rise"}),
+    "bs_moments": (run_bs_moments, _require_uniform,
+                   {"t_grid", "r", "c", "c_n", "c_reps"},
+                   {"moment_z", "c_mean"}),
     "factorial_replay": (run_factorial_replay, None,
                          {"r_rule", "r_values", "variance_paths"},
                          {"moment_z", "var_slack"}),

@@ -167,7 +167,8 @@ def moehle_factorial_moment(n: int, t, r: int) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class LimitLaw:
-    """Tagged limit family with its exponent, for report plumbing."""
+    """A limit family by name, with its exponent where it takes one: the
+    CDF and density behind `coalsim limits`."""
 
     family: str
     alpha: float | None = None

@@ -315,14 +315,55 @@ def test_experiment_param_shorthands(capsys):
     code, out, _ = run_cli(
         capsys, "experiment", "--measure", "kingman", "--theorem", "T1.5",
         "--n", "200", "--reps", "100",
-        "--param", "ell=9", "--ell", "2", "--param", "x_grid=[1.0]",
+        "--param", "ell=2", "--param", "x_grid=[1.0]",
         "--tol", "ks=1", "--tol", "count_moments=50")
     assert code == 0
     doc = json.loads(out)
     params = doc["config"]["params"]
-    assert params["ell"] == 2          # dedicated flag beats --param
+    assert params["ell"] == 2
     assert params["x_grid"] == [1.0]
     assert doc["config"]["resolved"]["ell"] == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--ell", "2"), ("--k", "2"), ("--c", "2"), ("--r-rule", "n/2"),
+])
+def test_experiment_param_is_the_only_way_to_set_a_key(capsys, flag, value):
+    # "--c" is not taken as an abbreviation of "--config" either
+    code, _, err = run_cli(
+        capsys, "experiment", "--measure", "kingman", "--theorem", "T1.5",
+        "--n", "200", "--reps", "100", flag, value)
+    assert code == 2
+    assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("what", ["--param", "--tol"])
+def test_experiment_key_given_twice_is_usage_error(capsys, what):
+    code, _, err = run_cli(
+        capsys, "experiment", "--measure", "kingman", "--theorem", "T1.5",
+        "--n", "200", "--reps", "100", what, "ell=2", what, "ell=9")
+    assert code == 2
+    assert "'ell' twice" in err
+
+
+@pytest.mark.parametrize("theorem, params, message", [
+    ("T1.6", ["trend_grid=[100,1000]", "r=2"], "does not read params ['r']"),
+    ("L9.2", ["ell=2"], "does not read params ['ell']"),
+    ("T1.6", [], "trend_grid"),
+    ("T1.6", ["trend_grid=[1000]"], "trend_grid"),
+    ("L9.2", ["t_grid=[]"], "t_grid"),
+], ids=["T1.6-r", "L9.2-ell", "T1.6-no-trend", "T1.6-one-size",
+        "L9.2-empty-t_grid"])
+def test_experiment_bs_key_it_does_not_score_is_usage_error(
+        capsys, theorem, params, message):
+    # a key of the other Bolthausen-Sznitman tag, or a grid that leaves
+    # the report with nothing to gate
+    args = [arg for param in params for arg in ("--param", param)]
+    code, _, err = run_cli(
+        capsys, "experiment", "--measure", "bolthausen-sznitman",
+        "--theorem", theorem, "--n", "1000", "--reps", "200", *args)
+    assert code == 2
+    assert message in err
 
 
 def test_experiment_bad_param_syntax(capsys):

@@ -453,8 +453,8 @@ class RetiresOneJumpEarly(MarkedLeafTracker):
     one jump early for the marks still alive, which the last merger would
     take."""
 
-    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
-        super().observe(rows, x_before, y_before, k, dy, t_old, t_new)
+    def observe(self, rows, x_before, y_before, k, dy, t_new):
+        super().observe(rows, x_before, y_before, k, dy, t_new)
         self.at_two = np.zeros(self.alive.shape[0], dtype=bool)
         self.at_two[rows] = x_before - k + 1 == 2
 
@@ -494,10 +494,10 @@ class CountsObserves(MarkedLeafTracker):
         self.calls = np.zeros(size, dtype=np.int64)
         self.absorbed_at = np.zeros(size, dtype=np.int64)
 
-    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
+    def observe(self, rows, x_before, y_before, k, dy, t_new):
         self.calls[rows] += 1
         before = self.alive[rows, 0]
-        super().observe(rows, x_before, y_before, k, dy, t_old, t_new)
+        super().observe(rows, x_before, y_before, k, dy, t_new)
         went = rows[before & ~self.alive[rows, 0]]
         self.absorbed_at[went] = self.calls[went]
 
@@ -521,9 +521,9 @@ class CountsCrossingObserves(LevelCrossingTracker):
         super().begin(size, n, rng)
         self.calls = np.zeros(size, dtype=np.int64)
 
-    def observe(self, rows, x_before, y_before, k, dy, t_old, t_new):
+    def observe(self, rows, x_before, y_before, k, dy, t_new):
         self.calls[rows] += 1
-        super().observe(rows, x_before, y_before, k, dy, t_old, t_new)
+        super().observe(rows, x_before, y_before, k, dy, t_new)
 
     def result(self):
         return {**super().result(), "calls": self.calls}

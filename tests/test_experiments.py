@@ -329,14 +329,15 @@ def test_run_order_statistics_alpha_override():
     assert rep.config["resolved"]["alpha"] == 1.5
 
 
-def test_run_bs_extremes_trend_and_moments():
+def test_run_bs_trend_and_moments():
     cfg = ExperimentConfig("bolthausen-sznitman", "T1.6", 300, 500,
                            params={"trend_grid": (300, 600)},
                            tolerances={"trend_rise": 0.5})
     rep = run_experiment(cfg)
     names = stat_names(rep)
-    assert names[:2] == ["ks_logistic_n300", "ks_logistic_n600"]
-    assert "trend_max_rise" in names
+    assert names == ["ks_logistic_n300", "ks_logistic_n600",
+                     "trend_max_rise"]
+    assert rep.config["resolved"] == {"ell": 1, "trend_grid": [300, 600]}
     assert "centered_max_n300" in rep.ecdf_grids
     assert rep.verdict == "PASS"
 
@@ -344,11 +345,11 @@ def test_run_bs_extremes_trend_and_moments():
         "bolthausen-sznitman", "L9.2", 500, 2000,
         params={"t_grid": (0.5,), "r": 1}))
     assert stat_names(moments) == ["moment_zscore_r1_t0.5"]
-    assert moments.config["resolved"]["r"] == 1
+    assert moments.config["resolved"] == {"t_grid": [0.5], "r": 1}
     assert moments.verdict == "PASS"
 
 
-def test_run_bs_extremes_c_branch(monkeypatch):
+def test_run_bs_moments_c_branch(monkeypatch):
     # an empty t_grid skips the moment run: the c branch is the only one
     calls = []
     real = experiments.run_ensemble
@@ -370,12 +371,26 @@ def test_run_bs_extremes_c_branch(monkeypatch):
     assert res["t_c"] > 0.0
 
 
-def test_trend_grid_leaves_the_c_branch_its_seed():
-    # trend run i is seeded seed + i, the c branch seed + 101
-    with pytest.raises(ConfigError, match="trend_grid"):
-        run_experiment(ExperimentConfig(
-            "bolthausen-sznitman", "T1.6", 10, 100,
-            params={"trend_grid": [10] * 101}))
+def test_bs_runners_keep_their_seeds(monkeypatch):
+    # trend run i on seed + i, the moment run on seed, the c branch on
+    # seed + 101
+    calls = []
+
+    def record(rates, n, reps, seed, factories):
+        calls.append((n, seed))
+        return {"top_lengths": np.ones((reps, 1)),
+                "blocks_at": np.arange(reps)[:, None] + np.ones((1, 3))}
+
+    monkeypatch.setattr(experiments, "run_ensemble", record)
+    run_experiment(ExperimentConfig(
+        "bolthausen-sznitman", "T1.6", 10, 100, seed=7,
+        params={"trend_grid": [10, 20, 30]}))
+    assert calls == [(10, 7), (20, 8), (30, 9)]
+    calls.clear()
+    run_experiment(ExperimentConfig(
+        "bolthausen-sznitman", "L9.2", 10, 100, seed=7,
+        params={"c": 2.0, "c_n": 40}))
+    assert calls == [(10, 7), (40, 108)]
 
 
 def test_run_factorial_replay_exact_law():
@@ -398,8 +413,8 @@ def test_run_experiment_dispatch_and_determinism():
     assert first.to_json() == again.to_json()
     assert stat_names(first) == ["exceedance_prob", "envelope_gap"]
     assert {kind for kind, _ in CATALOG.values()} == set(_RUNNERS) == {
-        "typical", "independence", "order_statistics", "bs_extremes",
-        "lln", "tail_identity", "factorial_replay"}
+        "typical", "independence", "order_statistics", "bs_trend",
+        "bs_moments", "lln", "tail_identity", "factorial_replay"}
 
 
 def test_readme_tag_table_matches_catalog():
@@ -425,6 +440,15 @@ def test_misspelt_key_is_rejected():
                                         params={"k": 2}))
 
 
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fails the test if the experiment reaches run_ensemble."""
+    def refuse(*args):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(experiments, "run_ensemble", refuse)
+
+
 @pytest.mark.parametrize("tag, key, grid", [
     ("T1.1", "t_grid", [0.5, math.nan]),
     ("T1.1", "t_grid", []),
@@ -435,14 +459,10 @@ def test_misspelt_key_is_rejected():
     ("L9.2", "t_grid", [0.5, math.nan]),
     ("L9.2", "t_grid", [math.inf]),
 ])
-def test_unusable_grids_are_rejected_before_simulating(monkeypatch, tag,
+def test_unusable_grids_are_rejected_before_simulating(no_simulation, tag,
                                                        key, grid):
     # a NaN compares false everywhere: T1.1's envelope gap read 0.0 and
     # passed, T1.5 and L9.2 reported NaN statistics
-    def refuse(*args):
-        raise AssertionError("simulated")
-
-    monkeypatch.setattr(experiments, "run_ensemble", refuse)
     measure = "bolthausen-sznitman" if tag == "L9.2" else "kingman"
     with pytest.raises(ConfigError, match=key):
         run_experiment(ExperimentConfig(measure, tag, 100, 100,
@@ -483,10 +503,12 @@ _ALL_KEYS = {
     "order_statistics": ("kingman", 100,
                          {"ell": 2, "alpha": 2.0, "x_grid": [1.0]},
                          {"ks": 1.0, "count_moments": 100.0}),
-    "bs_extremes": ("bolthausen-sznitman", 100,
-                    {"ell": 1, "trend_grid": [50, 100], "t_grid": [0.5],
-                     "r": 1, "c": 1.0, "c_n": 100, "c_reps": 100},
-                    {"trend_rise": 1.0, "moment_z": 100.0, "c_mean": 10.0}),
+    "bs_trend": ("bolthausen-sznitman", 100,
+                 {"ell": 1, "trend_grid": [50, 100]}, {"trend_rise": 1.0}),
+    "bs_moments": ("bolthausen-sznitman", 100,
+                   {"t_grid": [0.5], "r": 1, "c": 1.0, "c_n": 100,
+                    "c_reps": 100},
+                   {"moment_z": 100.0, "c_mean": 10.0}),
     "factorial_replay": ("kingman", 50,
                          {"r_rule": "n/2", "r_values": [1, 2],
                           "variance_paths": 3},
@@ -496,17 +518,13 @@ _ALL_KEYS = {
 
 @pytest.mark.parametrize("tag, n, params", [
     ("T1.5", 3, {"ell": 5}),
-    ("T1.6", 3, {"ell": 7}),
+    ("T1.6", 3, {"ell": 7, "trend_grid": [3, 10]}),
     ("T1.6", 100, {"ell": 20, "trend_grid": [50, 10]}),
 ])
-def test_ell_above_the_sample_is_rejected_before_simulating(monkeypatch, tag,
-                                                           n, params):
+def test_ell_above_the_sample_is_rejected_before_simulating(no_simulation,
+                                                           tag, n, params):
     # a sample of n leaves has n external lengths: the slots beyond them
     # held zeros, and T1.6 at n = 3 with ell = 7 reported PASS
-    def refuse(*args):
-        raise AssertionError("simulated")
-
-    monkeypatch.setattr(experiments, "run_ensemble", refuse)
     measure = "bolthausen-sznitman" if tag == "T1.6" else "kingman"
     with pytest.raises(ConfigError, match="ell"):
         run_experiment(ExperimentConfig(measure, tag, n, 100, params=params))
@@ -516,6 +534,43 @@ def test_empty_trend_grid_is_rejected():
     with pytest.raises(ConfigError, match="trend_grid"):
         run_experiment(ExperimentConfig("bolthausen-sznitman", "T1.6", 100,
                                         100, params={"trend_grid": []}))
+
+
+@pytest.mark.parametrize("tag, params, key", [
+    ("T1.6", {}, "trend_grid"),
+    ("T1.6", {"trend_grid": [1000]}, "trend_grid"),
+    ("L9.2", {"t_grid": []}, "t_grid"),
+], ids=["T1.6-no-trend", "T1.6-one-size", "L9.2-empty-t_grid"])
+def test_configs_that_gate_nothing_are_rejected_before_simulating(
+        no_simulation, tag, params, key):
+    # one trend size reported an info KS alone, an empty t_grid without c
+    # reported nothing, and both read PASS
+    with pytest.raises(ConfigError, match=key):
+        run_experiment(ExperimentConfig("bolthausen-sznitman", tag, 1000,
+                                        200, params=params))
+
+
+_L92_ONLY = {"t_grid": [0.5], "r": 2, "c": 2.0, "c_n": 100, "c_reps": 100}
+_T16_ONLY = {"ell": 2, "trend_grid": [50, 100]}
+
+
+@pytest.mark.parametrize("tag, what, key, value", [
+    *[("T1.6", "params", key, value) for key, value in _L92_ONLY.items()],
+    ("T1.6", "tolerances", "moment_z", 3.0),
+    ("T1.6", "tolerances", "c_mean", 0.3),
+    *[("L9.2", "params", key, value) for key, value in _T16_ONLY.items()],
+    ("L9.2", "tolerances", "trend_rise", 0.02),
+])
+def test_bs_tags_refuse_each_others_keys(no_simulation, tag, what, key,
+                                        value):
+    # T1.6 could gate L9.2's moments and c branch, and L9.2 run a trend
+    given = {"params": {"trend_grid": [50, 100]} if tag == "T1.6" else {},
+             "tolerances": {}}
+    given[what][key] = value
+    with pytest.raises(ConfigError,
+                       match=rf"{tag} does not read {what} \['{key}'\]"):
+        run_experiment(ExperimentConfig("bolthausen-sznitman", tag, 100,
+                                        100, **given))
 
 
 @pytest.mark.parametrize("tag", sorted(CATALOG))
@@ -528,7 +583,8 @@ def test_every_key_a_runner_reads_is_declared(tag):
                            params=_ReadLog(given_params),
                            tolerances=_ReadLog(given_tols))
     report = run_experiment(cfg)
-    assert report.statistics
+    assert any(s.passed is not None for s in report.statistics), \
+        "the report gates nothing"
     assert cfg.params.read <= params, cfg.params.read - params
     assert cfg.tolerances.read <= tolerances, \
         cfg.tolerances.read - tolerances

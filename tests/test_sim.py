@@ -139,14 +139,13 @@ def test_counting_processes_right_continuous():
     trackers = (BlockCountAtTimesTracker(t), ThresholdCountTracker(t))
     for tr in trackers:
         tr.begin(1, path.n, None)
-    y, t_old = path.n, 0.0
+    y = path.n
     for x, k, dy, t_new in zip(path.block_count_before, path.merger_size,
                                path.absorbed_singletons, path.jump_time):
         for tr in trackers:
             tr.observe(np.array([0]), np.array([x]), np.array([y]),
-                       np.array([k]), np.array([dy]), np.array([t_old]),
-                       np.array([t_new]))
-        y, t_old = y - dy, t_new
+                       np.array([k]), np.array([dy]), np.array([t_new]))
+        y -= dy
     np.testing.assert_array_equal(trackers[0].result()["blocks_at"][0],
                                   [5, 5, 3, 3, 2, 1, 1])
     np.testing.assert_array_equal(trackers[1].result()["exceed_counts"][0],
