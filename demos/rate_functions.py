@@ -45,7 +45,7 @@ def growth_and_regime() -> None:
     for name, m in MEASURES:
         r = rates_for(m)
         diag = r.dust_diagnostic()
-        s_n = r.s_at(1e4) if str(diag) == "dustless" else float("nan")
+        s_n = r.s_at(1e4) if diag == "dustless" else float("nan")
         print(f"{name:>16} | {r.rate_of_decrease(1e4):10.3g} | {s_n:8.3g} | "
               f"{r.rv_exponent_estimate():9.3f} | {diag}")
     print("(alpha-hat is the log-log slope of mu on [1e3, 1e6]; s(n) solves")

@@ -17,11 +17,9 @@ Everything downstream of `measure` is deterministic given (config, seed).
 from .quadrature import (
     adaptive_integrate,
     integrate_tail,
-    integrate_unit_interval,
     power_substitution,
 )
 from .measure import (
-    CustomDensity,
     LambdaMeasure,
     MeasureParseError,
     PowerBetaDensity,
@@ -31,7 +29,6 @@ from .measure import (
     power_beta,
 )
 from .rates import (
-    DustDiagnostic,
     RateFunctions,
     rates_for,
     t_c_sequence,
@@ -83,12 +80,10 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "adaptive_integrate", "integrate_tail", "integrate_unit_interval",
-    "power_substitution",
-    "CustomDensity", "LambdaMeasure", "MeasureParseError", "PowerBetaDensity",
+    "adaptive_integrate", "integrate_tail", "power_substitution",
+    "LambdaMeasure", "MeasureParseError", "PowerBetaDensity",
     "bolthausen_sznitman", "kingman", "parse_measure", "power_beta",
-    "DustDiagnostic", "RateFunctions", "rates_for", "t_c_sequence",
-    "t_sequence",
+    "RateFunctions", "rates_for", "t_c_sequence", "t_sequence",
     "DEFAULT_SEED", "CoalescentPath", "ExternalLengths", "LabeledHistory",
     "MergerSizeSampler", "as_rate_functions", "simulate_labeled",
     "simulate_path",

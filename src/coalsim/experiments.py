@@ -182,7 +182,7 @@ def two_sample_ks(a, b) -> float:
 
 
 def _require_dustless(rates: RateFunctions) -> None:
-    verdict = str(rates.dust_diagnostic())
+    verdict = rates.dust_diagnostic()
     if verdict != "dustless":
         raise RegimeError(f"experiment needs a dustless measure, "
                           f"diagnostic says {verdict!r} "
@@ -251,32 +251,25 @@ def _grid(positive: bool = False, allow_empty: bool = False):
     return convert
 
 
-def known_rv_exponent(measure: LambdaMeasure) -> float | None:
-    """The regular-variation exponent of the rate of decrease when every
-    component is a recognized family, else None (callers then estimate).
-    Mass at 0 contributes 2, interior atoms 1, a power-beta density with
-    left exponent a in (0, 1] contributes 2 - a; the largest wins."""
-    best = None
+def known_rv_exponent(measure: LambdaMeasure) -> float:
+    """The regular-variation exponent of the rate of decrease.  Mass at 0
+    contributes 2, interior atoms 1, a power-beta density with left
+    exponent a in (0, 1] contributes 2 - a and any other 1; the largest
+    wins."""
+    contribs = [2.0 - dens.a if dens.a <= 1.0 else 1.0
+                for dens in measure.densities]
     if measure.atom_at_zero:
-        best = 2.0
+        contribs.append(2.0)
     if measure.atoms:
-        best = max(best or 1.0, 1.0)
-    for dens in measure.densities:
-        if not isinstance(dens, PowerBetaDensity):
-            return None
-        contrib = 2.0 - dens.a if dens.a <= 1.0 else 1.0
-        best = contrib if best is None else max(best, contrib)
-    return best
+        contribs.append(1.0)
+    return max(contribs)
 
 
 def _resolve_alpha(cfg: ExperimentConfig,
                    rates: RateFunctions) -> tuple[float, str]:
     if "alpha" in cfg.params:
         return _param(cfg, "alpha", None), "config"
-    known = known_rv_exponent(rates.measure)
-    if known is not None:
-        return known, "family"
-    return float(rates.rv_exponent_estimate()), "estimated"
+    return known_rv_exponent(rates.measure), "family"
 
 
 def parse_r_rule(rule, n: int) -> float:
@@ -598,7 +591,7 @@ def run_bs_moments(cfg: ExperimentConfig, rates: RateFunctions):
     moments at the times of t_grid, on seed, and with params c the
     exponential law of the scaled count at the c-dependent centering
     time, on seed + 101.  An empty t_grid skips the moments and their
-    run, and then c is required."""
+    run, and then c is required, as it is when c_n or c_reps is given."""
     t_grid = _param(cfg, "t_grid", (0.25, 0.5, 1.0), _grid(allow_empty=True))
     r = _param(cfg, "r", 1, _count(1))
     resolved = {"t_grid": t_grid.tolist(), "r": r}
@@ -610,9 +603,13 @@ def run_bs_moments(cfg: ExperimentConfig, rates: RateFunctions):
         reps_c = _param(cfg, "c_reps", cfg.replications, _count(1))
         t_c = t_c_sequence(n_c, c)
         resolved.update({"c": c, "c_n": n_c, "t_c": t_c})
-    elif not t_grid.size:
-        raise ConfigError("L9.2 with an empty t_grid scores nothing; "
-                          "give params c or a nonempty t_grid")
+    else:
+        unread = sorted({"c_n", "c_reps"} & set(cfg.params))
+        if unread:
+            raise ConfigError(f"L9.2 reads params {unread} only with c")
+        if not t_grid.size:
+            raise ConfigError("L9.2 with an empty t_grid scores nothing; "
+                              "give params c or a nonempty t_grid")
 
     stats = []
     if t_grid.size:

@@ -2,10 +2,9 @@
 
 A measure is stored in three parts that later integrate differently against
 the ``1/p**2`` kernels: a point mass at 0, point masses in (0, 1], and
-absolutely continuous components.  Named density components are power-beta,
+absolutely continuous components.  Density components are power-beta,
 ``c * p**(a-1) * (1-p)**(b-1)``, whose moments against ``p**j (1-p)**k``
-have the closed form ``c * B(a+j, b+k)``; user-supplied densities carry
-declared endpoint exponents so the quadrature can substitute them away.
+have the closed form ``c * B(a+j, b+k)``, so every rate has a closed form.
 
 Text form (case-insensitive, terms joined by "+")::
 
@@ -21,12 +20,10 @@ Instances are immutable; ``+`` concatenates components without merging.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-
-from .quadrature import integrate_unit_interval
 
 
 class MeasureParseError(ValueError):
@@ -54,47 +51,12 @@ class PowerBetaDensity:
         if not (self.c > 0 and self.a > 0 and self.b > 0):
             raise ValueError("power-beta parameters must be positive")
 
-    @property
-    def left_exponent(self) -> float:
-        return self.a
-
-    @property
-    def right_exponent(self) -> float:
-        return self.b
-
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
         return self.c * p ** (self.a - 1.0) * (1.0 - p) ** (self.b - 1.0)
 
     def mass(self) -> float:
         return self.c * special.beta(self.a, self.b)
-
-
-@dataclass(frozen=True)
-class CustomDensity:
-    """User-supplied vectorized density with declared endpoint exponents.
-
-    ``fn(p)`` must accept numpy arrays with values in (0, 1).  The declared
-    exponents promise fn(p) = O(p**(left_exponent - 1)) at 0 and
-    O((1-p)**(right_exponent - 1)) at 1; integrability requires both > 0.
-    """
-
-    fn: object = field(compare=False)
-    left_exponent: float = 1.0
-    right_exponent: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.left_exponent > 0 and self.right_exponent > 0):
-            raise ValueError("declared endpoint exponents must be positive")
-        if not callable(self.fn):
-            raise ValueError("custom density needs a callable")
-
-    def __call__(self, p):
-        return self.fn(np.asarray(p, dtype=float))
-
-    def mass(self) -> float:
-        return integrate_unit_interval(self, self.left_exponent,
-                                       self.right_exponent)
 
 
 @dataclass(frozen=True)
@@ -108,7 +70,7 @@ class LambdaMeasure:
     atoms : tuple of (p, mass)
         Point masses at locations in (0, 1].
     densities : tuple
-        PowerBetaDensity / CustomDensity components, summed.
+        PowerBetaDensity components, summed.
     """
 
     atom_at_zero: float = 0.0
@@ -128,7 +90,7 @@ class LambdaMeasure:
             if m <= 0:
                 raise ValueError("atom masses must be positive")
         for dens in self.densities:
-            if not isinstance(dens, (PowerBetaDensity, CustomDensity)):
+            if not isinstance(dens, PowerBetaDensity):
                 raise ValueError(f"unsupported density component: {dens!r}")
 
     def __add__(self, other: "LambdaMeasure") -> "LambdaMeasure":

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre integration on (0, 1) with endpoint substitutions.
+"""Adaptive Gauss-Legendre integration with endpoint substitutions.
 
 The integrands arising from coalescent rate computations are smooth in the
 interior of (0, 1) but typically carry algebraic endpoint behaviour
@@ -30,10 +30,11 @@ _MAX_PANELS = 4096
 REL_TOL = 1e-10
 ABS_TOL = 1e-14
 
-# Floor for the reflected distance-to-endpoint coordinate: below 2**-52 the
-# expression 1 - q rounds to 1.0 and a right-singular integrand would be
-# evaluated at its pole.  The clamp discards only O(eps**exponent) mass.
-_REFLECT_MIN = 2.0 ** -52
+# Floor for the distance q to the right endpoint: under the substitution
+# q = t**m a smaller q underflows to 0, where a factor q**(b-1) with b < 1
+# is infinite.  The floor discards O(_Q_MIN**b) of the mass, below 1e-15
+# for b >= 0.05.
+_Q_MIN = float(np.finfo(float).tiny)
 
 
 @lru_cache(maxsize=32)
@@ -104,52 +105,31 @@ def power_substitution(f, exponent: float):
     return g, m
 
 
-def integrate_unit_interval(f, left_exponent: float = 1.0,
-                            right_exponent: float = 1.0) -> float:
-    """Integrate f over (0, 1) given its algebraic endpoint exponents.
-
-    ``left_exponent`` a means f(p) = O(p**(a-1)) as p -> 0; ``right_exponent``
-    b means f(p) = O((1-p)**(b-1)) as p -> 1.  Both must be positive
-    (integrability).  The interval is split at 1/2 and each half substituted
-    so the transformed integrand is bounded.
-    """
-    if left_exponent <= 0 or right_exponent <= 0:
-        raise ValueError("endpoint exponents must be positive for integrability")
-    gl, ml = power_substitution(f, left_exponent)
-    left = adaptive_integrate(gl, 0.0, 0.5 ** (1.0 / ml))
-
-    def reflected(q):
-        return f(1.0 - np.maximum(q, _REFLECT_MIN))
-
-    gr, mr = power_substitution(reflected, right_exponent)
-    right = adaptive_integrate(gr, 0.0, 0.5 ** (1.0 / mr))
-    return left + right
-
-
 def integrate_tail(f, lo: float, hi: float = 1.0,
                    right_exponent: float = 1.0) -> float:
-    """Integrate f over (lo, hi) in log space, for integrands peaked near lo.
+    """Integrate f(p, q), q = hi - p, over p in (lo, hi), in log space for
+    integrands peaked near lo.
 
     Used for tail moments like int_u^1 p**(a-3) dp where the mass sits at the
     lower endpoint over several decades.  Substituting p = exp(v) equalizes
-    the decades; the right endpoint keeps its algebraic substitution.
+    the decades below 1/2.  Above max(lo, 1/2) the integral runs in q with
+    the algebraic substitution of the right endpoint, and f is handed that
+    q exactly, so a factor q**(b-1) with b < 1 keeps its mass next to hi.
     """
     if lo <= 0:
         raise ValueError("integrate_tail requires lo > 0")
     if hi <= lo:
         return 0.0
-    split = min(hi, 0.5)
+    split = min(hi, max(lo, 0.5))
     result = 0.0
     if lo < split:
         def g(v):
             p = np.exp(v)
-            return p * f(p)
+            return p * f(p, hi - p)
 
         result += adaptive_integrate(g, math.log(lo), math.log(split))
     if split < hi:
-        def reflected(q):
-            return f(hi - np.maximum(q, _REFLECT_MIN))
-
-        gr, mr = power_substitution(reflected, right_exponent)
+        gr, mr = power_substitution(
+            lambda q: f(hi - q, np.maximum(q, _Q_MIN)), right_exponent)
         result += adaptive_integrate(gr, 0.0, (hi - split) ** (1.0 / mr))
     return result

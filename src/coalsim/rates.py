@@ -14,25 +14,24 @@ with integrand x(x-1)/2 at p = 0.  mu is increasing and convex with
 mu(1) = 0, which makes the scale sequence s(n) solving mu(s) = mu(n)/n
 well defined for any nontrivial measure.
 
-Everything here has two evaluation paths: exact expressions for point masses
-and every power-beta density (digamma limits at a = 1, the uniform density
-among them, and at a = 2), and kernel quadrature for custom densities.  The
-test suite compares the two, through a custom density of the same
-power-beta formula, and both against direct sums over k.
+Every rate here is an exact expression: for point masses and for every
+power-beta density (digamma limits at a = 1, the uniform density among
+them, and at a = 2).  The test suite compares them with kernel quadrature
+(`tests/rate_oracle.py`), with mpmath and with direct sums over k.  Only
+the H transform of a power-beta density with b != 1 integrates
+numerically, by `quadrature.integrate_tail`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
-from .measure import CustomDensity, LambdaMeasure, PowerBetaDensity
-from .quadrature import (adaptive_integrate, integrate_tail,
-                         integrate_unit_interval, power_substitution)
+from .measure import LambdaMeasure, PowerBetaDensity
+from .quadrature import integrate_tail
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -88,28 +87,6 @@ def _mu2_kernel(p, x: float):
     ratio = np.where(p > 0, np.divide(w, p, out=np.full_like(p, -1.0),
                                       where=p > 0), -1.0)
     return np.exp(x * w) * ratio ** 2
-
-
-def _event_kernel(p, b: float):
-    """P(Binomial(b, p) >= 2) / p**2 = sum_k C(b,k) p**(k-2) (1-p)**(b-k).
-
-    Series coefficients are (i-1) C(b,i); direct evaluation goes through
-    -expm1((b-1) log1p(-p) + log1p((b-1) p)).
-    """
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    p0 = _SERIES_CROSSOVER / max(b, 1.0)
-    small = p < p0
-    ps = p[small]
-    t2 = b * (b - 1.0) / 2.0
-    t3 = 2.0 * (b * (b - 1.0) * (b - 2.0) / 6.0)
-    t4 = 3.0 * (b * (b - 1.0) * (b - 2.0) * (b - 3.0) / 24.0)
-    t5 = 4.0 * (b * (b - 1.0) * (b - 2.0) * (b - 3.0) * (b - 4.0) / 120.0)
-    out[small] = t2 - ps * (t3 - ps * (t4 - ps * t5))
-    pl = p[~small]
-    z = (b - 1.0) * np.log1p(-pl) + np.log1p((b - 1.0) * pl)
-    out[~small] = -np.expm1(z) / pl ** 2
-    return out
 
 
 def _beta_continued(u, v):
@@ -194,17 +171,6 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
         f"brentq did not converge after {maxiter} iterations, value is {xcur}")
 
 
-@dataclass(frozen=True)
-class DustDiagnostic:
-    """Outcome of the dust test int L(dp)/p = infinity (dustless) or not."""
-
-    verdict: str          # "dustless" | "dusty" | "inconclusive"
-    rule: str             # which rule fired, for reporting
-
-    def __str__(self) -> str:
-        return self.verdict
-
-
 class RateFunctions:
     """All rate-level quantities for one measure, with per-measure caches."""
 
@@ -213,7 +179,6 @@ class RateFunctions:
             raise ValueError("rates need a nonzero measure")
         self.measure = measure
         self._weights = lru_cache(maxsize=512)(self._weights_uncached)
-        self._custom_rate = lru_cache(maxsize=4096)(self._custom_rate_uncached)
 
     # -- merger rates -------------------------------------------------------
 
@@ -230,35 +195,8 @@ class RateFunctions:
             total += m * math.exp((k - 2) * math.log(p)
                                   + (b - k) * math.log1p(-p))
         for dens in self.measure.densities:
-            if isinstance(dens, PowerBetaDensity):
-                total += dens.c * math.exp(
-                    special.betaln(dens.a + k - 2, dens.b + b - k))
-            else:
-                total += self._quad_merger_rate(dens, b, k)
-        return total
-
-    @staticmethod
-    def _quad_merger_rate(dens, b: int, k: int) -> float:
-        """One density's share of lam(b, k), by quadrature."""
-        def f(p):
-            return p ** (k - 2) * (1.0 - p) ** (b - k) * dens(p)
-
-        return integrate_unit_interval(f, dens.left_exponent + k - 2,
-                                       dens.right_exponent + b - k)
-
-    def _custom_rate_uncached(self, b: float) -> float:
-        """lam(b) of the density components without a closed form, by
-        quadrature; memoized."""
-        total = 0.0
-        for dens in self.measure.densities:
-            if isinstance(dens, PowerBetaDensity):
-                continue
-
-            def f(p, dens=dens):
-                return _event_kernel(p, b) * dens(p)
-
-            total += integrate_unit_interval(f, dens.left_exponent,
-                                             dens.right_exponent)
+            total += dens.c * math.exp(
+                special.betaln(dens.a + k - 2, dens.b + b - k))
         return total
 
     def total_jump_rate(self, b) -> float:
@@ -273,12 +211,7 @@ class RateFunctions:
             z = (arr - 1.0) * math.log1p(-p) + np.log1p((arr - 1.0) * p)
             out += -np.expm1(z) * (m / p ** 2)
         for dens in self.measure.densities:
-            if isinstance(dens, PowerBetaDensity):
-                out += self._powerbeta_total_rate(dens, arr)
-        if not all(isinstance(dens, PowerBetaDensity)
-                   for dens in self.measure.densities):
-            # one term sums every density without a closed form
-            out += np.array([self._custom_rate(bi) for bi in arr])
+            out += self._powerbeta_total_rate(dens, arr)
         return float(out[0]) if np.isscalar(b) or np.ndim(b) == 0 else out
 
     def _powerbeta_total_rate(self, dens: PowerBetaDensity, arr: np.ndarray):
@@ -311,17 +244,11 @@ class RateFunctions:
             w += m * np.exp(logc + (ks - 2.0) * math.log(p)
                             + (b - ks) * math.log1p(-p))
         for dens in self.measure.densities:
-            if isinstance(dens, PowerBetaDensity):
-                # c C(b,k) B(a+k-2, bp+b-k) for exponents (a, bp)
-                a, bp = dens.a, dens.b
-                w += dens.c * np.exp(logc + special.gammaln(a + ks - 2.0)
-                                     + special.gammaln(bp + b - ks)
-                                     - special.gammaln(a + bp + b - 2.0))
-            else:
-                w += np.array([
-                    math.exp(_log_binom(float(b), float(k)))
-                    * self._quad_merger_rate(dens, b, k)
-                    for k in range(2, b + 1)])
+            # c C(b,k) B(a+k-2, bp+b-k) for exponents (a, bp)
+            a, bp = dens.a, dens.b
+            w += dens.c * np.exp(logc + special.gammaln(a + ks - 2.0)
+                                 + special.gammaln(bp + b - ks)
+                                 - special.gammaln(a + bp + b - 2.0))
         w.setflags(write=False)
         return w
 
@@ -366,10 +293,7 @@ class RateFunctions:
             out += m * np.array([float(kernel(np.array([p]), xi)[0])
                                  for xi in arr])
         for dens in self.measure.densities:
-            if isinstance(dens, PowerBetaDensity):
-                out += self._powerbeta_mu(dens, arr, order)
-            else:
-                out += np.array([self._mu_quad(dens, xi, order) for xi in arr])
+            out += self._powerbeta_mu(dens, arr, order)
         return out
 
     def _powerbeta_mu(self, dens: PowerBetaDensity, arr: np.ndarray,
@@ -414,15 +338,6 @@ class RateFunctions:
             dp = special.polygamma(1, bp + arr) - special.polygamma(1, z)
             return c * np.where(pole, 2.0 * limit * (psi + EULER_GAMMA),
                                 tail * (d * d + dp))
-
-    def _mu_quad(self, dens, x: float, order: int) -> float:
-        kernel = (_mu_kernel, _mu1_kernel, _mu2_kernel)[order]
-
-        def f(p):
-            return kernel(p, x) * dens(p)
-
-        return integrate_unit_interval(f, dens.left_exponent,
-                                       dens.right_exponent)
 
     def kappa(self, x):
         """mu(x)/x, the per-block decay rate."""
@@ -470,33 +385,32 @@ class RateFunctions:
 
     # -- H transform --------------------------------------------------------
 
-    def _density_partial_mass(self, dens, u: float) -> float:
+    @staticmethod
+    def _density_partial_mass(dens: PowerBetaDensity, u: float) -> float:
         if u <= 0:
             return 0.0
-        if isinstance(dens, PowerBetaDensity):
-            if u >= 1.0:
-                return dens.mass()
-            return dens.c * special.beta(dens.a, dens.b) * special.betainc(
-                dens.a, dens.b, u)
         if u >= 1.0:
             return dens.mass()
-        g, m = power_substitution(dens, dens.left_exponent)
-        return adaptive_integrate(g, 0.0, u ** (1.0 / m))
+        return dens.c * special.beta(dens.a, dens.b) * special.betainc(
+            dens.a, dens.b, u)
 
-    def _density_tail_moment(self, dens, u: float, power: int) -> float:
+    @staticmethod
+    def _density_tail_moment(dens: PowerBetaDensity, u: float,
+                             power: int) -> float:
         """int_(u,1] p**(-power) against the density component."""
         if u >= 1.0:
             return 0.0
-        if isinstance(dens, PowerBetaDensity) and dens.b == 1.0:
-            a, c = dens.a, dens.c
+        a, c = dens.a, dens.c
+        if dens.b == 1.0:
             e = a - power
             if e == 0.0:
                 return -c * math.log(u)
             return c * (1.0 - u ** e) / e
-        def f(p, dens=dens):
-            return dens(p) / p ** power
 
-        return integrate_tail(f, u, 1.0, dens.right_exponent)
+        def f(p, q):
+            return c * p ** (a - 1.0) * q ** (dens.b - 1.0) / p ** power
+
+        return integrate_tail(f, u, 1.0, dens.b)
 
     def H_function(self, u: float) -> float:
         """H(u) = L({0})/2 + int_0^u h(z) dz, by exact reduction to
@@ -518,38 +432,15 @@ class RateFunctions:
 
     # -- diagnostics --------------------------------------------------------
 
-    def dust_diagnostic(self) -> DustDiagnostic:
-        """Does int L(dp)/p diverge (dustless regime of the limit theorems)?"""
-        if self.measure.atom_at_zero > 0:
-            return DustDiagnostic("dustless", "atom at zero")
-        power_beta = [d for d in self.measure.densities
-                      if isinstance(d, PowerBetaDensity)]
-        custom = [d for d in self.measure.densities
-                  if isinstance(d, CustomDensity)]
-        if any(d.a <= 1.0 for d in power_beta):
-            return DustDiagnostic("dustless",
-                                  "power-beta left exponent a <= 1")
-        if not custom:
-            if power_beta:
-                return DustDiagnostic("dusty",
-                                      "all power-beta left exponents a > 1")
-            return DustDiagnostic("dusty", "finitely many interior atoms")
-        if all(d.left_exponent > 1.0 for d in custom):
-            # declared O(p**(le-1)) bound with le > 1 makes int 1/p finite
-            return DustDiagnostic("dusty",
-                                  "declared left exponents all > 1")
-        # Declared exponents only bound from above; fall back to the trend of
-        # mu(n)/n over four decades.
-        lo, hi = 1e2, 1e6
-        ratio = (self.rate_of_decrease(hi) / hi) / (self.rate_of_decrease(lo) / lo)
-        if ratio > 5.0:
-            return DustDiagnostic("dustless",
-                                  f"mu(n)/n grew by {ratio:.3g} over [1e2, 1e6]")
-        if ratio < 1.5:
-            return DustDiagnostic("dusty",
-                                  f"mu(n)/n flat (factor {ratio:.3g}) over [1e2, 1e6]")
-        return DustDiagnostic("inconclusive",
-                              f"mu(n)/n trend factor {ratio:.3g} in [1.5, 5]")
+    def dust_diagnostic(self) -> str:
+        """"dustless" when int L(dp)/p diverges (the regime of the limit
+        theorems), else "dusty".  Mass at 0 or a power-beta density with
+        a <= 1 makes it diverge; interior atoms and power-beta densities
+        with a > 1 keep it finite."""
+        if self.measure.atom_at_zero > 0 or any(
+                d.a <= 1.0 for d in self.measure.densities):
+            return "dustless"
+        return "dusty"
 
     def rv_exponent_estimate(self) -> float:
         """Least-squares slope of log mu over 25 log-spaced points on

@@ -115,9 +115,8 @@ class MergerSizeSampler:
       otherwise lam(B) comes from the closed-form total rate.
 
     Several components join as e.g. ``kingman+powerbeta``.  Anything else
-    (power-beta with b < 1 or with a >= 2 and b > 1, or custom densities)
-    is ``grouped``: lanes are grouped by unique B and invert the exact
-    cached probability vector.
+    (power-beta with b < 1 or with a >= 2 and b > 1) is ``grouped``: lanes
+    are grouped by unique B and invert the exact cached probability vector.
     Same law, far slower for large n.
     """
 
@@ -133,9 +132,7 @@ class MergerSizeSampler:
         for p, m in measure.atoms:
             self._components.append(("atom", p, m))
         for dens in measure.densities:
-            if not isinstance(dens, PowerBetaDensity):
-                self._fast = False
-            elif dens.a == 1.0 and dens.b == 1.0:
+            if dens.a == 1.0 and dens.b == 1.0:
                 self._components.append(("uniform", dens.c))
             elif dens.b == 1.0 or (dens.b > 1.0 and dens.a < 2.0):
                 self._components.append(self._powerbeta_component(dens))

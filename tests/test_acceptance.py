@@ -22,8 +22,9 @@ from coalsim.experiments import (ExperimentConfig, finite_n_max_cdf,
 from coalsim.measure import (bolthausen_sznitman, kingman, parse_measure,
                              power_beta)
 from coalsim.quadrature import adaptive_integrate
-from coalsim.rates import RateFunctions, rates_for
+from coalsim.rates import rates_for
 from coalsim.sim import DEFAULT_SEED, simulate_labeled
+from rate_oracle import merger_rate, mu, total_jump_rate
 
 
 @pytest.fixture
@@ -48,18 +49,18 @@ def _run(measure, theorem, n, reps, **kw):
 # ---------------------------------------------------------------------------
 # 1: uniform-measure pair rates, quadrature against the factorial form
 
-def test_criterion_01_exact_pair_rates(verdict, quadrature_twin):
+def test_criterion_01_exact_pair_rates(verdict):
     t0 = time.perf_counter()
-    quad = RateFunctions(quadrature_twin(bolthausen_sznitman()))
+    bs = bolthausen_sznitman()
     worst_pair = worst_total = 0.0
     for b in range(2, 31):
         for k in range(2, b + 1):
             closed = math.exp(math.lgamma(k - 1) + math.lgamma(b - k + 1)
                               - math.lgamma(b))
             worst_pair = max(worst_pair,
-                             abs(quad.merger_rate(b, k) / closed - 1.0))
+                             abs(merger_rate(bs, b, k) / closed - 1.0))
         worst_total = max(worst_total,
-                          abs(quad.total_jump_rate(b) / (b - 1) - 1.0))
+                          abs(total_jump_rate(bs, b) / (b - 1) - 1.0))
     elapsed = time.perf_counter() - t0
     ok = worst_pair <= 1e-9 and worst_total <= 1e-9 and elapsed < 1.0
     verdict(1, "exact pair rates", ok,
@@ -73,17 +74,15 @@ def test_criterion_01_exact_pair_rates(verdict, quadrature_twin):
 # ---------------------------------------------------------------------------
 # 2: mu(b) as an integral against the weighted sum of pair rates
 
-def test_criterion_02_mu_consistency(verdict, quadrature_twin):
+def test_criterion_02_mu_consistency(verdict):
     t0 = time.perf_counter()
     worst_sum = worst_fd = 0.0
     for m in (kingman(), bolthausen_sznitman(), power_beta(1.0, 0.5)):
-        quad = RateFunctions(quadrature_twin(m))
         closed = rates_for(m)
         for b in range(2, 51):
             k = np.arange(2, b + 1)
             total = float(np.sum((k - 1) * closed.merger_size_weights(b)))
-            worst_sum = max(worst_sum,
-                            abs(quad.rate_of_decrease(b) / total - 1.0))
+            worst_sum = max(worst_sum, abs(mu(m, b) / total - 1.0))
         for x in (2.5, 40.0, 400.0):
             _, mu1, _ = closed.mu_derivatives(x)
             h = 1e-5 * x

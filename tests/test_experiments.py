@@ -18,8 +18,7 @@ from coalsim.experiments import (CATALOG, ConfigError, ExperimentConfig,
                                  known_rv_exponent, ks_statistic, limit_gap,
                                  parse_r_rule, run_experiment,
                                  two_sample_ks)
-from coalsim.measure import (CustomDensity, LambdaMeasure,
-                             bolthausen_sznitman, kingman, parse_measure,
+from coalsim.measure import (bolthausen_sznitman, kingman, parse_measure,
                              power_beta)
 from coalsim.rates import rates_for
 
@@ -137,8 +136,7 @@ def test_known_rv_exponent():
     assert known_rv_exponent(parse_measure("dirac:p=0.5,m=1")) == 1.0
     assert known_rv_exponent(
         parse_measure("kingman + powerbeta:c=1,a=0.5,b=1")) == 2.0
-    custom = LambdaMeasure(densities=(CustomDensity(lambda p: p),))
-    assert known_rv_exponent(custom) is None
+    assert known_rv_exponent(parse_measure("beta:2.5,3")) == 1.0
 
 
 def test_integral_inverse_mu_kingman():
@@ -547,6 +545,16 @@ def test_configs_that_gate_nothing_are_rejected_before_simulating(
     # reported nothing, and both read PASS
     with pytest.raises(ConfigError, match=key):
         run_experiment(ExperimentConfig("bolthausen-sznitman", tag, 1000,
+                                        200, params=params))
+
+
+@pytest.mark.parametrize("params", [{"c_n": 10 ** 6}, {"c_reps": 500},
+                                    {"t_grid": [], "c_n": 1000}])
+def test_l92_c_branch_keys_need_c(no_simulation, params):
+    # without c no run reads c_n or c_reps: the report gated only the
+    # moments and read PASS
+    with pytest.raises(ConfigError, match="only with c"):
+        run_experiment(ExperimentConfig("bolthausen-sznitman", "L9.2", 1000,
                                         200, params=params))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from coalsim.measure import (CustomDensity, LambdaMeasure, MeasureParseError,
+from coalsim.measure import (LambdaMeasure, MeasureParseError,
                              PowerBetaDensity, bolthausen_sznitman, kingman,
                              parse_measure, power_beta)
 
@@ -21,8 +21,6 @@ def test_power_beta_pointwise():
     dens = PowerBetaDensity(c=3.0, a=2.0, b=3.0)
     p = np.array([0.25, 0.5])
     np.testing.assert_allclose(dens(p), 3.0 * p * (1.0 - p) ** 2, rtol=1e-14)
-    assert dens.left_exponent == 2.0
-    assert dens.right_exponent == 3.0
 
 
 def test_power_beta_rejects_nonpositive_params():
@@ -30,18 +28,6 @@ def test_power_beta_rejects_nonpositive_params():
                 dict(c=1.0, a=1.0, b=0.0)]:
         with pytest.raises(ValueError):
             PowerBetaDensity(**bad)
-
-
-def test_custom_density_mass_by_quadrature():
-    dens = CustomDensity(lambda p: 1.0 / np.sqrt(p), left_exponent=0.5)
-    assert dens.mass() == pytest.approx(2.0, rel=1e-10)
-
-
-def test_custom_density_validation():
-    with pytest.raises(ValueError):
-        CustomDensity(lambda p: p, left_exponent=0.0)
-    with pytest.raises(ValueError):
-        CustomDensity("not callable")
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +44,8 @@ def test_measure_validation():
         LambdaMeasure(atoms=((0.5, 0.0),))
     with pytest.raises(ValueError):
         LambdaMeasure(densities=("not a density",))
+    with pytest.raises(ValueError):      # a density is power-beta
+        LambdaMeasure(densities=(np.ones_like,))
 
 
 def test_addition_concatenates():

@@ -1,5 +1,6 @@
 """Quadrature layer: exactness on polynomials, endpoint singularities,
-and tail integrals."""
+and tail integrals; and the unit-interval integrator of the tests' rate
+oracle."""
 
 import math
 
@@ -8,7 +9,8 @@ import pytest
 from scipy import special
 
 from coalsim.quadrature import (adaptive_integrate, integrate_tail,
-                                integrate_unit_interval, power_substitution)
+                                power_substitution)
+from rate_oracle import integrate_unit_interval
 
 
 def test_polynomial_exact():
@@ -38,21 +40,21 @@ def test_needle_peak_found():
 
 
 def test_left_singularity_sqrt():
-    got = integrate_unit_interval(lambda p: p ** -0.5, left_exponent=0.5)
+    got = integrate_unit_interval(lambda p, q: p ** -0.5, left_exponent=0.5)
     assert got == pytest.approx(2.0, rel=1e-11)
 
 
 def test_two_sided_beta_moment():
     # int p**(-0.9) (1-p)**(-0.5) dp = B(0.1, 0.5)
-    def f(p):
-        return p ** -0.9 * (1.0 - p) ** -0.5
+    def f(p, q):
+        return p ** -0.9 * q ** -0.5
 
     got = integrate_unit_interval(f, left_exponent=0.1, right_exponent=0.5)
     assert got == pytest.approx(special.beta(0.1, 0.5), rel=1e-10)
 
 
 def test_right_singularity_only():
-    got = integrate_unit_interval(lambda p: (1.0 - p) ** -0.25,
+    got = integrate_unit_interval(lambda p, q: q ** -0.25,
                                   right_exponent=0.75)
     assert got == pytest.approx(1.0 / 0.75, rel=1e-11)
 
@@ -75,23 +77,40 @@ def test_power_substitution_noop_for_regular():
 def test_tail_integral_spanning_decades():
     # int_u^1 p**-2 dp = 1/u - 1, mass concentrated at the lower end
     u = 1e-8
-    got = integrate_tail(lambda p: p ** -2.0, u, 1.0)
+    got = integrate_tail(lambda p, q: p ** -2.0, u, 1.0)
     assert got == pytest.approx(1.0 / u - 1.0, rel=1e-9)
 
 
 def test_tail_integral_with_right_singularity():
     u = 0.2
-    got = integrate_tail(lambda p: (1.0 - p) ** -0.5, u, 1.0,
+    got = integrate_tail(lambda p, q: q ** -0.5, u, 1.0,
                          right_exponent=0.5)
     assert got == pytest.approx(2.0 * math.sqrt(1.0 - u), rel=1e-10)
 
 
+def test_tail_integral_above_one_half():
+    # a lower limit above 1/2 once integrated over (1/2, hi): 0.5, not 0.1
+    got = integrate_tail(lambda p, q: np.ones_like(p), 0.9, 1.0)
+    assert got == pytest.approx(0.1, rel=1e-12)
+
+
+def test_right_singularity_keeps_its_mass():
+    # q**(b-1) with b = 0.3 puts 2e-5 of its mass below q = 2**-52, which
+    # an integrand of p alone cannot resolve: 1 - q rounds to 1 there
+    got = integrate_unit_interval(lambda p, q: q ** -0.7,
+                                  right_exponent=0.3)
+    assert got == pytest.approx(1.0 / 0.3, rel=1e-10)
+    got = integrate_tail(lambda p, q: q ** -0.7, 0.2, 1.0,
+                         right_exponent=0.3)
+    assert got == pytest.approx(0.8 ** 0.3 / 0.3, rel=1e-10)
+
+
 def test_tail_requires_positive_lo():
     with pytest.raises(ValueError):
-        integrate_tail(lambda p: p, 0.0, 1.0)
+        integrate_tail(lambda p, q: p, 0.0, 1.0)
 
 
 def test_unit_interval_rejects_nonintegrable():
     with pytest.raises(ValueError):
-        integrate_unit_interval(lambda p: p ** -1.5, left_exponent=-0.5)
+        integrate_unit_interval(lambda p, q: p ** -1.5, left_exponent=-0.5)
 

@@ -1,5 +1,6 @@
-"""Rate layer: closed forms against hand-derived values and against the
-quadrature path, plus the derived sequences s(n) and t(n)."""
+"""Rate layer: closed forms against hand-derived values, against the
+quadrature oracle of `rate_oracle` and against mpmath, plus the derived
+sequences s(n) and t(n)."""
 
 import math
 import os
@@ -14,8 +15,10 @@ import pytest
 from scipy import optimize, special
 
 import coalsim
+import rate_oracle as oracle
+from coalsim import quadrature
 from coalsim import rates as rates_module
-from coalsim.measure import (CustomDensity, LambdaMeasure, PowerBetaDensity,
+from coalsim.measure import (LambdaMeasure, PowerBetaDensity,
                              bolthausen_sznitman, kingman, parse_measure,
                              power_beta)
 from coalsim.rates import (EULER_GAMMA, RateFunctions, _brentq, rates_for,
@@ -103,22 +106,21 @@ def test_pair_rate_pascal_recursion(text):
                 rel=1e-11)
 
 
-def test_closed_forms_match_quadrature(quadrature_twin):
+def test_closed_forms_match_quadrature():
     measure = power_beta(1.3, 0.5, 2.5)
     closed = RateFunctions(measure)
-    quad = RateFunctions(quadrature_twin(measure))
     for b, k in [(2, 2), (6, 3), (15, 11)]:
         assert closed.merger_rate(b, k) == pytest.approx(
-            quad.merger_rate(b, k), rel=1e-9)
+            oracle.merger_rate(measure, b, k), rel=1e-9)
     for b in [2, 7, 25]:
         assert closed.total_jump_rate(b) == pytest.approx(
-            quad.total_jump_rate(b), rel=1e-9)
+            oracle.total_jump_rate(measure, b), rel=1e-9)
     for x in [1.0, 3.7, 40.0]:
         assert closed.rate_of_decrease(x) == pytest.approx(
-            quad.rate_of_decrease(x), rel=1e-9, abs=1e-12)
+            oracle.mu(measure, x), rel=1e-9, abs=1e-12)
 
 
-def test_powerbeta_gamma_pole_cases(quadrature_twin):
+def test_powerbeta_gamma_pole_cases():
     # a in {1, 2} puts the continued Betas on poles of Gamma, whose
     # digamma limits the closed forms take; a + b = 1 puts a pole of Gamma
     # in the denominator of some continued Betas, which are 0 there
@@ -126,13 +128,22 @@ def test_powerbeta_gamma_pole_cases(quadrature_twin):
                    "beta:0.5,0.5", "powerbeta:c=1,a=0.5,b=0.5"]:
         measure = parse_measure(params)
         closed = RateFunctions(measure)
-        quad = RateFunctions(quadrature_twin(measure))
         for b in [2, 5, 20, 60]:
             assert closed.total_jump_rate(b) == pytest.approx(
-                quad.total_jump_rate(b), rel=1e-9)
+                oracle.total_jump_rate(measure, b), rel=1e-9)
         for x in [2.0, 9.5]:
             assert closed.rate_of_decrease(x) == pytest.approx(
-                quad.rate_of_decrease(x), rel=1e-8)
+                oracle.mu(measure, x), rel=1e-8)
+
+
+@pytest.mark.parametrize("text", ["beta:0.3,0.3", "beta:1.5,0.4",
+                                  "beta:1,0.3"])
+def test_oracle_mu_at_two_is_the_mass(text):
+    # mu(2) = int (2p - 1 + (1-p)**2)/p**2 L(dp) = L([0, 1]) = 1; with
+    # (1-p)**(b-1) rebuilt from p near p = 1 the oracle read 0.99999389,
+    # 0.99999970 and 0.99998898
+    assert oracle.mu(parse_measure(text), 2.0) == pytest.approx(
+        1.0, abs=1e-10)
 
 
 def _mp_kernel_series(x, order, terms=6):
@@ -234,38 +245,40 @@ PARSED_POWER_BETAS = [
     "kingman:0.5 + beta:1,0.3 + dirac:p=0.4,m=0.3"]
 
 
-def test_no_parsed_measure_reaches_quadrature(monkeypatch, quadrature_twin):
+def test_no_parsed_measure_reaches_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature reached")
 
-    monkeypatch.setattr(rates_module, "integrate_unit_interval", refuse)
+    monkeypatch.setattr(quadrature, "adaptive_integrate", refuse)
     for text in PARSED_POWER_BETAS:
         r = RateFunctions(parse_measure(text))
         r.rate_of_decrease(np.array([1.0, 2.0, 50.0, 1e4]))
         r.mu_derivatives(7.5)
+        r.merger_rate(40, 7)
         r.total_jump_rate(np.array([2, 3, 100]))
         r.merger_size_weights(40)
         r.invert_mu(10.0)
-    # the patch bites: a custom density of the same formula reaches it
-    twin = RateFunctions(quadrature_twin(parse_measure("beta:1,0.3")))
+        r.s_at(np.array([10.0, 1e4]))
+        r.dust_diagnostic()
+        r.rv_exponent_estimate()
+    # the patch bites: H of a density with b != 1 integrates its tail
     with pytest.raises(AssertionError, match="quadrature reached"):
-        twin.rate_of_decrease(2.0)
+        RateFunctions(parse_measure("beta:1,0.3")).H_function(0.5)
 
 
 @pytest.mark.parametrize("text", ["beta:0.5,0.5",
                                   "powerbeta:c=1,a=0.5,b=0.5"])
-def test_mu_derivatives_at_gamma_pole(text, quadrature_twin):
+def test_mu_derivatives_at_gamma_pole(text):
     # a + b = 1: at x = 1 the closed form's tail Beta is 0 and its digamma
     # factor infinite; the derivatives take the finite limit, which the
-    # quadrature path gives (0.6667 and 0.8183 for beta:0.5,0.5)
+    # quadrature oracle gives (0.6667 and 0.8183 for beta:0.5,0.5)
     measure = parse_measure(text)
     closed = RateFunctions(measure)
-    quad = RateFunctions(quadrature_twin(measure))
     for x in (1.0, 1.0 + 1e-6):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = closed.mu_derivatives(x)
-        want = quad.mu_derivatives(x)
+        want = [oracle.mu(measure, x, order) for order in range(3)]
         assert got[0] == pytest.approx(want[0], rel=1e-6, abs=1e-15)
         np.testing.assert_allclose(got[1:], want[1:], rtol=1e-6)
 
@@ -282,22 +295,22 @@ def test_weights_sum_to_total_rate():
         assert np.all(dist >= 0)
 
 
-@pytest.mark.parametrize("closed", [True, False])
-def test_each_density_counts_once(closed, quadrature_twin):
+def test_each_density_counts_once():
     # the rates of a sum of components are the sums of their rates
-    twin = (lambda m: m) if closed else quadrature_twin
-    uniform = LambdaMeasure(densities=(CustomDensity(np.ones_like),))
-    for parts in ((uniform, uniform), (BS, uniform), (KINGMAN, uniform),
-                  (uniform, uniform, BS, KINGMAN)):
-        r = RateFunctions(twin(sum(parts[1:], parts[0])))
+    heavy = parse_measure("beta:0.5,1.5")
+    for parts in ((BS, BS), (heavy, BS), (KINGMAN, heavy),
+                  (heavy, heavy, BS, KINGMAN)):
+        r = RateFunctions(sum(parts[1:], parts[0]))
         for b in (2, 5, 9):
-            single = sum(RateFunctions(twin(m)).total_jump_rate(b)
-                         for m in parts)
+            single = sum(RateFunctions(m).total_jump_rate(b) for m in parts)
             assert r.total_jump_rate(b) == pytest.approx(single, rel=1e-10)
             assert r.merger_size_weights(b).sum() == pytest.approx(
                 single, rel=1e-10)
+            assert r.rate_of_decrease(float(b)) == pytest.approx(
+                sum(RateFunctions(m).rate_of_decrease(float(b))
+                    for m in parts), rel=1e-10)
     # lam(5) = 4 for each uniform density
-    two = RateFunctions(twin(uniform + uniform))
+    two = RateFunctions(BS + BS)
     assert two.total_jump_rate(5) == pytest.approx(8.0, rel=1e-10)
 
 
@@ -454,6 +467,36 @@ def test_H_pb_half_closed_form():
             8.0 / 3.0 * math.sqrt(u) - 2.0 * u + u * u / 3.0, rel=1e-9)
 
 
+def mp_powerbeta_H(a, b, u):
+    """H(u) for the Beta(a, b) probability density by mpmath quadrature at
+    30 digits: the density's mass on [0, u] over 2, plus the integral of
+    u/p - u**2/(2 p**2) over (u, 1], taken in t = (1-p)**b, which removes
+    the singular factor (1-p)**(b-1) and keeps 1 - p exact."""
+    with mp.workdps(30):
+        a, b, u = mp.mpf(a), mp.mpf(b), mp.mpf(u)
+        below = mp.quad(lambda p: p ** (a - 1) * (1 - p) ** (b - 1), [0, u])
+
+        def above(t):
+            p = 1 - t ** (1 / b)
+            return (u / p - u * u / (2 * p * p)) * p ** (a - 1) / b
+
+        return float((below / 2 + mp.quad(above, [0, (1 - u) ** b]))
+                     / mp.beta(a, b))
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 1.5), (0.3, 0.3), (0.5, 0.05)])
+@pytest.mark.parametrize("u", [0.3, 0.6, 0.9])
+def test_H_matches_mpmath(a, b, u):
+    # above u = 1/2 the tail integral once ran over (1/2, 1] instead of
+    # (u, 1]: H(0.9) read 0.567 for beta:0.5,1.5, above H(1) = 0.5.  Near
+    # p = 1 it was evaluated at p = 1 - max(q, 2**-52), which dropped the
+    # mass of (1-p)**(b-1) below q = 2**-52: relative 4e-6 for b = 0.3 and
+    # 0.13 for b = 0.05
+    r = RateFunctions(parse_measure(f"beta:{a},{b}"))
+    assert r.H_function(u) == pytest.approx(mp_powerbeta_H(a, b, u),
+                                            rel=1e-9)
+
+
 def test_H_dirac():
     r = rates_for(parse_measure("dirac:p=0.5,m=2"))
     # below the atom: m (u/p - u**2/(2 p**2)); at/above: m/2
@@ -476,25 +519,16 @@ def test_mu_matches_tail_transform():
 
 def test_dust_diagnostic_rules():
     def verdict(measure):
-        return rates_for(measure).dust_diagnostic().verdict
+        return rates_for(measure).dust_diagnostic()
 
     assert verdict(KINGMAN) == "dustless"
     assert verdict(BS) == "dustless"
     assert verdict(PB_HALF) == "dustless"
     assert verdict(power_beta(1.0, 1.5)) == "dusty"
     assert verdict(parse_measure("dirac:p=0.5,m=1")) == "dusty"
-    declared = LambdaMeasure(densities=(
-        CustomDensity(lambda p: p, left_exponent=2.0),))
-    assert verdict(declared) == "dusty"
-
-
-def test_dust_diagnostic_trend_fallback():
-    # declared exponent <= 1 forces the empirical mu(n)/n trend rule
-    undeclared = LambdaMeasure(densities=(
-        CustomDensity(lambda p: 1.0 / np.sqrt(p), left_exponent=0.5),))
-    diag = rates_for(undeclared).dust_diagnostic()
-    assert diag.verdict == "dustless"
-    assert "mu(n)/n" in diag.rule
+    assert verdict(parse_measure("beta:2.5,3 + dirac:p=0.5,m=1")) == "dusty"
+    assert verdict(parse_measure("beta:2.5,3 + beta:1,0.3")) == "dustless"
+    assert verdict(parse_measure("dirac:p=0.5,m=1 + kingman")) == "dustless"
 
 
 def test_rv_exponent_estimates():

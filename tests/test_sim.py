@@ -9,8 +9,8 @@ from scipy import special, stats
 
 from coalsim import sim
 from coalsim.ensemble import BlockCountAtTimesTracker, ThresholdCountTracker
-from coalsim.measure import (CustomDensity, LambdaMeasure, bolthausen_sznitman,
-                             kingman, parse_measure, power_beta)
+from coalsim.measure import (bolthausen_sznitman, kingman, parse_measure,
+                             power_beta)
 from coalsim.rates import RateFunctions, rates_for
 from coalsim.sim import (_SCALAR_DRAW_LANES, CoalescentPath, ExternalLengths,
                          MergerSizeSampler, _draw_singleton_loss,
@@ -235,20 +235,25 @@ def test_fast_sampler_matches_exact_law(measure):
     assert np.max(np.abs(pmf - exact)) < 0.006
 
 
-def test_grouped_sampler_matches_exact_law(quadrature_twin):
+# b < 1: no closed-form draw of K, so the sampler inverts the weights
+GROUPED = parse_measure("beta:0.5,0.5")
+
+
+def test_grouped_sampler_matches_exact_law():
     b = 7
-    exact = rates_for(BS).merger_size_distribution(b)
-    pmf = empirical_pmf(quadrature_twin(BS), b)
+    assert MergerSizeSampler(rates_for(GROUPED), b).strategy == "grouped"
+    exact = rates_for(GROUPED).merger_size_distribution(b)
+    pmf = empirical_pmf(GROUPED, b)
     assert np.max(np.abs(pmf - exact)) < 0.006
 
 
-def test_grouped_sampler_handles_mixed_block_counts(quadrature_twin):
-    rates = RateFunctions(quadrature_twin(BS))
+def test_grouped_sampler_handles_mixed_block_counts():
+    rates = RateFunctions(GROUPED)
     sampler = MergerSizeSampler(rates, 9)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(1)))
     b = np.array([2, 5, 9, 5, 2], dtype=np.int64)
     lam, k = sampler.sample_step(rng, b)
-    np.testing.assert_allclose(lam, b - 1.0, rtol=1e-12)
+    np.testing.assert_allclose(lam, rates.total_jump_rate(b), rtol=1e-12)
     assert np.all((k >= 2) & (k <= b))
 
 
@@ -342,9 +347,7 @@ def test_blocked_powerbeta_tables_keep_their_bytes(text, shift):
     (parse_measure("beta:1.5,0.5"), "grouped"),          # b < 1
     (parse_measure("beta:0.5,0.5"), "grouped"),          # b < 1
     (parse_measure("beta:2.5,3"), "grouped"),            # a >= 2, b > 1
-    (LambdaMeasure(densities=(CustomDensity(lambda p: 2.0 * p,
-                                            left_exponent=2.0),)),
-     "grouped"),
+    (parse_measure("powerbeta:c=0.7,a=2,b=0.5"), "grouped"),  # b < 1, a = 2
     (parse_measure("beta:1,0.3"), "grouped"),            # b < 1
     (parse_measure("powerbeta:c=1,a=1,b=2"), "powerbeta"),
     (parse_measure("powerbeta:c=1,a=2,b=1"), "powerbeta"),
