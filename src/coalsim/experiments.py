@@ -50,7 +50,8 @@ CATALOG = {
     "T1.1": ("typical", "typical external length, CDF and envelope check"),
     "T1.2": ("independence",
              "asymptotic independence of k marked external lengths"),
-    "T1.3": ("typical", "typical length scaled with the estimated exponent"),
+    "T1.3": ("typical", "typical length scaled by mu(n)/n, alpha from the "
+                        "family or the alpha param"),
     "C1.4": ("typical", "typical length against the explicit limit density"),
     "T1.5": ("order_statistics",
              "top order statistics against Frechet / Poisson counts"),
@@ -570,6 +571,9 @@ def run_bs_trend(cfg: ExperimentConfig, rates: RateFunctions):
     ell = _param(cfg, "ell", 1, _count(1))
     trend_grid = _param(cfg, "trend_grid", (), _trend_grid)
     _require_ell_at_most(ell, min(trend_grid))
+    if cfg.n != min(trend_grid):
+        raise ConfigError(f"T1.6 runs at the trend_grid sizes; n={cfg.n} "
+                          f"must be the smallest, {min(trend_grid)}")
     stats, ecdf = [], {}
     for i, n_i in enumerate(trend_grid):
         out = run_ensemble(rates, n_i, cfg.replications, cfg.seed + i,

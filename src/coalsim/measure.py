@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import special
 
 
@@ -50,10 +49,6 @@ class PowerBetaDensity:
     def __post_init__(self) -> None:
         if not (self.c > 0 and self.a > 0 and self.b > 0):
             raise ValueError("power-beta parameters must be positive")
-
-    def __call__(self, p):
-        p = np.asarray(p, dtype=float)
-        return self.c * p ** (self.a - 1.0) * (1.0 - p) ** (self.b - 1.0)
 
     def mass(self) -> float:
         return self.c * special.beta(self.a, self.b)

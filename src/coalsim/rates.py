@@ -172,13 +172,12 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
 
 
 class RateFunctions:
-    """All rate-level quantities for one measure, with per-measure caches."""
+    """All rate-level quantities for one measure."""
 
     def __init__(self, measure: LambdaMeasure):
         if measure.is_trivial:
             raise ValueError("rates need a nonzero measure")
         self.measure = measure
-        self._weights = lru_cache(maxsize=512)(self._weights_uncached)
 
     # -- merger rates -------------------------------------------------------
 
@@ -232,9 +231,7 @@ class RateFunctions:
         """Unnormalized P(K = k) weights C(b,k) lam(b,k) for k = 2..b."""
         if b < 2:
             raise ValueError("need b >= 2")
-        return self._weights(int(b))
-
-    def _weights_uncached(self, b: int) -> np.ndarray:
+        b = int(b)
         ks = np.arange(2.0, b + 1.0)
         w = np.zeros(b - 1)
         logc = _log_binom(float(b), ks)
@@ -249,7 +246,6 @@ class RateFunctions:
             w += dens.c * np.exp(logc + special.gammaln(a + ks - 2.0)
                                  + special.gammaln(bp + b - ks)
                                  - special.gammaln(a + bp + b - 2.0))
-        w.setflags(write=False)
         return w
 
     def merger_size_distribution(self, b: int) -> np.ndarray:

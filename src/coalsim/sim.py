@@ -94,38 +94,40 @@ class MergerSizeSampler:
 
     The strategy is chosen once per measure and depends on the measure
     alone; `strategy` names it.  Power-beta components have density
-    c p**(a-1) (1-p)**(b-1); B is a lane's block count.  When every
-    component is recognized, each has closed-form rates and its own draw
-    of K, and each lane picks a component in proportion to its share of
-    lam(B):
+    c p**(a-1) (1-p)**(b-1); B is a lane's block count.  Each component has
+    closed-form rates and its own draw of K, and each lane picks a
+    component in proportion to its share of lam(B):
 
     * ``kingman`` (mass at 0): rate B(B-1)/2, K = 2;
     * ``atom`` (interior atom): a short ratio walk up the binomial pmf;
     * ``uniform`` (power-beta a = b = 1, Bolthausen-Sznitman): exact
       inverse CDF;
-    * ``powerbeta`` (power-beta with b > 1 and a < 2, which covers the
-      Beta(2-alpha, alpha) coalescents, or b = 1 and any other a):
-      C(B,k) lam(B,k) = const(B) g(k) h(B-k) with g(k) = Gamma(a+k-2)/k!
-      and h(j) = Gamma(b+j)/j!.  K is proposed from g truncated at B by one
-      global prefix table and accepted with probability h(B-K)/h(B-2),
-      which is at most 1 because h is nondecreasing for b >= 1.  The mean
-      number of rounds is at most prefix[B-2]/g(2), bounded in B for
-      a < 2.  For b = 1, h is constant: every proposal is accepted, no
-      acceptance uniform is drawn and lam(B) = const(B) prefix[B-2];
-      otherwise lam(B) comes from the closed-form total rate.
+    * ``powerbeta`` (power-beta with a < 3, which covers the
+      Beta(2-alpha, alpha) coalescents): C(B,k) lam(B,k) = const(B) g(k)
+      h(B-k) with g(k) = Gamma(a+k-2)/k!, decreasing for a < 3, and
+      h(j) = Gamma(b+j)/j!.  For b >= 1, h is nondecreasing: K is proposed
+      from g truncated at B by one global prefix table and accepted with
+      probability h(B-K)/h(B-2).  For b = 1, h is constant: every proposal
+      is accepted, no acceptance uniform is drawn and lam(B) = const(B)
+      prefix[B-2].  For b < 1, h decreases too, and the envelope has two
+      pieces split at m = max(floor(B/2), 2): K <= m proposed from g's
+      table and accepted with h(B-K)/h(B-m), and j = B-K < B-m proposed
+      from a prefix table of h and accepted with g(K)/g(m+1).  Each round
+      draws a selection uniform, which picks a piece in proportion to its
+      envelope mass, then a proposal and an acceptance uniform;
+    * ``pitman`` (power-beta with a >= 3, where g does not decrease): the
+      Poisson construction of Pitman (1999), p ~ Beta(a-2, b) and
+      K ~ Binomial(B, p), redrawn until K >= 2.
 
-    Several components join as e.g. ``kingman+powerbeta``.  Anything else
-    (power-beta with b < 1 or with a >= 2 and b > 1) is ``grouped``: lanes
-    are grouped by unique B and invert the exact cached probability vector.
-    Same law, far slower for large n.
+    lam(B) comes from the closed-form total rate, except for b = 1 on
+    ``powerbeta``.  The b < 1 and ``pitman`` draws give K = 2 at B = 2
+    without drawing.  Several components join as e.g. ``kingman+powerbeta``.
     """
 
     def __init__(self, rates: RateFunctions, max_blocks: int):
         self.rates = rates
         self.max_blocks = int(max_blocks)
-        self._grouped_cache: dict[int, tuple[np.ndarray, float]] = {}
         self._components: list[tuple] = []
-        self._fast = True
         measure = rates.measure
         if measure.atom_at_zero:
             self._components.append(("kingman", measure.atom_at_zero))
@@ -134,41 +136,52 @@ class MergerSizeSampler:
         for dens in measure.densities:
             if dens.a == 1.0 and dens.b == 1.0:
                 self._components.append(("uniform", dens.c))
-            elif dens.b == 1.0 or (dens.b > 1.0 and dens.a < 2.0):
-                self._components.append(self._powerbeta_component(dens))
             else:
-                self._fast = False
-        if not self._fast:
-            self._components = []
+                self._components.append(self._powerbeta_component(dens))
 
     @property
     def strategy(self) -> str:
-        """``grouped``, or the component kinds joined by ``+``."""
-        if not self._fast:
-            return "grouped"
+        """The component kinds joined by ``+``."""
         return "+".join(dict.fromkeys(comp[0] for comp in self._components))
 
     def _powerbeta_component(self, dens: PowerBetaDensity) -> tuple:
+        size = self.max_blocks + 1
+        rate_table = np.zeros(size)
+        if dens.a >= 3.0:
+            for lo in range(2, size, _TABLE_BLOCK):
+                ks = np.arange(float(lo), float(min(lo + _TABLE_BLOCK, size)))
+                rate_table[lo:lo + ks.size] = (
+                    self.rates._powerbeta_total_rate(dens, ks))
+            return ("pitman", dens, rate_table)
         # prefix[j] = sum_{k=2}^{j+2} g(k); P(K <= j+2 | B) under the
         # proposal is prefix[j]/prefix[B-2] for every B, so one table
-        # serves all B.  The tables are filled in blocks of _TABLE_BLOCK
-        # entries, which keeps the temporaries small.  Each block's first
-        # g carries the sum so far, so cumsum makes the same additions in
-        # the same order as over the whole array.
-        size = self.max_blocks + 1
+        # serves all B.  For b < 1 the two-piece draw also reads g_at[k] =
+        # g(k) and h_prefix[j] = sum_{i=0}^{j} h(i).  The tables are filled
+        # in blocks of _TABLE_BLOCK entries, which keeps the temporaries
+        # small.  Each block's first g (and h) carries the sum so far, so
+        # cumsum makes the same additions in the same order as over the
+        # whole array.
+        two_piece = dens.b < 1.0
         prefix = np.empty(size - 2)
-        rate_table = np.zeros(size)
         log_h = None if dens.b == 1.0 else np.empty(size)
-        total = 0.0
+        g_at = np.empty(size) if two_piece else None
+        h_prefix = np.empty(size) if two_piece else None
+        total = h_total = 0.0
         for lo in range(0, size, _TABLE_BLOCK):
             hi = min(lo + _TABLE_BLOCK, size)
             js = np.arange(float(lo), float(hi))
             log_fact = special.gammaln(js + 1.0)    # log j!
             if log_h is not None:
                 log_h[lo:hi] = special.gammaln(dens.b + js) - log_fact
+            if two_piece:
+                h = np.exp(log_h[lo:hi])
+                h[0] += h_total
+                h_total = np.cumsum(h, out=h_prefix[lo:hi])[-1]
             first = max(lo, 2)
             ks, log_fact = js[first - lo:], log_fact[first - lo:]
             g = np.exp(special.gammaln(dens.a + ks - 2.0) - log_fact)
+            if two_piece:
+                g_at[first:hi] = g
             g[0] += total
             part = np.cumsum(g, out=prefix[first - 2:hi - 2])
             total = part[-1]
@@ -178,7 +191,7 @@ class MergerSizeSampler:
             else:
                 rate_table[first:hi] = self.rates._powerbeta_total_rate(
                     dens, ks)
-        return ("powerbeta", prefix, rate_table, log_h)
+        return ("powerbeta", prefix, rate_table, log_h, g_at, h_prefix)
 
     @staticmethod
     def _component_rate(comp: tuple, b: np.ndarray) -> np.ndarray:
@@ -187,7 +200,7 @@ class MergerSizeSampler:
             return comp[1] * b * (b - 1.0) / 2.0
         if kind == "uniform":
             return comp[1] * (b - 1.0)
-        if kind == "powerbeta":
+        if kind in ("powerbeta", "pitman"):
             return comp[2][b]
         _, p, m = comp
         z = (b - 1.0) * math.log1p(-p) + np.log1p((b - 1.0) * p)
@@ -205,13 +218,13 @@ class MergerSizeSampler:
             return np.minimum(np.maximum(raw, 2.0), bb).astype(np.int64)
         if kind == "powerbeta":
             return self._powerbeta_draw(rng, comp, b)
+        if kind == "pitman":
+            return self._pitman_draw(rng, comp, b)
         return self._atom_walk(rng, comp, b)
 
     def sample_step(self, rng: np.random.Generator,
                     b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(lam(b), K) for an int64 array of current block counts >= 2."""
-        if not self._fast:
-            return self._grouped_step(rng, b)
         if len(self._components) == 1:
             # no mixture: no selection uniform, every lane draws K here
             comp = self._components[0]
@@ -233,24 +246,48 @@ class MergerSizeSampler:
     @staticmethod
     def _powerbeta_draw(rng: np.random.Generator, comp: tuple,
                         b: np.ndarray) -> np.ndarray:
-        _, prefix, _, log_h = comp
+        _, prefix, _, log_h, g_at, h_prefix = comp
 
         def propose(bb):
             t = rng.random(bb.shape) * prefix[bb - 2]
             return np.minimum(np.searchsorted(prefix, t, side="left") + 2, bb)
 
-        k = propose(b)
         if log_h is None:
-            return k
-        todo = np.arange(b.size)
-        while True:
-            bb = b[todo]
-            accept = rng.random(todo.shape) <= np.exp(log_h[bb - k[todo]]
-                                                      - log_h[bb - 2])
-            todo = todo[~accept]
-            if not todo.size:
-                return k
-            k[todo] = propose(b[todo])
+            return propose(b)      # b = 1: every proposal is accepted
+
+        def one_piece(bb):
+            k = propose(bb)
+            return k, rng.random(bb.shape) <= np.exp(log_h[bb - k]
+                                                     - log_h[bb - 2])
+
+        def two_pieces(bb):
+            m = np.maximum(bb // 2, 2)
+            low = prefix[m - 2] * np.exp(log_h[bb - m])   # K <= m
+            high = g_at[m + 1] * h_prefix[bb - m - 1]     # K > m
+            pick, u, v = rng.random((3, bb.size))
+            is_low = pick * (low + high) < low
+            k = np.where(is_low,
+                         np.searchsorted(prefix, u * prefix[m - 2]) + 2,
+                         bb - np.searchsorted(h_prefix,
+                                              u * h_prefix[bb - m - 1]))
+            ratio = np.where(is_low, np.exp(log_h[bb - k] - log_h[bb - m]),
+                             g_at[k] / g_at[m + 1])
+            return k, v <= ratio
+
+        if h_prefix is None:
+            return _redraw_until_accepted(b, np.arange(b.size), one_piece)
+        return _redraw_until_accepted(b, np.nonzero(b > 2)[0], two_pieces)
+
+    @staticmethod
+    def _pitman_draw(rng: np.random.Generator, comp: tuple,
+                     b: np.ndarray) -> np.ndarray:
+        dens = comp[1]
+
+        def one_round(bb):
+            k = rng.binomial(bb, rng.beta(dens.a - 2.0, dens.b, bb.shape))
+            return k, k >= 2
+
+        return _redraw_until_accepted(b, np.nonzero(b > 2)[0], one_round)
 
     def _atom_walk(self, rng: np.random.Generator, comp: tuple,
                    b: np.ndarray) -> np.ndarray:
@@ -271,24 +308,17 @@ class MergerSizeSampler:
             active = (cdf < target) & (k < b)
         return k
 
-    def _grouped_step(self, rng: np.random.Generator,
-                      b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lam = np.empty(b.shape)
-        k_out = np.empty(b.shape, dtype=np.int64)
-        u = rng.random(b.shape)
-        for bi in np.unique(b):
-            entry = self._grouped_cache.get(int(bi))
-            if entry is None:
-                w = self.rates.merger_size_weights(int(bi))
-                entry = (np.cumsum(w), float(w.sum()))
-                if len(self._grouped_cache) < 4096:
-                    self._grouped_cache[int(bi)] = entry
-            cum, tot = entry
-            rows = np.nonzero(b == bi)[0]
-            idx = np.searchsorted(cum, u[rows] * tot, side="left")
-            k_out[rows] = np.minimum(idx + 2, bi)
-            lam[rows] = tot
-        return lam, k_out
+
+def _redraw_until_accepted(b: np.ndarray, todo: np.ndarray,
+                           one_round) -> np.ndarray:
+    """K for lanes with block counts b: 2 on lanes outside `todo`; the
+    lanes in it run rounds of one_round(block counts) -> (K, accepted),
+    each round over the lanes the round before rejected."""
+    k = np.full(b.shape, 2, dtype=np.int64)
+    while todo.size:
+        k[todo], accepted = one_round(b[todo])
+        todo = todo[~accepted]
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +409,9 @@ class CoalescentPath:
             raise ValueError("absorbed singletons must total n")
         if np.any(np.cumsum(dy) > self.n):
             raise ValueError("singleton count went negative")
-        if np.any(self.waiting_time <= 0):
-            raise ValueError("jump times must increase strictly from 0")
+        if not np.all(np.isfinite(t)) or np.any(self.waiting_time <= 0):
+            raise ValueError("jump times must be finite and increase "
+                             "strictly from 0")
 
     @property
     def waiting_time(self) -> np.ndarray:

@@ -240,7 +240,7 @@ def test_experiment_out_files(tmp_path, capsys):
 @pytest.mark.parametrize("measure, strategy", [
     ("beta:0.5,1.5", "powerbeta"),
     ("kingman + beta:0.5,1.5", "kingman+powerbeta"),
-    ("powerbeta:c=1,a=0.5,b=0.7", "grouped"),
+    ("powerbeta:c=1,a=0.5,b=0.7", "powerbeta"),
 ])
 def test_experiment_meta_names_sampler(tmp_path, capsys, measure, strategy):
     args = ["experiment", "--measure", measure, "--theorem", "T1.1",

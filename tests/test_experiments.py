@@ -501,7 +501,7 @@ _ALL_KEYS = {
     "order_statistics": ("kingman", 100,
                          {"ell": 2, "alpha": 2.0, "x_grid": [1.0]},
                          {"ks": 1.0, "count_moments": 100.0}),
-    "bs_trend": ("bolthausen-sznitman", 100,
+    "bs_trend": ("bolthausen-sznitman", 50,
                  {"ell": 1, "trend_grid": [50, 100]}, {"trend_rise": 1.0}),
     "bs_moments": ("bolthausen-sznitman", 100,
                    {"t_grid": [0.5], "r": 1, "c": 1.0, "c_n": 100,
@@ -526,6 +526,16 @@ def test_ell_above_the_sample_is_rejected_before_simulating(no_simulation,
     measure = "bolthausen-sznitman" if tag == "T1.6" else "kingman"
     with pytest.raises(ConfigError, match="ell"):
         run_experiment(ExperimentConfig(measure, tag, n, 100, params=params))
+
+
+@pytest.mark.parametrize("n, grid", [(5, [100, 1000]), (1000, [100, 1000]),
+                                     (100, [1000, 100, 10])])
+def test_t16_n_must_be_the_smallest_trend_size(no_simulation, n, grid):
+    # T1.6 runs at the trend_grid sizes only: n = 5 was reported in the
+    # config beside runs at 100 and 1000
+    with pytest.raises(ConfigError, match="smallest"):
+        run_experiment(ExperimentConfig("bolthausen-sznitman", "T1.6", n,
+                                        200, params={"trend_grid": grid}))
 
 
 def test_empty_trend_grid_is_rejected():
@@ -618,6 +628,8 @@ def test_every_stream_in_a_report_is_distinct(tag, monkeypatch):
     longer = {"trend_grid": [30, 40, 50], "c_reps": reps,
               "variance_paths": reps}
     params = {key: longer.get(key, value) for key, value in params.items()}
+    if "trend_grid" in params:
+        n = min(params["trend_grid"])    # T1.6's n is its smallest size
     run_experiment(ExperimentConfig(measure, tag, n, reps, params=params,
                                     tolerances=tolerances))
     assert len(keys) >= 3

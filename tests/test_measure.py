@@ -17,12 +17,6 @@ def test_power_beta_moment_closed_form():
     assert dens.mass() == pytest.approx(2.5 * special.beta(0.7, 1.3), rel=1e-14)
 
 
-def test_power_beta_pointwise():
-    dens = PowerBetaDensity(c=3.0, a=2.0, b=3.0)
-    p = np.array([0.25, 0.5])
-    np.testing.assert_allclose(dens(p), 3.0 * p * (1.0 - p) ** 2, rtol=1e-14)
-
-
 def test_power_beta_rejects_nonpositive_params():
     for bad in [dict(c=0.0, a=1.0, b=1.0), dict(c=1.0, a=-0.5, b=1.0),
                 dict(c=1.0, a=1.0, b=0.0)]:

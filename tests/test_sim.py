@@ -2,6 +2,7 @@
 the derived per-path functionals."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -130,6 +131,18 @@ def test_path_constructor_rejects_broken_chains():
                            np.array(times))
 
 
+def test_path_constructor_rejects_non_finite_times():
+    # a NaN compares false, so NaN waiting times passed the check for
+    # strictly increasing times
+    good = handmade_path()
+    for times in ([0.5, np.nan, 1.0], [0.5, 0.75, np.inf],
+                  [np.nan, np.nan, np.nan]):
+        with pytest.raises(ValueError, match="jump times"):
+            CoalescentPath(5, None, good.block_count_before,
+                           good.merger_size, good.absorbed_singletons,
+                           np.array(times))
+
+
 def test_counting_processes_right_continuous():
     # the trackers read the block count N(t) and the singleton count M(t)
     # right-continuously: a time equal to a jump time sees the counts
@@ -235,20 +248,20 @@ def test_fast_sampler_matches_exact_law(measure):
     assert np.max(np.abs(pmf - exact)) < 0.006
 
 
-# b < 1: no closed-form draw of K, so the sampler inverts the weights
-GROUPED = parse_measure("beta:0.5,0.5")
+# b < 1: h decreases as g does, so K is drawn from the two-piece envelope
+TWO_PIECE = parse_measure("beta:0.5,0.5")
 
 
-def test_grouped_sampler_matches_exact_law():
+def test_two_piece_sampler_matches_exact_law():
     b = 7
-    assert MergerSizeSampler(rates_for(GROUPED), b).strategy == "grouped"
-    exact = rates_for(GROUPED).merger_size_distribution(b)
-    pmf = empirical_pmf(GROUPED, b)
+    assert MergerSizeSampler(rates_for(TWO_PIECE), b).strategy == "powerbeta"
+    exact = rates_for(TWO_PIECE).merger_size_distribution(b)
+    pmf = empirical_pmf(TWO_PIECE, b)
     assert np.max(np.abs(pmf - exact)) < 0.006
 
 
-def test_grouped_sampler_handles_mixed_block_counts():
-    rates = RateFunctions(GROUPED)
+def test_two_piece_sampler_handles_mixed_block_counts():
+    rates = RateFunctions(TWO_PIECE)
     sampler = MergerSizeSampler(rates, 9)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(1)))
     b = np.array([2, 5, 9, 5, 2], dtype=np.int64)
@@ -259,10 +272,16 @@ def test_grouped_sampler_handles_mixed_block_counts():
 
 # Beta(2 - alpha, alpha) with alpha = 1.5, an unnormalized power-beta with
 # b > 1, a mixture that sends lanes to two components, and the a = 1 and
-# a = 2 corners, whose rates are digamma limits.
+# a = 2 corners, whose rates are digamma limits.  Then the two-piece draw
+# (b < 1, a < 3, also in a mixture), the one-piece draw with 2 < a < 3,
+# and Pitman's construction (a >= 3), up to a = 100 with b = 1.
 REJECTION_MEASURES = ["beta:0.5,1.5", "powerbeta:c=2,a=0.5,b=1.7",
                       "kingman + beta:0.5,1.5", "powerbeta:c=1,a=1,b=2",
-                      "beta:1,1.5", "powerbeta:c=1,a=2,b=1"]
+                      "beta:1,1.5", "powerbeta:c=1,a=2,b=1",
+                      "beta:0.5,0.5", "beta:1,0.3", "beta:0.2,0.1",
+                      "powerbeta:c=0.7,a=2,b=0.5",
+                      "kingman + beta:0.5,0.5", "beta:2.5,3",
+                      "beta:3.5,0.5", "beta:5,20", "powerbeta:c=1,a=100,b=1"]
 
 
 @pytest.mark.parametrize("text", REJECTION_MEASURES)
@@ -272,7 +291,7 @@ def test_powerbeta_rejection_chi_square(text):
     rates = rates_for(parse_measure(text))
     blocks = (3, 50, 2000)
     sampler = MergerSizeSampler(rates, max(blocks))
-    assert "powerbeta" in sampler.strategy
+    assert sampler.strategy.split("+")[-1] in ("powerbeta", "pitman")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(42)))
     draws = 400_000
     b = np.tile(np.array(blocks, dtype=np.int64), draws)
@@ -301,6 +320,30 @@ def test_powerbeta_total_rate_matches_weight_sum(text):
     lam, _ = sampler.sample_step(rng, blocks)
     exact = [rates.merger_size_weights(int(bi)).sum() for bi in blocks]
     np.testing.assert_allclose(lam, exact, rtol=1e-8)
+
+
+def test_large_a_rates_and_draws_stay_finite():
+    # a = 100, b = 1: the b = 1 prefix table of g overflowed near k = 1400,
+    # which made lam(B) NaN and held K near 1400 for every larger B
+    rates = rates_for(parse_measure("powerbeta:c=1,a=100,b=1"))
+    blocks = (2, 3, 1500, 3000)
+    draws = 2000
+    b = np.repeat(np.array(blocks, dtype=np.int64), draws)
+    sampler = MergerSizeSampler(rates, max(blocks))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(5)))
+    lam, k = sampler.sample_step(rng, b)
+    assert np.all(np.isfinite(lam))
+    exact = np.repeat([rates.merger_size_weights(bi).sum() for bi in blocks],
+                      draws)
+    np.testing.assert_allclose(lam, exact, rtol=1e-8)
+    assert np.all((k >= 2) & (k <= b))
+    for i, bi in enumerate(blocks[2:], start=2):
+        pmf = rates.merger_size_distribution(bi)
+        ks = np.arange(2, bi + 1)
+        mean = float(pmf @ ks)
+        sd = math.sqrt(float(pmf @ (ks - mean) ** 2))
+        got = k[i * draws:(i + 1) * draws].mean()
+        assert abs(got - mean) < 5.0 * sd / math.sqrt(draws), (bi, got, mean)
 
 
 def _whole_powerbeta_tables(rates, dens, max_blocks):
@@ -344,16 +387,28 @@ def test_blocked_powerbeta_tables_keep_their_bytes(text, shift):
     (parse_measure("beta:0.5,1.5"), "powerbeta"),
     (parse_measure("kingman + beta:0.5,1.5"), "kingman+powerbeta"),
     (MIXED, "kingman+atom"),
-    (parse_measure("beta:1.5,0.5"), "grouped"),          # b < 1
-    (parse_measure("beta:0.5,0.5"), "grouped"),          # b < 1
-    (parse_measure("beta:2.5,3"), "grouped"),            # a >= 2, b > 1
-    (parse_measure("powerbeta:c=0.7,a=2,b=0.5"), "grouped"),  # b < 1, a = 2
-    (parse_measure("beta:1,0.3"), "grouped"),            # b < 1
+    (parse_measure("beta:1.5,0.5"), "powerbeta"),        # b < 1
+    (parse_measure("beta:0.5,0.5"), "powerbeta"),        # b < 1
+    (parse_measure("beta:2.5,3"), "powerbeta"),          # 2 < a < 3, b > 1
+    (parse_measure("powerbeta:c=0.7,a=2,b=0.5"), "powerbeta"),  # b < 1, a = 2
+    (parse_measure("beta:1,0.3"), "powerbeta"),          # b < 1
     (parse_measure("powerbeta:c=1,a=1,b=2"), "powerbeta"),
     (parse_measure("powerbeta:c=1,a=2,b=1"), "powerbeta"),
 ])
 def test_sampler_strategy(measure, strategy):
     assert MergerSizeSampler(rates_for(measure), 10).strategy == strategy
+
+
+@pytest.mark.parametrize("text, strategy", [
+    ("kingman + beta:0.5,0.5", "kingman+powerbeta"),
+    ("beta:5,20", "pitman"),
+    ("powerbeta:c=1,a=100,b=1", "pitman"),
+    ("beta:3,0.5 + beta:0.5,0.5 + dirac:p=0.5,m=1", "atom+pitman+powerbeta"),
+])
+def test_each_density_draws_its_own_kind(text, strategy):
+    # no component sends the whole measure to another sampler
+    sampler = MergerSizeSampler(rates_for(parse_measure(text)), 10)
+    assert sampler.strategy == strategy
 
 
 def test_powerbeta_b1_draws_pinned():
