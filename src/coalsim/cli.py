@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -235,10 +236,13 @@ def _parse_kv_list(entries, what: str) -> dict:
 
 def _float_list(text: str, flag: str):
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise UsageError(f"{flag} expects a comma list of numbers, "
-                         f"got {text!r}")
+        pass
+    raise UsageError(f"{flag} expects a comma list of finite numbers, "
+                     f"got {text!r}")
 
 
 def _open_out(args: argparse.Namespace):

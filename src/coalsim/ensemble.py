@@ -186,12 +186,11 @@ class MarkedLeafTracker(ChunkTracker):
     Each comparison is exact up to one point of the 2**-53 grid.
     """
 
-    def __init__(self, k: int = 1, name: str = "marked_lengths"):
+    def __init__(self, k: int = 1):
         if not _is_integer(k) or k < 1:
             raise ValueError(f"need an integer of at least one marked "
                              f"leaf, got {k!r}")
         self.k = k
-        self.name = name
 
     def begin(self, size, n, rng):
         if self.k > n:
@@ -228,7 +227,7 @@ class MarkedLeafTracker(ChunkTracker):
         return ~self.alive[rows].any(1)
 
     def result(self):
-        return {self.name: self.lengths}
+        return {"marked_lengths": self.lengths}
 
 
 class TopLengthsTracker(ChunkTracker):
@@ -239,11 +238,10 @@ class TopLengthsTracker(ChunkTracker):
 
     needs_singletons = True
 
-    def __init__(self, ell: int, name: str = "top_lengths"):
+    def __init__(self, ell: int):
         if not _is_integer(ell) or ell < 1:
             raise ValueError(f"ell must be a positive integer, got {ell!r}")
         self.ell = ell
-        self.name = name
 
     def begin(self, size, n, rng):
         if self.ell > n:
@@ -263,7 +261,7 @@ class TopLengthsTracker(ChunkTracker):
         self.top[sub] = np.where(fill, t_new[hit, None], self.top[sub])
 
     def result(self):
-        return {self.name: self.top}
+        return {"top_lengths": self.top}
 
 
 class _HeldAtTimesTracker(ChunkTracker):
@@ -272,13 +270,13 @@ class _HeldAtTimesTracker(ChunkTracker):
     Times below 0 precede every interval and keep their initial value, as
     do times beyond absorption.  Jump times increase along a lane, so each
     lane meets the times in sorted order and keeps the next one it has not
-    passed: a jump costs one comparison per lane, however many times."""
+    passed: a jump costs one comparison per lane, however many times.
+    A subclass names its output by `key`."""
 
-    def __init__(self, times, name: str):
+    def __init__(self, times):
         self.times = np.asarray(times, dtype=float)
         if np.isnan(self.times).any():
             raise ValueError("times must not be NaN")
-        self.name = name
 
     def _start(self, size: int, initial: np.ndarray) -> None:
         self.values = np.tile(initial.astype(np.int64), (size, 1))
@@ -298,7 +296,7 @@ class _HeldAtTimesTracker(ChunkTracker):
             hit = hit[self.upcoming[lanes] < t_new[hit]]
 
     def result(self):
-        return {self.name: self.values}
+        return {self.key: self.values}
 
 
 class ThresholdCountTracker(_HeldAtTimesTracker):
@@ -307,9 +305,7 @@ class ThresholdCountTracker(_HeldAtTimesTracker):
     0 beyond absorption)."""
 
     needs_singletons = True
-
-    def __init__(self, thresholds, name: str = "exceed_counts"):
-        super().__init__(thresholds, name)
+    key = "exceed_counts"
 
     def begin(self, size, n, rng):
         self._start(size, np.where(self.times < 0, n, 0))
@@ -321,8 +317,10 @@ class ThresholdCountTracker(_HeldAtTimesTracker):
 class BlockCountAtTimesTracker(_HeldAtTimesTracker):
     """Right-continuous block count sampled at fixed absolute times."""
 
-    def __init__(self, times, name: str = "blocks_at"):
-        super().__init__(times, name)
+    key = "blocks_at"
+
+    def __init__(self, times):
+        super().__init__(times)
         if np.any(self.times < 0):
             raise ValueError("query times must be nonnegative")
 
@@ -340,11 +338,10 @@ class LevelCrossingTracker(ChunkTracker):
     r_level = 1 the passage is absorption: the jump count and absorption
     time of each path."""
 
-    def __init__(self, r_level: float, name: str = "crossing"):
+    def __init__(self, r_level: float):
         if not r_level >= 1:     # also rejects NaN
             raise ValueError(f"r_level must be >= 1, got {r_level!r}")
         self.r_level = r_level
-        self.name = name
 
     def begin(self, size, n, rng):
         self.inv_sum = np.zeros(size)
@@ -367,9 +364,8 @@ class LevelCrossingTracker(ChunkTracker):
         return self.crossed[rows]
 
     def result(self):
-        return {f"{self.name}_inv_sum": self.inv_sum,
-                f"{self.name}_time": self.time,
-                f"{self.name}_jumps": self.jumps}
+        return {"crossing_inv_sum": self.inv_sum, "crossing_time": self.time,
+                "crossing_jumps": self.jumps}
 
 
 class PathRecorder(ChunkTracker):
@@ -387,9 +383,6 @@ class PathRecorder(ChunkTracker):
 
     needs_singletons = True
     poolable = False
-
-    def __init__(self, name: str = "paths"):
-        self.name = name
 
     def begin(self, size, n, rng):
         self.n = n
@@ -412,7 +405,7 @@ class PathRecorder(ChunkTracker):
             paths[i] = CoalescentPath(self.n, None, self.x[i, :m],
                                       self.k[i, :m], self.dy[i, :m],
                                       self.t[i, :m])
-        return {self.name: paths}
+        return {"paths": paths}
 
 
 def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, seed: int,

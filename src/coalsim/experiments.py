@@ -500,9 +500,9 @@ def run_lln(cfg: ExperimentConfig, rates: RateFunctions):
     mu_r = rates.rate_of_decrease(r_level)
     log_target = math.log(mu_n / cfg.n * r_level / mu_r)
     out = run_ensemble(rates, cfg.n, cfg.replications, cfg.seed,
-                       [lambda: LevelCrossingTracker(r_level, name="lvl")])
-    ratio = out["lvl_time"] / integral
-    inv_sum = out["lvl_inv_sum"]
+                       [lambda: LevelCrossingTracker(r_level)])
+    ratio = out["crossing_time"] / integral
+    inv_sum = out["crossing_inv_sum"]
     m = ratio.size
     stats = [
         _scored("time_over_integral", ratio.mean(), 1.0,

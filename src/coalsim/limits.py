@@ -177,10 +177,10 @@ class LimitLaw:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; "
                              f"choose from {FAMILIES}")
-        if self.family == "typical":
-            _check_alpha(self.alpha)
-        elif self.family in ("frechet", "poisson_tail"):
-            _check_alpha(self.alpha, low_open=True)
+        if self.family in ("typical", "frechet", "poisson_tail"):
+            if self.alpha is None:
+                raise ValueError(f"{self.family} needs an alpha")
+            _check_alpha(self.alpha, low_open=self.family != "typical")
         elif self.alpha is not None:
             raise ValueError(f"{self.family} takes no alpha")
 

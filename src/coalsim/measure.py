@@ -100,10 +100,6 @@ class LambdaMeasure:
         return (self.atom_at_zero == 0 and not self.atoms
                 and not self.densities)
 
-    def total_mass(self) -> float:
-        return (self.atom_at_zero + sum(m for _, m in self.atoms)
-                + sum(d.mass() for d in self.densities))
-
 
 # ---------------------------------------------------------------------------
 # parsing

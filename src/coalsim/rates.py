@@ -25,7 +25,7 @@ numerically, by `quadrature.integrate_tail`.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import special
@@ -99,6 +99,31 @@ def _beta_continued(u, v):
             * np.fmax(special.gammasgn(u + v), -1.0))
     return sign * np.exp(special.gammaln(u) + special.gammaln(v)
                          - special.gammaln(u + v))
+
+
+def _kingman_rate(mass: float, b: np.ndarray) -> np.ndarray:
+    return mass * b * (b - 1.0) / 2.0
+
+
+def _atom_rate(p: float, mass: float, b: np.ndarray) -> np.ndarray:
+    """lam(b) = mass (1 - (1-p)**(b-1) (1 + (b-1) p)) / p**2 of an atom."""
+    z = (b - 1.0) * math.log1p(-p) + np.log1p((b - 1.0) * p)
+    return -np.expm1(z) * (mass / p ** 2)
+
+
+def _powerbeta_rate(dens: PowerBetaDensity, arr: np.ndarray) -> np.ndarray:
+    c, a, bp = dens.c, dens.a, dens.b
+    # lam(b) = c [B(a-2,bp) - B(a-2,bp+b) - b B(a-1,bp+b-1)]; at a = 1
+    # and a = 2 the poles of Gamma cancel to the digamma limits
+    if a == 1.0:
+        psi = special.digamma(bp) - special.digamma(bp + arr - 1.0)
+        return c * (arr - 1.0 + (bp - 1.0) * psi)
+    if a == 2.0:
+        return c * (special.digamma(bp + arr) - special.digamma(bp)
+                    - arr / (bp + arr - 1.0))
+    return c * (_beta_continued(a - 2.0, bp)
+                - _beta_continued(a - 2.0, bp + arr)
+                - arr * _beta_continued(a - 1.0, bp + arr - 1.0))
 
 
 def _log_binom(b, k):
@@ -199,33 +224,24 @@ class RateFunctions:
         return total
 
     def total_jump_rate(self, b) -> float:
-        """lam(b) = sum_k C(b,k) lam(b,k); vectorized over integer arrays."""
+        """lam(b) = sum_k C(b,k) lam(b,k); vectorized over integer arrays.
+        The sum of `component_rates`, added in their order."""
         arr = np.atleast_1d(np.asarray(b, dtype=float))
         if np.any(arr < 2) or np.any(arr != np.floor(arr)):
             raise ValueError("total_jump_rate needs integer b >= 2")
         out = np.zeros_like(arr)
-        if self.measure.atom_at_zero:
-            out += self.measure.atom_at_zero * arr * (arr - 1.0) / 2.0
-        for p, m in self.measure.atoms:
-            z = (arr - 1.0) * math.log1p(-p) + np.log1p((arr - 1.0) * p)
-            out += -np.expm1(z) * (m / p ** 2)
-        for dens in self.measure.densities:
-            out += self._powerbeta_total_rate(dens, arr)
+        for rate in self.component_rates():
+            out += rate(arr)
         return float(out[0]) if np.isscalar(b) or np.ndim(b) == 0 else out
 
-    def _powerbeta_total_rate(self, dens: PowerBetaDensity, arr: np.ndarray):
-        c, a, bp = dens.c, dens.a, dens.b
-        # lam(b) = c [B(a-2,bp) - B(a-2,bp+b) - b B(a-1,bp+b-1)]; at a = 1
-        # and a = 2 the poles of Gamma cancel to the digamma limits
-        if a == 1.0:
-            psi = special.digamma(bp) - special.digamma(bp + arr - 1.0)
-            return c * (arr - 1.0 + (bp - 1.0) * psi)
-        if a == 2.0:
-            return c * (special.digamma(bp + arr) - special.digamma(bp)
-                        - arr / (bp + arr - 1.0))
-        return c * (_beta_continued(a - 2.0, bp)
-                    - _beta_continued(a - 2.0, bp + arr)
-                    - arr * _beta_continued(a - 1.0, bp + arr - 1.0))
+    def component_rates(self) -> list:
+        """lam(b) of each component of the measure alone: one function of
+        a float array of integers b >= 2 per component, the mass at 0 first,
+        then the atoms and the densities in the measure's order."""
+        m = self.measure
+        return ([partial(_kingman_rate, m.atom_at_zero)] * (m.atom_at_zero > 0)
+                + [partial(_atom_rate, p, w) for p, w in m.atoms]
+                + [partial(_powerbeta_rate, dens) for dens in m.densities])
 
     def merger_size_weights(self, b: int) -> np.ndarray:
         """Unnormalized P(K = k) weights C(b,k) lam(b,k) for k = 2..b."""

@@ -7,6 +7,8 @@ singletons swallowed by the merger, which given (b, Y, K) is hypergeometric
 (the K merging blocks are a uniform K-subset).  The external branch length
 of a leaf is the absolute time at which its singleton block disappears, so
 the multiset of external lengths is exactly {(t_jump, dY)} expanded.
+`MergerSizeSampler` draws K and reads lam(b) from tables of the rates in
+`rates`.
 
 Paths are simulated by the lockstep engine in `ensemble`; `simulate_path`
 runs it with one replication and records every jump.  RNG is counter-based
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy import special
@@ -51,8 +54,9 @@ _LABELED_MAX_N = 12
 # 50 us whatever its length; below this many lanes the scalar loop wins.
 _SCALAR_DRAW_LANES = 20
 
-# Entries per block when the power-beta sampler fills its tables.
-_TABLE_BLOCK = 65_536
+# Entries per block when the sampler fills its tables: 128 kB per
+# temporary (65_536 took 1.7 MB more peak memory, and no less time).
+_TABLE_BLOCK = 16_384
 
 
 def _is_integer(value) -> bool:
@@ -92,13 +96,13 @@ def as_rate_functions(source) -> RateFunctions:
 class MergerSizeSampler:
     """Draws (total rate, merger size) for arrays of block counts.
 
-    The strategy is chosen once per measure and depends on the measure
-    alone; `strategy` names it.  Power-beta components have density
-    c p**(a-1) (1-p)**(b-1); B is a lane's block count.  Each component has
-    closed-form rates and its own draw of K, and each lane picks a
-    component in proportion to its share of lam(B):
+    Each component of the measure is a kind, a table of its own total
+    rate over B <= max_blocks from `RateFunctions.component_rates`, and
+    its own draw of K; `strategy` joins the kinds.  Each lane, with B
+    blocks, picks a component in proportion to its share of lam(B).
+    Power-beta components have density c p**(a-1) (1-p)**(b-1):
 
-    * ``kingman`` (mass at 0): rate B(B-1)/2, K = 2;
+    * ``kingman`` (mass at 0): K = 2;
     * ``atom`` (interior atom): a short ratio walk up the binomial pmf;
     * ``uniform`` (power-beta a = b = 1, Bolthausen-Sznitman): exact
       inverse CDF;
@@ -108,8 +112,10 @@ class MergerSizeSampler:
       h(j) = Gamma(b+j)/j!.  For b >= 1, h is nondecreasing: K is proposed
       from g truncated at B by one global prefix table and accepted with
       probability h(B-K)/h(B-2).  For b = 1, h is constant: every proposal
-      is accepted, no acceptance uniform is drawn and lam(B) = const(B)
-      prefix[B-2].  For b < 1, h decreases too, and the envelope has two
+      is accepted, no acceptance uniform is drawn, and the rate table is
+      const(B) prefix[B-2], which normalises the draw, in place of the
+      closed form (up to 1e-10 relative apart for B <= 1e4, 1e-8 for
+      B <= 1e6).  For b < 1, h decreases too, and the envelope has two
       pieces split at m = max(floor(B/2), 2): K <= m proposed from g's
       table and accepted with h(B-K)/h(B-m), and j = B-K < B-m proposed
       from a prefix table of h and accepted with g(K)/g(m+1).  Each round
@@ -119,194 +125,178 @@ class MergerSizeSampler:
       Poisson construction of Pitman (1999), p ~ Beta(a-2, b) and
       K ~ Binomial(B, p), redrawn until K >= 2.
 
-    lam(B) comes from the closed-form total rate, except for b = 1 on
-    ``powerbeta``.  The b < 1 and ``pitman`` draws give K = 2 at B = 2
-    without drawing.  Several components join as e.g. ``kingman+powerbeta``.
+    The b < 1 and ``pitman`` draws give K = 2 at B = 2 without drawing.
     """
 
     def __init__(self, rates: RateFunctions, max_blocks: int):
-        self.rates = rates
-        self.max_blocks = int(max_blocks)
-        self._components: list[tuple] = []
         measure = rates.measure
+        size = int(max_blocks) + 1
+        rate_fns = rates.component_rates()
+        self._rate_tables = np.zeros((len(rate_fns), size))
+        rows = iter(self._rate_tables)
+        # (kind, rate table, draw(rng, b) -> K), in the order of the rows
+        self._components: list[tuple] = []
         if measure.atom_at_zero:
-            self._components.append(("kingman", measure.atom_at_zero))
-        for p, m in measure.atoms:
-            self._components.append(("atom", p, m))
-        for dens in measure.densities:
+            self._components.append(("kingman", next(rows), _pair_draw))
+        for (p, m), rate in zip(measure.atoms, rows):
+            self._components.append(
+                ("atom", rate, partial(_atom_walk, p, m, rate)))
+        for dens, rate in zip(measure.densities, rows):
             if dens.a == 1.0 and dens.b == 1.0:
-                self._components.append(("uniform", dens.c))
+                comp = ("uniform", rate, _uniform_draw)
+            elif dens.a >= 3.0:
+                comp = ("pitman", rate, partial(_pitman_draw, dens))
             else:
-                self._components.append(self._powerbeta_component(dens))
+                tables = _powerbeta_tables(dens, rate)
+                if dens.b == 1.0:    # the rate table is filled already
+                    rate_fns[len(self._components)] = None
+                comp = ("powerbeta", rate, partial(_powerbeta_draw, *tables))
+            self._components.append(comp)
+        for lo in range(2, size, _TABLE_BLOCK):
+            bs = np.arange(float(lo), float(min(lo + _TABLE_BLOCK, size)))
+            for rate, rate_fn in zip(self._rate_tables, rate_fns):
+                if rate_fn is not None:
+                    rate[lo:lo + bs.size] = rate_fn(bs)
 
     @property
     def strategy(self) -> str:
         """The component kinds joined by ``+``."""
         return "+".join(dict.fromkeys(comp[0] for comp in self._components))
 
-    def _powerbeta_component(self, dens: PowerBetaDensity) -> tuple:
-        size = self.max_blocks + 1
-        rate_table = np.zeros(size)
-        if dens.a >= 3.0:
-            for lo in range(2, size, _TABLE_BLOCK):
-                ks = np.arange(float(lo), float(min(lo + _TABLE_BLOCK, size)))
-                rate_table[lo:lo + ks.size] = (
-                    self.rates._powerbeta_total_rate(dens, ks))
-            return ("pitman", dens, rate_table)
-        # prefix[j] = sum_{k=2}^{j+2} g(k); P(K <= j+2 | B) under the
-        # proposal is prefix[j]/prefix[B-2] for every B, so one table
-        # serves all B.  For b < 1 the two-piece draw also reads g_at[k] =
-        # g(k) and h_prefix[j] = sum_{i=0}^{j} h(i).  The tables are filled
-        # in blocks of _TABLE_BLOCK entries, which keeps the temporaries
-        # small.  Each block's first g (and h) carries the sum so far, so
-        # cumsum makes the same additions in the same order as over the
-        # whole array.
-        two_piece = dens.b < 1.0
-        prefix = np.empty(size - 2)
-        log_h = None if dens.b == 1.0 else np.empty(size)
-        g_at = np.empty(size) if two_piece else None
-        h_prefix = np.empty(size) if two_piece else None
-        total = h_total = 0.0
-        for lo in range(0, size, _TABLE_BLOCK):
-            hi = min(lo + _TABLE_BLOCK, size)
-            js = np.arange(float(lo), float(hi))
-            log_fact = special.gammaln(js + 1.0)    # log j!
-            if log_h is not None:
-                log_h[lo:hi] = special.gammaln(dens.b + js) - log_fact
-            if two_piece:
-                h = np.exp(log_h[lo:hi])
-                h[0] += h_total
-                h_total = np.cumsum(h, out=h_prefix[lo:hi])[-1]
-            first = max(lo, 2)
-            ks, log_fact = js[first - lo:], log_fact[first - lo:]
-            g = np.exp(special.gammaln(dens.a + ks - 2.0) - log_fact)
-            if two_piece:
-                g_at[first:hi] = g
-            g[0] += total
-            part = np.cumsum(g, out=prefix[first - 2:hi - 2])
-            total = part[-1]
-            if log_h is None:
-                rate_table[first:hi] = dens.c * np.exp(
-                    log_fact - special.gammaln(dens.a + ks - 1.0)) * part
-            else:
-                rate_table[first:hi] = self.rates._powerbeta_total_rate(
-                    dens, ks)
-        return ("powerbeta", prefix, rate_table, log_h, g_at, h_prefix)
-
-    @staticmethod
-    def _component_rate(comp: tuple, b: np.ndarray) -> np.ndarray:
-        kind = comp[0]
-        if kind == "kingman":
-            return comp[1] * b * (b - 1.0) / 2.0
-        if kind == "uniform":
-            return comp[1] * (b - 1.0)
-        if kind in ("powerbeta", "pitman"):
-            return comp[2][b]
-        _, p, m = comp
-        z = (b - 1.0) * math.log1p(-p) + np.log1p((b - 1.0) * p)
-        return -np.expm1(z) * (m / p ** 2)
-
-    def _component_draw(self, rng: np.random.Generator, comp: tuple,
-                        b: np.ndarray) -> np.ndarray:
-        kind = comp[0]
-        if kind == "kingman":
-            return np.full(b.shape, 2, dtype=np.int64)
-        if kind == "uniform":
-            bb = b.astype(float)
-            u = rng.random(b.shape)
-            raw = np.ceil(1.0 / (1.0 - u * (bb - 1.0) / bb))
-            return np.minimum(np.maximum(raw, 2.0), bb).astype(np.int64)
-        if kind == "powerbeta":
-            return self._powerbeta_draw(rng, comp, b)
-        if kind == "pitman":
-            return self._pitman_draw(rng, comp, b)
-        return self._atom_walk(rng, comp, b)
-
     def sample_step(self, rng: np.random.Generator,
                     b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(lam(b), K) for an int64 array of current block counts >= 2."""
         if len(self._components) == 1:
             # no mixture: no selection uniform, every lane draws K here
-            comp = self._components[0]
-            return (self._component_rate(comp, b),
-                    self._component_draw(rng, comp, b))
-        per_comp = np.vstack([self._component_rate(comp, b)
-                              for comp in self._components])
+            _, rate, draw = self._components[0]
+            return rate[b], draw(rng, b)
+        per_comp = self._rate_tables[:, b]
         lam = per_comp.sum(axis=0)
         u = rng.random(b.shape) * lam
         which = (np.cumsum(per_comp, axis=0) < u).sum(axis=0)
         which = np.minimum(which, len(self._components) - 1)
         k_out = np.full(b.shape, 2, dtype=np.int64)
-        for ci, comp in enumerate(self._components):
+        for ci, (_, _, draw) in enumerate(self._components):
             rows = np.nonzero(which == ci)[0]
-            if rows.size and comp[0] != "kingman":
-                k_out[rows] = self._component_draw(rng, comp, b[rows])
+            if rows.size:
+                k_out[rows] = draw(rng, b[rows])
         return lam, k_out
 
-    @staticmethod
-    def _powerbeta_draw(rng: np.random.Generator, comp: tuple,
-                        b: np.ndarray) -> np.ndarray:
-        _, prefix, _, log_h, g_at, h_prefix = comp
 
-        def propose(bb):
-            t = rng.random(bb.shape) * prefix[bb - 2]
-            return np.minimum(np.searchsorted(prefix, t, side="left") + 2, bb)
-
+def _powerbeta_tables(dens: PowerBetaDensity, rate: np.ndarray) -> tuple:
+    """(prefix, log_h, g_at, h_prefix) of the ``powerbeta`` draw for block
+    counts below rate.size, and for b = 1 the rate table const(B)
+    prefix[B-2], which normalises the draw.  prefix[j] = sum_{k=2}^{j+2}
+    g(k): P(K <= j+2 | B) under the proposal is prefix[j]/prefix[B-2], so
+    one table serves all B.  log_h is None for b = 1; g_at[k] = g(k) and
+    h_prefix[j] = sum_{i=0}^{j} h(i) serve the b < 1 draw, None otherwise.
+    Blocks of _TABLE_BLOCK entries keep the temporaries small; each
+    block's first g (and h) carries the sum so far, so cumsum makes the
+    same additions in the same order as over the whole array."""
+    size = rate.size
+    two_piece = dens.b < 1.0
+    prefix = np.empty(size - 2)
+    log_h = None if dens.b == 1.0 else np.empty(size)
+    g_at = np.empty(size) if two_piece else None
+    h_prefix = np.empty(size) if two_piece else None
+    total = h_total = 0.0
+    for lo in range(0, size, _TABLE_BLOCK):
+        hi = min(lo + _TABLE_BLOCK, size)
+        js = np.arange(float(lo), float(hi))
+        log_fact = special.gammaln(js + 1.0)    # log j!
+        if log_h is not None:
+            log_h[lo:hi] = special.gammaln(dens.b + js) - log_fact
+        if two_piece:
+            h = np.exp(log_h[lo:hi])
+            h[0] += h_total
+            h_total = np.cumsum(h, out=h_prefix[lo:hi])[-1]
+        first = max(lo, 2)
+        ks, log_fact = js[first - lo:], log_fact[first - lo:]
+        g = np.exp(special.gammaln(dens.a + ks - 2.0) - log_fact)
+        if two_piece:
+            g_at[first:hi] = g
+        g[0] += total
+        part = np.cumsum(g, out=prefix[first - 2:hi - 2])
+        total = part[-1]
         if log_h is None:
-            return propose(b)      # b = 1: every proposal is accepted
+            rate[first:hi] = dens.c * np.exp(
+                log_fact - special.gammaln(dens.a + ks - 1.0)) * part
+    return prefix, log_h, g_at, h_prefix
 
-        def one_piece(bb):
-            k = propose(bb)
-            return k, rng.random(bb.shape) <= np.exp(log_h[bb - k]
-                                                     - log_h[bb - 2])
 
-        def two_pieces(bb):
-            m = np.maximum(bb // 2, 2)
-            low = prefix[m - 2] * np.exp(log_h[bb - m])   # K <= m
-            high = g_at[m + 1] * h_prefix[bb - m - 1]     # K > m
-            pick, u, v = rng.random((3, bb.size))
-            is_low = pick * (low + high) < low
-            k = np.where(is_low,
-                         np.searchsorted(prefix, u * prefix[m - 2]) + 2,
-                         bb - np.searchsorted(h_prefix,
-                                              u * h_prefix[bb - m - 1]))
-            ratio = np.where(is_low, np.exp(log_h[bb - k] - log_h[bb - m]),
-                             g_at[k] / g_at[m + 1])
-            return k, v <= ratio
+# ---------------------------------------------------------------------------
+# merger-size draws: draw(rng, b) -> K for an int64 array of block counts
 
-        if h_prefix is None:
-            return _redraw_until_accepted(b, np.arange(b.size), one_piece)
-        return _redraw_until_accepted(b, np.nonzero(b > 2)[0], two_pieces)
+def _pair_draw(rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
+    return np.full(b.shape, 2, dtype=np.int64)
 
-    @staticmethod
-    def _pitman_draw(rng: np.random.Generator, comp: tuple,
-                     b: np.ndarray) -> np.ndarray:
-        dens = comp[1]
 
-        def one_round(bb):
-            k = rng.binomial(bb, rng.beta(dens.a - 2.0, dens.b, bb.shape))
-            return k, k >= 2
+def _uniform_draw(rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
+    bb = b.astype(float)
+    u = rng.random(b.shape)
+    raw = np.ceil(1.0 / (1.0 - u * (bb - 1.0) / bb))
+    return np.minimum(np.maximum(raw, 2.0), bb).astype(np.int64)
 
-        return _redraw_until_accepted(b, np.nonzero(b > 2)[0], one_round)
 
-    def _atom_walk(self, rng: np.random.Generator, comp: tuple,
-                   b: np.ndarray) -> np.ndarray:
-        _, p, m = comp
-        bb = b.astype(float)
-        z = (bb - 1.0) * math.log1p(-p) + np.log1p((bb - 1.0) * p)
-        target = rng.random(b.shape) * (-np.expm1(z) * (m / p ** 2))
-        w = m * np.exp(_log_binom(bb, 2.0) + (bb - 2.0) * math.log1p(-p))
-        cdf = w.copy()
-        k = np.full(b.shape, 2, dtype=np.int64)
-        odds = p / (1.0 - p)
+def _atom_walk(p: float, m: float, rate: np.ndarray,
+               rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
+    """K for the atom (p, m): its pmf walked up to a uniform times rate[B]."""
+    bb = b.astype(float)
+    target = rng.random(b.shape) * rate[b]
+    w = m * np.exp(_log_binom(bb, 2.0) + (bb - 2.0) * math.log1p(-p))
+    cdf = w.copy()
+    k = np.full(b.shape, 2, dtype=np.int64)
+    odds = p / (1.0 - p)
+    active = (cdf < target) & (k < b)
+    while np.any(active):
+        kk = k[active].astype(float)
+        w[active] *= (bb[active] - kk) / (kk + 1.0) * odds
+        cdf[active] += w[active]
+        k[active] += 1
         active = (cdf < target) & (k < b)
-        while np.any(active):
-            kk = k[active].astype(float)
-            w[active] *= (bb[active] - kk) / (kk + 1.0) * odds
-            cdf[active] += w[active]
-            k[active] += 1
-            active = (cdf < target) & (k < b)
-        return k
+    return k
+
+
+def _powerbeta_draw(prefix, log_h, g_at, h_prefix,
+                    rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
+    def propose(bb):
+        t = rng.random(bb.shape) * prefix[bb - 2]
+        return np.minimum(np.searchsorted(prefix, t, side="left") + 2, bb)
+
+    if log_h is None:
+        return propose(b)      # b = 1: every proposal is accepted
+
+    def one_piece(bb):
+        k = propose(bb)
+        return k, rng.random(bb.shape) <= np.exp(log_h[bb - k]
+                                                 - log_h[bb - 2])
+
+    def two_pieces(bb):
+        m = np.maximum(bb // 2, 2)
+        low = prefix[m - 2] * np.exp(log_h[bb - m])   # K <= m
+        high = g_at[m + 1] * h_prefix[bb - m - 1]     # K > m
+        pick, u, v = rng.random((3, bb.size))
+        is_low = pick * (low + high) < low
+        k = np.where(is_low,
+                     np.searchsorted(prefix, u * prefix[m - 2]) + 2,
+                     bb - np.searchsorted(h_prefix,
+                                          u * h_prefix[bb - m - 1]))
+        ratio = np.where(is_low, np.exp(log_h[bb - k] - log_h[bb - m]),
+                         g_at[k] / g_at[m + 1])
+        return k, v <= ratio
+
+    if h_prefix is None:
+        return _redraw_until_accepted(b, np.arange(b.size), one_piece)
+    return _redraw_until_accepted(b, np.nonzero(b > 2)[0], two_pieces)
+
+
+def _pitman_draw(dens: PowerBetaDensity, rng: np.random.Generator,
+                 b: np.ndarray) -> np.ndarray:
+    def one_round(bb):
+        k = rng.binomial(bb, rng.beta(dens.a - 2.0, dens.b, bb.shape))
+        return k, k >= 2
+
+    return _redraw_until_accepted(b, np.nonzero(b > 2)[0], one_round)
 
 
 def _redraw_until_accepted(b: np.ndarray, todo: np.ndarray,

@@ -504,3 +504,28 @@ def test_limits_usage_errors(capsys):
                    "--alpha", "1.5", "--x", "1")[0] == 2
     assert run_cli(capsys, "limits", "--family", "exact_bs_moment",
                    "--n", "5")[0] == 2
+
+
+@pytest.mark.parametrize("family", ["typical", "frechet", "poisson_tail"])
+def test_limits_family_without_alpha_is_usage_error(capsys, family):
+    code, out, err = run_cli(capsys, "limits", "--family", family, "--x", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "alpha" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("rates", "--measure", "kingman", "--b", "inf"),
+    ("rates", "--measure", "kingman", "--b", "2,-inf"),
+    ("rates", "--measure", "kingman", "--x", "2,inf"),
+    ("limits", "--family", "frechet", "--alpha", "1.5", "--x", "nan"),
+    ("limits", "--family", "typical", "--alpha", "1.5", "--x", "1,inf"),
+    ("limits", "--family", "logistic", "--x", "0,-inf"),
+])
+def test_non_finite_list_entries_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {argv[-2]} expects a comma list of "
+                          "finite numbers")

@@ -28,7 +28,7 @@ MIXED = parse_measure("kingman + dirac:p=0.5,m=1")
 
 def absorption():
     """Passage to one block: absorption time and jump count of each path."""
-    return LevelCrossingTracker(1, name="absorption")
+    return LevelCrossingTracker(1)
 
 
 def test_singleton_trackers_match_stored_paths():
@@ -43,10 +43,9 @@ def check_singleton_trackers(measure):
     # are each path's external lengths in some order
     n, size, key = 12, 64, 777
 
-    def run(thresholds):
+    def run(thresholds, ell):
         factories = [lambda: MarkedLeafTracker(k=n),
-                     lambda: TopLengthsTracker(3),
-                     lambda: TopLengthsTracker(n, name="top_all"),
+                     lambda: TopLengthsTracker(ell),
                      lambda: ThresholdCountTracker(thresholds),
                      absorption,
                      PathRecorder]
@@ -54,12 +53,13 @@ def check_singleton_trackers(measure):
 
     # a threshold equal to an external length of path 0 (counts are of
     # lengths strictly above it) and a negative one (every length counts);
-    # thresholds draw nothing, so the rerun repeats the paths
-    first = run((0.5, 1.5))
+    # thresholds and top lengths draw nothing, so the rerun repeats the
+    # paths, and the first run's top lengths are all n lengths
+    first = run((0.5, 1.5), n)
     values = first["paths"][0].external_lengths().values
     tie = values[len(values) // 2]
     thresholds = (-0.5, 0.5, 1.5, tie)
-    real = run(thresholds)
+    real = run(thresholds, 3)
     for r, path in enumerate(real["paths"]):
         np.testing.assert_array_equal(path.jump_time,
                                       first["paths"][r].jump_time)
@@ -67,11 +67,11 @@ def check_singleton_trackers(measure):
         np.testing.assert_array_equal(
             np.sort(real["marked_lengths"][r])[::-1], lengths)
         np.testing.assert_array_equal(real["top_lengths"][r], lengths[:3])
-        np.testing.assert_array_equal(real["top_all"][r], lengths)
+        np.testing.assert_array_equal(first["top_lengths"][r], lengths)
         for c, thr in enumerate(thresholds):
             assert real["exceed_counts"][r, c] == np.sum(lengths > thr)
-        assert real["absorption_time"][r] == path.absorption_time
-        assert real["absorption_jumps"][r] == path.num_jumps
+        assert real["crossing_time"][r] == path.absorption_time
+        assert real["crossing_jumps"][r] == path.num_jumps
     assert real["exceed_counts"][0, 0] == n
     # the tie is strict: path 0 has lengths equal to it, none counted
     lengths = real["paths"][0].external_lengths().flat()
@@ -86,10 +86,14 @@ def test_dy_free_trackers_match_stored_paths():
     times_q = (0.3, 1.0, 2.5)
     factories = [lambda: BlockCountAtTimesTracker(times_q),
                  lambda: LevelCrossingTracker(5),
-                 absorption,
                  PathRecorder]
     real = run_ensemble(BS, n, size, key, factories)
+    # the crossing of level 1 comes from a second run on the same key:
+    # the first run's trackers draw nothing, so it repeats the paths
+    absorbed = run_ensemble(BS, n, size, key, [absorption, PathRecorder])
     for r, path in enumerate(real["paths"]):
+        np.testing.assert_array_equal(absorbed["paths"][r].jump_time,
+                                      path.jump_time)
         hx, ht = path.block_count_before, path.jump_time
         t_old = np.concatenate([[0.0], ht[:-1]])
         for c, q in enumerate(times_q):
@@ -101,7 +105,7 @@ def test_dy_free_trackers_match_stored_paths():
         assert real["crossing_time"][r] == rho_time
         assert real["crossing_inv_sum"][r] == pytest.approx(
             np.sum(1.0 / hx[:rho]), rel=1e-13)
-        assert real["absorption_jumps"][r] == path.num_jumps
+        assert absorbed["crossing_jumps"][r] == path.num_jumps
 
 
 def test_crossing_trivial_when_level_above_n():
@@ -120,8 +124,8 @@ def test_chunks_concatenate_in_replication_order():
     n, reps, seed = 200, 2 * MAX_LANES + 451, 31415
     factories = [lambda: MarkedLeafTracker(), absorption]
     out = run_ensemble(BS, n, reps, seed, factories)
-    assert set(out) == {"marked_lengths", "absorption_time",
-                        "absorption_jumps", "absorption_inv_sum"}
+    assert set(out) == {"marked_lengths", "crossing_time",
+                        "crossing_jumps", "crossing_inv_sum"}
     for name in out:
         assert len(out[name]) == reps
     # three chunks of near-equal size, the larger first; chunk i is keyed
@@ -215,7 +219,7 @@ def test_seeds_differing_in_low_bits_draw_different_streams():
     # keyed by seed XOR chunk, seeds 1, 2 and 3 ran the same eight
     # streams in another order, so every order-free statistic agreed
     runs = [np.sort(run_ensemble(kingman(), 10, 8 * MAX_LANES, seed,
-                                 [absorption])["absorption_time"])
+                                 [absorption])["crossing_time"])
             for seed in (1, 2, 3)]
     for i in range(3):
         for j in range(i):
@@ -296,7 +300,7 @@ def test_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
 
 def _two_chunk_absorption(seed):
     return run_ensemble(kingman(), 10, MAX_LANES + 1, seed,
-                        [absorption])["absorption_time"]
+                        [absorption])["crossing_time"]
 
 
 def _logged_two_chunk_absorption(seed):
@@ -325,7 +329,7 @@ def test_small_runs_stay_in_order(monkeypatch):
     reps = ensemble.POOL_MIN_WORK // 100 - 1
     assert reps > MAX_LANES
     out = run_ensemble(kingman(), 100, reps, 5, [absorption])
-    assert out["absorption_time"].shape == (reps,)
+    assert out["crossing_time"].shape == (reps,)
 
 
 def test_wide_run_splits_into_two_keyed_halves(monkeypatch):
@@ -372,15 +376,15 @@ def test_path_recorder_runs_neither_split_nor_pool(monkeypatch):
     # one chunk, not split: chunk 0 of the same seed
     out = run_ensemble(BS, 20, MAX_LANES, 7, factories)
     alone = _chunk_draws(20, MAX_LANES, 7, 0, factories)
-    np.testing.assert_array_equal(out["absorption_time"],
-                                  alone["absorption_time"])
+    np.testing.assert_array_equal(out["crossing_time"],
+                                  alone["crossing_time"])
 
 
 def test_absorption_time_mean_kingman():
     # E[tau] = sum_b 2/(b(b-1)) = 2 (1 - 1/n)
     out = run_ensemble(kingman(), 50, 4096, 8, [absorption])
-    assert out["absorption_time"].mean() == pytest.approx(1.96, abs=0.08)
-    assert np.all(out["absorption_jumps"] == 49)
+    assert out["crossing_time"].mean() == pytest.approx(1.96, abs=0.08)
+    assert np.all(out["crossing_jumps"] == 49)
 
 
 def beta_tagged_mean(a, b, n):
@@ -539,8 +543,8 @@ def test_lane_retires_at_the_jump_that_crosses_its_level():
 def test_lane_runs_on_until_every_tracker_is_done():
     # the mark is absorbed early, the level-1 crossing only at the end
     out = run_ensemble(kingman(), 50, 256, 8, [MarkedLeafTracker, absorption])
-    assert np.all(out["absorption_jumps"] == 49)
-    assert np.all(out["marked_lengths"][:, 0] <= out["absorption_time"])
+    assert np.all(out["crossing_jumps"] == 49)
+    assert np.all(out["marked_lengths"][:, 0] <= out["crossing_time"])
 
 
 def test_marked_leaves_alone_draw_no_singleton_loss(monkeypatch):
@@ -579,7 +583,7 @@ def test_validation():
             run_ensemble(BS, 10, 10, seed, [absorption])
     out = run_ensemble(BS, np.int64(10), np.int32(3), np.uint64(1),
                        [absorption])
-    assert out["absorption_jumps"].shape == (3,)
+    assert out["crossing_jumps"].shape == (3,)
     # no tracker: nothing to simulate for
     with pytest.raises(ValueError):
         run_ensemble(BS, 10, 10, 1, [])

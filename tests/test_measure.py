@@ -52,13 +52,6 @@ def test_addition_concatenates():
     assert LambdaMeasure().is_trivial
 
 
-def test_total_mass_sums_components():
-    m = kingman(0.5) + power_beta(c=1.0, a=2.0, b=2.0) + LambdaMeasure(
-        atoms=((0.25, 0.75),))
-    expected = 0.5 + special.beta(2.0, 2.0) + 0.75
-    assert m.total_mass() == pytest.approx(expected, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # grammar
 

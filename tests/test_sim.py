@@ -358,7 +358,7 @@ def _whole_powerbeta_tables(rates, dens, max_blocks):
         rate_table[2:] = dens.c * np.exp(
             log_fact[2:] - special.gammaln(dens.a + ks - 1.0)) * prefix
         return prefix, rate_table, None
-    rate_table[2:] = rates._powerbeta_total_rate(dens, ks)
+    rate_table[2:] = rates.component_rates()[0](ks)
     return prefix, rate_table, special.gammaln(dens.b + js) - log_fact
 
 
@@ -371,7 +371,9 @@ def test_blocked_powerbeta_tables_keep_their_bytes(text, shift):
     rates = rates_for(parse_measure(text))
     dens = rates.measure.densities[0]
     n = sim._TABLE_BLOCK + shift
-    _, *tables = MergerSizeSampler(rates, n)._components[0]
+    _, rate_table, draw = MergerSizeSampler(rates, n)._components[0]
+    prefix, log_h = draw.args[:2]
+    tables = prefix, rate_table, log_h
     for got, want in zip(tables, _whole_powerbeta_tables(rates, dens, n)):
         if want is None:
             assert got is None
@@ -380,7 +382,7 @@ def test_blocked_powerbeta_tables_keep_their_bytes(text, shift):
             assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("measure, strategy", [
+SAMPLER_STRATEGIES = [
     (kingman(), "kingman"),
     (BS, "uniform"),
     (PB_HALF, "powerbeta"),
@@ -394,9 +396,33 @@ def test_blocked_powerbeta_tables_keep_their_bytes(text, shift):
     (parse_measure("beta:1,0.3"), "powerbeta"),          # b < 1
     (parse_measure("powerbeta:c=1,a=1,b=2"), "powerbeta"),
     (parse_measure("powerbeta:c=1,a=2,b=1"), "powerbeta"),
-])
+]
+
+
+@pytest.mark.parametrize("measure, strategy", SAMPLER_STRATEGIES)
 def test_sampler_strategy(measure, strategy):
     assert MergerSizeSampler(rates_for(measure), 10).strategy == strategy
+
+
+@pytest.mark.parametrize("measure, strategy", SAMPLER_STRATEGIES)
+def test_sampler_rates_are_the_component_rates(measure, strategy):
+    # lam(B) of the sampler is the sum of the per-component rates of
+    # `rates`, added in order, bit for bit; a b = 1 power-beta density
+    # keeps the lam built from its prefix table, which normalises its draw
+    n = 3000
+    rates = rates_for(measure)
+    blocks = np.arange(2, n + 1)
+    want = np.zeros(blocks.size)
+    for rate in rates.component_rates():
+        want += rate(blocks.astype(float))
+    assert want.tobytes() == rates.total_jump_rate(blocks).tobytes()
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(8)))
+    lam, _ = MergerSizeSampler(rates, n).sample_step(rng, blocks)
+    if any(d.b == 1.0 and d.a != 1.0 and d.a < 3.0
+           for d in measure.densities):
+        np.testing.assert_allclose(lam, want, rtol=1e-9)
+    else:
+        assert lam.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("text, strategy", [
