@@ -28,6 +28,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .ensemble import PathRecorder, _run_chunk
 from .experiments import (CATALOG, ExperimentConfig, RegimeError,
                           run_experiment)
@@ -263,29 +265,44 @@ def _write_text(path_or_stdout, text: str) -> None:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
+def _finite_row(flag: str, value, cells) -> str:
+    """The CSV row of one --x or --b entry; a usage error when a cell is
+    not a finite float, which an entry too large for double precision
+    gives (kingman lambda(1e300) overflows to inf)."""
+    cells = [float(v) for v in cells]
+    if not all(map(math.isfinite, cells)):
+        raise UsageError(f"{flag} entry {value!r} gives a non-finite "
+                         "value; it is beyond double precision")
+    return ",".join(map(repr, cells))
+
+
 def _cmd_rates(args: argparse.Namespace) -> int:
     _require(args, "measure")
     if (args.x is None) == (args.b is None):
         raise UsageError("give exactly one of --x or --b")
     rates = rates_for(parse_measure(args.measure))
     lines = []
-    if args.x is not None:
-        lines.append("x,mu,mu_prime,mu_double_prime,kappa,H_inv_x,s_at_x")
-        for x in _float_list(args.x, "--x"):
-            if not x >= 1.0:
-                raise UsageError(f"--x entries must be >= 1, got {x!r}")
-            mu, d1, d2 = rates.mu_derivatives(x)
-            cells = (x, mu, d1, d2, rates.kappa(x),
-                     rates.H_function(1.0 / x), rates.s_at(x))
-            lines.append(",".join(repr(float(v)) for v in cells))
-    else:
-        lines.append("b,total_rate,mean_decrement")
-        for b in _float_list(args.b, "--b"):
-            ib = int(b)
-            if ib != b:
-                raise UsageError(f"--b entries must be integers, got {b!r}")
-            lines.append(f"{ib},{float(rates.total_jump_rate(ib))!r},"
-                         f"{float(rates.mean_decrement(ib))!r}")
+    # an overflow is reported as a usage error by _finite_row, not warned
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if args.x is not None:
+            lines.append("x,mu,mu_prime,mu_double_prime,kappa,H_inv_x,s_at_x")
+            for x in _float_list(args.x, "--x"):
+                if not x >= 1.0:
+                    raise UsageError(f"--x entries must be >= 1, got {x!r}")
+                mu, d1, d2 = rates.mu_derivatives(x)
+                lines.append(_finite_row("--x", x, (
+                    x, mu, d1, d2, rates.kappa(x), rates.H_function(1.0 / x),
+                    rates.s_at(x))))
+        else:
+            lines.append("b,total_rate,mean_decrement")
+            for b in _float_list(args.b, "--b"):
+                ib = int(b)
+                if ib != b:
+                    raise UsageError(
+                        f"--b entries must be integers, got {b!r}")
+                row = _finite_row("--b", b, (rates.total_jump_rate(ib),
+                                              rates.mean_decrement(ib)))
+                lines.append(f"{ib},{row}")
     _write_text(_open_out(args), "\n".join(lines) + "\n")
     return 0
 
@@ -347,7 +364,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     else:
         out = Path(args.out)
         out.write_text(primary, encoding="utf-8")
-        meta = {"runtime_ms": report.runtime_ms, "sampler": report.sampler}
+        meta = {"runtime_ms": report.runtime_ms, "sampler": report.sampler,
+                "quadrature": report.quadrature}
         out.with_suffix(out.suffix + ".meta.json").write_text(
             json.dumps(meta, sort_keys=True, indent=2) + "\n",
             encoding="utf-8")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import limits
+from . import limits, quadrature
 from .ensemble import (BlockCountAtTimesTracker, LevelCrossingTracker,
                        MarkedLeafTracker, PathRecorder, ThresholdCountTracker,
                        TopLengthsTracker, run_ensemble)
@@ -132,6 +132,7 @@ class ExperimentReport:
     runtime_ms: float = 0.0
     ecdf_grids: dict = field(default_factory=dict)
     sampler: str = ""       # MergerSizeSampler.strategy of the runs
+    quadrature: dict = field(default_factory=dict)   # the run's tally
 
     @property
     def verdict(self) -> str:
@@ -139,8 +140,9 @@ class ExperimentReport:
             else "PASS"
 
     def to_json(self) -> str:
-        # runtime is an execution detail, not a result; it stays out of
-        # the primary serialization so reruns are byte-identical.
+        # runtime and the quadrature tally are execution details, not
+        # results; they stay out of the primary serialization so reruns
+        # are byte-identical.
         doc = {"config": self.config,
                "statistics": [s.to_dict() for s in self.statistics],
                "verdict": self.verdict,
@@ -293,10 +295,9 @@ def parse_r_rule(rule, n: int) -> float:
         raise ConfigError(f"cannot parse r rule {rule!r}") from None
 
 
-def integral_inverse_mu(rates: RateFunctions, lo: float, hi: float) -> float:
-    """Integral of dx / mu(x) over [lo, hi] by adaptive quadrature."""
-    if hi <= lo:
-        return 0.0
+def integral_inverse_mu(rates: RateFunctions, lo, hi):
+    """Integral of dx / mu(x) over [lo, hi] by adaptive quadrature; for
+    arrays of bounds, the array of integrals (0.0 where hi <= lo)."""
     return adaptive_integrate(lambda x: 1.0 / rates.rate_of_decrease(x),
                               lo, hi)
 
@@ -320,13 +321,14 @@ def finite_n_max_cdf(rates: RateFunctions, n: int):
 
     Built from the rate functions alone: one table of int_r^n dx/mu on a
     log grid of r, with the log intensity interpolated linearly in log t.
+    The 255 pieces of the table are one batched quadrature call, whose
+    first panels take one evaluation of mu between them.
     Returns a vectorized callable of the unscaled length t.
     """
     mu_n = rates.rate_of_decrease(float(n))
     r_lo = rates.invert_mu(_FINITE_N_FLOOR * mu_n / n)
     r = np.geomspace(r_lo, float(n), _FINITE_N_POINTS)
-    pieces = [integral_inverse_mu(rates, lo, hi)
-              for lo, hi in zip(r[:-1], r[1:])]
+    pieces = integral_inverse_mu(rates, r[:-1], r[1:])
     # increasing t, from the level next to n down to r_lo
     t_nodes = np.cumsum(pieces[::-1])
     log_t = np.log(t_nodes)
@@ -737,6 +739,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 f"{cfg.theorem} does not read {what} {sorted(unknown)}; "
                 f"it reads {sorted(known)}")
     t0 = time.perf_counter()
+    before = dict(quadrature.tally)
     rates = rates_for(parse_measure(cfg.measure))
     if guard is not None:
         guard(rates)
@@ -746,6 +749,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # The strategy depends on the measure alone, so a two-block sampler
     # names the one every run of the experiment used.
     sampler = MergerSizeSampler(rates, 2).strategy
+    tally = {k: v - before[k] for k, v in quadrature.tally.items()}
     return ExperimentReport(config=config, statistics=stats, seed=cfg.seed,
                             runtime_ms=(time.perf_counter() - t0) * 1e3,
-                            ecdf_grids=ecdf_grids, sampler=sampler)
+                            ecdf_grids=ecdf_grids, sampler=sampler,
+                            quadrature=tally)

@@ -8,10 +8,14 @@ removed by the power substitution ``p = t**m`` with integer ``m >= 1/a``,
 after which panel-adaptive Gauss-Legendre converges geometrically.
 
 Only the panel driver lives here; nodes come from
-``numpy.polynomial.legendre.leggauss``.  Every integral is held to the
-same tolerances, ``REL_TOL`` relative to the running estimate and
-``ABS_TOL`` absolute, the floor that keeps an integral that is genuinely
-zero from refining without end.
+``numpy.polynomial.legendre.leggauss``.  `adaptive_integrate` takes arrays
+of bounds: the first panel of every interval is evaluated in one call of
+the integrand, and only the intervals whose first panel misses its budget
+refine, each alone, so a batch returns the floats of one call per
+interval.  Every integral is held to the same tolerances, ``REL_TOL``
+relative to the running estimate and ``ABS_TOL`` absolute, the floor that
+keeps an integral that is genuinely zero from refining without end.
+`tally` counts integrals, accepted panels and panels accepted at a cap.
 """
 
 from __future__ import annotations
@@ -36,44 +40,49 @@ ABS_TOL = 1e-14
 # for b >= 0.05.
 _Q_MIN = float(np.finfo(float).tiny)
 
+# Running totals over the process: intervals integrated, panels accepted,
+# and panels accepted at the depth or panel cap with their error above
+# budget.  Read a difference of two copies to count one piece of work.
+tally = {"integrals": 0, "panels": 0, "cap_hits": 0}
 
-@lru_cache(maxsize=32)
-def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+
+@lru_cache(maxsize=1)
+def _rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order-15 and order-31 nodes side by side, and each rule's weights."""
+    xl, wl = np.polynomial.legendre.leggauss(_ORDER_LOW)
+    xh, wh = np.polynomial.legendre.leggauss(_ORDER_HIGH)
+    return np.concatenate([xl, xh]), wl, wh
 
 
-def _panel_estimates(f, lo: float, hi: float) -> tuple[float, float]:
+def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray) -> list:
+    """The (order-15, order-31) estimate pair of every panel
+    [lo[i], hi[i]], from one call of f on all their nodes."""
+    nodes, wl, wh = _rules()
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    xl, wl = _rule(_ORDER_LOW)
-    xh, wh = _rule(_ORDER_HIGH)
-    coarse = half * float(np.dot(wl, f(mid + half * xl)))
-    fine = half * float(np.dot(wh, f(mid + half * xh)))
-    return coarse, fine
+    values = f((mid[:, None] + half[:, None] * nodes).ravel())
+    values = np.asarray(values, dtype=float).reshape(len(lo), -1)
+    return [(h * float(np.dot(wl, v[:_ORDER_LOW])),
+             h * float(np.dot(wh, v[_ORDER_LOW:])))
+            for h, v in zip(half.tolist(), values)]
 
 
-def adaptive_integrate(f, lo: float, hi: float) -> float:
-    """Integrate a vectorized callable over [lo, hi] by adaptive bisection.
-
-    ``f`` must accept a numpy array and return an array of the same shape.
-    Panels where the order-15 and order-31 Gauss-Legendre estimates disagree
-    by more than the width-prorated tolerance are split until they agree or
-    the depth cap is hit.
-    """
-    if hi <= lo:
-        return 0.0
+def _bisect(f, lo: float, hi: float, first: tuple[float, float]) -> float:
+    """int_lo^hi f by adaptive bisection, given the (coarse, fine)
+    estimates of the first panel, [lo, hi] itself.  Its fine estimate
+    also sets the scale of the relative tolerance."""
     total_width = hi - lo
-    # Rough global scale for the relative tolerance.
-    _, rough = _panel_estimates(f, lo, hi)
-    scale = abs(rough)
-
+    scale = abs(first[1])
     result = 0.0
     npanels = 0
     stack = [(lo, hi, 0)]
     while stack:
         a, b, depth = stack.pop()
-        coarse, fine = _panel_estimates(f, a, b)
+        if depth:
+            (coarse, fine), = _panel_estimates(f, np.array([a]),
+                                               np.array([b]))
+        else:
+            coarse, fine = first
         err = abs(fine - coarse)
         budget = max(ABS_TOL, REL_TOL * max(scale, abs(result))) \
             * (b - a) / total_width
@@ -81,11 +90,40 @@ def adaptive_integrate(f, lo: float, hi: float) -> float:
             result += fine
             npanels += 1
             scale = max(scale, abs(result))
+            tally["cap_hits"] += err > budget
         else:
             m = 0.5 * (a + b)
             stack.append((a, m, depth + 1))
             stack.append((m, b, depth + 1))
+    tally["panels"] += npanels
     return result
+
+
+def adaptive_integrate(f, lo, hi):
+    """Integrate a vectorized callable over [lo, hi] by adaptive bisection.
+
+    ``lo`` and ``hi`` are floats or arrays of one shape; an array of bounds
+    gives the array of integrals, 0.0 wherever hi <= lo.  ``f`` must accept
+    a 1-d numpy array and return an array of the same shape.  Panels where
+    the order-15 and order-31 Gauss-Legendre estimates disagree by more
+    than the width-prorated tolerance are split until they agree or a cap
+    (depth 48, 4096 panels) is hit.  The first panel of every interval,
+    the whole interval, is evaluated in one call of ``f`` for all of them;
+    its fine estimate is also the scale of the relative tolerance.  An
+    interval whose first panel misses its budget is then refined alone,
+    one call of ``f`` per panel, so each integral is the float a call with
+    that interval alone returns.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                 np.asarray(hi, dtype=float))
+    out = np.zeros(lo.shape)
+    live = np.flatnonzero(~(hi <= lo))
+    lo, hi = lo.ravel()[live], hi.ravel()[live]
+    tally["integrals"] += live.size
+    if live.size:
+        out.flat[live] = [_bisect(f, a, b, first) for a, b, first in zip(
+            lo.tolist(), hi.tolist(), _panel_estimates(f, lo, hi))]
+    return float(out) if out.ndim == 0 else out
 
 
 def power_substitution(f, exponent: float):

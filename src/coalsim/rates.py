@@ -43,44 +43,53 @@ _RV_GRID = np.geomspace(1e3, 1e6, 25)
 
 
 # ---------------------------------------------------------------------------
-# kernels: stable pointwise evaluation of the 1/p**2 integrands
+# kernels: stable pointwise evaluation of the 1/p**2 integrands, over p and
+# x broadcast together; the series crossover is taken per element
 
-def _mu_kernel(p, x: float):
+def _series_split(p, x):
+    """p and x broadcast to one float shape, and the mask p < p0(x)."""
+    p, x = np.broadcast_arrays(np.asarray(p, dtype=float),
+                               np.asarray(x, dtype=float))
+    p0 = _SERIES_CROSSOVER * np.minimum(1.0, 1.0 / np.maximum(x, 1.0))
+    return p, x, p < p0
+
+
+def _mu_kernel(p, x):
     """(x p - 1 + (1-p)**x) / p**2, series-stabilized near p = 0."""
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    p0 = _SERIES_CROSSOVER * min(1.0, 1.0 / max(x, 1.0))
-    small = p < p0
-    ps = p[small]
-    t2 = x * (x - 1.0) / 2.0
-    t3 = t2 * (x - 2.0) / 3.0
-    t4 = t3 * (x - 3.0) / 4.0
-    t5 = t4 * (x - 4.0) / 5.0
+    p, x, small = _series_split(p, x)
+    out = np.empty(p.shape)
+    ps, xs = p[small], x[small]
+    t2 = xs * (xs - 1.0) / 2.0
+    t3 = t2 * (xs - 2.0) / 3.0
+    t4 = t3 * (xs - 3.0) / 4.0
+    t5 = t4 * (xs - 4.0) / 5.0
     out[small] = t2 - ps * (t3 - ps * (t4 - ps * t5))
-    pl = p[~small]
-    out[~small] = (x * pl - 1.0 + np.exp(x * np.log1p(-pl))) / pl ** 2
+    pl, xl = p[~small], x[~small]
+    out[~small] = (xl * pl - 1.0 + np.exp(xl * np.log1p(-pl))) / pl ** 2
     return out
 
 
-def _mu1_kernel(p, x: float):
+def _mu1_kernel(p, x):
     """((1-p)**x log(1-p) + p) / p**2, series-stabilized near p = 0."""
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    p0 = _SERIES_CROSSOVER * min(1.0, 1.0 / max(x, 1.0))
-    small = p < p0
-    ps = p[small]
-    c0 = x - 0.5
-    c1 = (3.0 * x * x - 6.0 * x + 2.0) / 6.0
-    c2 = (2.0 * x - 3.0) * (x * x - 3.0 * x + 1.0) / 12.0
-    c3 = (5.0 * x ** 4 - 40.0 * x ** 3 + 105.0 * x * x - 100.0 * x + 24.0) / 120.0
+    p, x, small = _series_split(p, x)
+    out = np.empty(p.shape)
+    ps, xs = p[small], x[small]
+    c0 = xs - 0.5
+    c1 = (3.0 * xs * xs - 6.0 * xs + 2.0) / 6.0
+    c2 = (2.0 * xs - 3.0) * (xs * xs - 3.0 * xs + 1.0) / 12.0
+    # Python's pow of each distinct x, the floats of the formula at a
+    # float x: numpy's vectorised pow can differ from it in the last bit
+    u, back = np.unique(xs, return_inverse=True)
+    c3 = np.array([(5.0 * v ** 4 - 40.0 * v ** 3 + 105.0 * v * v
+                    - 100.0 * v + 24.0) / 120.0 for v in u.tolist()])[back]
     out[small] = c0 - ps * (c1 - ps * (c2 - ps * c3))
-    pl = p[~small]
+    pl, xl = p[~small], x[~small]
     w = np.log1p(-pl)
-    out[~small] = (np.exp(x * w) * w + pl) / pl ** 2
+    out[~small] = (np.exp(xl * w) * w + pl) / pl ** 2
     return out
 
 
-def _mu2_kernel(p, x: float):
+def _mu2_kernel(p, x):
     """(1-p)**x log(1-p)**2 / p**2; no cancellation, defined as 1 at p = 0."""
     p = np.asarray(p, dtype=float)
     w = np.log1p(-p)
@@ -302,8 +311,7 @@ class RateFunctions:
                 out += a0
         kernel = (_mu_kernel, _mu1_kernel, _mu2_kernel)[order]
         for p, m in self.measure.atoms:
-            out += m * np.array([float(kernel(np.array([p]), xi)[0])
-                                 for xi in arr])
+            out += m * kernel(p, arr)
         for dens in self.measure.densities:
             out += self._powerbeta_mu(dens, arr, order)
         return out

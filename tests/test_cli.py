@@ -2,6 +2,7 @@
 and the byte-reproducibility contract, all exercised in process."""
 
 import json
+import warnings
 
 import pytest
 
@@ -229,12 +230,31 @@ def test_experiment_out_files(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["verdict"] == "PASS"
     meta = json.loads((tmp_path / "report.json.meta.json").read_text())
-    assert set(meta) == {"runtime_ms", "sampler"}
+    assert set(meta) == {"runtime_ms", "sampler", "quadrature"}
     assert meta["sampler"] == "kingman"
+    # T1.1 scores against closed forms: nothing integrates
+    assert meta["quadrature"] == {"integrals": 0, "panels": 0, "cap_hits": 0}
     ecdf = (tmp_path / "report.scaled_length.csv").read_text().split("\n")
     assert ecdf[0] == "value,ecdf"
     assert float(ecdf[-2].split(",")[1]) == 1.0
     assert "[PASS] T1.1" in printed
+
+
+def test_experiment_meta_counts_quadrature(tmp_path, capsys):
+    # T1.5 builds the finite-n table of F_n: 255 integrals of 1/mu
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, "experiment", "--measure", "kingman", "--theorem", "T1.5",
+        "--n", "200", "--reps", "100", "--tol", "ks=1",
+        "--tol", "count_moments=50", "--out", str(out))
+    assert code == 0
+    meta = json.loads((tmp_path / "report.json.meta.json").read_text())
+    quad = meta["quadrature"]
+    assert set(quad) == {"integrals", "panels", "cap_hits"}
+    assert quad["integrals"] == 255
+    assert quad["panels"] >= quad["integrals"]
+    assert quad["cap_hits"] == 0
+    assert "quadrature" not in out.read_text()
 
 
 @pytest.mark.parametrize("measure, strategy", [
@@ -529,3 +549,18 @@ def test_non_finite_list_entries_are_usage_errors(capsys, argv):
     assert out == ""
     assert err.startswith(f"error: {argv[-2]} expects a comma list of "
                           "finite numbers")
+
+
+@pytest.mark.parametrize("flag, entries", [
+    ("--b", "1e300"), ("--b", "2,1e300"), ("--x", "1e300"), ("--x", "2,1e300"),
+])
+def test_rates_overflow_is_usage_error(capsys, flag, entries):
+    # kingman lambda(1e300) and mu(1e300) overflow to inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "rates", "--measure", "kingman",
+                                 flag, entries)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []

@@ -152,6 +152,18 @@ def test_integral_inverse_mu_kingman():
 HEAVY = "powerbeta:c=1,a=0.5,b=1"
 
 
+@pytest.mark.parametrize("measure", [
+    "kingman", "bolthausen-sznitman", HEAVY, "beta:0.5,1.5", "beta:0.3,0.3",
+    "kingman + dirac:p=0.5,m=1"])
+def test_integral_inverse_mu_batch_is_the_single_calls(measure):
+    rates = rates_for(parse_measure(measure))
+    r = np.geomspace(1.0 + 1e-3, 1e4, 40)
+    batch = integral_inverse_mu(rates, r[:-1], r[1:])
+    single = [integral_inverse_mu(rates, lo, hi)
+              for lo, hi in zip(r[:-1], r[1:])]
+    assert [float(v).hex() for v in batch] == [v.hex() for v in single]
+
+
 @pytest.mark.parametrize("measure", ["kingman", HEAVY])
 def test_finite_n_max_cdf_is_a_cdf(measure):
     rates = rates_for(parse_measure(measure))

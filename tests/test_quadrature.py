@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from coalsim import quadrature
 from coalsim.quadrature import (adaptive_integrate, integrate_tail,
                                 power_substitution)
 from rate_oracle import integrate_unit_interval
@@ -21,6 +22,74 @@ def test_polynomial_exact():
 def test_empty_interval_is_zero():
     assert adaptive_integrate(np.sin, 1.0, 1.0) == 0.0
     assert adaptive_integrate(np.sin, 2.0, 1.0) == 0.0
+
+
+def _counted(f):
+    def g(x):
+        g.calls += 1
+        return f(x)
+
+    g.calls = 0
+    return g
+
+
+def test_batch_first_panels_take_one_call():
+    # a cubic is exact on every first panel, so no interval refines
+    edges = np.linspace(0.0, 2.0, 65)
+    f = _counted(lambda p: p ** 3)
+    got = adaptive_integrate(f, edges[:-1], edges[1:])
+    assert f.calls == 1
+    assert got.shape == (64,)
+    assert got.sum() == pytest.approx(4.0, rel=1e-13)
+    single = _counted(lambda p: p ** 3)
+    assert [float(v).hex() for v in got] == [
+        adaptive_integrate(single, lo, hi).hex()
+        for lo, hi in zip(edges[:-1], edges[1:])]
+    assert single.calls == 64
+
+
+def test_batch_matches_single_calls_when_refining():
+    # a needle 0.123456 into each unit interval: every first panel misses
+    # its budget, and the refinement of each must be that of a single call
+    def needle(x):
+        return np.exp(-((x % 1.0 - 0.123456) / 0.01) ** 2)
+
+    lo = np.array([0.0, 3.0, 7.0])
+    f = _counted(needle)
+    got = adaptive_integrate(f, lo, lo + 1.0)
+    assert f.calls > 3
+    assert [float(v).hex() for v in got] == [
+        adaptive_integrate(needle, a, a + 1.0).hex() for a in lo]
+    assert got[0] == pytest.approx(0.01 * math.sqrt(math.pi), rel=1e-8)
+
+
+def test_batch_empty_intervals_are_zero():
+    f = _counted(np.cos)
+    got = adaptive_integrate(f, [0.0, 1.0, 2.0, 0.5], [1.0, 1.0, 1.5, 2.0])
+    assert got[1] == 0.0 and got[2] == 0.0
+    assert got[0] == pytest.approx(math.sin(1.0), rel=1e-13)
+    assert got[3] == pytest.approx(math.sin(2.0) - math.sin(0.5), rel=1e-13)
+    assert f.calls == 1
+    f = _counted(np.cos)
+    assert adaptive_integrate(f, [2.0, 3.0], [1.0, 3.0]).tolist() == [0.0,
+                                                                    0.0]
+    assert f.calls == 0
+
+
+def test_tally_counts_integrals_panels_and_cap_hits():
+    before = dict(quadrature.tally)
+    adaptive_integrate(lambda p: p ** 3, [0.0, 1.0, 3.0], [1.0, 2.0, 2.0])
+    assert quadrature.tally["integrals"] - before["integrals"] == 2
+    assert quadrature.tally["panels"] - before["panels"] == 2
+    assert quadrature.tally["cap_hits"] == before["cap_hits"]
+    # a unit step at 1/3: the panel holding it is bisected to the depth cap
+    # with an error near 2**-48, far above its prorated budget
+    before = dict(quadrature.tally)
+    got = adaptive_integrate(lambda p: np.where(p < 1.0 / 3.0, 0.0, 1.0),
+                             0.0, 1.0)
+    assert got == pytest.approx(2.0 / 3.0, abs=1e-13)
+    assert quadrature.tally["cap_hits"] - before["cap_hits"] >= 1
+    assert quadrature.tally["panels"] - before["panels"] > 48
 
 
 def test_oscillatory_smooth():

@@ -75,6 +75,26 @@ def test_dirac_rates():
         8.0 * (1.5 - 1.0 + 0.125), rel=1e-13)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_atom_mu_parts_match_the_per_x_kernels(order):
+    # p = 1e-4 is a series point below x = 10 and a direct one above it,
+    # p = 0.5 is direct everywhere (crossover p0 = 1e-3 min(1, 1/x))
+    text = "kingman + dirac:p=0.0001,m=0.3 + dirac:p=0.5,m=1"
+    r = RateFunctions(parse_measure(text))
+    x = np.array([1.0, 1.5, 2.5, 3.7, 9.99, 10.0, 10.01, 57.3, 1234.5,
+                  1e5, 2.5, 1.5])
+    kernel = (rates_module._mu_kernel, rates_module._mu1_kernel,
+              rates_module._mu2_kernel)[order]
+    expect = r.measure.atom_at_zero * [x * (x - 1.0) / 2.0, x - 0.5,
+                                       np.ones_like(x)][order]
+    for p, m in r.measure.atoms:
+        expect = expect + m * np.array([float(kernel(np.array([p]), xi)[0])
+                                        for xi in x])
+    got = r._mu_parts(x, order)
+    assert [v.hex() for v in got.tolist()] == \
+        [v.hex() for v in expect.tolist()]
+
+
 def test_merger_rate_validation():
     r = rates_for(KINGMAN)
     with pytest.raises(ValueError):
