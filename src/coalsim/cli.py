@@ -290,9 +290,15 @@ def _cmd_rates(args: argparse.Namespace) -> int:
                 if not x >= 1.0:
                     raise UsageError(f"--x entries must be >= 1, got {x!r}")
                 mu, d1, d2 = rates.mu_derivatives(x)
-                lines.append(_finite_row("--x", x, (
-                    x, mu, d1, d2, rates.kappa(x), rates.H_function(1.0 / x),
-                    rates.s_at(x))))
+                cells = [x, mu, d1, d2, rates.kappa(x),
+                         rates.H_function(1.0 / x)]
+                try:
+                    cells.append(rates.s_at(x))
+                except ValueError as exc:
+                    # mu(x)/x is inf, or beyond where invert_mu searches
+                    raise UsageError(f"--x entry {x!r} has no scale s(x): "
+                                     f"{exc}") from None
+                lines.append(_finite_row("--x", x, cells))
         else:
             lines.append("b,total_rate,mean_decrement")
             for b in _float_list(args.b, "--b"):

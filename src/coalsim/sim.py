@@ -19,10 +19,13 @@ so a (measure, n, seed) triple pins the path bit for bit:
    lane, then each component draws for its lanes in component order; a
    measure with one component draws no selection uniform;
 2. W, one standard exponential per lane;
-3. dY, when some tracker reads the singletons: when every live lane has
-   K = 2, two uniforms per lane, all lanes' first before their second,
-   also for lanes with no singletons left (`_draw_singleton_loss`);
-   otherwise numpy's hypergeometric draw over all lanes;
+3. dY, when some tracker reads the singletons (`_draw_singleton_loss`):
+   when every live lane has K = 2, two uniforms per lane, all lanes'
+   first before their second, also for lanes with no singletons left;
+   when at least _PAIR_DRAW_LANES live lanes have K = 2, first those
+   lanes' two uniforms in the same layout, then numpy's hypergeometric
+   draw over the K >= 3 lanes; otherwise the hypergeometric draw over
+   all lanes;
 4. each tracker's own draws, in tracker order (`MarkedLeafTracker`: one
    uniform per mark and live lane).
 
@@ -53,6 +56,37 @@ _LABELED_MAX_N = 12
 # A scalar hypergeometric call costs about 2.5 us, an array call about
 # 50 us whatever its length; below this many lanes the scalar loop wins.
 _SCALAR_DRAW_LANES = 20
+
+# From this many K = 2 lanes on, a step whose K are mixed draws dY for its
+# K = 2 lanes by the pair rule and only for the others by the
+# hypergeometric (`_draw_singleton_loss`); below it the cost of gathering
+# the two groups outweighs the cheaper lanes.  Cost of one dY call in us,
+# hypergeometric on all lanes -> split, over the mixed calls of one chunk
+# of T1.5 at n = 1e4 (1e5 for 500 Bolthausen-Sznitman lanes) grouped by
+# their count of K = 2 lanes; each call's fastest of 7, averaged over the
+# group, on one CPU of a 2-vCPU Xeon VM:
+#
+#   measure                  lanes  K = 2 lanes   all   split
+#   powerbeta a=0.5, b=1      2048  1536-2047     151   128
+#   powerbeta a=0.5, b=1      2048  1024-1535     147   127
+#   powerbeta a=0.5, b=1      2048   512-767       79    80
+#   powerbeta a=0.5, b=1       512   384-511       62    62
+#   powerbeta a=0.5, b=1       512   256-383       60    62
+#   bolthausen-sznitman       1000   512-767      116   113
+#   bolthausen-sznitman       1000   384-511      112   111
+#   bolthausen-sznitman        500   128-255       67    73
+_PAIR_DRAW_LANES = 512
+
+# From this many lanes on, the ``powerbeta`` proposal takes K = 2 without
+# searching its table where the uniform falls in the first entry; below it
+# finding those lanes costs more than the searches it saves.  Median us
+# per K draw at the block counts of that power-beta chunk, searching
+# every lane -> only the others: power-beta a = 0.5, b = 1 (75 % of
+# proposals K = 2) 11.9 -> 15.7 at 64 lanes, 20.7 -> 21.5 at 256,
+# 31.8 -> 29.6 at 512, 48.7 -> 38.1 at 1024 and 59.7 -> 41.5 at 1800;
+# Beta(0.5, 1.5), which also draws acceptance uniforms, 15.9 -> 18.1 at
+# 64 and 57.9 -> 50.6 at 1024.
+_PAIR_PROPOSAL_LANES = 512
 
 # Entries per block when the sampler fills its tables: 128 kB per
 # temporary (65_536 took 1.7 MB more peak memory, and no less time).
@@ -261,7 +295,13 @@ def _powerbeta_draw(prefix, log_h, g_at, h_prefix,
                     rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
     def propose(bb):
         t = rng.random(bb.shape) * prefix[bb - 2]
-        return np.minimum(np.searchsorted(prefix, t, side="left") + 2, bb)
+        if bb.size < _PAIR_PROPOSAL_LANES:
+            return np.minimum(np.searchsorted(prefix, t) + 2, bb)
+        # t <= prefix[0] is the search's K = 2, so only the rest search
+        k = np.full(bb.shape, 2, dtype=np.int64)
+        far = (t > prefix[0]).nonzero()[0]
+        k[far] = np.minimum(np.searchsorted(prefix, t[far]) + 2, bb[far])
+        return k
 
     if log_h is None:
         return propose(b)      # b = 1: every proposal is accepted
@@ -318,23 +358,54 @@ def _draw_singleton_loss(rng: np.random.Generator, b, y,
                          k) -> np.ndarray:
     """dY for each lane: how many of the K merging blocks, a uniform
     K-subset of the b current blocks, are among the y singletons
-    (hypergeometric).  When every K is 2, two uniforms per lane decide the
-    two blocks in turn, all lanes' first uniforms before their second:
-    the first block is a singleton when u1 b < y, the second when
+    (hypergeometric).  b and k may be arrays aligned with y or scalars.
+
+    A lane with K = 2 can take the pair rule: two uniforms decide the two
+    blocks in turn, the first a singleton when u1 b < y, the second when
     u2 (b - 1) < y - first.  Each comparison is exact up to one point of
-    the 2**-53 grid, and a lane with no singletons left still consumes its
-    two uniforms.  Otherwise numpy's hypergeometric draw covers every
-    lane; it consumes nothing for a lane with no singletons left.  Below
-    _SCALAR_DRAW_LANES lanes it is made as one scalar call per lane, in
-    lane order: the same draws from the same stream, without the array
-    call's fixed cost of checking its arguments."""
-    if np.all(k == 2):
-        u = rng.random((2, len(y)))
-        first = (u[0] * b < y).astype(np.int64)
-        return first + (u[1] * (b - 1) < y - first)
+    the 2**-53 grid, and a lane with no singletons left still consumes
+    its two uniforms.  The other lanes take numpy's hypergeometric draw,
+    which consumes nothing for a lane with no singletons left.  The
+    route depends on the number of K = 2 lanes:
+
+    * every lane: all take the pair rule, all first uniforms before all
+      second ones;
+    * at least _PAIR_DRAW_LANES: the K = 2 lanes take the pair rule in
+      the same layout, then the K >= 3 lanes take the hypergeometric;
+    * fewer: every lane takes the hypergeometric.
+
+    Below _SCALAR_DRAW_LANES lanes the hypergeometric is drawn as one
+    scalar call per lane, in lane order: the same draws from the same
+    stream, without the array call's fixed cost of checking its
+    arguments."""
+    pair = k == 2
+    count = np.count_nonzero(pair)
+    if count == np.size(pair):     # every lane; a scalar K is one lane
+        return _pair_loss(rng, b, y)
+    if count < _PAIR_DRAW_LANES:
+        return _hypergeometric_loss(rng, b, y, k)
+    pairs, rest = pair.nonzero()[0], (~pair).nonzero()[0]
+    dy = np.empty(y.shape, dtype=np.int64)
+    dy[pairs] = _pair_loss(rng, b[pairs], y[pairs])
+    dy[rest] = _hypergeometric_loss(rng, b[rest], y[rest], k[rest])
+    return dy
+
+
+def _pair_loss(rng: np.random.Generator, b, y) -> np.ndarray:
+    """dY of K = 2 mergers by the pair rule of `_draw_singleton_loss`."""
+    u = rng.random((2, len(y)))
+    first = (u[0] * b < y).astype(np.int64)
+    return first + (u[1] * (b - 1) < y - first)
+
+
+def _hypergeometric_loss(rng: np.random.Generator, b, y,
+                         k) -> np.ndarray:
+    """dY by numpy's hypergeometric draw, lane by lane below
+    _SCALAR_DRAW_LANES lanes."""
     if len(y) < _SCALAR_DRAW_LANES:
-        return np.array([rng.hypergeometric(*lane) for lane in
-                         zip(y.tolist(), (b - y).tolist(), k.tolist())],
+        lanes = zip(y.tolist(), (b - y).tolist(),
+                    np.broadcast_to(k, y.shape).tolist())
+        return np.array([rng.hypergeometric(*lane) for lane in lanes],
                         dtype=np.int64)
     return rng.hypergeometric(y, b - y, k)
 

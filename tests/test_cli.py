@@ -553,14 +553,16 @@ def test_non_finite_list_entries_are_usage_errors(capsys, argv):
 
 @pytest.mark.parametrize("flag, entries", [
     ("--b", "1e300"), ("--b", "2,1e300"), ("--x", "1e300"), ("--x", "2,1e300"),
+    ("--x", "1e150"),
 ])
 def test_rates_overflow_is_usage_error(capsys, flag, entries):
-    # kingman lambda(1e300) and mu(1e300) overflow to inf
+    # kingman lambda(1e300) and mu(1e300) overflow to inf; s(1e150) lies
+    # beyond where mu is inverted
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, "rates", "--measure", "kingman",
                                  flag, entries)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {flag} entry ")
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []

@@ -13,7 +13,7 @@ from coalsim.ensemble import BlockCountAtTimesTracker, ThresholdCountTracker
 from coalsim.measure import (bolthausen_sznitman, kingman, parse_measure,
                              power_beta)
 from coalsim.rates import RateFunctions, rates_for
-from coalsim.sim import (_SCALAR_DRAW_LANES, CoalescentPath, ExternalLengths,
+from coalsim.sim import (_PAIR_DRAW_LANES, CoalescentPath, ExternalLengths,
                          MergerSizeSampler, _draw_singleton_loss,
                          as_rate_functions, simulate_labeled, simulate_path)
 
@@ -457,48 +457,104 @@ def test_powerbeta_b1_draws_pinned():
 
 def test_pair_singleton_loss_chi_square():
     # one all-pair call over lanes with unequal (b, y), as the engine makes
-    # it; each case is then held to hypergeom(b, y, 2) on its own lanes
-    cases = [(2, 0), (2, 1), (2, 2), (3, 1), (5, 3), (1000, 7), (1000, 999)]
+    # it, and one call that mixes those lanes with K >= 3 lanes, shuffled,
+    # at more than _PAIR_DRAW_LANES K = 2 lanes; each (b, y, K) case is
+    # then held to hypergeom(b, y, K) on its own lanes
+    pairs = [(2, 0, 2), (2, 1, 2), (2, 2, 2), (3, 1, 2), (5, 3, 2),
+             (1000, 7, 2), (1000, 999, 2)]
+    wider = [(50, 0, 3), (50, 50, 3), (50, 20, 3), (1000, 7, 3),
+             (50, 0, 12), (50, 50, 12), (50, 30, 12), (12, 5, 12)]
     draws = 200_000
-    b = np.repeat(np.array([c[0] for c in cases], dtype=np.int64), draws)
-    y = np.repeat(np.array([c[1] for c in cases], dtype=np.int64), draws)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(17)))
-    dy = _draw_singleton_loss(rng, b, y, np.full(b.size, 2))
-    for i, (bi, yi) in enumerate(cases):
-        observed = np.bincount(dy[i * draws:(i + 1) * draws], minlength=3)
-        pmf = stats.hypergeom(bi, yi, 2).pmf(np.arange(3))
-        support = pmf > 0
-        assert observed.size == 3 and observed[~support].sum() == 0
-        obs, exp = observed[support], pmf[support] * draws
-        if obs.size > 1:
-            chi2 = float(((obs - exp) ** 2 / exp).sum())
-            p_value = stats.chi2.sf(chi2, obs.size - 1)
-            assert p_value > 1e-3, (bi, yi, chi2)
+    for cases in (pairs, pairs + wider):
+        case = np.repeat(np.arange(len(cases)), draws)
+        np.random.default_rng(len(cases)).shuffle(case)
+        b, y, k = np.array(cases, dtype=np.int64)[case].T
+        assert np.count_nonzero(k == 2) >= _PAIR_DRAW_LANES
+        key = np.uint64(17)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        dy = _draw_singleton_loss(rng, b, y, k)
+        for i, (bi, yi, ki) in enumerate(cases):
+            observed = np.bincount(dy[case == i], minlength=ki + 1)
+            pmf = stats.hypergeom(bi, yi, ki).pmf(np.arange(ki + 1))
+            support = pmf > 0
+            assert observed.size == ki + 1
+            assert observed[~support].sum() == 0, (bi, yi, ki)
+            obs, exp = observed[support], pmf[support] * draws
+            small = exp < 5.0       # merged into the largest cell
+            top = np.argmax(exp)
+            obs[top] += obs[small].sum()
+            exp[top] += exp[small].sum()
+            obs, exp = obs[~small], exp[~small]
+            if obs.size > 1:
+                chi2 = float(((obs - exp) ** 2 / exp).sum())
+                p_value = stats.chi2.sf(chi2, obs.size - 1)
+                assert p_value > 1e-3, (bi, yi, ki, chi2)
+        # draw order: the K = 2 lanes' first and second uniforms, then the
+        # hypergeometric over the other lanes
+        ref = np.random.Generator(np.random.Philox(key=key))
+        pair = k == 2
+        u = ref.random((2, np.count_nonzero(pair)))
+        first = (u[0] * b[pair] < y[pair]).astype(np.int64)
+        np.testing.assert_array_equal(
+            dy[pair], first + (u[1] * (b[pair] - 1) < y[pair] - first))
+        if not pair.all():
+            np.testing.assert_array_equal(dy[~pair], ref.hypergeometric(
+                y[~pair], b[~pair] - y[~pair], k[~pair]))
+        np.testing.assert_equal(rng.bit_generator.state,
+                                ref.bit_generator.state)
 
 
-@pytest.mark.parametrize("lanes", [1, 5, 19])
+@pytest.mark.parametrize("lanes", [1, 5, 19, _PAIR_DRAW_LANES + 40])
 def test_few_lane_singleton_loss_is_the_array_draw(lanes):
-    # below 20 lanes the hypergeometric dY is drawn lane by lane; it must
-    # give the array call's values and leave the generator where it does
-    assert lanes < _SCALAR_DRAW_LANES
+    # below 20 lanes the hypergeometric dY is drawn lane by lane, and a
+    # step with fewer than _PAIR_DRAW_LANES K = 2 lanes draws every lane by
+    # the hypergeometric; each must give the array call's values and leave
+    # the generator where it does, also for the replay's call with scalar
+    # b and K
+    wide = lanes > _PAIR_DRAW_LANES
     state_rng = np.random.default_rng(lanes)
     for trial in range(20):
-        b = state_rng.integers(2, 60, lanes)
-        k = np.minimum(state_rng.integers(2, 30, lanes), b)
+        b = state_rng.integers(3 if wide else 2, 60, lanes)
+        k = np.minimum(state_rng.integers(3 if wide else 2, 30, lanes), b)
         y = np.minimum(state_rng.integers(0, 40, lanes), b)
         big = (trial + 1) % lanes
         b[big], k[big], y[big] = 50, 12, 30       # K >= 10: numpy's HRUA
         if lanes > 1 or trial % 2:
             y[trial % lanes] = 0                  # no singletons left
-        key = np.uint64(1000 * lanes + trial)
-        ours = np.random.Generator(np.random.Philox(key=key))
-        ref = np.random.Generator(np.random.Philox(key=key))
-        dy = _draw_singleton_loss(ours, b, y, k)
-        assert dy.dtype == np.int64
-        np.testing.assert_array_equal(dy, ref.hypergeometric(y, b - y, k))
-        np.testing.assert_equal(ours.bit_generator.state,
-                                ref.bit_generator.state)
-        assert ours.random() == ref.random()
+        if wide:                                  # one short of the split
+            k[state_rng.permutation(lanes)[:_PAIR_DRAW_LANES - 1]] = 2
+        assert np.count_nonzero(k == 2) < _PAIR_DRAW_LANES
+        for bb, yy, kk in [(b, y, k), (50, np.minimum(y, 50), 12)]:
+            key = np.uint64(1000 * lanes + trial)
+            ours = np.random.Generator(np.random.Philox(key=key))
+            ref = np.random.Generator(np.random.Philox(key=key))
+            dy = _draw_singleton_loss(ours, bb, yy, kk)
+            assert dy.dtype == np.int64
+            np.testing.assert_array_equal(
+                dy, ref.hypergeometric(yy, bb - yy, kk))
+            np.testing.assert_equal(ours.bit_generator.state,
+                                    ref.bit_generator.state)
+            assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("text", ["powerbeta:c=1,a=0.5,b=1", "beta:0.5,1.5"])
+def test_wide_powerbeta_proposal_is_the_table_search(text, monkeypatch):
+    # from _PAIR_PROPOSAL_LANES lanes on, a proposal in the first table
+    # entry is taken as K = 2 without searching; the draws and the stream
+    # are those of searching every lane
+    sampler = MergerSizeSampler(rates_for(parse_measure(text)), 3000)
+    lanes = 4 * sim._PAIR_PROPOSAL_LANES
+    b = np.random.default_rng(5).integers(2, 3001, lanes)
+    steps = {}
+    for gate in (sim._PAIR_PROPOSAL_LANES, b.size + 1):
+        monkeypatch.setattr(sim, "_PAIR_PROPOSAL_LANES", gate)
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(8)))
+        k = sampler.sample_step(rng, b)[1]
+        steps[gate] = k, rng.random()
+    (k_fast, after_fast), (k_all, after_all) = steps.values()
+    assert np.count_nonzero(k_fast == 2) > b.size // 2
+    np.testing.assert_array_equal(k_fast, k_all)
+    assert after_fast == after_all
 
 
 def test_uniform_inverse_cdf_matches_exact():
