@@ -5,9 +5,9 @@ Layers, lowest first:
   quadrature   adaptive Gauss-Legendre with endpoint-singularity substitutions
   measure      finite measures on [0,1]: atoms, densities, a small text grammar
   rates        merger rates, total jump rate, mu and friends, scaling sequences
-  sim          merger-size sampler, path records, labeled n-coalescent oracle
+  sim          merger-size sampler, dY draw, path records
   ensemble     the lockstep jump loop with pluggable statistics trackers
-  limits       closed-form limit laws (typical, Frechet, Poisson, logistic, Cox)
+  limits       closed-form limit laws (typical, Frechet, Poisson, logistic)
   experiments  seeded Monte Carlo verdicts against those laws
   cli          command-line entry point (`coalsim`)
 
@@ -38,10 +38,8 @@ from .sim import (
     DEFAULT_SEED,
     CoalescentPath,
     ExternalLengths,
-    LabeledHistory,
     MergerSizeSampler,
     as_rate_functions,
-    simulate_labeled,
     simulate_path,
 )
 from .ensemble import (
@@ -56,7 +54,6 @@ from .ensemble import (
 )
 from .limits import (
     LimitLaw,
-    cox_max_cdf,
     frechet_cdf,
     logistic_cdf,
     moehle_factorial_moment,
@@ -84,13 +81,12 @@ __all__ = [
     "LambdaMeasure", "MeasureParseError", "PowerBetaDensity",
     "bolthausen_sznitman", "kingman", "parse_measure", "power_beta",
     "RateFunctions", "rates_for", "t_c_sequence", "t_sequence",
-    "DEFAULT_SEED", "CoalescentPath", "ExternalLengths", "LabeledHistory",
-    "MergerSizeSampler", "as_rate_functions", "simulate_labeled",
-    "simulate_path",
+    "DEFAULT_SEED", "CoalescentPath", "ExternalLengths",
+    "MergerSizeSampler", "as_rate_functions", "simulate_path",
     "BlockCountAtTimesTracker", "ChunkTracker", "LevelCrossingTracker",
     "MarkedLeafTracker", "PathRecorder", "ThresholdCountTracker",
     "TopLengthsTracker", "run_ensemble",
-    "LimitLaw", "cox_max_cdf", "frechet_cdf", "logistic_cdf",
+    "LimitLaw", "frechet_cdf", "logistic_cdf",
     "moehle_factorial_moment", "poisson_intensity_tail",
     "sample_cox_extremes", "typical_cdf", "typical_density",
     "CATALOG", "ConfigError", "ExperimentConfig", "ExperimentReport",

@@ -46,7 +46,7 @@ class UsageError(ValueError):
 
 _MEASURE_HELP = (
     'measure text: "kingman[:m]", "bolthausen-sznitman", '
-    '"powerbeta:c=C,a=A,b=B", "beta:A,B", "dirac:p=P,m=M", '
+    '"powerbeta:c=C,a=A,b=B", "beta:A,B", "dirac:p=P,m=M" (0 < P < 1), '
     'or sums joined with "+"'
 )
 
@@ -290,12 +290,17 @@ def _cmd_rates(args: argparse.Namespace) -> int:
                 if not x >= 1.0:
                     raise UsageError(f"--x entries must be >= 1, got {x!r}")
                 mu, d1, d2 = rates.mu_derivatives(x)
-                cells = [x, mu, d1, d2, rates.kappa(x),
-                         rates.H_function(1.0 / x)]
+                try:
+                    cells = [x, mu, d1, d2, rates.kappa(x),
+                             rates.H_function(1.0 / x)]
+                except OverflowError:
+                    # a power of 1/x in the H transform
+                    raise UsageError(f"--x entry {x!r} overflows; it is "
+                                     "beyond double precision") from None
                 try:
                     cells.append(rates.s_at(x))
                 except ValueError as exc:
-                    # mu(x)/x is inf, or beyond where invert_mu searches
+                    # mu(x)/x is inf, or mu overflows before reaching it
                     raise UsageError(f"--x entry {x!r} has no scale s(x): "
                                      f"{exc}") from None
                 lines.append(_finite_row("--x", x, cells))

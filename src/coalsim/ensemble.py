@@ -62,8 +62,8 @@ import os
 import numpy as np
 
 from .sim import (CoalescentPath, MergerSizeSampler, _check_seed,
-                  _draw_singleton_loss, _is_integer, _make_rng,
-                  as_rate_functions)
+                  _draw_singleton_loss, _in_uniform_subset, _is_integer,
+                  _make_rng, as_rate_functions)
 
 # The most lanes a chunk holds.  A lockstep step has a fixed cost,
 # whatever its width (one CPU, 2-vCPU Xeon VM, lanes held at X = 3000,
@@ -176,14 +176,15 @@ class MarkedLeafTracker(ChunkTracker):
     An unabsorbed tagged leaf is a singleton block, and the K merging
     blocks, a uniform K-subset of the X current blocks, take it with
     probability K/X.  Each jump draws k uniforms per live lane, one per
-    mark, and decides the unabsorbed marks in mark order, without
-    replacement: mark j goes when u_j (X - seen) < K - taken, where seen
+    mark, and decides the unabsorbed marks in mark order by the
+    without-replacement rule of `sim._in_uniform_subset`, which dY's pair
+    rule shares: mark j goes when u_j (X - seen) < K - taken, where seen
     counts the unabsorbed marks decided before it at this jump and taken
     those of them that went.  So no singleton count is read.  When another
     tracker makes the run draw dY, the absorbed singletons are a uniform
     dY-subset of the Y singletons, and the marks are decided against
     (dY, Y) in place of (K, X), so that they agree with the run's paths.
-    Each comparison is exact up to one point of the 2**-53 grid.
+    `_absorbed` names the rule, so that a subclass can replace it.
     """
 
     def __init__(self, k: int = 1):
@@ -209,19 +210,7 @@ class MarkedLeafTracker(ChunkTracker):
             self.lengths[sub, mark] = t_new[lane]
             self.alive[sub, mark] = False
 
-    @staticmethod
-    def _absorbed(u, alive, num, den):
-        """Which of the unabsorbed marks `alive` (marks x lanes), distinct
-        members of a pool of `den` per lane, fall in a uniform num-subset
-        of it; u holds one row of uniforms per mark.  Each mark visited
-        leaves the pool, and each mark taken leaves the subset."""
-        hit = np.empty_like(alive)
-        for j, a in enumerate(alive):
-            hit[j] = a & (u[j] * den < num)
-            if j + 1 < len(alive):
-                den = den - a
-                num = num - hit[j]
-        return hit
+    _absorbed = staticmethod(_in_uniform_subset)
 
     def done(self, rows):
         return ~self.alive[rows].any(1)

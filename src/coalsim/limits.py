@@ -4,20 +4,18 @@ Covers the scaled typical-length family indexed by the regular-variation
 exponent alpha in [1, 2] (alpha = 1 degenerates to the standard
 exponential), the Frechet law and Poisson tail intensity of the scaled
 maximum for alpha > 1, the logistic law of the centered maximum in the
-alpha = 1 regime together with its Cox-mixture quadrature and an exact
-sampler of the Cox-process construction, and the exact ascending
-factorial moments of the block count under the uniform measure.
+alpha = 1 regime (a Cox mixture of Gumbel laws) with an exact sampler of
+the Cox-process construction, and the exact ascending factorial moments
+of the block count under the uniform measure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .quadrature import adaptive_integrate
 from .sim import DEFAULT_SEED, _make_rng
 
 FAMILIES = ("typical", "frechet", "poisson_tail", "logistic",
@@ -104,21 +102,6 @@ def logistic_cdf(x) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     return _scalar_or_array(special.expit(x), scalar)
-
-
-def cox_max_cdf(x) -> float:
-    """CDF of the centered maximum as the Cox mixture: the Gumbel void
-    probability e^(-y e^-x) averaged over the unit-exponential intensity
-    level y, by quadrature.  The mixture is the logistic law, so this is
-    an independent check of `logistic_cdf`."""
-    x = float(x)
-    rate = 1.0 + math.exp(-x)
-    upper = 60.0 / rate
-
-    def integrand(y):
-        return np.exp(-y * rate)
-
-    return adaptive_integrate(integrand, 0.0, upper)
 
 
 def sample_cox_extremes(ell: int, seed: int = DEFAULT_SEED,

@@ -1,7 +1,7 @@
 """Finite measures on [0, 1] driving coalescent merger rates.
 
 A measure is stored in three parts that later integrate differently against
-the ``1/p**2`` kernels: a point mass at 0, point masses in (0, 1], and
+the ``1/p**2`` kernels: a point mass at 0, point masses in (0, 1), and
 absolutely continuous components.  Density components are power-beta,
 ``c * p**(a-1) * (1-p)**(b-1)``, whose moments against ``p**j (1-p)**k``
 have the closed form ``c * B(a+j, b+k)``, so every rate has a closed form.
@@ -12,7 +12,7 @@ Text form (case-insensitive, terms joined by "+")::
     bolthausen-sznitman           uniform density on (0, 1)
     beta:x,y                      normalized Beta(x, y) probability density
     powerbeta:c=C,a=A,b=B         unnormalized power-beta density
-    dirac:p=P,m=M                 mass M at P in (0, 1]
+    dirac:p=P,m=M                 mass M at P in (0, 1)
 
 Instances are immutable; ``+`` concatenates components without merging.
 """
@@ -63,7 +63,7 @@ class LambdaMeasure:
     atom_at_zero : float
         Mass at p = 0 (the Kingman component).
     atoms : tuple of (p, mass)
-        Point masses at locations in (0, 1].
+        Point masses at locations in (0, 1).
     densities : tuple
         PowerBetaDensity components, summed.
     """
@@ -79,9 +79,10 @@ class LambdaMeasure:
             (float(p), float(m)) for p, m in self.atoms))
         object.__setattr__(self, "densities", tuple(self.densities))
         for p, m in self.atoms:
-            if not 0.0 < p <= 1.0:
+            if not 0.0 < p < 1.0:
                 raise ValueError(
-                    "interior atoms live in (0, 1]; use atom_at_zero for p = 0")
+                    "interior atoms live in (0, 1): use atom_at_zero for "
+                    "p = 0; an atom at p = 1 is not supported")
             if m <= 0:
                 raise ValueError("atom masses must be positive")
         for dens in self.densities:
@@ -186,10 +187,10 @@ def _parse_term(term: str, offset: int) -> LambdaMeasure:
 
     if name == "dirac":
         kv = _parse_keyvals(body, body_pos, ("p", "m"), "dirac")
-        if not 0.0 < kv["p"] <= 1.0:
+        if not 0.0 < kv["p"] < 1.0:
             raise MeasureParseError(
-                "dirac location must lie in (0, 1]; use kingman for mass at 0",
-                body_pos)
+                "dirac location must lie in (0, 1): use kingman for mass "
+                "at 0; an atom at p = 1 is not supported", body_pos)
         if kv["m"] <= 0:
             raise MeasureParseError("dirac mass must be positive", body_pos)
         return LambdaMeasure(atoms=((kv["p"], kv["m"]),))

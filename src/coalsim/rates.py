@@ -364,18 +364,20 @@ class RateFunctions:
         return self.rate_of_decrease(x) / x
 
     def invert_mu(self, y: float) -> float:
-        """The x >= 1 with mu(x) = y, to |mu(x) - y| <= 1e-9 max(1, y)."""
+        """The x >= 1 with mu(x) = y, to |mu(x) - y| <= 1e-9 max(1, y),
+        bracketed by doubling over the float range.  A y that is not
+        finite, or that mu reaches only past an overflow, raises
+        ValueError."""
+        y = float(y)    # a Brent step that overflows gives inf, not a warning
         if y < 0:
             raise ValueError("mu is nonnegative")
         if y == 0:
             return 1.0
         hi = 2.0
-        for _ in range(200):
-            if self.rate_of_decrease(hi) >= y:
-                break
+        while (top := self.rate_of_decrease(hi)) < y and hi < math.inf:
             hi *= 2.0
-        else:
-            raise ValueError(f"mu never reaches {y}")
+        if not y <= top < math.inf:
+            raise ValueError(f"mu never reaches {y} before it overflows")
         x = _brentq(lambda t: self.rate_of_decrease(t) - y, 1.0, hi,
                     xtol=2e-12, rtol=8.9e-16, maxiter=200)
         # Newton polish; Brent's method already lands within a few ulp.

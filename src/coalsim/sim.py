@@ -33,8 +33,6 @@ A lane is live until it reaches one block or, in a run whose trackers
 can all finish with a lane, until every tracker is done with it (a
 tagged-leaf run: once the lane's marks are absorbed).  A retired lane
 draws nothing in any of the four steps.
-
-The labeled simulator here is an independent oracle that tracks partitions.
 """
 
 from __future__ import annotations
@@ -50,8 +48,6 @@ from .measure import LambdaMeasure, PowerBetaDensity
 from .rates import RateFunctions, _log_binom, rates_for
 
 DEFAULT_SEED = 123456789
-
-_LABELED_MAX_N = 12
 
 # A scalar hypergeometric call costs about 2.5 us, an array call about
 # 50 us whatever its length; below this many lanes the scalar loop wins.
@@ -354,19 +350,18 @@ def _redraw_until_accepted(b: np.ndarray, todo: np.ndarray,
 # ---------------------------------------------------------------------------
 # singleton losses
 
-def _draw_singleton_loss(rng: np.random.Generator, b, y,
-                         k) -> np.ndarray:
+def _draw_singleton_loss(rng: np.random.Generator, b: np.ndarray,
+                         y: np.ndarray, k: np.ndarray) -> np.ndarray:
     """dY for each lane: how many of the K merging blocks, a uniform
     K-subset of the b current blocks, are among the y singletons
-    (hypergeometric).  b and k may be arrays aligned with y or scalars.
+    (hypergeometric).  b, y and k are int64 arrays, one entry per lane.
 
-    A lane with K = 2 can take the pair rule: two uniforms decide the two
-    blocks in turn, the first a singleton when u1 b < y, the second when
-    u2 (b - 1) < y - first.  Each comparison is exact up to one point of
-    the 2**-53 grid, and a lane with no singletons left still consumes
-    its two uniforms.  The other lanes take numpy's hypergeometric draw,
-    which consumes nothing for a lane with no singletons left.  The
-    route depends on the number of K = 2 lanes:
+    A lane with K = 2 can take the pair rule: `_in_uniform_subset`
+    decides the two merging blocks in turn against the y singletons out
+    of the b blocks, with two uniforms.  A lane with no singletons left
+    still consumes its two uniforms.  The other lanes take numpy's
+    hypergeometric draw, which consumes nothing for a lane with no
+    singletons left.  The route depends on the number of K = 2 lanes:
 
     * every lane: all take the pair rule, all first uniforms before all
       second ones;
@@ -380,22 +375,39 @@ def _draw_singleton_loss(rng: np.random.Generator, b, y,
     arguments."""
     pair = k == 2
     count = np.count_nonzero(pair)
-    if count == np.size(pair):     # every lane; a scalar K is one lane
-        return _pair_loss(rng, b, y)
+    if count == y.size:
+        first, second = _in_uniform_subset(rng.random((2, count)), None, y, b)
+        return first + second
     if count < _PAIR_DRAW_LANES:
         return _hypergeometric_loss(rng, b, y, k)
     pairs, rest = pair.nonzero()[0], (~pair).nonzero()[0]
     dy = np.empty(y.shape, dtype=np.int64)
-    dy[pairs] = _pair_loss(rng, b[pairs], y[pairs])
+    first, second = _in_uniform_subset(rng.random((2, count)), None,
+                                       y[pairs], b[pairs])
+    dy[pairs] = first + second
     dy[rest] = _hypergeometric_loss(rng, b[rest], y[rest], k[rest])
     return dy
 
 
-def _pair_loss(rng: np.random.Generator, b, y) -> np.ndarray:
-    """dY of K = 2 mergers by the pair rule of `_draw_singleton_loss`."""
-    u = rng.random((2, len(y)))
-    first = (u[0] * b < y).astype(np.int64)
-    return first + (u[1] * (b - 1) < y - first)
+def _in_uniform_subset(u, alive, num, den) -> list[np.ndarray]:
+    """Which of len(u) distinct items of a pool of `den` per lane fall in
+    a uniform num-subset of it, one int64 row of 0 or 1 per item.  Decided
+    in turn, without replacement, item j is taken when u_j (den - seen) <
+    num - taken, seen counting the items decided before it and taken
+    those of them taken; each comparison is exact up to one point of the
+    2**-53 grid.  u holds one row of uniforms per item; `alive` (items x
+    lanes), unless None, marks the undecided items, and the others are
+    neither taken, seen nor counted."""
+    hits = []
+    for j in range(len(u)):
+        if j:
+            den = den - (1 if alive is None else alive[j - 1])
+            num = num - hit
+        hit = (u[j] * den < num).astype(np.int64)
+        if alive is not None:
+            hit &= alive[j]
+        hits.append(hit)
+    return hits
 
 
 def _hypergeometric_loss(rng: np.random.Generator, b, y,
@@ -403,8 +415,7 @@ def _hypergeometric_loss(rng: np.random.Generator, b, y,
     """dY by numpy's hypergeometric draw, lane by lane below
     _SCALAR_DRAW_LANES lanes."""
     if len(y) < _SCALAR_DRAW_LANES:
-        lanes = zip(y.tolist(), (b - y).tolist(),
-                    np.broadcast_to(k, y.shape).tolist())
+        lanes = zip(y.tolist(), (b - y).tolist(), k.tolist())
         return np.array([rng.hypergeometric(*lane) for lane in lanes],
                         dtype=np.int64)
     return rng.hypergeometric(y, b - y, k)
@@ -547,56 +558,3 @@ def simulate_path(rates, n: int, seed: int = DEFAULT_SEED) -> CoalescentPath:
 
     paths = run_ensemble(rates, n, 1, seed, [PathRecorder])["paths"]
     return replace(paths[0], seed=seed)
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledHistory:
-    """Explicit-partition run for small n: every state is a tuple of
-    frozensets of leaf labels 0..n-1."""
-
-    n: int
-    seed: int | None
-    jump_times: np.ndarray
-    partitions: tuple              # state after each jump
-    leaf_absorption_times: np.ndarray
-
-    def block_path(self) -> CoalescentPath:
-        """The induced block-count record (for equivalence checks)."""
-        sizes = [self.n] + [len(part) for part in self.partitions]
-        x = np.array(sizes[:-1], dtype=np.int64)
-        k = x - np.array(sizes[1:], dtype=np.int64) + 1
-        times = np.asarray(self.jump_times)
-        dy = np.array([np.sum(self.leaf_absorption_times == t)
-                       for t in times], dtype=np.int64)
-        return CoalescentPath(self.n, self.seed, x, k, dy, times)
-
-
-def simulate_labeled(rates, n: int, seed: int = DEFAULT_SEED) -> LabeledHistory:
-    """Partition-valued run, n <= 12: merger size first, then a uniform
-    K-subset of the current blocks."""
-    if not 2 <= n <= _LABELED_MAX_N:
-        raise ValueError(f"labeled simulation supports 2 <= n <= {_LABELED_MAX_N}")
-    rates = as_rate_functions(rates)
-    rng = _make_rng(seed)
-    blocks = [frozenset([i]) for i in range(n)]
-    t = 0.0
-    times, states = [], []
-    absorbed = np.full(n, np.nan)
-    while len(blocks) > 1:
-        b = len(blocks)
-        lam = rates.total_jump_rate(b)
-        t += rng.standard_exponential() / lam
-        probs = rates.merger_size_distribution(b)
-        k = 2 + int(np.searchsorted(np.cumsum(probs), rng.random(),
-                                    side="left"))
-        k = min(k, b)
-        chosen = rng.choice(b, size=k, replace=False)
-        merged = frozenset().union(*(blocks[i] for i in chosen))
-        for i in sorted(chosen, reverse=True):
-            if len(blocks[i]) == 1:
-                absorbed[next(iter(blocks[i]))] = t
-            del blocks[i]
-        blocks.append(merged)
-        times.append(t)
-        states.append(tuple(blocks))
-    return LabeledHistory(n, seed, np.array(times), tuple(states), absorbed)

@@ -23,7 +23,9 @@ from coalsim.measure import (bolthausen_sznitman, kingman, parse_measure,
                              power_beta)
 from coalsim.quadrature import adaptive_integrate
 from coalsim.rates import rates_for
-from coalsim.sim import DEFAULT_SEED, simulate_labeled
+from coalsim.sim import DEFAULT_SEED
+from cox_oracle import cox_max_cdf
+from labeled_oracle import simulate_labeled
 from rate_oracle import merger_rate, mu, total_jump_rate
 
 
@@ -210,17 +212,21 @@ def test_criterion_07_factorial_moments(verdict):
 # ---------------------------------------------------------------------------
 # 8: scaled-maximum law and Poisson count moments in the heavy-tail regime
 #
-# Theorem 1.5 gives the limit law but no rate of convergence.  For
-# powerbeta a=0.5 the finite-n law F_n of the maximum (finite_n_max_cdf,
-# built from the rate functions alone) lies D_n = 0.269 / 0.162 / 0.098 /
-# 0.061 from the kappa(s_n)-scaled limit at n = 1e3 / 1e4 / 1e5 / 1e6: a
-# scale error that shrinks roughly like n^(-0.2).  At n = 1e5 that gap
-# alone exceeds 0.08, so no sampler can bring the limit-law KS (0.148)
-# under the bound there.  The simulated maximum itself sits within KS
-# 0.063 / 0.038 / 0.050 of F_n at n = 1e3 / 1e4 / 1e5 (kingman: within
-# 0.013 of F_n, with D_n = 0.037 / 0.012 / 0.004 / 0.001).  So the 0.08
-# bound holds the heavy-tail maximum to F_n, and the approach to the limit
-# is asserted as a strictly decreasing D_n.
+# Theorem 1.5 gives the limit law but no rate of convergence.  F_n
+# (finite_n_max_cdf, built from the rate functions alone) is a Poisson
+# surrogate for the law of the maximum at finite n, built on T4.1's tail
+# identity; it is not the exact finite-n law (for powerbeta a=0.5 it lies
+# about 0.07 from the exact law in sup norm at n = 30 to 100, and puts
+# the maximum too long).  For powerbeta a=0.5, F_n lies D_n = 0.269 /
+# 0.162 / 0.098 / 0.061 from the kappa(s_n)-scaled limit at n = 1e3 /
+# 1e4 / 1e5 / 1e6, a gap that shrinks roughly like n^(-0.2).  At n = 1e5
+# that gap alone exceeds 0.08.  The simulated maximum sat within KS
+# 0.063 / 0.038 / 0.050 of F_n at n = 1e3 / 1e4 / 1e5 when first measured
+# (kingman: within 0.013 of F_n, with D_n = 0.037 / 0.012 / 0.004 /
+# 0.001).  So the 0.08 bound holds the heavy-tail maximum to the
+# surrogate F_n, and the approach of F_n to the limit is asserted as a
+# strictly decreasing D_n; D_n is the distance from the surrogate to the
+# limit, not from the exact law.
 
 def test_criterion_08_heavy_tail_extremes(verdict):
     t0 = time.perf_counter()
@@ -243,8 +249,8 @@ def test_criterion_08_heavy_tail_extremes(verdict):
     ok = (ks_quad <= 0.06 and ks_heavy <= 0.08
           and mean_err <= 0.15 and var_err <= 0.15 and gaps_fall)
     verdict(8, "heavy-tail extremes", ok,
-             f"KS {ks_quad:.4f} (<= 0.06), {ks_heavy:.4f} vs finite-n "
-             f"(<= 0.08), {ks_heavy_limit:.4f} vs limit; "
+             f"KS {ks_quad:.4f} (<= 0.06), {ks_heavy:.4f} vs surrogate "
+             f"F_n (<= 0.08), {ks_heavy_limit:.4f} vs limit; "
              "limit gap " + "->".join(f"{g:.3f}" for g in gaps)
              + f"; count mean/var err {mean_err:.3f}/{var_err:.3f}",
              elapsed)
@@ -252,8 +258,8 @@ def test_criterion_08_heavy_tail_extremes(verdict):
     assert mean_err <= 0.15
     assert var_err <= 0.15
     assert ks_heavy <= 0.08, (
-        f"KS of the maximum against its finite-n law at n=100000 is "
-        f"{ks_heavy:.4f}")
+        f"KS of the maximum against the Poisson surrogate F_n at "
+        f"n=100000 is {ks_heavy:.4f}")
     assert gaps[2] == heavy.config["resolved"]["limit_gap"]
     assert gaps_fall, f"limit gap over n={gap_grid} is not decreasing: {gaps}"
 
@@ -293,7 +299,7 @@ def test_criterion_10_cox_regime(verdict):
             quad = adaptive_integrate(law.density, -40.0, x)
             worst = max(worst, abs(quad / law.cdf(x) - 1.0))
     for x in (-3.0, -1.0, 0.0, 2.0):
-        worst = max(worst, abs(limits.cox_max_cdf(x)
+        worst = max(worst, abs(cox_max_cdf(x)
                                / limits.logistic_cdf(x) - 1.0))
 
     draws = limits.sample_cox_extremes(1, DEFAULT_SEED, 100_000)[:, 0]

@@ -553,11 +553,9 @@ def test_non_finite_list_entries_are_usage_errors(capsys, argv):
 
 @pytest.mark.parametrize("flag, entries", [
     ("--b", "1e300"), ("--b", "2,1e300"), ("--x", "1e300"), ("--x", "2,1e300"),
-    ("--x", "1e150"),
 ])
 def test_rates_overflow_is_usage_error(capsys, flag, entries):
-    # kingman lambda(1e300) and mu(1e300) overflow to inf; s(1e150) lies
-    # beyond where mu is inverted
+    # kingman lambda(1e300) and mu(1e300) overflow to inf
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, "rates", "--measure", "kingman",
@@ -566,3 +564,34 @@ def test_rates_overflow_is_usage_error(capsys, flag, entries):
     assert out == ""
     assert err.startswith(f"error: {flag} entry ")
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_rates_x_edge_rows(capsys):
+    # s(1e150) = 1e75 lies beyond 2**200, where mu was once inverted
+    code, out, _ = run_cli(capsys, "rates", "--measure", "kingman",
+                           "--x", "1e150")
+    assert code == 0
+    lines = out.strip().split("\n")
+    row = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+    assert row["s_at_x"] == pytest.approx(1e75, rel=1e-12)
+    # the H transform of this density at 1/x takes (1/x)**-1.5
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "rates", "--measure",
+                                 "powerbeta:c=1,a=0.5,b=1", "--x", "1e300")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --x entry ")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("lengths", "--measure", "dirac:p=1,m=1", "--n", "10"),
+    ("rates", "--measure", "kingman + dirac:p=1,m=1", "--x", "2"),
+])
+def test_atom_at_one_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad measure: dirac location must lie in "
+                          "(0, 1)")

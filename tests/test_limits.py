@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from coalsim.experiments import ks_statistic
-from coalsim.limits import (LimitLaw, cox_max_cdf, frechet_cdf, logistic_cdf,
+from coalsim.limits import (LimitLaw, frechet_cdf, logistic_cdf,
                             moehle_factorial_moment, poisson_intensity_tail,
                             sample_cox_extremes, typical_cdf, typical_density)
 from coalsim.quadrature import adaptive_integrate
+from cox_oracle import cox_max_cdf
 
 
 # ---------------------------------------------------------------------------

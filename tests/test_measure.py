@@ -107,10 +107,20 @@ def test_parse_dirac():
 
 
 def test_parse_sum_with_whitespace():
-    m = parse_measure(" kingman:1 +  beta:0.5,1 + dirac:p=1,m=0.5 ")
+    m = parse_measure(" kingman:1 +  beta:0.5,1 + dirac:p=0.75,m=0.5 ")
     assert m.atom_at_zero == 1.0
     assert len(m.densities) == 1
-    assert m.atoms == ((1.0, 0.5),)
+    assert m.atoms == ((0.75, 0.5),)
+
+
+def test_atom_at_one_is_rejected():
+    # every block merging at once: no rate, draw or kernel handles p = 1
+    with pytest.raises(ValueError, match="p = 1"):
+        LambdaMeasure(atoms=((1.0, 1.0),))
+    with pytest.raises(MeasureParseError, match="p = 1"):
+        parse_measure("dirac:p=1,m=1")
+    m = parse_measure("dirac:p=0.999,m=1")
+    assert m.atoms == ((0.999, 1.0),)
 
 
 def test_parse_error_position_points_into_text():

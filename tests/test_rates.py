@@ -407,6 +407,18 @@ def test_invert_mu_round_trip():
     assert rates_for(KINGMAN).invert_mu(0.0) == 1.0
 
 
+def test_invert_mu_brackets_the_float_range():
+    # Kingman mu(x) = x(x-1)/2: s(1e150) = 1e75 lies beyond 2**200
+    r = rates_for(KINGMAN)
+    assert r.invert_mu(5e149) == pytest.approx(1e75, rel=1e-12)
+    assert r.s_at(1e150) == pytest.approx(1e75, rel=1e-12)
+    # mu passes 8e307 only past the largest float: its bracket overflows
+    with np.errstate(over="ignore"):
+        for y in (math.inf, math.nan, 8e307):
+            with pytest.raises(ValueError, match="never reaches"):
+                r.invert_mu(y)
+
+
 def test_kappa_is_mu_over_x():
     r = rates_for(BS)
     assert r.kappa(8.0) == pytest.approx(r.rate_of_decrease(8.0) / 8.0,

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from coalsim import sim
+from coalsim import ensemble, sim
 from coalsim.ensemble import BlockCountAtTimesTracker, ThresholdCountTracker
 from coalsim.measure import (bolthausen_sznitman, kingman, parse_measure,
                              power_beta)
 from coalsim.rates import RateFunctions, rates_for
 from coalsim.sim import (_PAIR_DRAW_LANES, CoalescentPath, ExternalLengths,
                          MergerSizeSampler, _draw_singleton_loss,
-                         as_rate_functions, simulate_labeled, simulate_path)
+                         as_rate_functions, simulate_path)
+from labeled_oracle import simulate_labeled
 
 BS = bolthausen_sznitman()
 PB_HALF = power_beta(1.0, 0.5)
@@ -504,13 +505,37 @@ def test_pair_singleton_loss_chi_square():
                                 ref.bit_generator.state)
 
 
+def test_in_uniform_subset_is_the_sequential_rule():
+    # the one subset rule of dY's pair draw and the tagged leaves, against
+    # a lane-by-lane loop: an undecided item j is taken when
+    # u_j (den - seen) < num - taken; a decided one is skipped
+    rng = np.random.default_rng(11)
+    lanes, items = 400, 4
+    den = rng.integers(items, 40, lanes)
+    num = rng.integers(0, den + 1)
+    u = rng.random((items, lanes))
+    alive = rng.random((items, lanes)) < 0.7
+    for mask in (alive, None):
+        hits = sim._in_uniform_subset(u, mask, num, den)
+        for lane in range(lanes):
+            seen = taken = 0
+            for j in range(items):
+                if mask is not None and not mask[j, lane]:
+                    assert hits[j][lane] == 0
+                    continue
+                hit = u[j, lane] * (den[lane] - seen) < num[lane] - taken
+                assert hits[j][lane] == hit, (mask is None, lane, j)
+                seen += 1
+                taken += hit
+    assert ensemble.MarkedLeafTracker._absorbed is sim._in_uniform_subset
+
+
 @pytest.mark.parametrize("lanes", [1, 5, 19, _PAIR_DRAW_LANES + 40])
 def test_few_lane_singleton_loss_is_the_array_draw(lanes):
     # below 20 lanes the hypergeometric dY is drawn lane by lane, and a
     # step with fewer than _PAIR_DRAW_LANES K = 2 lanes draws every lane by
     # the hypergeometric; each must give the array call's values and leave
-    # the generator where it does, also for the replay's call with scalar
-    # b and K
+    # the generator where it does
     wide = lanes > _PAIR_DRAW_LANES
     state_rng = np.random.default_rng(lanes)
     for trial in range(20):
@@ -524,17 +549,15 @@ def test_few_lane_singleton_loss_is_the_array_draw(lanes):
         if wide:                                  # one short of the split
             k[state_rng.permutation(lanes)[:_PAIR_DRAW_LANES - 1]] = 2
         assert np.count_nonzero(k == 2) < _PAIR_DRAW_LANES
-        for bb, yy, kk in [(b, y, k), (50, np.minimum(y, 50), 12)]:
-            key = np.uint64(1000 * lanes + trial)
-            ours = np.random.Generator(np.random.Philox(key=key))
-            ref = np.random.Generator(np.random.Philox(key=key))
-            dy = _draw_singleton_loss(ours, bb, yy, kk)
-            assert dy.dtype == np.int64
-            np.testing.assert_array_equal(
-                dy, ref.hypergeometric(yy, bb - yy, kk))
-            np.testing.assert_equal(ours.bit_generator.state,
-                                    ref.bit_generator.state)
-            assert ours.random() == ref.random()
+        key = np.uint64(1000 * lanes + trial)
+        ours = np.random.Generator(np.random.Philox(key=key))
+        ref = np.random.Generator(np.random.Philox(key=key))
+        dy = _draw_singleton_loss(ours, b, y, k)
+        assert dy.dtype == np.int64
+        np.testing.assert_array_equal(dy, ref.hypergeometric(y, b - y, k))
+        np.testing.assert_equal(ours.bit_generator.state,
+                                ref.bit_generator.state)
+        assert ours.random() == ref.random()
 
 
 @pytest.mark.parametrize("text", ["powerbeta:c=1,a=0.5,b=1", "beta:0.5,1.5"])
