@@ -674,8 +674,12 @@ def run_factorial_replay(cfg: ExperimentConfig, rates: RateFunctions):
             vals *= y - i
         exact = path.conditional_factorial_moment(rho, r)
         se = vals.std(ddof=1) / math.sqrt(reps)
-        stats.append(_bounded(f"replay_zscore_r{r}",
-                              abs(vals.mean() - exact) / se,
+        gap = abs(vals.mean() - exact)
+        if se > 0:
+            z = gap / se
+        else:   # the replay is a point mass, right only at its target
+            z = 0.0 if gap <= 1e-12 * exact else math.inf
+        stats.append(_bounded(f"replay_zscore_r{r}", z,
                               cfg.tolerance("moment_z", 3.0), se=se))
 
     # variance-mean domination along independent chains, via the exact

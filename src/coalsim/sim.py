@@ -20,12 +20,11 @@ so a (measure, n, seed) triple pins the path bit for bit:
    measure with one component draws no selection uniform;
 2. W, one standard exponential per lane;
 3. dY, when some tracker reads the singletons (`_draw_singleton_loss`):
-   when every live lane has K = 2, two uniforms per lane, all lanes'
-   first before their second, also for lanes with no singletons left;
-   when at least _PAIR_DRAW_LANES live lanes have K = 2, first those
-   lanes' two uniforms in the same layout, then numpy's hypergeometric
-   draw over the K >= 3 lanes; otherwise the hypergeometric draw over
-   all lanes;
+   when every live lane has K = 2, or at least _PAIR_DRAW_LANES do, two
+   uniforms per lane, all lanes' first before their second, also for
+   lanes with no singletons left, then numpy's hypergeometric draw of
+   the other K - 2 merging blocks over the K >= 3 lanes; otherwise the
+   hypergeometric draw over all lanes;
 4. each tracker's own draws, in tracker order (`MarkedLeafTracker`: one
    uniform per mark and live lane).
 
@@ -53,24 +52,30 @@ DEFAULT_SEED = 123456789
 # 50 us whatever its length; below this many lanes the scalar loop wins.
 _SCALAR_DRAW_LANES = 20
 
-# From this many K = 2 lanes on, a step whose K are mixed draws dY for its
-# K = 2 lanes by the pair rule and only for the others by the
-# hypergeometric (`_draw_singleton_loss`); below it the cost of gathering
-# the two groups outweighs the cheaper lanes.  Cost of one dY call in us,
-# hypergeometric on all lanes -> split, over the mixed calls of one chunk
-# of T1.5 at n = 1e4 (1e5 for 500 Bolthausen-Sznitman lanes) grouped by
-# their count of K = 2 lanes; each call's fastest of 7, averaged over the
-# group, on one CPU of a 2-vCPU Xeon VM:
+# From this many K = 2 lanes on, a step whose K are mixed decides the
+# first two merging blocks of every lane by the pair rule and draws only
+# the other K - 2 of its K >= 3 lanes by the hypergeometric
+# (`_draw_singleton_loss`).  Below it the whole-lane hypergeometric is
+# cheaper, up to 1023 the two are a draw, and from 1024 on the pair rule
+# first is cheaper.  Cost of one dY call in us, hypergeometric on all
+# lanes -> pair rule first, over the mixed calls of one chunk of T1.5 at
+# n = 1e4 (1e5 for Bolthausen-Sznitman) grouped by their count of K = 2
+# lanes; each call's fastest of 7, the two interleaved, averaged over
+# the group, on one CPU of a 2-vCPU Xeon VM whose speed drifts between
+# the two runs:
 #
-#   measure                  lanes  K = 2 lanes   all   split
-#   powerbeta a=0.5, b=1      2048  1536-2047     151   128
-#   powerbeta a=0.5, b=1      2048  1024-1535     147   127
-#   powerbeta a=0.5, b=1      2048   512-767       79    80
-#   powerbeta a=0.5, b=1       512   384-511       62    62
-#   powerbeta a=0.5, b=1       512   256-383       60    62
-#   bolthausen-sznitman       1000   512-767      116   113
-#   bolthausen-sznitman       1000   384-511      112   111
-#   bolthausen-sznitman        500   128-255       67    73
+#   measure                  lanes  K = 2 lanes    run 1      run 2
+#   powerbeta a=0.5, b=1      2048  1536-2047    196  170   191  170
+#   powerbeta a=0.5, b=1      2048  1024-1535    193  172   167  146
+#   powerbeta a=0.5, b=1      2048   768-1023    129  127    86   78
+#   powerbeta a=0.5, b=1      2048   512-767     104  112    64   64
+#   powerbeta a=0.5, b=1      2048   384-511      88  102    51   56
+#   powerbeta a=0.5, b=1      1000   640-895      81   77   119  120
+#   powerbeta a=0.5, b=1      1000   512-639      78   82   103  110
+#   powerbeta a=0.5, b=1       512   384-511      51   57    54   60
+#   bolthausen-sznitman       1000   512-639     104  104   119  121
+#   bolthausen-sznitman       1000   384-511     112  117    96   97
+#   bolthausen-sznitman        500   128-255      72   84    66   79
 _PAIR_DRAW_LANES = 512
 
 # From this many lanes on, the ``powerbeta`` proposal takes K = 2 without
@@ -356,36 +361,31 @@ def _draw_singleton_loss(rng: np.random.Generator, b: np.ndarray,
     K-subset of the b current blocks, are among the y singletons
     (hypergeometric).  b, y and k are int64 arrays, one entry per lane.
 
-    A lane with K = 2 can take the pair rule: `_in_uniform_subset`
-    decides the two merging blocks in turn against the y singletons out
-    of the b blocks, with two uniforms.  A lane with no singletons left
-    still consumes its two uniforms.  The other lanes take numpy's
-    hypergeometric draw, which consumes nothing for a lane with no
-    singletons left.  The route depends on the number of K = 2 lanes:
-
-    * every lane: all take the pair rule, all first uniforms before all
-      second ones;
-    * at least _PAIR_DRAW_LANES: the K = 2 lanes take the pair rule in
-      the same layout, then the K >= 3 lanes take the hypergeometric;
-    * fewer: every lane takes the hypergeometric.
+    When every lane has K = 2, or at least _PAIR_DRAW_LANES lanes do,
+    the pair rule decides the first two merging blocks of every lane:
+    `_in_uniform_subset` against the y singletons out of the b blocks,
+    with one (2, lanes) block of uniforms, all first uniforms before all
+    second ones, also for lanes with no singletons left.  numpy's
+    hypergeometric then draws the other K - 2 blocks of the K >= 3
+    lanes, in lane order, from the b - 2 blocks left, y - taken of them
+    singletons; it consumes nothing for a lane with none left.  A
+    narrower mixed step draws every lane by the hypergeometric.
 
     Below _SCALAR_DRAW_LANES lanes the hypergeometric is drawn as one
     scalar call per lane, in lane order: the same draws from the same
     stream, without the array call's fixed cost of checking its
     arguments."""
+    lanes = y.size
     pair = k == 2
     count = np.count_nonzero(pair)
-    if count == y.size:
-        first, second = _in_uniform_subset(rng.random((2, count)), None, y, b)
-        return first + second
-    if count < _PAIR_DRAW_LANES:
+    if count < lanes and count < _PAIR_DRAW_LANES:
         return _hypergeometric_loss(rng, b, y, k)
-    pairs, rest = pair.nonzero()[0], (~pair).nonzero()[0]
-    dy = np.empty(y.shape, dtype=np.int64)
-    first, second = _in_uniform_subset(rng.random((2, count)), None,
-                                       y[pairs], b[pairs])
-    dy[pairs] = first + second
-    dy[rest] = _hypergeometric_loss(rng, b[rest], y[rest], k[rest])
+    first, second = _in_uniform_subset(rng.random((2, lanes)), None, y, b)
+    dy = first + second
+    if count < lanes:
+        rest = (~pair).nonzero()[0]
+        dy[rest] += _hypergeometric_loss(rng, b[rest] - 2,
+                                         y[rest] - dy[rest], k[rest] - 2)
     return dy
 
 
@@ -444,9 +444,6 @@ class ExternalLengths:
     def total(self) -> int:
         return int(self.multiplicities.sum())
 
-    def flat(self) -> np.ndarray:
-        return np.repeat(self.values, self.multiplicities)
-
     def dump_csv(self, stream) -> None:
         stream.write("length,multiplicity\n")
         for v, m in zip(self.values, self.multiplicities):
@@ -493,10 +490,6 @@ class CoalescentPath:
     @property
     def num_jumps(self) -> int:
         return len(self.merger_size)
-
-    @property
-    def absorption_time(self) -> float:
-        return float(self.jump_time[-1])
 
     def _blocks_after(self) -> np.ndarray:
         return self.block_count_before - self.merger_size + 1

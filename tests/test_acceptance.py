@@ -332,7 +332,8 @@ def test_criterion_11_labeled_equivalence(verdict):
                    .leaf_absorption_times for i in range(10_000)]
         paths = run_ensemble(rates, 6, 10_000, DEFAULT_SEED + 500_000,
                              [PathRecorder])["paths"]
-        unlabeled = [p.external_lengths().flat() for p in paths]
+        unlabeled = [np.repeat(ext.values, ext.multiplicities)
+                     for ext in (p.external_lengths() for p in paths)]
         ks[meas] = two_sample_ks(np.concatenate(labeled),
                                  np.concatenate(unlabeled))
     elapsed = time.perf_counter() - t0

@@ -63,18 +63,20 @@ def check_singleton_trackers(measure):
     for r, path in enumerate(real["paths"]):
         np.testing.assert_array_equal(path.jump_time,
                                       first["paths"][r].jump_time)
-        lengths = np.sort(path.external_lengths().flat())[::-1]
+        ext = path.external_lengths()
+        lengths = np.sort(np.repeat(ext.values, ext.multiplicities))[::-1]
         np.testing.assert_array_equal(
             np.sort(real["marked_lengths"][r])[::-1], lengths)
         np.testing.assert_array_equal(real["top_lengths"][r], lengths[:3])
         np.testing.assert_array_equal(first["top_lengths"][r], lengths)
         for c, thr in enumerate(thresholds):
             assert real["exceed_counts"][r, c] == np.sum(lengths > thr)
-        assert real["crossing_time"][r] == path.absorption_time
+        assert real["crossing_time"][r] == path.jump_time[-1]
         assert real["crossing_jumps"][r] == path.num_jumps
     assert real["exceed_counts"][0, 0] == n
     # the tie is strict: path 0 has lengths equal to it, none counted
-    lengths = real["paths"][0].external_lengths().flat()
+    ext = real["paths"][0].external_lengths()
+    lengths = np.repeat(ext.values, ext.multiplicities)
     assert real["exceed_counts"][0, 3] < np.sum(lengths >= tie)
 
 

@@ -4,6 +4,7 @@ guards, and small-scale runs of every runner."""
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,26 @@ def test_run_factorial_replay_exact_law():
     var_stat = next(s for s in rep.statistics
                     if s.name == "max_var_minus_mean")
     assert var_stat.value <= 1e-9
+
+
+def test_factorial_replay_point_mass_scores_exactly(monkeypatch):
+    # dirac:p=0.5 merges about half of 300 singletons at the first jump,
+    # which already crosses n/2, so every replay lane ends with the same Y:
+    # a zero standard error scores 0 at the exact target and inf off it
+    cfg = ExperimentConfig("dirac:p=0.5,m=1", "L7.1", 300, 100, seed=5,
+                           params={"variance_paths": 3})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = run_experiment(cfg)
+    replay = [(s.value, s.se, s.passed) for s in rep.statistics[:2]]
+    assert replay == [(0.0, 0.0, True)] * 2
+    assert rep.verdict == "PASS"
+    monkeypatch.setattr(experiments, "_draw_singleton_loss",
+                        lambda rng, b, y, k: np.zeros_like(y))
+    rep = run_experiment(cfg)
+    replay = [(s.value, s.se, s.passed) for s in rep.statistics[:2]]
+    assert replay == [(math.inf, 0.0, False)] * 2
+    assert rep.verdict == "FAIL"
 
 
 def test_run_experiment_dispatch_and_determinism():

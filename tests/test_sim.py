@@ -45,7 +45,7 @@ def test_path_invariants(measure):
     assert np.all((k >= 2) & (k <= x))
     assert path.absorbed_singletons.sum() == 50
     assert x[-1] - k[-1] + 1 == 1
-    assert path.absorption_time == pytest.approx(path.waiting_time.sum())
+    assert path.jump_time[-1] == pytest.approx(path.waiting_time.sum())
     # the first merger acts on singletons only, so it absorbs exactly K
     assert path.absorbed_singletons[0] == path.merger_size[0]
 
@@ -171,9 +171,10 @@ def test_singletons_match_external_length_tail():
     ext = path.external_lengths()
     assert ext.total == 80
     # the lengths above x are the singletons no jump up to x absorbed
-    for x in [0.0, 0.1, path.absorption_time]:
+    for x in [0.0, 0.1, path.jump_time[-1]]:
         survivors = 80 - path.absorbed_singletons[path.jump_time <= x].sum()
-        assert np.sum(ext.flat() > x) == survivors
+        lengths = np.repeat(ext.values, ext.multiplicities)
+        assert np.sum(lengths > x) == survivors
 
 
 def test_external_lengths_validation_and_dump():
@@ -224,7 +225,7 @@ def test_conditional_factorial_moment_frozen():
 
 def test_first_waiting_time_mean():
     # n = 2 under kingman:2 jumps at rate 2
-    times = [simulate_path(kingman(2.0), 2, seed=s).absorption_time
+    times = [simulate_path(kingman(2.0), 2, seed=s).jump_time[-1]
              for s in range(3000)]
     assert np.mean(times) == pytest.approx(0.5, abs=0.05)
 
@@ -456,15 +457,33 @@ def test_powerbeta_b1_draws_pinned():
                                        37351.92692079941]
 
 
+def _pair_then_hypergeometric(rng, b, y, k):
+    # the wide-step layout: one (2, lanes) block of uniforms decides every
+    # lane's first two merging blocks, then the hypergeometric draws the
+    # K >= 3 lanes' other K - 2 blocks, in lane order
+    u = rng.random((2, k.size))
+    first = (u[0] * b < y).astype(np.int64)
+    dy = first + (u[1] * (b - 1) < y - first)
+    wide = k > 2
+    if wide.any():
+        left = y[wide] - dy[wide]
+        dy[wide] += rng.hypergeometric(left, b[wide] - 2 - left, k[wide] - 2)
+    return dy
+
+
 def test_pair_singleton_loss_chi_square():
     # one all-pair call over lanes with unequal (b, y), as the engine makes
     # it, and one call that mixes those lanes with K >= 3 lanes, shuffled,
     # at more than _PAIR_DRAW_LANES K = 2 lanes; each (b, y, K) case is
-    # then held to hypergeom(b, y, K) on its own lanes
+    # then held to hypergeom(b, y, K) on its own lanes.  The wider cases
+    # take every block (K = b), leave no singleton after the pair
+    # ((50, 2, 3), (30, 1, 4)) and have none or only singletons
     pairs = [(2, 0, 2), (2, 1, 2), (2, 2, 2), (3, 1, 2), (5, 3, 2),
              (1000, 7, 2), (1000, 999, 2)]
     wider = [(50, 0, 3), (50, 50, 3), (50, 20, 3), (1000, 7, 3),
-             (50, 0, 12), (50, 50, 12), (50, 30, 12), (12, 5, 12)]
+             (50, 0, 4), (50, 50, 4), (50, 2, 3), (30, 1, 4),
+             (50, 0, 12), (50, 50, 12), (50, 30, 12),
+             (3, 1, 3), (4, 2, 4), (12, 0, 12), (12, 5, 12), (12, 12, 12)]
     draws = 200_000
     for cases in (pairs, pairs + wider):
         case = np.repeat(np.arange(len(cases)), draws)
@@ -490,17 +509,9 @@ def test_pair_singleton_loss_chi_square():
                 chi2 = float(((obs - exp) ** 2 / exp).sum())
                 p_value = stats.chi2.sf(chi2, obs.size - 1)
                 assert p_value > 1e-3, (bi, yi, ki, chi2)
-        # draw order: the K = 2 lanes' first and second uniforms, then the
-        # hypergeometric over the other lanes
         ref = np.random.Generator(np.random.Philox(key=key))
-        pair = k == 2
-        u = ref.random((2, np.count_nonzero(pair)))
-        first = (u[0] * b[pair] < y[pair]).astype(np.int64)
         np.testing.assert_array_equal(
-            dy[pair], first + (u[1] * (b[pair] - 1) < y[pair] - first))
-        if not pair.all():
-            np.testing.assert_array_equal(dy[~pair], ref.hypergeometric(
-                y[~pair], b[~pair] - y[~pair], k[~pair]))
+            dy, _pair_then_hypergeometric(ref, b, y, k))
         np.testing.assert_equal(rng.bit_generator.state,
                                 ref.bit_generator.state)
 
@@ -535,7 +546,8 @@ def test_few_lane_singleton_loss_is_the_array_draw(lanes):
     # below 20 lanes the hypergeometric dY is drawn lane by lane, and a
     # step with fewer than _PAIR_DRAW_LANES K = 2 lanes draws every lane by
     # the hypergeometric; each must give the array call's values and leave
-    # the generator where it does
+    # the generator where it does.  At exactly _PAIR_DRAW_LANES K = 2
+    # lanes the step takes the pair rule on every lane instead
     wide = lanes > _PAIR_DRAW_LANES
     state_rng = np.random.default_rng(lanes)
     for trial in range(20):
@@ -546,18 +558,27 @@ def test_few_lane_singleton_loss_is_the_array_draw(lanes):
         b[big], k[big], y[big] = 50, 12, 30       # K >= 10: numpy's HRUA
         if lanes > 1 or trial % 2:
             y[trial % lanes] = 0                  # no singletons left
-        if wide:                                  # one short of the split
-            k[state_rng.permutation(lanes)[:_PAIR_DRAW_LANES - 1]] = 2
-        assert np.count_nonzero(k == 2) < _PAIR_DRAW_LANES
-        key = np.uint64(1000 * lanes + trial)
-        ours = np.random.Generator(np.random.Philox(key=key))
-        ref = np.random.Generator(np.random.Philox(key=key))
-        dy = _draw_singleton_loss(ours, b, y, k)
-        assert dy.dtype == np.int64
-        np.testing.assert_array_equal(dy, ref.hypergeometric(y, b - y, k))
-        np.testing.assert_equal(ours.bit_generator.state,
-                                ref.bit_generator.state)
-        assert ours.random() == ref.random()
+        widths = [k]
+        if wide:                    # one short of the gate, and at it
+            pairs = state_rng.permutation(lanes)[:_PAIR_DRAW_LANES]
+            k[pairs[1:]] = 2
+            at_gate = k.copy()
+            at_gate[pairs[0]] = 2
+            widths.append(at_gate)
+        for kk in widths:
+            gate = np.count_nonzero(kk == 2) >= _PAIR_DRAW_LANES
+            assert gate == (kk is not k)
+            key = np.uint64(1000 * lanes + trial)
+            ours = np.random.Generator(np.random.Philox(key=key))
+            ref = np.random.Generator(np.random.Philox(key=key))
+            dy = _draw_singleton_loss(ours, b, y, kk)
+            assert dy.dtype == np.int64
+            expected = (_pair_then_hypergeometric(ref, b, y, kk) if gate
+                        else ref.hypergeometric(y, b - y, kk))
+            np.testing.assert_array_equal(dy, expected)
+            np.testing.assert_equal(ours.bit_generator.state,
+                                    ref.bit_generator.state)
+            assert ours.random() == ref.random()
 
 
 @pytest.mark.parametrize("text", ["powerbeta:c=1,a=0.5,b=1", "beta:0.5,1.5"])
