@@ -47,8 +47,9 @@ class PowerBetaDensity:
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.c > 0 and self.a > 0 and self.b > 0):
-            raise ValueError("power-beta parameters must be positive")
+        if not all(0 < v < math.inf for v in (self.c, self.a, self.b)):
+            raise ValueError("power-beta parameters must be positive and "
+                             "finite")
 
     def mass(self) -> float:
         return self.c * special.beta(self.a, self.b)
@@ -174,8 +175,13 @@ def _parse_term(term: str, offset: int) -> LambdaMeasure:
         if x <= 0 or y <= 0:
             raise MeasureParseError("beta parameters must be positive",
                                     body_pos)
-        return LambdaMeasure(densities=(
-            PowerBetaDensity(1.0 / special.beta(x, y), x, y),))
+        mass = float(special.beta(x, y))
+        norm = 1.0 / mass if mass > 0 else math.inf
+        if not 0 < norm < math.inf:
+            raise MeasureParseError(
+                f"beta term: 1/B({x!r}, {y!r}) = {norm!r} is not a finite "
+                "positive float", body_pos)
+        return LambdaMeasure(densities=(PowerBetaDensity(norm, x, y),))
 
     if name == "powerbeta":
         kv = _parse_keyvals(body, body_pos, ("c", "a", "b"), "powerbeta")

@@ -12,14 +12,18 @@ extended to real arguments x >= 1, is
 
 with integrand x(x-1)/2 at p = 0.  mu is increasing and convex with
 mu(1) = 0, which makes the scale sequence s(n) solving mu(s) = mu(n)/n
-well defined for any nontrivial measure.
+well defined for any nontrivial measure.  It also keeps Newton's method
+started right of a root from overshooting it, so `invert_mu` needs no
+general root finder: a doubling bracket, then Newton steps on mu and its
+closed-form mu'.
 
 Every rate here is an exact expression: for point masses and for every
 power-beta density (digamma limits at a = 1, the uniform density among
 them, and at a = 2).  The test suite compares them with kernel quadrature
 (`tests/rate_oracle.py`), with mpmath and with direct sums over k.  Only
 the H transform of a power-beta density with b != 1 integrates
-numerically, by `quadrature.integrate_tail`.
+numerically, by `quadrature.integrate_tail` against the Beta(a, b)
+probability density.
 """
 
 from __future__ import annotations
@@ -138,71 +142,6 @@ def _powerbeta_rate(dens: PowerBetaDensity, arr: np.ndarray) -> np.ndarray:
 def _log_binom(b, k):
     return (special.gammaln(b + 1.0) - special.gammaln(k + 1.0)
             - special.gammaln(b - k + 1.0))
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-            maxiter: int) -> float:
-    """A root of f in [xa, xb] by Brent's method: inverse quadratic
-    interpolation, secant steps and bisection, stopping once the bracket
-    half-width is below (xtol + rtol |x|)/2.  The steps and the arithmetic
-    are those of scipy.optimize.brentq (Brent 1973, ch. 4), so both return
-    the same float; importing scipy.optimize would cost every process a
-    third of its start-up time for this one routine."""
-
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            bound = 3 * abs(sbis) - delta
-            if abs(spre) < bound:
-                bound = abs(spre)
-            if 2 * abs(stry) < bound:
-                spre, scur = scur, stry      # good short step
-            else:
-                spre = scur = sbis           # bisect
-        else:
-            spre = scur = sbis               # bisect
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise ArithmeticError(
-        f"brentq did not converge after {maxiter} iterations, value is {xcur}")
 
 
 class RateFunctions:
@@ -364,11 +303,15 @@ class RateFunctions:
         return self.rate_of_decrease(x) / x
 
     def invert_mu(self, y: float) -> float:
-        """The x >= 1 with mu(x) = y, to |mu(x) - y| <= 1e-9 max(1, y),
-        bracketed by doubling over the float range.  A y that is not
-        finite, or that mu reaches only past an overflow, raises
-        ValueError."""
-        y = float(y)    # a Brent step that overflows gives inf, not a warning
+        """The x >= 1 with mu(x) = y, to |mu(x) - y| <= 1e-9 max(1, y).
+
+        The doubling bracket over the float range gives hi with mu(hi) >= y;
+        Newton's method from there stays at or right of the root, since mu
+        is increasing and convex, and stops once mu(x) <= y or a step no
+        longer lowers x.  A y that is not finite, or that mu reaches only
+        past an overflow, raises ValueError; a residual above the bound
+        raises ArithmeticError."""
+        y = float(y)    # a Newton step that overflows gives -inf, not a warning
         if y < 0:
             raise ValueError("mu is nonnegative")
         if y == 0:
@@ -378,18 +321,14 @@ class RateFunctions:
             hi *= 2.0
         if not y <= top < math.inf:
             raise ValueError(f"mu never reaches {y} before it overflows")
-        x = _brentq(lambda t: self.rate_of_decrease(t) - y, 1.0, hi,
-                    xtol=2e-12, rtol=8.9e-16, maxiter=200)
-        # Newton polish; Brent's method already lands within a few ulp.
-        for _ in range(3):
-            err = self.rate_of_decrease(x) - y
-            if abs(err) <= 1e-10 * max(1.0, y):
+        x, err = hi, top - y
+        while err > 0:
+            slope = float(self._mu_parts(np.array([x]), order=1)[0])
+            step = max(x - err / slope, 1.0)
+            if not step < x:
                 break
-            slope = self._mu_parts(np.array([x]), order=1)[0]
-            if slope <= 0:
-                break
-            x = min(max(x - err / slope, 1.0), hi)
-        if abs(self.rate_of_decrease(x) - y) > 1e-9 * max(1.0, y):
+            x, err = step, self.rate_of_decrease(step) - y
+        if abs(err) > 1e-9 * max(1.0, y):
             raise ArithmeticError("mu inversion did not converge")
         return float(x)
 
@@ -422,17 +361,22 @@ class RateFunctions:
         """int_(u,1] p**(-power) against the density component."""
         if u >= 1.0:
             return 0.0
-        a, c = dens.a, dens.c
-        if dens.b == 1.0:
+        a, b, c = dens.a, dens.b, dens.c
+        if b == 1.0:
             e = a - power
             if e == 0.0:
                 return -c * math.log(u)
             return c * (1.0 - u ** e) / e
+        # integrated against the Beta(a, b) probability density, whose
+        # integrals are not dwarfed by quadrature.ABS_TOL as those of a
+        # density of tiny mass c B(a, b) would be
+        log_beta = special.betaln(a, b)
 
         def f(p, q):
-            return c * p ** (a - 1.0) * q ** (dens.b - 1.0) / p ** power
+            return np.exp((a - 1.0 - power) * np.log(p)
+                          + (b - 1.0) * np.log(q) - log_beta)
 
-        return integrate_tail(f, u, 1.0, dens.b)
+        return dens.mass() * integrate_tail(f, u, 1.0, b)
 
     def H_function(self, u: float) -> float:
         """H(u) = L({0})/2 + int_0^u h(z) dz, by exact reduction to

@@ -48,6 +48,18 @@ def test_bad_measure_text(capsys):
     assert "bad measure" in err
 
 
+@pytest.mark.parametrize("argv", [("rates", "--b", "2"),
+                                  ("lengths", "--n", "10")])
+def test_beta_term_with_an_overflowing_normalizer(capsys, argv):
+    # 1/B(600, 600) overflows: once c = inf, blamed on --b or failing on
+    # non-finite jump times
+    code, out, err = run_cli(capsys, argv[0], "--measure", "beta:600,600",
+                             *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad measure: beta term: 1/B(600.0, 600.0)")
+
+
 _EXPERIMENT = ("experiment", "--measure", "kingman", "--theorem", "T1.1",
                "--n", "100", "--reps", "100")
 

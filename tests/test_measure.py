@@ -1,5 +1,8 @@
 """Measure layer: component validation, masses, and the text grammar."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special
@@ -18,8 +21,11 @@ def test_power_beta_moment_closed_form():
 
 
 def test_power_beta_rejects_nonpositive_params():
+    # and non-finite ones: c = inf was once accepted
     for bad in [dict(c=0.0, a=1.0, b=1.0), dict(c=1.0, a=-0.5, b=1.0),
-                dict(c=1.0, a=1.0, b=0.0)]:
+                dict(c=1.0, a=1.0, b=0.0), dict(c=math.inf, a=1.0, b=1.0),
+                dict(c=1.0, a=math.inf, b=1.0), dict(c=1.0, a=1.0, b=math.inf),
+                dict(c=math.nan, a=1.0, b=1.0)]:
         with pytest.raises(ValueError):
             PowerBetaDensity(**bad)
 
@@ -77,6 +83,16 @@ def test_parse_beta_normalizes():
     assert dens.a == 0.5 and dens.b == 1.5
     assert dens.c == pytest.approx(1.0 / special.beta(0.5, 1.5), rel=1e-14)
     assert dens.mass() == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("text", ["beta:600,600", "beta:1e-320,1"])
+def test_parse_beta_rejects_a_normalizer_out_of_range(text):
+    # B(600, 600) underflows to 0 and B(1e-320, 1) overflows: 1/B once
+    # became c = inf, or c = 0 reported as a nonpositive parameter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeasureParseError, match="1/B"):
+            parse_measure(text)
 
 
 def test_parse_powerbeta_key_order_free():

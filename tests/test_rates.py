@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import optimize, special
+from scipy import special
 
 import coalsim
 import rate_oracle as oracle
@@ -21,7 +21,7 @@ from coalsim import rates as rates_module
 from coalsim.measure import (LambdaMeasure, PowerBetaDensity,
                              bolthausen_sznitman, kingman, parse_measure,
                              power_beta)
-from coalsim.rates import (EULER_GAMMA, RateFunctions, _brentq, rates_for,
+from coalsim.rates import (EULER_GAMMA, RateFunctions, rates_for,
                            t_c_sequence, t_sequence)
 
 KINGMAN = kingman()
@@ -419,6 +419,38 @@ def test_invert_mu_brackets_the_float_range():
                 r.invert_mu(y)
 
 
+def test_invert_mu_matches_brent():
+    # Newton's method from above against scipy's Brent solver on the same
+    # bracket [1, hi], at the tolerances the package once passed it
+    from scipy.optimize import brentq
+
+    measures = ["kingman", "bolthausen-sznitman", "powerbeta:c=1,a=0.5,b=1",
+                "beta:0.5,1.5", "beta:0.3,0.3", "kingman+dirac:p=0.5,m=1",
+                "beta:1,0.3", "beta:1,1.5", "powerbeta:c=0.7,a=2,b=0.5"]
+    for text in measures:
+        r = RateFunctions(parse_measure(text))
+        mu = r.rate_of_decrease
+        targets = [0.5, 1.0, 2.0, 3.0, 10.0, 33.0, 1e2, 1e3, 1e4, 3e5] + [
+            mu(n) / n for n in (10.0, 1e3, 1e5)]
+        for y in targets + [1e-9, 1e-6]:
+            hi = 2.0
+            while mu(hi) < y:
+                hi *= 2.0
+            ref = brentq(lambda t: mu(t) - y, 1.0, hi, xtol=2e-12,
+                         rtol=8.9e-16)
+            x = r.invert_mu(y)
+            if y in targets:
+                assert x == pytest.approx(ref, rel=1e-11), (text, y)
+            else:
+                # x - 1 is of the order of y here, which Brent's xtol of
+                # 2e-12 resolves coarsely: at y = 1e-6 its residual is
+                # 1e-13 and Newton's 1e-16.  At 1e-9 both land within 2 ulp
+                # of the root, where mu's own rounding (up to 2e-15 near
+                # x = 1) decides which residual is the smaller
+                assert abs(mu(x) - y) <= max(abs(mu(ref) - y), 2e-15), \
+                    (text, y)
+
+
 def test_kappa_is_mu_over_x():
     r = rates_for(BS)
     assert r.kappa(8.0) == pytest.approx(r.rate_of_decrease(8.0) / 8.0,
@@ -499,34 +531,43 @@ def test_H_pb_half_closed_form():
             8.0 / 3.0 * math.sqrt(u) - 2.0 * u + u * u / 3.0, rel=1e-9)
 
 
-def mp_powerbeta_H(a, b, u):
-    """H(u) for the Beta(a, b) probability density by mpmath quadrature at
-    30 digits: the density's mass on [0, u] over 2, plus the integral of
-    u/p - u**2/(2 p**2) over (u, 1], taken in t = (1-p)**b, which removes
-    the singular factor (1-p)**(b-1) and keeps 1 - p exact."""
-    with mp.workdps(30):
+def mp_powerbeta_H(c, a, b, u):
+    """H(u) for the density c p**(a-1) (1-p)**(b-1) by mpmath's incomplete
+    Beta function at 40 digits: the mass on [0, u] over 2, plus the
+    integral of u/p - u**2/(2 p**2) over (u, 1], c B_(u,1)(a-1, b) u -
+    c B_(u,1)(a-2, b) u**2/2.  mpmath continues B_(u,1) to a - 2 < 0."""
+    with mp.workdps(40):
         a, b, u = mp.mpf(a), mp.mpf(b), mp.mpf(u)
-        below = mp.quad(lambda p: p ** (a - 1) * (1 - p) ** (b - 1), [0, u])
-
-        def above(t):
-            p = 1 - t ** (1 / b)
-            return (u / p - u * u / (2 * p * p)) * p ** (a - 1) / b
-
-        return float((below / 2 + mp.quad(above, [0, (1 - u) ** b]))
-                     / mp.beta(a, b))
+        return float(mp.mpf(c) * (mp.betainc(a, b, 0, u) / 2
+                                  + u * mp.betainc(a - 1, b, u, 1)
+                                  - u * u / 2 * mp.betainc(a - 2, b, u, 1)))
 
 
-@pytest.mark.parametrize("a, b", [(0.5, 1.5), (0.3, 0.3), (0.5, 0.05)])
-@pytest.mark.parametrize("u", [0.3, 0.6, 0.9])
-def test_H_matches_mpmath(a, b, u):
+# (c, a, b, u); c = None is the probability density beta:a,b.  The last
+# ones have a tiny mass c B(a, b), 3.5e-25 at (10, 1000) and 1e-181 at
+# (300, 300): the absolute floor of quadrature.ABS_TOL once accepted the
+# first panel of their H tails, 13 % low at (10, 1000) and u = 1e-15
+_H_CASES = [pytest.param(None, a, b, u, id=f"{u}-{a}-{b}")
+            for a, b in [(0.5, 1.5), (0.3, 0.3), (0.5, 0.05)]
+            for u in [0.3, 0.6, 0.9]] + [
+    pytest.param(c, a, b, u, id=f"{u}-{a}-{b}-c{c}")
+    for c in [1.0, 3.0] for a, b in [(10.0, 1000.0), (300.0, 300.0)]
+    for u in [1e-15, 1e-9]] + [
+    pytest.param(3.0, 0.5, 0.05, 0.6, id="0.6-0.5-0.05-c3.0")]
+
+
+@pytest.mark.parametrize("c, a, b, u", _H_CASES)
+def test_H_matches_mpmath(c, a, b, u):
     # above u = 1/2 the tail integral once ran over (1/2, 1] instead of
     # (u, 1]: H(0.9) read 0.567 for beta:0.5,1.5, above H(1) = 0.5.  Near
     # p = 1 it was evaluated at p = 1 - max(q, 2**-52), which dropped the
     # mass of (1-p)**(b-1) below q = 2**-52: relative 4e-6 for b = 0.3 and
     # 0.13 for b = 0.05
-    r = RateFunctions(parse_measure(f"beta:{a},{b}"))
-    assert r.H_function(u) == pytest.approx(mp_powerbeta_H(a, b, u),
-                                            rel=1e-9)
+    text = f"beta:{a},{b}" if c is None else f"powerbeta:c={c},a={a},b={b}"
+    r = RateFunctions(parse_measure(text))
+    (dens,) = r.measure.densities
+    assert r.H_function(u) == pytest.approx(mp_powerbeta_H(dens.c, a, b, u),
+                                            rel=1e-12, abs=0.0)
 
 
 def test_H_dirac():
@@ -588,7 +629,7 @@ def test_rates_for_cache_and_methods():
 
 @pytest.mark.parametrize("module", ["coalsim", "coalsim.cli"])
 def test_import_leaves_out_scipy_optimize_linalg_sparse_interpolate(module):
-    # every rate is evaluated exactly and roots are found by rates._brentq:
+    # every rate is evaluated exactly and mu is inverted by Newton's method:
     # no interpolant, no solver module and what they pull in is loaded;
     # mpmath is the tests' oracle only
     src = str(Path(coalsim.__file__).resolve().parents[1])
@@ -600,63 +641,3 @@ def test_import_leaves_out_scipy_optimize_linalg_sparse_interpolate(module):
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
-
-
-def _same_float(a, b):
-    return float(a).hex() == float(b).hex()
-
-
-def test_brentq_matches_scipy_on_invert_mu_calls(monkeypatch):
-    pairs = []
-
-    def both(f, xa, xb, xtol, rtol, maxiter):
-        ours = _brentq(f, xa, xb, xtol, rtol, maxiter)
-        pairs.append((ours, optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol,
-                                            maxiter=maxiter)))
-        return ours
-
-    monkeypatch.setattr(rates_module, "_brentq", both)
-    measures = ["kingman", "bolthausen-sznitman", "powerbeta:c=1,a=0.5,b=1",
-                "beta:0.5,1.5", "beta:0.3,0.3", "kingman+dirac:p=0.5,m=1",
-                "beta:1,0.3", "beta:1,1.5", "powerbeta:c=0.7,a=2,b=0.5"]
-    for text in measures:
-        r = RateFunctions(parse_measure(text))
-        for y in [0.5, 1.0, 2.0, 3.0, 10.0, 33.0, 1e2, 1e3, 1e4, 3e5]:
-            r.invert_mu(y)
-        r.s_at(np.array([10.0, 1e3, 1e5]))
-    assert len(pairs) == 13 * len(measures)
-    assert all(_same_float(ours, ref) for ours, ref in pairs)
-
-
-def test_brentq_matches_scipy_on_random_brackets():
-    rng = np.random.default_rng(20240611)
-    families = [
-        lambda c: lambda x: (x - c[0]) * (x - c[1]) * (x - c[2]) + c[3],
-        lambda c: lambda x: math.exp(c[0] * x) - math.exp(c[1]),
-        lambda c: lambda x: math.tanh(50.0 * c[0] * (x - c[1])) + 0.1 * c[3],
-        lambda c: lambda x: abs(x - c[0]) ** 1.5 * math.copysign(1.0, x - c[0])
-        + 1e-3 * c[3],
-    ]
-    tolerances = [(2e-12, 8.881784197001252e-16), (1e-6, 1e-10),
-                  (1e-3, 8.9e-16)]
-    checked = 0
-    for i in range(800):
-        f = families[i % len(families)](rng.uniform(-2.0, 2.0, 4))
-        lo, hi = np.sort(rng.uniform(-4.0, 4.0, 2))
-        if not f(lo) * f(hi) < 0:
-            continue
-        xtol, rtol = tolerances[i % len(tolerances)]
-        for a, b in [(lo, hi), (hi, lo)]:
-            ours = _brentq(f, float(a), float(b), xtol, rtol, 100)
-            ref = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
-            assert _same_float(ours, ref), (i, a, b)
-            checked += 1
-    assert checked >= 600
-
-
-def test_brentq_needs_a_sign_change():
-    with pytest.raises(ValueError, match="different signs"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 2.0, 2e-12, 8.9e-16, 100)
-    with pytest.raises(ValueError, match="NaN"):
-        _brentq(lambda x: math.nan, 0.0, 1.0, 2e-12, 8.9e-16, 100)
-    assert _brentq(lambda x: x - 1.0, 1.0, 2.0, 2e-12, 8.9e-16, 100) == 1.0
