@@ -14,11 +14,7 @@ Layers, lowest first:
 Everything downstream of `measure` is deterministic given (config, seed).
 """
 
-from .quadrature import (
-    adaptive_integrate,
-    integrate_tail,
-    power_substitution,
-)
+from .quadrature import adaptive_integrate, integrate_tail
 from .measure import (
     LambdaMeasure,
     MeasureParseError,
@@ -77,7 +73,7 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "adaptive_integrate", "integrate_tail", "power_substitution",
+    "adaptive_integrate", "integrate_tail",
     "LambdaMeasure", "MeasureParseError", "PowerBetaDensity",
     "bolthausen_sznitman", "kingman", "parse_measure", "power_beta",
     "RateFunctions", "rates_for", "t_c_sequence", "t_sequence",

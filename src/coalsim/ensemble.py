@@ -34,19 +34,16 @@ MAX_LANES // 2 replications whose replications times n reach
 POOL_MIN_WORK, and for one of more than MAX_LANES // 4 replications
 whose replications times n reach SPLIT_MIN_WORK.  Chunk 0's key is the
 one `Philox(key=seed)` takes, so a one-chunk run draws what a single
-stream under `seed` draws.  When a run has two or more
-chunks, its replications times n reach POOL_MIN_WORK, and the process
-may use two or more CPUs, the chunks run in a pool of forked worker
-processes, one per usable CPU (at most one per chunk); otherwise they
-run in order in this process, since a smaller run loses more to the
-pool's start-up than it gains.  A run with a tracker that is not
-`poolable` (PathRecorder) is never raised to two chunks and never
-pools.  Either way the chunks' arrays are joined in chunk order, so
-results depend on (measure, n, reps, seed, trackers) and on nothing
-else: the chunk count reads only n, reps and the trackers' class, and
-results are byte-identical for any CPU count and either choice.  To use
-fewer CPUs, restrict the process's affinity (for example with
-`taskset`).
+stream under `seed` draws.  When a run has two or more chunks, its
+replications times n reach POOL_MIN_WORK, and the process may use two
+or more CPUs, the chunks run in a pool of forked worker processes, one
+per usable CPU (at most one per chunk); otherwise they run in order in
+this process, since a smaller run loses more to the pool's start-up
+than it gains.  Either way the chunks' arrays are joined in chunk
+order, so results depend on (measure, n, reps, seed, trackers) and on
+nothing else: the chunk count reads only n and reps, and results are
+byte-identical for any CPU count and either choice.  To use fewer CPUs,
+restrict the process's affinity (for example with `taskset`).
 
 Wide chunks pay the fixed cost of a lockstep step (a few tens of
 microseconds, whatever the width) fewer times, and two of them fill two
@@ -141,15 +138,9 @@ class ChunkTracker:
     process (when the run pools: two or more chunks, replications times
     n at least POOL_MIN_WORK, two or more usable CPUs): there the
     factory's and the tracker's side effects stay in the worker, and
-    only the arrays of result() come back.  A tracker whose arrays cost
-    more to send back than a second CPU saves sets `poolable = False`; a
-    run with such a tracker is cut only into chunks of at most MAX_LANES
-    lanes, never into two for a second CPU, and never pools.
-    `run_ensemble` calls each factory once more in its own process to
-    read these class attributes."""
+    only the arrays of result() come back."""
 
     needs_singletons = False
-    poolable = True
 
     def begin(self, size: int, n: int, rng: np.random.Generator) -> None:
         raise NotImplementedError
@@ -364,14 +355,12 @@ class PathRecorder(ChunkTracker):
     A path makes at most n - 1 jumps, so each replication gets rows of
     that length, written jump by jump; the operating system commits
     memory only for the pages written, so memory grows with the jumps
-    actually made and is never copied at the end.
-
-    Not poolable: a worker would pickle every path's arrays back, and
-    kingman n = 1000 with 2048 replications takes 0.35 s pooled against
-    0.21 s in order on 2 vCPUs."""
+    actually made and is never copied at the end.  A pooled run pickles
+    every path's arrays back from its workers: kingman n = 1000 with 2048
+    replications took 0.35 s pooled against 0.21 s in order on 2 vCPUs,
+    so it serves single paths and small runs."""
 
     needs_singletons = True
-    poolable = False
 
     def begin(self, size, n, rng):
         self.n = n
@@ -495,18 +484,16 @@ def run_ensemble(rates, n: int, reps: int, seed: int,
     if not factories:
         raise ValueError("need at least one tracker factory")
     sampler = MergerSizeSampler(as_rate_functions(rates), n)
-    # one tracker per factory, built here only to read its class
-    poolable = all(f().poolable for f in factories)
     work = int(reps) * int(n)
     chunks = -(-reps // MAX_LANES)
-    if poolable and (reps > MAX_LANES // 2 and work >= POOL_MIN_WORK
-                     or reps > MAX_LANES // 4 and work >= SPLIT_MIN_WORK):
+    if (reps > MAX_LANES // 2 and work >= POOL_MIN_WORK
+            or reps > MAX_LANES // 4 and work >= SPLIT_MIN_WORK):
         chunks = max(chunks, 2)
     # near-equal sizes, the larger first
     sizes = [(reps + i) // chunks for i in range(chunks - 1, -1, -1)]
     workers = min(len(sizes), _usable_cpus())
     parts = None
-    if poolable and workers > 1 and work >= POOL_MIN_WORK:
+    if workers > 1 and work >= POOL_MIN_WORK:
         parts = _run_pooled((sampler, n, sizes, seed, factories), workers)
     if parts is None:
         parts = [_run_chunk(sampler, n, size, seed, ci, factories)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import limits, quadrature
 from .ensemble import (BlockCountAtTimesTracker, LevelCrossingTracker,
-                       MarkedLeafTracker, PathRecorder, ThresholdCountTracker,
+                       MarkedLeafTracker, ThresholdCountTracker,
                        TopLengthsTracker, run_ensemble)
 from .measure import LambdaMeasure, PowerBetaDensity, parse_measure
 from .quadrature import adaptive_integrate
@@ -176,8 +176,11 @@ def ks_statistic(samples, cdf) -> float:
 
 
 def two_sample_ks(a, b) -> float:
+    """sup |F_a - F_b| of the two samples' ECDFs."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("samples must be nonempty")
     pooled = np.concatenate([a, b])
     fa = np.searchsorted(a, pooled, side="right") / a.size
     fb = np.searchsorted(b, pooled, side="right") / b.size
@@ -648,13 +651,43 @@ def run_bs_moments(cfg: ExperimentConfig, rates: RateFunctions):
     return stats, resolved, {}
 
 
+class _ChainMomentsTracker(LevelCrossingTracker):
+    """E[Y_rho | chain] and E[(Y_rho)_2 | chain] of each lane, by Lemma
+    7.1's product (X_rho)_r prod_{j<=rho} (1 - r/X_j) over the block
+    counts X_j after each jump up to the first passage rho to <= r_level;
+    X_rho and the two products are updated at each jump before the
+    crossing, so no path is stored and no dY is drawn."""
+
+    def begin(self, size, n, rng):
+        super().begin(size, n, rng)
+        self.blocks = np.full(size, float(n))
+        self.prod1 = np.ones(size)
+        self.prod2 = np.ones(size)
+
+    def observe(self, rows, x_before, y_before, k, dy, t_new):
+        act = ~self.crossed[rows]
+        sub = rows[act]
+        after = x_before[act] - k[act] + 1
+        self.blocks[sub] = after
+        self.prod1[sub] *= 1.0 - 1.0 / after
+        self.prod2[sub] *= 1.0 - 2.0 / after
+        super().observe(rows, x_before, y_before, k, dy, t_new)
+
+    def result(self):
+        x = self.blocks
+        return {"chain_moment_1": x * self.prod1,
+                "chain_moment_2": x * (x - 1.0) * self.prod2}
+
+
 def run_factorial_replay(cfg: ExperimentConfig, rates: RateFunctions):
     """Conditional-law oracle: freeze one block chain, redraw its
     hypergeometric singleton decrements many times with the engine's own
     dY draw (`sim._draw_singleton_loss`), and compare the
     empirical factorial moments at the first passage below r_level with
     the exact product formula; plus the conditional variance-mean
-    inequality over many independent chains."""
+    inequality over `variance_paths` independent chains, run in lockstep
+    as one ensemble that streams each chain's r = 1, 2 products up to
+    its crossing and stores no path."""
     r_level = parse_r_rule(cfg.params.get("r_rule", "n/2"), cfg.n)
     if not r_level >= 1:
         raise ConfigError(f"need r >= 1, got r={r_level}")
@@ -683,17 +716,12 @@ def run_factorial_replay(cfg: ExperimentConfig, rates: RateFunctions):
                               cfg.tolerance("moment_z", 3.0), se=se))
 
     # variance-mean domination along independent chains, via the exact
-    # r = 1, 2 formulas: Var = E[(Y)_2] + E[Y] - E[Y]^2 <= E[Y].  The
-    # chains run in lockstep as one ensemble that records every path.
+    # r = 1, 2 formulas: Var = E[(Y)_2] + E[Y] - E[Y]^2 <= E[Y]
     n_paths = _param(cfg, "variance_paths", 1000, _count(1))
-    paths = run_ensemble(rates, cfg.n, n_paths, cfg.seed + 1000,
-                         [PathRecorder])["paths"]
-    worst = -math.inf
-    for p in paths:
-        rho_i, _ = p.stopping_times(r_level)
-        e1 = p.conditional_factorial_moment(rho_i, 1)
-        e2 = p.conditional_factorial_moment(rho_i, 2)
-        worst = max(worst, (e2 + e1 - e1 * e1) - e1)
+    out = run_ensemble(rates, cfg.n, n_paths, cfg.seed + 1000,
+                       [lambda: _ChainMomentsTracker(r_level)])
+    e1, e2 = out["chain_moment_1"], out["chain_moment_2"]
+    worst = float(np.max(e2 + e1 - e1 * e1 - e1))
     stats.append(_bounded("max_var_minus_mean", max(worst, 0.0),
                           cfg.tolerance("var_slack", 1e-9)))
     resolved = {"r_level": r_level, "rho": rho, "r_values": r_values,

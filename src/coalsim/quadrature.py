@@ -3,9 +3,12 @@
 The integrands arising from coalescent rate computations are smooth in the
 interior of (0, 1) but typically carry algebraic endpoint behaviour
 ``p**(a-1)`` at 0 and ``(1-p)**(b-1)`` at 1 with possibly fractional
-exponents.  Integrable endpoint singularities (exponent in (0, 1)) are
-removed by the power substitution ``p = t**m`` with integer ``m >= 1/a``,
-after which panel-adaptive Gauss-Legendre converges geometrically.
+exponents.  `integrate_tail` spreads the decades next to its lower limit
+by p = exp(v) and removes an integrable right endpoint singularity
+``q**(b-1)``, q the distance to the endpoint and 0 < b < 1, by running in
+``t = q**b``: ``q**(b-1) dq = dt/b`` leaves a bounded integrand however
+small b is, after which panel-adaptive Gauss-Legendre converges
+geometrically.
 
 Only the panel driver lives here; nodes come from
 ``numpy.polynomial.legendre.leggauss``.  `adaptive_integrate` takes arrays
@@ -33,12 +36,6 @@ _MAX_PANELS = 4096
 
 REL_TOL = 1e-10
 ABS_TOL = 1e-14
-
-# Floor for the distance q to the right endpoint: under the substitution
-# q = t**m a smaller q underflows to 0, where a factor q**(b-1) with b < 1
-# is infinite.  The floor discards O(_Q_MIN**b) of the mass, below 1e-15
-# for b >= 0.05.
-_Q_MIN = float(np.finfo(float).tiny)
 
 # Running totals over the process: intervals integrated, panels accepted,
 # and panels accepted at the depth or panel cap with their error above
@@ -126,23 +123,6 @@ def adaptive_integrate(f, lo, hi):
     return float(out) if out.ndim == 0 else out
 
 
-def power_substitution(f, exponent: float):
-    """Map int_0^c f(p) dp with f ~ p**(exponent-1) to a bounded integrand.
-
-    Returns (g, m) where int_0^c f(p) dp = int_0^(c**(1/m)) g(t) dt and g is
-    bounded at 0 (g(t) = m t**(m-1) f(t**m) ~ t**(m*exponent - 1)).
-    """
-    if exponent >= 1.0:
-        return f, 1
-    m = max(2, math.ceil(1.0 / exponent))
-
-    def g(t):
-        tm = t ** m
-        return m * t ** (m - 1) * f(tm)
-
-    return g, m
-
-
 def integrate_tail(f, lo: float, hi: float = 1.0,
                    right_exponent: float = 1.0) -> float:
     """Integrate f(p, q), q = hi - p, over p in (lo, hi), in log space for
@@ -150,9 +130,12 @@ def integrate_tail(f, lo: float, hi: float = 1.0,
 
     Used for tail moments like int_u^1 p**(a-3) dp where the mass sits at the
     lower endpoint over several decades.  Substituting p = exp(v) equalizes
-    the decades below 1/2.  Above max(lo, 1/2) the integral runs in q with
-    the algebraic substitution of the right endpoint, and f is handed that
-    q exactly, so a factor q**(b-1) with b < 1 keeps its mass next to hi.
+    the decades below 1/2.  Above max(lo, 1/2) the integral runs in q, and f
+    is handed that q.  For a right exponent b < 1, f ~ q**(b-1) there, and
+    the integral runs in t = q**b, since q**(b-1) dq = dt / b: the
+    integrand in t is bounded and keeps the mass next to hi, however small
+    b is.  Where q = t**(1/b) underflows, f q**(1-b) is read at the
+    smallest normal float, at which it has long reached its limit.
     """
     if lo <= 0:
         raise ValueError("integrate_tail requires lo > 0")
@@ -167,7 +150,14 @@ def integrate_tail(f, lo: float, hi: float = 1.0,
 
         result += adaptive_integrate(g, math.log(lo), math.log(split))
     if split < hi:
-        gr, mr = power_substitution(
-            lambda q: f(hi - q, np.maximum(q, _Q_MIN)), right_exponent)
-        result += adaptive_integrate(gr, 0.0, (hi - split) ** (1.0 / mr))
+        b = right_exponent
+        if b < 1.0:
+            def gr(t):
+                q = np.maximum(t ** (1.0 / b), np.finfo(float).tiny)
+                return f(hi - q, q) * q ** (1.0 - b) / b
+
+            result += adaptive_integrate(gr, 0.0, (hi - split) ** b)
+        else:
+            result += adaptive_integrate(lambda q: f(hi - q, q), 0.0,
+                                         hi - split)
     return result

@@ -8,9 +8,11 @@ at 0 enters in closed form.  The kernels of mu are the package's own
 the closed forms it checks.
 """
 
+import math
+
 import numpy as np
 
-from coalsim.quadrature import adaptive_integrate, power_substitution
+from coalsim.quadrature import adaptive_integrate
 from coalsim.rates import (_SERIES_CROSSOVER, _mu1_kernel, _mu2_kernel,
                            _mu_kernel)
 
@@ -18,6 +20,23 @@ from coalsim.rates import (_SERIES_CROSSOVER, _mu1_kernel, _mu2_kernel,
 # the kernels' log(1 - p) is -inf; they are bounded near p = 1, so the
 # clamp moves them by O(2**-53), while the density sees q itself.
 _P_BELOW_ONE = 1.0 - 2.0 ** -53
+
+
+def power_substitution(f, exponent: float):
+    """Map int_0^c f(p) dp with f ~ p**(exponent-1) to a bounded integrand.
+
+    Returns (g, m) where int_0^c f(p) dp = int_0^(c**(1/m)) g(t) dt and g is
+    bounded at 0 (g(t) = m t**(m-1) f(t**m) ~ t**(m*exponent - 1)).
+    """
+    if exponent >= 1.0:
+        return f, 1
+    m = max(2, math.ceil(1.0 / exponent))
+
+    def g(t):
+        tm = t ** m
+        return m * t ** (m - 1) * f(tm)
+
+    return g, m
 
 
 def integrate_unit_interval(f, left_exponent: float = 1.0,

@@ -364,22 +364,28 @@ def test_narrow_or_light_runs_stay_one_chunk(monkeypatch, reps,
         _chunk_draws(40, reps, 99, 0, factories)["top_lengths"])
 
 
-def test_path_recorder_runs_neither_split_nor_pool(monkeypatch):
-    def refuse(job, workers):
-        raise AssertionError("pooled")
-
-    monkeypatch.setattr(ensemble, "POOL_MIN_WORK", 0)
-    monkeypatch.setattr(ensemble, "SPLIT_MIN_WORK", 0)
-    monkeypatch.setattr(ensemble, "_run_pooled", refuse)
+def test_path_recorder_pools_in_chunk_order(monkeypatch):
+    # a recorder run forced into two chunks returns the same paths, in
+    # replication order, from a fork pool and in order
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork is not available")
+    log_pooling(monkeypatch)
     factories = [absorption, PathRecorder]
-    # two chunks, in order
-    out = run_ensemble(BS, 20, MAX_LANES + 1, 7, factories)
-    assert out["paths"].shape == (MAX_LANES + 1,)
-    # one chunk, not split: chunk 0 of the same seed
-    out = run_ensemble(BS, 20, MAX_LANES, 7, factories)
-    alone = _chunk_draws(20, MAX_LANES, 7, 0, factories)
-    np.testing.assert_array_equal(out["crossing_time"],
-                                  alone["crossing_time"])
+    reps = MAX_LANES // 4 + 1
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
+    pooled = run_ensemble(BS, 20, reps, 7, factories)
+    assert _POOLED == [True]
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 1)
+    in_order = run_ensemble(BS, 20, reps, 7, factories)
+    assert _POOLED == [True]
+    assert pooled["paths"].shape == in_order["paths"].shape == (reps,)
+    fields = ("block_count_before", "merger_size", "absorbed_singletons",
+              "jump_time")
+    for a, b in zip(pooled["paths"], in_order["paths"]):
+        for field in fields:
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    assert (pooled["crossing_time"].tobytes()
+            == in_order["crossing_time"].tobytes())
 
 
 def test_absorption_time_mean_kingman():

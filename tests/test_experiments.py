@@ -12,9 +12,11 @@ import pytest
 from scipy.optimize import brentq
 
 from coalsim import ensemble, experiments
+from coalsim.ensemble import PathRecorder, run_ensemble
 from coalsim.experiments import (CATALOG, ConfigError, ExperimentConfig,
                                  ExperimentReport, RegimeError, Statistic,
-                                 _RUNNERS, _decimated_ecdf,
+                                 _RUNNERS, _ChainMomentsTracker,
+                                 _decimated_ecdf,
                                  finite_n_max_cdf, integral_inverse_mu,
                                  known_rv_exponent, ks_statistic, limit_gap,
                                  parse_r_rule, run_experiment,
@@ -52,6 +54,14 @@ def test_two_sample_ks():
     assert two_sample_ks([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert two_sample_ks([1.0], [2.0]) == 1.0
     assert two_sample_ks([1.0, 3.0], [2.0, 4.0]) == 0.5
+
+
+def test_two_sample_ks_empty_rejected():
+    # an empty sample once gave nan with a RuntimeWarning
+    with pytest.raises(ValueError):
+        two_sample_ks([], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        two_sample_ks([1.0], [])
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +425,45 @@ def test_run_factorial_replay_exact_law():
     var_stat = next(s for s in rep.statistics
                     if s.name == "max_var_minus_mean")
     assert var_stat.value <= 1e-9
+
+
+@pytest.mark.parametrize("measure", ["kingman", "bolthausen-sznitman",
+                                     "dirac:p=0.5,m=1"])
+def test_chain_moments_match_stored_paths(measure):
+    # on the chains a PathRecorder stores in the same run, the streamed
+    # products give Lemma 7.1's conditional moments for r = 1, 2; level 1
+    # is absorption, n - 1 is crossed on the first jump, n and above at 0
+    n, reps, seed = 120, 40, 2024
+    for level in (1, 7.5, n // 2, n - 1, n, 2 * n):
+        out = run_ensemble(parse_measure(measure), n, reps, seed,
+                           [lambda: _ChainMomentsTracker(level),
+                            PathRecorder])
+        for r in (1, 2):
+            exact = []
+            for path in out["paths"]:
+                rho, _ = path.stopping_times(level)
+                exact.append(path.conditional_factorial_moment(rho, r))
+            np.testing.assert_allclose(out[f"chain_moment_{r}"], exact,
+                                       rtol=1e-13, atol=0.0)
+
+
+def test_factorial_replay_records_single_paths_only(monkeypatch):
+    # the frozen chain is a one-path run; the variance chains stream their
+    # products and store no path
+    calls = []
+
+    def recording(real):
+        def run(rates, n, reps, seed, factories):
+            calls.append((reps, [type(f()) for f in factories]))
+            return real(rates, n, reps, seed, factories)
+        return run
+
+    for module in (experiments, ensemble):
+        monkeypatch.setattr(module, "run_ensemble",
+                            recording(module.run_ensemble))
+    run_experiment(ExperimentConfig("kingman", "L7.1", 200, 100,
+                                    params={"variance_paths": 50}))
+    assert calls == [(1, [PathRecorder]), (50, [_ChainMomentsTracker])]
 
 
 def test_factorial_replay_point_mass_scores_exactly(monkeypatch):

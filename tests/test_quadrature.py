@@ -9,9 +9,8 @@ import pytest
 from scipy import special
 
 from coalsim import quadrature
-from coalsim.quadrature import (adaptive_integrate, integrate_tail,
-                                power_substitution)
-from rate_oracle import integrate_unit_interval
+from coalsim.quadrature import adaptive_integrate, integrate_tail
+from rate_oracle import integrate_unit_interval, power_substitution
 
 
 def test_polynomial_exact():
@@ -172,6 +171,12 @@ def test_right_singularity_keeps_its_mass():
     got = integrate_tail(lambda p, q: q ** -0.7, 0.2, 1.0,
                          right_exponent=0.3)
     assert got == pytest.approx(0.8 ** 0.3 / 0.3, rel=1e-10)
+    # at b = 0.002, (2.2e-308)**b = 0.24 of the mass lies below the
+    # smallest normal float, where q = t**(1/b) underflows
+    b = 0.002
+    got = integrate_tail(lambda p, q: q ** (b - 1.0), 0.2, 1.0,
+                         right_exponent=b)
+    assert got == pytest.approx(0.8 ** b / b, rel=1e-12)
 
 
 def test_tail_requires_positive_lo():

@@ -546,10 +546,17 @@ def mp_powerbeta_H(c, a, b, u):
 # (c, a, b, u); c = None is the probability density beta:a,b.  The last
 # ones have a tiny mass c B(a, b), 3.5e-25 at (10, 1000) and 1e-181 at
 # (300, 300): the absolute floor of quadrature.ABS_TOL once accepted the
-# first panel of their H tails, 13 % low at (10, 1000) and u = 1e-15
+# first panel of their H tails, 13 % low at (10, 1000) and u = 1e-15.
+# Right exponents b <= 0.01 once ran the tail in q = t**m, m = ceil(1/b),
+# whose q underflowed and was floored at the smallest normal float: that
+# dropped about (2.2e-308)**b of the mass next to p = 1, 8e-4 relative at
+# b = 0.01 and 0.24 at b = 0.002
 _H_CASES = [pytest.param(None, a, b, u, id=f"{u}-{a}-{b}")
             for a, b in [(0.5, 1.5), (0.3, 0.3), (0.5, 0.05)]
             for u in [0.3, 0.6, 0.9]] + [
+    pytest.param(None, a, b, u, id=f"{u}-{a}-{b}")
+    for a, b in [(0.5, 0.01), (0.5, 0.002), (1.0, 0.01)]
+    for u in [1e-9, 0.3]] + [
     pytest.param(c, a, b, u, id=f"{u}-{a}-{b}-c{c}")
     for c in [1.0, 3.0] for a, b in [(10.0, 1000.0), (300.0, 300.0)]
     for u in [1e-15, 1e-9]] + [
