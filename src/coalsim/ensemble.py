@@ -130,8 +130,10 @@ class ChunkTracker:
     keeps the chunk's rng from begin() and draws in observe().  A tracker
     that reads nothing more of a lane after some jump overrides done();
     when every tracker of a run does, the loop asks them after each jump
-    and retires the lanes they are all done with.  The default is never
-    done, and a run with such a tracker never asks.
+    and retires the lanes they are all done with.  done(rows) is asked
+    right after observe(rows), on the same rows, so it may answer from
+    what observe computed.  The default is never done, and a run with
+    such a tracker never asks.
 
     `run_ensemble` builds one tracker per chunk of up to MAX_LANES
     lanes by calling its factory, and a chunk may run in a forked worker
@@ -153,8 +155,9 @@ class ChunkTracker:
         raise NotImplementedError
 
     def done(self, rows) -> np.ndarray:
-        """One bool per live lane `rows`, after observe() has seen the
-        jump: True once this tracker reads nothing more of the lane."""
+        """One bool per live lane `rows`, asked right after observe(rows)
+        has seen the jump: True once this tracker reads nothing more of
+        the lane."""
         return np.zeros(rows.size, dtype=bool)
 
     def result(self) -> dict[str, np.ndarray]:
@@ -194,17 +197,20 @@ class MarkedLeafTracker(ChunkTracker):
     def observe(self, rows, x_before, y_before, k, dy, t_new):
         u = self.rng.random((self.k, rows.size))
         num, den = (k, x_before) if dy is None else (dy, y_before)
-        mark, lane = np.nonzero(
-            self._absorbed(u, self.alive[rows].T, num, den))
-        if lane.size:
-            sub = rows[lane]
-            self.lengths[sub, mark] = t_new[lane]
-            self.alive[sub, mark] = False
+        alive = self.alive.take(rows, 0).T
+        for mark, hit in enumerate(self._absorbed(u, alive, num, den)):
+            lane = hit.nonzero()[0]
+            if lane.size:
+                sub = rows[lane]
+                self.lengths[sub, mark] = t_new[lane]
+                self.alive[sub, mark] = False
+                alive[mark, lane] = False
+        self._done = ~alive.any(0)
 
     _absorbed = staticmethod(_in_uniform_subset)
 
     def done(self, rows):
-        return ~self.alive[rows].any(1)
+        return self._done
 
     def result(self):
         return {"marked_lengths": self.lengths}
@@ -330,18 +336,22 @@ class LevelCrossingTracker(ChunkTracker):
         self.crossed = np.full(size, n <= self.r_level)
 
     def observe(self, rows, x_before, y_before, k, dy, t_new):
-        act = ~self.crossed[rows]
-        if not act.any():
+        self._done = self.crossed[rows]
+        act = (~self._done).nonzero()[0]
+        if not act.size:
             return
         sub = rows[act]
-        self.inv_sum[sub] += 1.0 / x_before[act]
+        x_act = x_before[act]
+        self.inv_sum[sub] += 1.0 / x_act
         self.jumps[sub] += 1
-        hit = (x_before[act] - k[act] + 1) <= self.r_level
-        self.time[sub[hit]] = t_new[act][hit]
-        self.crossed[sub[hit]] = True
+        lanes = act[(x_act - k[act] + 1 <= self.r_level).nonzero()[0]]
+        went = rows[lanes]
+        self.time[went] = t_new[lanes]
+        self.crossed[went] = True
+        self._done[lanes] = True
 
     def done(self, rows):
-        return self.crossed[rows]
+        return self._done
 
     def result(self):
         return {"crossing_inv_sum": self.inv_sum, "crossing_time": self.time,
@@ -410,13 +420,16 @@ def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, seed: int,
             dy = _draw_singleton_loss(rng, x, y, k)
         for tr in trackers:
             tr.observe(rows, x, y, k, dy, t_new)
-        x = x - k + 1
+        x -= k - 1
         t = t_new
         if needs_dy:
             y = y - dy
         live = x > 1
         if retiring:
-            live &= ~np.logical_and.reduce([tr.done(rows) for tr in trackers])
+            done = trackers[0].done(rows)
+            for tr in trackers[1:]:
+                done = done & tr.done(rows)
+            live &= ~done
         if not live.all():
             rows, x, t = rows[live], x[live], t[live]
             if needs_dy:

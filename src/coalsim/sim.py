@@ -294,60 +294,76 @@ def _atom_walk(p: float, m: float, rate: np.ndarray,
 
 def _powerbeta_draw(prefix, log_h, g_at, h_prefix,
                     rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
-    def propose(bb):
-        t = rng.random(bb.shape) * prefix[bb - 2]
-        if bb.size < _PAIR_PROPOSAL_LANES:
-            return np.minimum(np.searchsorted(prefix, t) + 2, bb)
-        # t <= prefix[0] is the search's K = 2, so only the rest search
-        k = np.full(bb.shape, 2, dtype=np.int64)
-        far = (t > prefix[0]).nonzero()[0]
-        k[far] = np.minimum(np.searchsorted(prefix, t[far]) + 2, bb[far])
-        return k
-
-    if log_h is None:
-        return propose(b)      # b = 1: every proposal is accepted
-
-    def one_piece(bb):
-        k = propose(bb)
-        return k, rng.random(bb.shape) <= np.exp(log_h[bb - k]
-                                                 - log_h[bb - 2])
-
-    def two_pieces(bb):
-        m = np.maximum(bb // 2, 2)
-        low = prefix[m - 2] * np.exp(log_h[bb - m])   # K <= m
-        high = g_at[m + 1] * h_prefix[bb - m - 1]     # K > m
-        pick, u, v = rng.random((3, bb.size))
-        is_low = pick * (low + high) < low
-        k = np.where(is_low,
-                     np.searchsorted(prefix, u * prefix[m - 2]) + 2,
-                     bb - np.searchsorted(h_prefix,
-                                          u * h_prefix[bb - m - 1]))
-        ratio = np.where(is_low, np.exp(log_h[bb - k] - log_h[bb - m]),
-                         g_at[k] / g_at[m + 1])
-        return k, v <= ratio
-
+    if log_h is None:       # b = 1: every proposal is accepted
+        return _propose(prefix, rng, b - 2)
     if h_prefix is None:
-        return _redraw_until_accepted(b, np.arange(b.size), one_piece)
-    return _redraw_until_accepted(b, np.nonzero(b > 2)[0], two_pieces)
+        return _redraw_until_accepted(_one_piece_round, (prefix, log_h, rng),
+                                      b, None)
+    return _redraw_until_accepted(
+        _two_piece_round, (prefix, log_h, g_at, h_prefix, rng), b,
+        np.nonzero(b > 2)[0])
+
+
+def _propose(prefix, rng: np.random.Generator, top: np.ndarray) -> np.ndarray:
+    """K from g truncated at B by a search of the prefix table, for lanes
+    with top = B - 2.  For a uniform u < 1, t = u prefix[top] <=
+    prefix[top], so the search returns at most top and K lies in [2, B]
+    without a clamp."""
+    t = rng.random(top.shape) * prefix[top]
+    if top.size < _PAIR_PROPOSAL_LANES:
+        return prefix.searchsorted(t) + 2
+    # t <= prefix[0] is the search's K = 2, so only the rest search
+    k = np.full(top.shape, 2, dtype=np.int64)
+    far = (t > prefix[0]).nonzero()[0]
+    k[far] = prefix.searchsorted(t[far]) + 2
+    return k
+
+
+def _one_piece_round(prefix, log_h, rng: np.random.Generator, bb):
+    top = bb - 2
+    k = _propose(prefix, rng, top)
+    return k, rng.random(bb.shape) <= np.exp(log_h[bb - k] - log_h[top])
+
+
+def _two_piece_round(prefix, log_h, g_at, h_prefix,
+                     rng: np.random.Generator, bb):
+    m = np.maximum(bb // 2, 2)
+    low = prefix[m - 2] * np.exp(log_h[bb - m])   # K <= m
+    high = g_at[m + 1] * h_prefix[bb - m - 1]     # K > m
+    pick, u, v = rng.random((3, bb.size))
+    is_low = pick * (low + high) < low
+    k = np.where(is_low,
+                 np.searchsorted(prefix, u * prefix[m - 2]) + 2,
+                 bb - np.searchsorted(h_prefix, u * h_prefix[bb - m - 1]))
+    ratio = np.where(is_low, np.exp(log_h[bb - k] - log_h[bb - m]),
+                     g_at[k] / g_at[m + 1])
+    return k, v <= ratio
 
 
 def _pitman_draw(dens: PowerBetaDensity, rng: np.random.Generator,
                  b: np.ndarray) -> np.ndarray:
-    def one_round(bb):
-        k = rng.binomial(bb, rng.beta(dens.a - 2.0, dens.b, bb.shape))
-        return k, k >= 2
-
-    return _redraw_until_accepted(b, np.nonzero(b > 2)[0], one_round)
+    return _redraw_until_accepted(_pitman_round, (dens, rng), b,
+                                  np.nonzero(b > 2)[0])
 
 
-def _redraw_until_accepted(b: np.ndarray, todo: np.ndarray,
-                           one_round) -> np.ndarray:
-    """K for lanes with block counts b: 2 on lanes outside `todo`; the
-    lanes in it run rounds of one_round(block counts) -> (K, accepted),
-    each round over the lanes the round before rejected."""
-    k = np.full(b.shape, 2, dtype=np.int64)
+def _pitman_round(dens: PowerBetaDensity, rng: np.random.Generator, bb):
+    k = rng.binomial(bb, rng.beta(dens.a - 2.0, dens.b, bb.shape))
+    return k, k >= 2
+
+
+def _redraw_until_accepted(one_round, args: tuple, b: np.ndarray,
+                           todo: np.ndarray | None) -> np.ndarray:
+    """K for lanes with block counts b from rounds of one_round(*args,
+    block counts) -> (K, accepted), each over the lanes the round before
+    rejected.  With todo None the first round runs on every lane, on b
+    itself; otherwise on the lanes in `todo`, and the others take 2."""
+    if todo is None:
+        k, accepted = one_round(*args, b)
+        todo = (~accepted).nonzero()[0]
+    else:
+        k = np.full(b.shape, 2, dtype=np.int64)
     while todo.size:
-        k[todo], accepted = one_round(b[todo])
+        k[todo], accepted = one_round(*args, b[todo])
         todo = todo[~accepted]
     return k
 

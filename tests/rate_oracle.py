@@ -46,18 +46,27 @@ def integrate_unit_interval(f, left_exponent: float = 1.0,
 
     ``left_exponent`` a means f = O(p**(a-1)) as p -> 0, ``right_exponent``
     b means f = O(q**(b-1)) as q -> 0; both must be positive
-    (integrability).  The interval is split at 1/2 and each half
-    substituted so the transformed integrand is bounded.  The right half
-    runs in q, and f is handed that q exactly, so a factor q**(b-1) with
-    b < 1 keeps its mass next to p = 1.
+    (integrability).  The interval is split at 1/2.  The left half is
+    substituted by `power_substitution` so the transformed integrand is
+    bounded.  The right half runs in q, and f is handed that q exactly;
+    for b < 1 it runs in t = q**b, as `quadrature.integrate_tail` does,
+    since q**(b-1) dq = dt / b: the integrand in t is bounded and keeps
+    the mass next to p = 1 however small b is.  Where q = t**(1/b)
+    underflows, f q**(1-b) is read at the smallest normal float.
     """
     if left_exponent <= 0 or right_exponent <= 0:
         raise ValueError("endpoint exponents must be positive for integrability")
     gl, ml = power_substitution(lambda p: f(p, 1.0 - p), left_exponent)
     left = adaptive_integrate(gl, 0.0, 0.5 ** (1.0 / ml))
-    gr, mr = power_substitution(lambda q: f(1.0 - q, q), right_exponent)
-    right = adaptive_integrate(gr, 0.0, 0.5 ** (1.0 / mr))
-    return left + right
+    b = right_exponent
+    if b >= 1.0:
+        return left + adaptive_integrate(lambda q: f(1.0 - q, q), 0.0, 0.5)
+
+    def gr(t):
+        q = np.maximum(t ** (1.0 / b), np.finfo(float).tiny)
+        return f(1.0 - q, q) * q ** (1.0 - b) / b
+
+    return left + adaptive_integrate(gr, 0.0, 0.5 ** b)
 
 
 def event_kernel(p, b: float):

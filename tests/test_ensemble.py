@@ -555,6 +555,103 @@ def test_lane_runs_on_until_every_tracker_is_done():
     assert np.all(out["marked_lengths"][:, 0] <= out["crossing_time"])
 
 
+class DoneChecked:
+    """Mixin: after every observe, done(rows) must equal what the
+    tracker's own arrays say of those lanes."""
+
+    checks = 0
+
+    def observe(self, rows, x_before, y_before, k, dy, t_new):
+        super().observe(rows, x_before, y_before, k, dy, t_new)
+        if isinstance(self, LevelCrossingTracker):
+            want = self.crossed[rows]
+        else:
+            want = ~self.alive[rows].any(1)
+        np.testing.assert_array_equal(self.done(rows), want)
+        self.checks += 1
+
+
+class CheckedMarks(DoneChecked, MarkedLeafTracker):
+    pass
+
+
+class CheckedAbsorbsKMinusOne(DoneChecked, AbsorbsKMinusOne):
+    pass
+
+
+class CheckedForgetsTaken(DoneChecked, ForgetsTaken):
+    pass
+
+
+class CheckedCrossing(DoneChecked, LevelCrossingTracker):
+    pass
+
+
+@pytest.mark.parametrize("with_dy", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("marks", [CheckedMarks, CheckedAbsorbsKMinusOne,
+                                   CheckedForgetsTaken])
+def test_done_answers_for_the_rows_just_observed(marks, k, with_dy):
+    # done(rows) is asked right after observe(rows) and may answer from
+    # what observe computed; it must still be what the arrays say.  A
+    # run with a top-lengths tracker draws dY and never retires a lane,
+    # so there the check alone asks done
+    made = []
+
+    def track(tracker):
+        made.append(tracker)
+        return tracker
+
+    factories = [lambda: track(marks(k)), lambda: track(CheckedCrossing(5))]
+    if with_dy:
+        factories.append(lambda: TopLengthsTracker(1))
+    for measure in ("beta:0.5,1.5", "kingman + dirac:p=0.5,m=1"):
+        run_ensemble(parse_measure(measure), 40, 64, 5, factories)
+    assert len(made) == 4 and all(tr.checks for tr in made)
+
+
+# marked_lengths of run_ensemble(measure, 12, 3, 2026, [MarkedLeafTracker(2)])
+# by float.hex (numpy 2.4.6): the one-piece (b > 1) and two-piece (b < 1)
+# power-beta draws and Pitman's construction (a >= 3), each with its
+# rejection rounds, then the marks' uniforms, on lanes that retire
+_PINNED_MARKS = {
+    "beta:0.5,1.5": [
+        ["0x1.d018e33915c4bp-4", "0x1.c70f2161781d0p-4"],
+        ["0x1.96c573d7d2b04p-4", "0x1.7213c22a0f457p-8"],
+        ["0x1.45b12e5c3b221p-6", "0x1.2b00bf33973b4p-3"]],
+    "beta:0.5,0.5": [
+        ["0x1.ec0f7881bc28bp-2", "0x1.c667dbee90aaep-2"],
+        ["0x1.23de4ef559317p-4", "0x1.bdfb842c31cc6p-3"],
+        ["0x1.75af1e39ffd79p-3", "0x1.5de3f82d79d73p-3"]],
+    "beta:3,5": [
+        ["0x1.8d7b0bfa8a636p-1", "0x1.0ff774a1954d0p-2"],
+        ["0x1.16cacb20ddfa1p-1", "0x1.8c3b73827a665p-1"],
+        ["0x1.5f657d6ff59dap-4", "0x1.c0a36af259d74p-6"]],
+}
+
+
+@pytest.mark.parametrize("measure", sorted(_PINNED_MARKS))
+def test_marked_lengths_pinned(measure):
+    out = run_ensemble(parse_measure(measure), 12, 3, 2026,
+                       [lambda: MarkedLeafTracker(2)])["marked_lengths"]
+    assert [[float(v).hex() for v in row] for row in out] \
+        == _PINNED_MARKS[measure]
+
+
+def test_level_crossing_pinned():
+    # beta:0.5,1.5 from 40 blocks to <= 6, each lane retired at its
+    # crossing; floats by float.hex (numpy 2.4.6)
+    out = run_ensemble(parse_measure("beta:0.5,1.5"), 40, 3, 2026,
+                       [lambda: LevelCrossingTracker(6)])
+    assert out["crossing_jumps"].tolist() == [26, 16, 27]
+    assert [float(v).hex() for v in out["crossing_time"]] == [
+        "0x1.c992ef24743eep-2", "0x1.df1f6f04dbab2p-2",
+        "0x1.9bcd2b3dd7d51p-1"]
+    assert [float(v).hex() for v in out["crossing_inv_sum"]] == [
+        "0x1.4785f1af1afd0p+0", "0x1.c4e67c6bb9318p-1",
+        "0x1.7a7b879b4d42fp+0"]
+
+
 def test_marked_leaves_alone_draw_no_singleton_loss(monkeypatch):
     def refuse(*args):
         raise AssertionError("dY drawn")

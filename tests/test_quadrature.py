@@ -179,6 +179,20 @@ def test_right_singularity_keeps_its_mass():
     assert got == pytest.approx(0.8 ** b / b, rel=1e-12)
 
 
+@pytest.mark.parametrize("b", [0.01, 0.002])
+def test_unit_interval_small_right_exponent(b):
+    # q = t**m of a power substitution with m = ceil(1/b) underflows to 0
+    # next to p = 1, where q**(b-1) is inf; the right half runs in
+    # t = q**b, as integrate_tail's does
+    def f(p, q):
+        return q ** (b - 1.0)
+
+    got = integrate_unit_interval(f, right_exponent=b)
+    assert got == pytest.approx(1.0 / b, rel=1e-12)
+    assert got == pytest.approx(integrate_tail(f, 1e-300, 1.0,
+                                               right_exponent=b), rel=1e-12)
+
+
 def test_tail_requires_positive_lo():
     with pytest.raises(ValueError):
         integrate_tail(lambda p, q: p, 0.0, 1.0)

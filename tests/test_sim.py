@@ -457,6 +457,67 @@ def test_powerbeta_b1_draws_pinned():
                                        37351.92692079941]
 
 
+# K of three successive sample_step calls on the lanes of
+# test_powerbeta_b1_draws_pinned, and the stream's next uniform by
+# float.hex: the one-piece draw (b > 1), whose first rejection round
+# runs on every lane, and the two-piece draw (b < 1), whose rounds run
+# on the lanes with more than two blocks (numpy 2.4.6)
+_PINNED_REJECTION_DRAWS = {
+    "beta:0.5,1.5": (
+        [[2, 2, 3, 3, 2, 3, 2, 2, 2, 2, 2, 3, 2, 2, 2, 2],
+         [2, 2, 2, 2, 2, 2, 2, 4, 5, 5, 3, 6, 2, 2, 2, 2],
+         [2, 2, 2, 3, 2, 2, 2, 2, 2, 2, 2, 5, 2, 2, 3, 5]],
+        "0x1.54decf8965ee6p-2"),
+    "beta:0.5,0.5": (
+        [[2, 3, 2, 2, 3, 3, 2, 2, 2, 2, 2, 3, 6, 2, 2, 3],
+         [2, 3, 3, 2, 2, 2, 2, 2, 4, 2, 2, 16, 2, 2, 2, 2],
+         [2, 2, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3]],
+        "0x1.823602797a88cp-3"),
+}
+
+
+@pytest.mark.parametrize("text", sorted(_PINNED_REJECTION_DRAWS))
+def test_powerbeta_rejection_draws_pinned(text):
+    sampler = MergerSizeSampler(rates_for(parse_measure(text)), 1000)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(2024)))
+    b = np.array([2, 3, 7, 50, 999, 1000, 400, 12, 5, 1000, 1000, 1000,
+                  200, 30, 4, 1000], dtype=np.int64)
+    rows = [sampler.sample_step(rng, b)[1].tolist() for _ in range(3)]
+    assert (rows, float(rng.random()).hex()) == _PINNED_REJECTION_DRAWS[text]
+
+
+class ConstantUniforms:
+    """A generator stub whose every uniform is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
+
+
+@pytest.mark.parametrize("text", ["powerbeta:c=1,a=0.5,b=1",
+                                  "powerbeta:c=1,a=2,b=1", "beta:0.5,1.5",
+                                  "beta:1,1.5", "beta:2.5,3",
+                                  "powerbeta:c=2,a=0.5,b=1.7"])
+def test_proposal_stays_in_range_without_a_clamp(text):
+    # t = u prefix[B-2] <= prefix[B-2] for u < 1, so the table search
+    # proposes K in [2, B] at the extreme uniforms 0 and 1 - 2**-53, on
+    # the wide route (all B at once) and the narrow one (fewer lanes than
+    # _PAIR_PROPOSAL_LANES)
+    n = 3000
+    sampler = MergerSizeSampler(rates_for(parse_measure(text)), n)
+    prefix = sampler._components[0][2].args[0]
+    blocks = np.arange(2, n + 1)
+    narrow = np.array_split(blocks, 8)
+    assert narrow[0].size < sim._PAIR_PROPOSAL_LANES <= blocks.size
+    for u in (0.0, 1.0 - 2.0 ** -53):
+        for lanes in (blocks, *narrow):
+            k = sim._propose(prefix, ConstantUniforms(u), lanes - 2)
+            assert np.all((k >= 2) & (k <= lanes))
+            np.testing.assert_array_equal(k, 2 if u == 0.0 else lanes)
+
+
 def _pair_then_hypergeometric(rng, b, y, k):
     # the wide-step layout: one (2, lanes) block of uniforms decides every
     # lane's first two merging blocks, then the hypergeometric draws the
