@@ -31,12 +31,12 @@ def scaled_length_reports() -> None:
     print("scaled typical length vs the limit law (KS distance)")
     print("pair-merger case, n = 2000, scale mu(n)/n:")
     report = run_experiment(ExperimentConfig(
-        measure="kingman", theorem="C1.4", n=2000, replications=2000))
+        measure="kingman", theorem="T1.1", n=2000, replications=2000))
     print(report)
     print()
     print("uniform measure, n = 5000, scale log n (unit-exponential limit):")
     report = run_experiment(ExperimentConfig(
-        measure="bolthausen-sznitman", theorem="C1.4", n=5000,
+        measure="bolthausen-sznitman", theorem="T1.1", n=5000,
         replications=2000, params={"scale": "log_n"}))
     print(report)
 

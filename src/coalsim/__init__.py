@@ -67,7 +67,6 @@ from .experiments import (
     Statistic,
     ks_statistic,
     run_experiment,
-    two_sample_ks,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +85,6 @@ __all__ = [
     "moehle_factorial_moment", "poisson_intensity_tail",
     "sample_cox_extremes", "typical_cdf", "typical_density",
     "CATALOG", "ConfigError", "ExperimentConfig", "ExperimentReport",
-    "RegimeError",
-    "Statistic", "ks_statistic", "run_experiment", "two_sample_ks",
+    "RegimeError", "Statistic", "ks_statistic", "run_experiment",
     "__version__",
 ]

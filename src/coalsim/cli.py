@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Wall-clock goes to a .meta.json side file so the "
                     "primary bytes are reproducible; ECDF grids become "
                     ".csv companions.",
-        epilog="tags: " + "; ".join(f"{tag}: {about}" for tag, (_, about)
+        epilog="tags: " + "; ".join(f"{tag}: {about}" for tag, (*_, about)
                                     in sorted(CATALOG.items())))
     common(p)
     p.add_argument("--measure", default=None, help=_MEASURE_HELP)

@@ -70,7 +70,7 @@ from .sim import (CoalescentPath, MergerSizeSampler, _check_seed,
 # 22, 54 and 95 us, so one 2048-lane step costs 20 to 22 % less than two
 # of 1024.  Measured 2048 against 4096 on whole runs, 2 vCPUs, medians
 # of 5 alternated runs: 4096 is 4 to 15 % faster on runs of more than
-# 4096 replications (C1.4 at 10 000 replications: Bolthausen-Sznitman
+# 4096 replications (T1.1 at 10 000 replications: Bolthausen-Sznitman
 # 0.49 against 0.55 s, power-beta 1.95 against 2.03 s, Kingman 1.11
 # against 1.20 s; power-beta T1.5 at 8192 replications 4.05 against
 # 4.75 s), but then only a run of more than 1024 replications splits

@@ -44,27 +44,6 @@ class ConfigError(ValueError):
     of a key it reads that it cannot use."""
 
 
-# Experiment catalog: every accepted tag, the runner behind it (a key of
-# _RUNNERS) and what it checks.
-CATALOG = {
-    "T1.1": ("typical", "typical external length, CDF and envelope check"),
-    "T1.2": ("independence",
-             "asymptotic independence of k marked external lengths"),
-    "T1.3": ("typical", "typical length scaled by mu(n)/n, alpha from the "
-                        "family or the alpha param"),
-    "C1.4": ("typical", "typical length against the explicit limit density"),
-    "T1.5": ("order_statistics",
-             "top order statistics against Frechet / Poisson counts"),
-    "T1.6": ("bs_trend",
-             "Bolthausen-Sznitman extremes, logistic trend diagnostic"),
-    "P2.1": ("lln", "level-crossing time over the integral of 1/mu"),
-    "P2.2": ("lln", "harmonic sum of the block counts above a level"),
-    "T4.1": ("tail_identity", "exceedance probability identity mu(r)/mu(n)"),
-    "L7.1": ("factorial_replay", "conditional factorial-moment replay oracle"),
-    "L9.2": ("bs_moments", "exact Bolthausen-Sznitman block-count moments"),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     measure: str
@@ -175,18 +154,6 @@ def ks_statistic(samples, cdf) -> float:
     return float(np.max(np.abs(steps - f)))
 
 
-def two_sample_ks(a, b) -> float:
-    """sup |F_a - F_b| of the two samples' ECDFs."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("samples must be nonempty")
-    pooled = np.concatenate([a, b])
-    fa = np.searchsorted(a, pooled, side="right") / a.size
-    fb = np.searchsorted(b, pooled, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
-
-
 def _require_dustless(rates: RateFunctions) -> None:
     verdict = rates.dust_diagnostic()
     if verdict != "dustless":
@@ -212,6 +179,15 @@ def _param(cfg: ExperimentConfig, key: str, default, convert=float):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{cfg.theorem} cannot use params "
                           f"{key}={value!r}: {exc}") from None
+
+
+def _sub_seed(cfg: ExperimentConfig, offset: int) -> int:
+    """seed + offset, the seed of a sub-run, which runners take before they
+    simulate; ConfigError if it leaves the key range [0, 2**64)."""
+    if cfg.seed + offset >= 2 ** 64:
+        raise ConfigError(f"{cfg.theorem} runs a sub-run on seed + {offset}, "
+                          f"beyond 2**64 - 1 for seed {cfg.seed}")
+    return cfg.seed + offset
 
 
 def _count(low: int):
@@ -583,9 +559,10 @@ def run_bs_trend(cfg: ExperimentConfig, rates: RateFunctions):
     if cfg.n != min(trend_grid):
         raise ConfigError(f"T1.6 runs at the trend_grid sizes; n={cfg.n} "
                           f"must be the smallest, {min(trend_grid)}")
+    seeds = [_sub_seed(cfg, i) for i in range(len(trend_grid))]
     stats, ecdf = [], {}
-    for i, n_i in enumerate(trend_grid):
-        out = run_ensemble(rates, n_i, cfg.replications, cfg.seed + i,
+    for n_i, seed in zip(trend_grid, seeds):
+        out = run_ensemble(rates, n_i, cfg.replications, seed,
                            [lambda: TopLengthsTracker(ell)])
         ll = math.log(math.log(n_i))
         centered = ll * (out["top_lengths"][:, 0] - t_sequence(n_i))
@@ -615,6 +592,7 @@ def run_bs_moments(cfg: ExperimentConfig, rates: RateFunctions):
         n_c = _param(cfg, "c_n", cfg.n, _count(2))
         reps_c = _param(cfg, "c_reps", cfg.replications, _count(1))
         t_c = t_c_sequence(n_c, c)
+        seed_c = _sub_seed(cfg, 101)
         resolved.update({"c": c, "c_n": n_c, "t_c": t_c})
     else:
         unread = sorted({"c_n", "c_reps"} & set(cfg.params))
@@ -642,7 +620,7 @@ def run_bs_moments(cfg: ExperimentConfig, rates: RateFunctions):
             cfg.tolerance("moment_z", 3.0), se=se))
 
     if "c" in cfg.params:
-        out = run_ensemble(rates, n_c, reps_c, cfg.seed + 101,
+        out = run_ensemble(rates, n_c, reps_c, seed_c,
                            [lambda: BlockCountAtTimesTracker([t_c])])
         scaled = math.exp(-t_c) * out["blocks_at"][:, 0].astype(float)
         stats.append(_scored("scaled_count_mean", scaled.mean(), c,
@@ -656,22 +634,28 @@ class _ChainMomentsTracker(LevelCrossingTracker):
     7.1's product (X_rho)_r prod_{j<=rho} (1 - r/X_j) over the block
     counts X_j after each jump up to the first passage rho to <= r_level;
     X_rho and the two products are updated at each jump before the
-    crossing, so no path is stored and no dY is drawn."""
+    crossing, so no path is stored and no dY is drawn.  It takes the
+    level check and done() of the level crossing, and keeps none of its
+    time, jump count or harmonic sum: one gather of the live lanes a
+    jump."""
 
     def begin(self, size, n, rng):
-        super().begin(size, n, rng)
+        self.crossed = np.full(size, n <= self.r_level)
         self.blocks = np.full(size, float(n))
         self.prod1 = np.ones(size)
         self.prod2 = np.ones(size)
 
     def observe(self, rows, x_before, y_before, k, dy, t_new):
-        act = ~self.crossed[rows]
+        self._done = self.crossed[rows]
+        act = (~self._done).nonzero()[0]
         sub = rows[act]
         after = x_before[act] - k[act] + 1
         self.blocks[sub] = after
         self.prod1[sub] *= 1.0 - 1.0 / after
         self.prod2[sub] *= 1.0 - 2.0 / after
-        super().observe(rows, x_before, y_before, k, dy, t_new)
+        went = (after <= self.r_level).nonzero()[0]
+        self.crossed[sub[went]] = True
+        self._done[act[went]] = True
 
     def result(self):
         x = self.blocks
@@ -693,10 +677,12 @@ def run_factorial_replay(cfg: ExperimentConfig, rates: RateFunctions):
         raise ConfigError(f"need r >= 1, got r={r_level}")
     r_values = _param(cfg, "r_values", (1, 2),
                       lambda values: [_count(1)(v) for v in values])
+    n_paths = _param(cfg, "variance_paths", 1000, _count(1))
+    replay_seed, chains_seed = _sub_seed(cfg, 1), _sub_seed(cfg, 1000)
     path = simulate_path(rates, cfg.n, cfg.seed)
     rho, _ = path.stopping_times(r_level)
     reps = cfg.replications
-    rng = _make_rng(cfg.seed + 1)
+    rng = _make_rng(replay_seed)
     y = np.full(reps, cfg.n, dtype=np.int64)
     for b, k in zip(path.block_count_before[:rho], path.merger_size[:rho]):
         y -= _draw_singleton_loss(rng, np.full(reps, b), y, np.full(reps, k))
@@ -717,8 +703,7 @@ def run_factorial_replay(cfg: ExperimentConfig, rates: RateFunctions):
 
     # variance-mean domination along independent chains, via the exact
     # r = 1, 2 formulas: Var = E[(Y)_2] + E[Y] - E[Y]^2 <= E[Y]
-    n_paths = _param(cfg, "variance_paths", 1000, _count(1))
-    out = run_ensemble(rates, cfg.n, n_paths, cfg.seed + 1000,
+    out = run_ensemble(rates, cfg.n, n_paths, chains_seed,
                        [lambda: _ChainMomentsTracker(r_level)])
     e1, e2 = out["chain_moment_1"], out["chain_moment_2"]
     worst = float(np.max(e2 + e1 - e1 * e1 - e1))
@@ -729,27 +714,37 @@ def run_factorial_replay(cfg: ExperimentConfig, rates: RateFunctions):
     return stats, resolved, {}
 
 
-# The runner behind each CATALOG entry, the regime guard its measure must
-# pass (None: any measure), and every params key and every tolerances key
-# it reads.
-_RUNNERS = {
-    "typical": (run_typical_length, _require_dustless,
-                {"alpha", "scale", "t_grid"}, {"ks", "envelope"}),
-    "independence": (run_independence, _require_dustless,
-                     {"k"}, {"corr", "gap"}),
-    "tail_identity": (run_tail_identity, _require_dustless,
-                      {"r_rule"}, {"exceedance", "envelope"}),
-    "lln": (run_lln, _require_dustless, {"r_rule"}, {"ratio", "log_gap"}),
-    "order_statistics": (run_order_statistics, _require_dustless,
-                         {"ell", "alpha", "x_grid"}, {"ks", "count_moments"}),
-    "bs_trend": (run_bs_trend, _require_uniform,
-                 {"ell", "trend_grid"}, {"trend_rise"}),
-    "bs_moments": (run_bs_moments, _require_uniform,
-                   {"t_grid", "r", "c", "c_n", "c_reps"},
-                   {"moment_z", "c_mean"}),
-    "factorial_replay": (run_factorial_replay, None,
-                         {"r_rule", "r_values", "variance_paths"},
-                         {"moment_z", "var_slack"}),
+# Every accepted experiment tag, one entry each: the runner, the regime
+# guard its measure must pass (None: any measure), every params key and
+# every tolerances key the runner reads, and what it checks.  A runner
+# that checks more than one of the paper's statements names them.
+CATALOG = {
+    "T1.1": (run_typical_length, _require_dustless,
+             {"alpha", "scale", "t_grid"}, {"ks", "envelope"},
+             "typical external length scaled by mu(n)/n against its limit "
+             "CDF, alpha from the family or the alpha param, and the tail "
+             "envelope (T1.1, T1.3, C1.4)"),
+    "T1.2": (run_independence, _require_dustless, {"k"}, {"corr", "gap"},
+             "asymptotic independence of k marked external lengths"),
+    "T1.5": (run_order_statistics, _require_dustless,
+             {"ell", "alpha", "x_grid"}, {"ks", "count_moments"},
+             "top order statistics against Frechet / Poisson counts"),
+    "T1.6": (run_bs_trend, _require_uniform, {"ell", "trend_grid"},
+             {"trend_rise"},
+             "Bolthausen-Sznitman extremes, logistic trend diagnostic"),
+    "P2.1": (run_lln, _require_dustless, {"r_rule"}, {"ratio", "log_gap"},
+             "level-crossing time over the integral of 1/mu and harmonic "
+             "sum of the block counts above the level (P2.1, P2.2)"),
+    "T4.1": (run_tail_identity, _require_dustless, {"r_rule"},
+             {"exceedance", "envelope"},
+             "exceedance probability identity mu(r)/mu(n)"),
+    "L7.1": (run_factorial_replay, None,
+             {"r_rule", "r_values", "variance_paths"},
+             {"moment_z", "var_slack"},
+             "conditional factorial-moment replay oracle"),
+    "L9.2": (run_bs_moments, _require_uniform,
+             {"t_grid", "r", "c", "c_n", "c_reps"}, {"moment_z", "c_mean"},
+             "exact Bolthausen-Sznitman block-count moments"),
 }
 
 
@@ -763,8 +758,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     resolved, ecdf_grids); a value the runner cannot use raises ConfigError
     when the runner reads it.
     """
-    kind, _ = CATALOG[cfg.theorem]
-    runner, guard, params, tolerances = _RUNNERS[kind]
+    runner, guard, params, tolerances, _ = CATALOG[cfg.theorem]
     for what, given, known in (("params", cfg.params, params),
                                ("tolerances", cfg.tolerances, tolerances)):
         unknown = set(given) - known

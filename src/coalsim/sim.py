@@ -78,17 +78,6 @@ _SCALAR_DRAW_LANES = 20
 #   bolthausen-sznitman        500   128-255      72   84    66   79
 _PAIR_DRAW_LANES = 512
 
-# From this many lanes on, the ``powerbeta`` proposal takes K = 2 without
-# searching its table where the uniform falls in the first entry; below it
-# finding those lanes costs more than the searches it saves.  Median us
-# per K draw at the block counts of that power-beta chunk, searching
-# every lane -> only the others: power-beta a = 0.5, b = 1 (75 % of
-# proposals K = 2) 11.9 -> 15.7 at 64 lanes, 20.7 -> 21.5 at 256,
-# 31.8 -> 29.6 at 512, 48.7 -> 38.1 at 1024 and 59.7 -> 41.5 at 1800;
-# Beta(0.5, 1.5), which also draws acceptance uniforms, 15.9 -> 18.1 at
-# 64 and 57.9 -> 50.6 at 1024.
-_PAIR_PROPOSAL_LANES = 512
-
 # Entries per block when the sampler fills its tables: 128 kB per
 # temporary (65_536 took 1.7 MB more peak memory, and no less time).
 _TABLE_BLOCK = 16_384
@@ -309,14 +298,7 @@ def _propose(prefix, rng: np.random.Generator, top: np.ndarray) -> np.ndarray:
     with top = B - 2.  For a uniform u < 1, t = u prefix[top] <=
     prefix[top], so the search returns at most top and K lies in [2, B]
     without a clamp."""
-    t = rng.random(top.shape) * prefix[top]
-    if top.size < _PAIR_PROPOSAL_LANES:
-        return prefix.searchsorted(t) + 2
-    # t <= prefix[0] is the search's K = 2, so only the rest search
-    k = np.full(top.shape, 2, dtype=np.int64)
-    far = (t > prefix[0]).nonzero()[0]
-    k[far] = prefix.searchsorted(t[far]) + 2
-    return k
+    return prefix.searchsorted(rng.random(top.shape) * prefix[top]) + 2
 
 
 def _one_piece_round(prefix, log_h, rng: np.random.Generator, bb):

@@ -6,7 +6,7 @@ draws the waiting time, the merger size K from
 `RateFunctions.merger_size_distribution`, and then a uniform K-subset of
 the current blocks by `Generator.choice`, so the external lengths come
 from explicit partitions, not from the engine's singleton count or its
-dY draw.
+dY draw.  `two_sample_ks` compares the two simulators' samples.
 """
 
 from dataclasses import dataclass
@@ -70,3 +70,15 @@ def simulate_labeled(rates, n: int, seed: int = DEFAULT_SEED) -> LabeledHistory:
         times.append(t)
         states.append(tuple(blocks))
     return LabeledHistory(n, seed, np.array(times), tuple(states), absorbed)
+
+
+def two_sample_ks(a, b) -> float:
+    """sup |F_a - F_b| of the two samples' ECDFs."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("samples must be nonempty")
+    pooled = np.concatenate([a, b])
+    fa = np.searchsorted(a, pooled, side="right") / a.size
+    fb = np.searchsorted(b, pooled, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))

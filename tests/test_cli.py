@@ -82,12 +82,25 @@ _EXPERIMENT = ("experiment", "--measure", "kingman", "--theorem", "T1.1",
     _EXPERIMENT + ("--param", "t_grid=[0.5, NaN]"),
     ("experiment", "--measure", "kingman", "--theorem", "T1.5", "--n", "100",
      "--reps", "100", "--param", "x_grid=[]"),
+    ("experiment", "--measure", "kingman", "--theorem", "C1.4", "--n", "100",
+     "--reps", "100"),
 ])
 def test_library_value_errors_are_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_experiment_sub_run_seed_beyond_the_key_range(capsys):
+    # L7.1 replays on seed + 1: the top seed simulated first and then
+    # failed with a message about the seed given
+    code, _, err = run_cli(capsys, "experiment", "--measure", "kingman",
+                           "--theorem", "L7.1", "--n", "50", "--reps", "100",
+                           "--seed", str(2 ** 64 - 1),
+                           "--param", "variance_paths=3")
+    assert code == 2
+    assert err.startswith("error: L7.1 runs a sub-run on seed + 1, ")
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,10 @@ from coalsim import ensemble, experiments
 from coalsim.ensemble import PathRecorder, run_ensemble
 from coalsim.experiments import (CATALOG, ConfigError, ExperimentConfig,
                                  ExperimentReport, RegimeError, Statistic,
-                                 _RUNNERS, _ChainMomentsTracker,
-                                 _decimated_ecdf,
+                                 _ChainMomentsTracker, _decimated_ecdf,
                                  finite_n_max_cdf, integral_inverse_mu,
                                  known_rv_exponent, ks_statistic, limit_gap,
-                                 parse_r_rule, run_experiment,
-                                 two_sample_ks)
+                                 parse_r_rule, run_experiment)
 from coalsim.measure import (bolthausen_sznitman, kingman, parse_measure,
                              power_beta)
 from coalsim.rates import rates_for
@@ -48,20 +46,6 @@ def test_ks_inverse_transform_bound():
 def test_ks_empty_rejected():
     with pytest.raises(ValueError):
         ks_statistic([], lambda x: x)
-
-
-def test_two_sample_ks():
-    assert two_sample_ks([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert two_sample_ks([1.0], [2.0]) == 1.0
-    assert two_sample_ks([1.0, 3.0], [2.0, 4.0]) == 0.5
-
-
-def test_two_sample_ks_empty_rejected():
-    # an empty sample once gave nan with a RuntimeWarning
-    with pytest.raises(ValueError):
-        two_sample_ks([], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        two_sample_ks([1.0], [])
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +259,7 @@ def test_run_typical_length_small():
 
 
 def test_run_typical_length_log_scale():
-    cfg = ExperimentConfig("bolthausen-sznitman", "T1.3", 300, 500,
+    cfg = ExperimentConfig("bolthausen-sznitman", "T1.1", 300, 500,
                            params={"scale": "log_n"},
                            tolerances={"ks": 0.5, "envelope": 0.5})
     rep = run_experiment(cfg)
@@ -394,7 +378,7 @@ def test_run_bs_moments_c_branch(monkeypatch):
 
 def test_bs_runners_keep_their_seeds(monkeypatch):
     # trend run i on seed + i, the moment run on seed, the c branch on
-    # seed + 101
+    # seed + 101, up to the top of the key range
     calls = []
 
     def record(rates, n, reps, seed, factories):
@@ -403,15 +387,16 @@ def test_bs_runners_keep_their_seeds(monkeypatch):
                 "blocks_at": np.arange(reps)[:, None] + np.ones((1, 3))}
 
     monkeypatch.setattr(experiments, "run_ensemble", record)
+    top = 2 ** 64 - 1
     run_experiment(ExperimentConfig(
-        "bolthausen-sznitman", "T1.6", 10, 100, seed=7,
+        "bolthausen-sznitman", "T1.6", 10, 100, seed=top - 2,
         params={"trend_grid": [10, 20, 30]}))
-    assert calls == [(10, 7), (20, 8), (30, 9)]
+    assert calls == [(10, top - 2), (20, top - 1), (30, top)]
     calls.clear()
     run_experiment(ExperimentConfig(
-        "bolthausen-sznitman", "L9.2", 10, 100, seed=7,
+        "bolthausen-sznitman", "L9.2", 10, 100, seed=top - 101,
         params={"c": 2.0, "c_n": 40}))
-    assert calls == [(10, 7), (40, 108)]
+    assert calls == [(10, top - 101), (40, top)]
 
 
 def test_run_factorial_replay_exact_law():
@@ -492,16 +477,20 @@ def test_run_experiment_dispatch_and_determinism():
     again = run_experiment(cfg)
     assert first.to_json() == again.to_json()
     assert stat_names(first) == ["exceedance_prob", "envelope_gap"]
-    assert {kind for kind, _ in CATALOG.values()} == set(_RUNNERS) == {
-        "typical", "independence", "order_statistics", "bs_trend",
-        "bs_moments", "lln", "tail_identity", "factorial_replay"}
+
+
+def test_each_tag_has_its_own_runner():
+    # T1.3 and C1.4 ran T1.1's runner and P2.2 ran P2.1's: a report of
+    # either tag gated exactly what the other one gated
+    runners = [runner for runner, *_ in CATALOG.values()]
+    assert len(set(runners)) == len(runners) == 8
 
 
 def test_readme_tag_table_matches_catalog():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     rows = re.findall(r"^\| ([A-Z]\d\.\d) +\| (.+?) +\|$",
                       readme.read_text(encoding="utf-8"), flags=re.M)
-    assert dict(rows) == {tag: about for tag, (_, about) in CATALOG.items()}
+    assert dict(rows) == {tag: about for tag, (*_, about) in CATALOG.items()}
     assert len(rows) == len(CATALOG)
 
 
@@ -522,11 +511,37 @@ def test_misspelt_key_is_rejected():
 
 @pytest.fixture
 def no_simulation(monkeypatch):
-    """Fails the test if the experiment reaches run_ensemble."""
+    """Fails the test if the experiment reaches run_ensemble, also through
+    simulate_path."""
     def refuse(*args):
         raise AssertionError("simulated")
 
-    monkeypatch.setattr(experiments, "run_ensemble", refuse)
+    for module in (experiments, ensemble):
+        monkeypatch.setattr(module, "run_ensemble", refuse)
+
+
+@pytest.mark.parametrize("tag", ["T1.3", "C1.4", "P2.2"])
+def test_dropped_alias_tags_are_unknown(no_simulation, tag):
+    # T1.1 runs the T1.3 and C1.4 checks, P2.1 the P2.2 check
+    with pytest.raises(ValueError, match="unknown experiment tag"):
+        run_experiment(ExperimentConfig("kingman", tag, 100, 100))
+
+
+@pytest.mark.parametrize("tag, params, offset", [
+    ("T1.6", {"trend_grid": [50, 100, 200]}, 2),
+    ("L9.2", {"c": 1.0}, 101),
+    ("L7.1", {"variance_paths": 3}, 1000),
+])
+def test_sub_run_seeds_beyond_the_key_range_are_rejected_before_simulating(
+        no_simulation, tag, params, offset):
+    # the sub-run on seed + offset raised, after simulating, that the
+    # (valid) seed given was not an integer in [0, 2**64)
+    measure = "kingman" if tag == "L7.1" else "bolthausen-sznitman"
+    seed = 2 ** 64 - offset
+    with pytest.raises(ConfigError,
+                       match=rf"seed \+ {offset}, .* for seed {seed}$"):
+        run_experiment(ExperimentConfig(measure, tag, 50, 100, seed=seed,
+                                        params=params))
 
 
 @pytest.mark.parametrize("tag, key, grid", [
@@ -569,30 +584,28 @@ class _ReadLog(dict):
         return super().__contains__(key)
 
 
-# Smoke-size runs of each runner with every key it declares set.
+# Smoke-size runs of each tag with every key it declares set.
 _ALL_KEYS = {
-    "typical": ("kingman", 100,
-                {"alpha": 2.0, "scale": "mu_over_n", "t_grid": [0.5, 1.0]},
-                {"ks": 1.0, "envelope": 1.0}),
-    "independence": ("kingman", 50, {"k": 2}, {"corr": 1.0, "gap": 1.0}),
-    "tail_identity": ("kingman", 50, {"r_rule": "n/2"},
-                      {"exceedance": 1.0, "envelope": 1.0}),
-    "lln": ("kingman", 200,
-            {"r_rule": "n^0.5"},
-            {"ratio": 1.0, "log_gap": 1.0}),
-    "order_statistics": ("kingman", 100,
-                         {"ell": 2, "alpha": 2.0, "x_grid": [1.0]},
-                         {"ks": 1.0, "count_moments": 100.0}),
-    "bs_trend": ("bolthausen-sznitman", 50,
-                 {"ell": 1, "trend_grid": [50, 100]}, {"trend_rise": 1.0}),
-    "bs_moments": ("bolthausen-sznitman", 100,
-                   {"t_grid": [0.5], "r": 1, "c": 1.0, "c_n": 100,
-                    "c_reps": 100},
-                   {"moment_z": 100.0, "c_mean": 10.0}),
-    "factorial_replay": ("kingman", 50,
-                         {"r_rule": "n/2", "r_values": [1, 2],
-                          "variance_paths": 3},
-                         {"moment_z": 100.0, "var_slack": 1.0}),
+    "T1.1": ("kingman", 100,
+             {"alpha": 2.0, "scale": "mu_over_n", "t_grid": [0.5, 1.0]},
+             {"ks": 1.0, "envelope": 1.0}),
+    "T1.2": ("kingman", 50, {"k": 2}, {"corr": 1.0, "gap": 1.0}),
+    "T4.1": ("kingman", 50, {"r_rule": "n/2"},
+             {"exceedance": 1.0, "envelope": 1.0}),
+    "P2.1": ("kingman", 200,
+             {"r_rule": "n^0.5"},
+             {"ratio": 1.0, "log_gap": 1.0}),
+    "T1.5": ("kingman", 100,
+             {"ell": 2, "alpha": 2.0, "x_grid": [1.0]},
+             {"ks": 1.0, "count_moments": 100.0}),
+    "T1.6": ("bolthausen-sznitman", 50,
+             {"ell": 1, "trend_grid": [50, 100]}, {"trend_rise": 1.0}),
+    "L9.2": ("bolthausen-sznitman", 100,
+             {"t_grid": [0.5], "r": 1, "c": 1.0, "c_n": 100, "c_reps": 100},
+             {"moment_z": 100.0, "c_mean": 10.0}),
+    "L7.1": ("kingman", 50,
+             {"r_rule": "n/2", "r_values": [1, 2], "variance_paths": 3},
+             {"moment_z": 100.0, "var_slack": 1.0}),
 }
 
 
@@ -675,9 +688,8 @@ def test_bs_tags_refuse_each_others_keys(no_simulation, tag, what, key,
 
 @pytest.mark.parametrize("tag", sorted(CATALOG))
 def test_every_key_a_runner_reads_is_declared(tag):
-    kind, _ = CATALOG[tag]
-    _, _, params, tolerances = _RUNNERS[kind]
-    measure, n, given_params, given_tols = _ALL_KEYS[kind]
+    _, _, params, tolerances, _ = CATALOG[tag]
+    measure, n, given_params, given_tols = _ALL_KEYS[tag]
     assert set(given_params) == params and set(given_tols) == tolerances
     cfg = ExperimentConfig(measure, tag, n, 100, seed=11,
                            params=_ReadLog(given_params),
@@ -704,8 +716,7 @@ def test_every_stream_in_a_report_is_distinct(tag, monkeypatch):
     monkeypatch.setattr(np.random, "Philox", recording)
     # chunks run in worker processes would construct their keys there
     monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 1)
-    kind, _ = CATALOG[tag]
-    measure, n, params, tolerances = _ALL_KEYS[kind]
+    measure, n, params, tolerances = _ALL_KEYS[tag]
     reps = 2 * ensemble.MAX_LANES + 1
     longer = {"trend_grid": [30, 40, 50], "c_reps": reps,
               "variance_paths": reps}

@@ -16,7 +16,7 @@ from coalsim.rates import RateFunctions, rates_for
 from coalsim.sim import (_PAIR_DRAW_LANES, CoalescentPath, ExternalLengths,
                          MergerSizeSampler, _draw_singleton_loss,
                          as_rate_functions, simulate_path)
-from labeled_oracle import simulate_labeled
+from labeled_oracle import simulate_labeled, two_sample_ks
 
 BS = bolthausen_sznitman()
 PB_HALF = power_beta(1.0, 0.5)
@@ -502,20 +502,15 @@ class ConstantUniforms:
                                   "powerbeta:c=2,a=0.5,b=1.7"])
 def test_proposal_stays_in_range_without_a_clamp(text):
     # t = u prefix[B-2] <= prefix[B-2] for u < 1, so the table search
-    # proposes K in [2, B] at the extreme uniforms 0 and 1 - 2**-53, on
-    # the wide route (all B at once) and the narrow one (fewer lanes than
-    # _PAIR_PROPOSAL_LANES)
+    # proposes K in [2, B] at the extreme uniforms 0 and 1 - 2**-53
     n = 3000
     sampler = MergerSizeSampler(rates_for(parse_measure(text)), n)
     prefix = sampler._components[0][2].args[0]
     blocks = np.arange(2, n + 1)
-    narrow = np.array_split(blocks, 8)
-    assert narrow[0].size < sim._PAIR_PROPOSAL_LANES <= blocks.size
     for u in (0.0, 1.0 - 2.0 ** -53):
-        for lanes in (blocks, *narrow):
-            k = sim._propose(prefix, ConstantUniforms(u), lanes - 2)
-            assert np.all((k >= 2) & (k <= lanes))
-            np.testing.assert_array_equal(k, 2 if u == 0.0 else lanes)
+        k = sim._propose(prefix, ConstantUniforms(u), blocks - 2)
+        assert np.all((k >= 2) & (k <= blocks))
+        np.testing.assert_array_equal(k, 2 if u == 0.0 else blocks)
 
 
 def _pair_then_hypergeometric(rng, b, y, k):
@@ -643,23 +638,21 @@ def test_few_lane_singleton_loss_is_the_array_draw(lanes):
 
 
 @pytest.mark.parametrize("text", ["powerbeta:c=1,a=0.5,b=1", "beta:0.5,1.5"])
-def test_wide_powerbeta_proposal_is_the_table_search(text, monkeypatch):
-    # from _PAIR_PROPOSAL_LANES lanes on, a proposal in the first table
-    # entry is taken as K = 2 without searching; the draws and the stream
-    # are those of searching every lane
+def test_wide_powerbeta_proposal_is_the_table_search(text):
+    # at a chunk's full width, lane i proposes K = 2 + the table search of
+    # u_i prefix[B_i - 2], one uniform a lane in lane order, and most
+    # proposals fall in the first entry (K = 2)
     sampler = MergerSizeSampler(rates_for(parse_measure(text)), 3000)
-    lanes = 4 * sim._PAIR_PROPOSAL_LANES
-    b = np.random.default_rng(5).integers(2, 3001, lanes)
-    steps = {}
-    for gate in (sim._PAIR_PROPOSAL_LANES, b.size + 1):
-        monkeypatch.setattr(sim, "_PAIR_PROPOSAL_LANES", gate)
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(8)))
-        k = sampler.sample_step(rng, b)[1]
-        steps[gate] = k, rng.random()
-    (k_fast, after_fast), (k_all, after_all) = steps.values()
-    assert np.count_nonzero(k_fast == 2) > b.size // 2
-    np.testing.assert_array_equal(k_fast, k_all)
-    assert after_fast == after_all
+    prefix = sampler._components[0][2].args[0]
+    b = np.random.default_rng(5).integers(2, 3001, 2048)
+    rng, ref = (np.random.Generator(np.random.Philox(key=np.uint64(8)))
+                for _ in range(2))
+    k = sim._propose(prefix, rng, b - 2)
+    expect = [2 + int(np.searchsorted(prefix, u * prefix[top]))
+              for u, top in zip(ref.random(b.size), b - 2)]
+    assert np.count_nonzero(k == 2) > b.size // 2
+    np.testing.assert_array_equal(k, expect)
+    assert rng.random() == ref.random()
 
 
 def test_uniform_inverse_cdf_matches_exact():
@@ -705,3 +698,17 @@ def test_labeled_bounds():
         simulate_labeled(BS, 1)
     with pytest.raises(ValueError):
         simulate_labeled(BS, 13)
+
+
+def test_two_sample_ks():
+    assert two_sample_ks([1.0, 2.0], [1.0, 2.0]) == 0.0
+    assert two_sample_ks([1.0], [2.0]) == 1.0
+    assert two_sample_ks([1.0, 3.0], [2.0, 4.0]) == 0.5
+
+
+def test_two_sample_ks_empty_rejected():
+    # an empty sample once gave nan with a RuntimeWarning
+    with pytest.raises(ValueError):
+        two_sample_ks([], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        two_sample_ks([1.0], [])
