@@ -28,17 +28,16 @@ one-replication runs with a recorder.
 Reproducibility contract: a run of reps replications is cut into
 P = ceil(reps / MAX_LANES) chunks of near-equal size, the larger first
 (sizes differ by at most one), and chunk i runs on its own Philox
-stream, keyed by the two key words (seed, i).  P is raised to two, so
-that a second CPU can take half of a run, for a run of more than
-MAX_LANES // 2 replications whose replications times n reach
-POOL_MIN_WORK, and for one of more than MAX_LANES // 4 replications
-whose replications times n reach SPLIT_MIN_WORK.  Chunk 0's key is the
-one `Philox(key=seed)` takes, so a one-chunk run draws what a single
-stream under `seed` draws.  When a run has two or more chunks, its
-replications times n reach POOL_MIN_WORK, and the process may use two
-or more CPUs, the chunks run in a pool of forked worker processes, one
-per usable CPU (at most one per chunk); otherwise they run in order in
-this process, since a smaller run loses more to the pool's start-up
+stream, keyed by the two key words (seed, i).  One work threshold,
+POOL_MIN_WORK, decides when a run uses a second CPU: a run of more than
+MAX_LANES // 4 replications whose replications times n reach it has P
+raised to two, so that a second CPU can take half of it.  Chunk 0's
+key is the one `Philox(key=seed)` takes, so a one-chunk run draws what
+a single stream under `seed` draws.  When a run has two or more chunks,
+its replications times n reach POOL_MIN_WORK, and the process may use
+two or more CPUs, the chunks run in a pool of forked worker processes,
+one per usable CPU (at most one per chunk); otherwise they run in order
+in this process, since a smaller run loses more to the pool's start-up
 than it gains.  Either way the chunks' arrays are joined in chunk
 order, so results depend on (measure, n, reps, seed, trackers) and on
 nothing else: the chunk count reads only n and reps, and results are
@@ -77,48 +76,36 @@ from .sim import (CoalescentPath, MergerSizeSampler, _check_seed,
 # for a second CPU, and the Bolthausen-Sznitman T1.6 run at n = 1e5 with
 # 1000 replications takes 2.44 s whole against 2.02 s in two halves.
 MAX_LANES = 2048
-# A run of two or more chunks pools them from this much work on,
-# counted as replications times n.  Below it the pool's fixed cost (fork,
-# worker start-up, sending the arrays back) outweighs the CPUs it adds.
-# Measured pooled against in order on a 2-vCPU Xeon VM, with one
-# TopLengthsTracker(3) and 2048 replications: kingman at n = 200 takes
-# 0.035 s against 0.020 s, at n = 1000 0.058 s against 0.093 s;
-# Bolthausen-Sznitman at n = 200 0.029 s against 0.020 s, at n = 1000
-# 0.045 s against 0.064 s.  From this much work on, a run of more than
-# MAX_LANES // 2 replications also runs as at least two chunks.  Measured
-# one chunk against two pooled halves, same VM, medians of 7 to 9
-# alternated runs: at 2048 replications and n = 2500 (5.1e6), power-beta
-# a = 0.5 with TopLengthsTracker(5) and ThresholdCountTracker takes
-# 0.45 s in halves against 0.60 s whole, Kingman with the same trackers
-# 0.28 against 0.36 s, Bolthausen-Sznitman with TopLengthsTracker(1)
-# 0.17 against 0.21 s.  Near the threshold the two are close (halves /
+# The work, counted as replications times n, from which a run uses a
+# second CPU: a run of more than MAX_LANES // 4 replications runs as at
+# least two chunks from here on, and a run of two or more chunks pools
+# them.  Below it the pool's fixed cost (fork, worker start-up, sending
+# the arrays back) outweighs the CPU it adds.  Measured pooled against
+# in order on a 2-vCPU Xeon VM, with one TopLengthsTracker(3) and 2048
+# replications: kingman at n = 200 takes 0.035 s against 0.020 s, at
+# n = 1000 0.058 s against 0.093 s; Bolthausen-Sznitman at n = 200
+# 0.029 s against 0.020 s, at n = 1000 0.045 s against 0.064 s.
+# Measured one chunk against two pooled halves, same VM, medians of 7 to
+# 9 alternated runs: at 2048 replications and n = 2500 (5.1e6),
+# power-beta a = 0.5 with TopLengthsTracker(5) and ThresholdCountTracker
+# takes 0.45 s in halves against 0.60 s whole, Kingman with the same
+# trackers 0.28 against 0.36 s, Bolthausen-Sznitman with
+# TopLengthsTracker(1) 0.17 against 0.21 s; at 1000 replications and
+# n = 1e4 Kingman and power-beta a = 0.5 take 0.68 against 0.81 s and
+# 0.94 against 1.32 s.  Near the threshold the two are close (halves /
 # whole 0.89 to 1.19 over those three at 2048 replications and n = 1000,
-# 0.92 to 1.03 at 1100 and n = 2000), and the cheapest lane step,
-# Bolthausen-Sznitman with BlockCountAtTimesTracker alone, loses by
-# splitting (0.092 against 0.060 s at 2048 and n = 2500; 1.28 to 1.36
-# times near the threshold).
+# 0.92 to 1.03 at 1100 and n = 2000).  The cheapest lane steps lose by
+# splitting: Bolthausen-Sznitman with BlockCountAtTimesTracker alone
+# takes 0.157 s split against 0.116 s whole at 1000 replications and
+# n = 1e4, and 0.092 against 0.060 s at 2048 and n = 2500.  Summed over
+# eight experiment cells at 1000 replications and n = 1e4 (T1.1, T1.5,
+# T1.6, T4.1, P2.1 and L9.2 over four measures, medians of 8 alternated
+# runs) the halves still save 0.15 s of 3.50 s.  Runs of at
+# most MAX_LANES // 4 replications stay whole: each half pays the fixed
+# cost of a step, so narrow halves gain nothing (Bolthausen-Sznitman
+# with TopLengthsTracker(1) at n = 1e5 took 2.26 s whole against 2.43 s
+# split at 512 replications, and 1.59 against 1.58 s at 256).
 POOL_MIN_WORK = 2_000_000
-# A run of more than MAX_LANES // 4 replications runs as at least two
-# chunks from this much work on (replications times n), so that a
-# second CPU takes half of it; a run of more than MAX_LANES // 2 splits
-# from the lower POOL_MIN_WORK on.  Measured one chunk against two
-# pooled halves on a 2-vCPU Xeon VM, medians of 7 to 9 alternated runs.
-# The cheapest lane step, Bolthausen-Sznitman with
-# BlockCountAtTimesTracker alone, takes 0.116 s whole against 0.157 s
-# split at 1000 replications and n = 1e4, 0.118 against 0.138 s at 600
-# and n = 2e4; from 1.5e7 to 2e7 the two are within noise (split / whole
-# 0.91 to 1.06 over five shapes), and at 5e7 the halves win (0.34
-# against 0.41 s).  Every heavier step gains at 2e7 and below: Kingman
-# and power-beta a = 0.5 with TopLengthsTracker(5) and
-# ThresholdCountTracker take 0.68 against 0.81 s and 0.94 against
-# 1.32 s at 1000 replications and n = 1e4.  The threshold is set by the
-# cheapest step, so heavier steps below it leave a gain unclaimed.  Runs
-# of at most MAX_LANES // 4 replications stay whole: each half pays the
-# fixed cost of a step, so narrow halves gain nothing
-# (Bolthausen-Sznitman with TopLengthsTracker(1) at n = 1e5 took 2.26 s
-# whole against 2.43 s split at 512 replications, and 1.59 against
-# 1.58 s at 256).
-SPLIT_MIN_WORK = 20_000_000
 
 
 class ChunkTracker:
@@ -499,8 +486,7 @@ def run_ensemble(rates, n: int, reps: int, seed: int,
     sampler = MergerSizeSampler(as_rate_functions(rates), n)
     work = int(reps) * int(n)
     chunks = -(-reps // MAX_LANES)
-    if (reps > MAX_LANES // 2 and work >= POOL_MIN_WORK
-            or reps > MAX_LANES // 4 and work >= SPLIT_MIN_WORK):
+    if reps > MAX_LANES // 4 and work >= POOL_MIN_WORK:
         chunks = max(chunks, 2)
     # near-equal sizes, the larger first
     sizes = [(reps + i) // chunks for i in range(chunks - 1, -1, -1)]

@@ -170,7 +170,14 @@ def _require_uniform(rates: RateFunctions) -> None:
                           "measure (bolthausen-sznitman)")
 
 
-def _param(cfg: ExperimentConfig, key: str, default, convert=float):
+def _number(value) -> float:
+    """A real number as a float; a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _param(cfg: ExperimentConfig, key: str, default, convert=_number):
     """cfg.params[key], or the default, through convert; a value that
     convert rejects with TypeError or ValueError raises ConfigError."""
     value = cfg.params.get(key, default)
@@ -191,20 +198,23 @@ def _sub_seed(cfg: ExperimentConfig, offset: int) -> int:
 
 
 def _count(low: int):
-    """Converter to an int that must be at least `low`."""
+    """Converter to an int that must be at least `low`: an integral
+    float such as JSON's 1e3 is one, a bool or 2.5 is not."""
     def convert(value) -> int:
-        out = int(value)
-        if out < low:
-            raise ValueError(f"must be an integer >= {low}")
-        return out
+        if not (_number(value).is_integer() and value >= low):
+            raise ValueError(f"{value!r} is not an integer >= {low}")
+        return int(value)
     return convert
 
 
 def _trend_grid(grid) -> list[int]:
-    """Block counts >= 2, at least two of them: one size has no trend."""
+    """Block counts >= 2, at least two of them, strictly increasing: one
+    size has no trend, and each size names its own statistic."""
     out = [_count(2)(v) for v in grid]
     if len(out) < 2:
         raise ValueError("need at least two trend sizes")
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise ValueError("sizes must be strictly increasing")
     return out
 
 
@@ -216,15 +226,15 @@ def _require_ell_at_most(ell: int, n: int) -> None:
 
 
 def _grid(positive: bool = False, allow_empty: bool = False):
-    """Converter to a 1-D float array of finite values, each > 0 when
-    `positive` and >= 0 otherwise, nonempty unless `allow_empty`: a NaN
-    compares false everywhere and an empty grid scores nothing, so
-    neither may pass unnoticed."""
+    """Converter of a list of numbers (no bools) to a float array of
+    finite values, each > 0 when `positive` and >= 0 otherwise, nonempty
+    unless `allow_empty`: a NaN compares false everywhere and an empty
+    grid scores nothing, so neither may pass unnoticed."""
     bound = "> 0" if positive else ">= 0"
 
     def convert(value) -> np.ndarray:
-        out = np.asarray(value, dtype=float)
-        if out.ndim != 1 or not (out.size or allow_empty):
+        out = np.array([_number(v) for v in value], dtype=float)
+        if not (out.size or allow_empty):
             raise ValueError("must be a nonempty list of numbers")
         if not np.all(np.isfinite(out) & ((out > 0) if positive
                                           else (out >= 0))):
@@ -257,7 +267,9 @@ def _resolve_alpha(cfg: ExperimentConfig,
 def parse_r_rule(rule, n: int) -> float:
     """Level rules: a bare number, or 'n', 'n/2', 'n^0.4', 'n*0.25'.
     Anything else raises ConfigError."""
-    if isinstance(rule, (int, float)):
+    if isinstance(rule, bool):
+        raise ConfigError(f"cannot parse r rule {rule!r}")
+    if isinstance(rule, numbers.Real):
         return float(rule)
     text = str(rule).strip().lower().replace(" ", "")
     try:
@@ -409,7 +421,7 @@ def run_typical_length(cfg: ExperimentConfig, rates: RateFunctions):
 def run_independence(cfg: ExperimentConfig, rates: RateFunctions):
     """Joint law of k tagged external lengths: pairwise correlations and
     the gap between the joint ECDF and the product of its marginals."""
-    k = _param(cfg, "k", 2, int)
+    k = _param(cfg, "k", 2, _count(1))
     if not 2 <= k <= 8:
         raise ConfigError(f"k must lie in [2, 8], got {k}")
     out = run_ensemble(rates, cfg.n, cfg.replications, cfg.seed,
@@ -555,10 +567,10 @@ def run_bs_trend(cfg: ExperimentConfig, rates: RateFunctions):
     and the largest rise of that distance from one size to the next."""
     ell = _param(cfg, "ell", 1, _count(1))
     trend_grid = _param(cfg, "trend_grid", (), _trend_grid)
-    _require_ell_at_most(ell, min(trend_grid))
-    if cfg.n != min(trend_grid):
+    _require_ell_at_most(ell, trend_grid[0])
+    if cfg.n != trend_grid[0]:
         raise ConfigError(f"T1.6 runs at the trend_grid sizes; n={cfg.n} "
-                          f"must be the smallest, {min(trend_grid)}")
+                          f"must be the smallest, {trend_grid[0]}")
     seeds = [_sub_seed(cfg, i) for i in range(len(trend_grid))]
     stats, ecdf = [], {}
     for n_i, seed in zip(trend_grid, seeds):

@@ -324,6 +324,21 @@ def test_experiment_bad_param_value_is_usage_error(capsys, theorem, param):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("measure, theorem, n, param", [
+    ("kingman", "T1.5", 200, "ell=2.5"),
+    ("kingman", "T1.1", 100, "alpha=true"),
+    ("bolthausen-sznitman", "T1.6", 100, "trend_grid=[1000,100]"),
+])
+def test_experiment_bool_fraction_or_unordered_grid_is_usage_error(
+        capsys, measure, theorem, n, param):
+    code, _, err = run_cli(
+        capsys, "experiment", "--measure", measure, "--theorem", theorem,
+        "--n", str(n), "--reps", "100", "--param", param)
+    assert code == 2
+    assert err.startswith("error: ") and param.split("=")[0] in err
+    assert "Traceback" not in err
+
+
 def test_experiment_byte_reproducible(tmp_path, capsys):
     args = ["experiment", "--measure", "kingman", "--theorem", "T1.1",
             "--n", "100", "--reps", "1500",

@@ -4,6 +4,7 @@ and validation contracts."""
 
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -163,24 +164,23 @@ def record_chunks(monkeypatch):
     MAX_LANES // 2 + 1, MAX_LANES - 1, MAX_LANES, MAX_LANES + 1,
     2 * MAX_LANES + 1, 3 * MAX_LANES - 5, 5 * MAX_LANES - 1,
 ])
-@pytest.mark.parametrize("pool_min_work, split_min_work, split_above", [
-    (10 ** 18, 10 ** 18, None),           # below both thresholds
-    (0, 10 ** 18, MAX_LANES // 2),        # from POOL_MIN_WORK on
-    (10 ** 18, 0, MAX_LANES // 4),        # from SPLIT_MIN_WORK on
+@pytest.mark.parametrize("pool_min_work, splits", [
+    (lambda reps: 2 * reps + 1, False),   # below POOL_MIN_WORK
+    (lambda reps: 0, True),               # far above POOL_MIN_WORK
+    (lambda reps: 2 * reps, True),        # exactly at POOL_MIN_WORK
 ], ids=["light", "pool-min-work", "split-min-work"])
 def test_chunk_sizes_differ_by_at_most_one(monkeypatch, reps, pool_min_work,
-                                           split_min_work, split_above):
+                                           splits):
     # the fewest chunks of at most MAX_LANES lanes, raised to two for a
-    # run of more than MAX_LANES // 2 replications from POOL_MIN_WORK on
-    # and of more than MAX_LANES // 4 from SPLIT_MIN_WORK on, cut into
-    # near-equal sizes, the larger first, on keys (seed, i)
-    monkeypatch.setattr(ensemble, "POOL_MIN_WORK", pool_min_work)
-    monkeypatch.setattr(ensemble, "SPLIT_MIN_WORK", split_min_work)
+    # run of more than MAX_LANES // 4 replications whose replications
+    # times n reach POOL_MIN_WORK, cut into near-equal sizes, the larger
+    # first, on keys (seed, i)
+    monkeypatch.setattr(ensemble, "POOL_MIN_WORK", pool_min_work(reps))
     calls = record_chunks(monkeypatch)
     run_ensemble(BS, 2, reps, 17, [absorption])
     sizes = [size for size, _, _ in calls]
     chunks = -(-reps // MAX_LANES)
-    if split_above is not None and reps > split_above:
+    if splits and reps > MAX_LANES // 4:
         chunks = max(chunks, 2)
     assert len(sizes) == chunks
     assert sum(sizes) == reps
@@ -194,27 +194,43 @@ def test_chunk_sizes_differ_by_at_most_one(monkeypatch, reps, pool_min_work,
 @pytest.mark.parametrize("n, reps, chunks", [
     (2000, 2048, [(1024, 5, 0), (1024, 5, 1)]),   # from POOL_MIN_WORK on
     (500, 2048, [(2048, 5, 0)]),                  # below POOL_MIN_WORK
-    (20_000, 1000, [(500, 5, 0), (500, 5, 1)]),   # from SPLIT_MIN_WORK on
-    (2000, 1000, [(1000, 5, 0)]),                 # below SPLIT_MIN_WORK
+    (10_000, 1000, [(500, 5, 0), (500, 5, 1)]),   # from POOL_MIN_WORK on
+    (1999, 1000, [(1000, 5, 0)]),                 # below POOL_MIN_WORK
     (1_000_000, 256, [(256, 5, 0)]),              # too narrow to split
 ], ids=["kingman-t15-smoke", "light-wide", "heavy-half-width",
         "light-half-width", "criterion-9-c-branch"])
 def test_module_constants_split_runs_for_a_second_cpu(monkeypatch, n, reps,
                                                       chunks):
-    # under the module's own constants a run of more than MAX_LANES // 2
-    # replications splits in two from POOL_MIN_WORK on, and one of more
-    # than MAX_LANES // 4 from SPLIT_MIN_WORK on.  2048 replications at
-    # n = 2000 is the benchmark's smoke-size Kingman T1.5 cell; 256 at
-    # n = 1e6 is acceptance criterion 9's c branch, which must draw one
-    # chunk on key (seed, 0)
+    # under the module's own constants a run of more than MAX_LANES // 4
+    # replications splits in two from POOL_MIN_WORK on.  2048
+    # replications at n = 2000 is the benchmark's smoke-size Kingman T1.5
+    # cell, 1000 at n = 1e4 the benchmark's bs-extremes T1.6 run at that
+    # size; 256 at n = 1e6 is acceptance criterion 9's c branch, which
+    # must draw one chunk on key (seed, 0)
     assert MAX_LANES // 2 < 2048 <= MAX_LANES
     assert MAX_LANES // 4 < 1000 <= MAX_LANES // 2
     assert 256 <= MAX_LANES // 4
     assert 500 * 2048 < ensemble.POOL_MIN_WORK <= 2000 * 2048
-    assert 2000 * 1000 < ensemble.SPLIT_MIN_WORK <= 20_000 * 1000
+    assert 1999 * 1000 < ensemble.POOL_MIN_WORK <= 10_000 * 1000
     calls = record_chunks(monkeypatch)
     run_ensemble(BS, n, reps, 5, [absorption])
     assert calls == chunks
+
+
+def test_readme_reproducibility_quotes_the_chunk_rule():
+    # the section quotes MAX_LANES and POOL_MIN_WORK at their module
+    # values and names no constant the module lacks (it named
+    # SPLIT_MIN_WORK after the chunk rule had dropped it)
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = " ".join(text.split("\n## Reproducibility\n")[1]
+                       .split("\n## ")[0].split())
+    named = set(re.findall(r"`(?:ensemble\.)?([A-Z][A-Z_]+)`", section))
+    assert named <= set(vars(ensemble)), named - set(vars(ensemble))
+    quoted = re.findall(r"`ensemble\.([A-Z_]+)` \(([0-9.e]+)\)", section)
+    assert {name: float(value) for name, value in quoted} == {
+        "MAX_LANES": MAX_LANES, "POOL_MIN_WORK": ensemble.POOL_MIN_WORK}
+    assert f"more than {MAX_LANES // 4} replications" in section
 
 
 def test_seeds_differing_in_low_bits_draw_different_streams():
@@ -231,7 +247,7 @@ def test_seeds_differing_in_low_bits_draw_different_streams():
 def three_chunk_run():
     """A run that draws dY and one whose lanes retire, each of three
     chunks and more than 2 * MAX_LANES replications, and a one-chunk run
-    split in two halves (with SPLIT_MIN_WORK set to 0)."""
+    split in two halves (with POOL_MIN_WORK set to 0)."""
     reps = 3 * MAX_LANES - 5
     top = run_ensemble(BS, 40, reps, 2718,
                        [lambda: TopLengthsTracker(2)])["top_lengths"]
@@ -261,7 +277,6 @@ def log_pooling(monkeypatch):
 
     _POOLED.clear()
     monkeypatch.setattr(ensemble, "POOL_MIN_WORK", 0)
-    monkeypatch.setattr(ensemble, "SPLIT_MIN_WORK", 0)
     monkeypatch.setattr(ensemble, "_run_pooled", spy)
 
 
@@ -273,7 +288,7 @@ sys.path.insert(0, sys.argv[2])
 from coalsim import ensemble
 from coalsim.ensemble import _usable_cpus
 from test_ensemble import three_chunk_run
-ensemble.SPLIT_MIN_WORK = 0
+ensemble.POOL_MIN_WORK = 0
 np.save(sys.argv[1], three_chunk_run())
 print(_usable_cpus())
 """
@@ -335,10 +350,10 @@ def test_small_runs_stay_in_order(monkeypatch):
 
 
 def test_wide_run_splits_into_two_keyed_halves(monkeypatch):
-    # from SPLIT_MIN_WORK on, ceil(reps/2) lanes on key (seed, 0) and
+    # from POOL_MIN_WORK on, ceil(reps/2) lanes on key (seed, 0) and
     # floor(reps/2) on key (seed, 1)
     n, reps, seed = 40, MAX_LANES - 23, 99
-    monkeypatch.setattr(ensemble, "SPLIT_MIN_WORK", n * reps)
+    monkeypatch.setattr(ensemble, "POOL_MIN_WORK", n * reps)
     factories = [lambda: TopLengthsTracker(2), absorption]
     out = run_ensemble(BS, n, reps, seed, factories)
     halves = [_chunk_draws(n, (reps + 1) // 2, seed, 0, factories),
@@ -349,14 +364,14 @@ def test_wide_run_splits_into_two_keyed_halves(monkeypatch):
             out[name], np.concatenate([h[name] for h in halves]))
 
 
-@pytest.mark.parametrize("reps, split_min_work", [
+@pytest.mark.parametrize("reps, pool_min_work", [
     (MAX_LANES // 4, 0),                         # too narrow to split
     (MAX_LANES // 2, 40 * (MAX_LANES // 2) + 1),  # below the threshold
 ])
 def test_narrow_or_light_runs_stay_one_chunk(monkeypatch, reps,
-                                             split_min_work):
+                                             pool_min_work):
     # such a run draws exactly chunk 0 of the same seed
-    monkeypatch.setattr(ensemble, "SPLIT_MIN_WORK", split_min_work)
+    monkeypatch.setattr(ensemble, "POOL_MIN_WORK", pool_min_work)
     factories = [lambda: TopLengthsTracker(2)]
     out = run_ensemble(BS, 40, reps, 99, factories)
     np.testing.assert_array_equal(

@@ -612,7 +612,7 @@ _ALL_KEYS = {
 @pytest.mark.parametrize("tag, n, params", [
     ("T1.5", 3, {"ell": 5}),
     ("T1.6", 3, {"ell": 7, "trend_grid": [3, 10]}),
-    ("T1.6", 100, {"ell": 20, "trend_grid": [50, 10]}),
+    ("T1.6", 100, {"ell": 20, "trend_grid": [10, 50]}),
 ])
 def test_ell_above_the_sample_is_rejected_before_simulating(no_simulation,
                                                            tag, n, params):
@@ -624,13 +624,59 @@ def test_ell_above_the_sample_is_rejected_before_simulating(no_simulation,
 
 
 @pytest.mark.parametrize("n, grid", [(5, [100, 1000]), (1000, [100, 1000]),
-                                     (100, [1000, 100, 10])])
+                                     (100, [10, 100, 1000])])
 def test_t16_n_must_be_the_smallest_trend_size(no_simulation, n, grid):
     # T1.6 runs at the trend_grid sizes only: n = 5 was reported in the
     # config beside runs at 100 and 1000
     with pytest.raises(ConfigError, match="smallest"):
         run_experiment(ExperimentConfig("bolthausen-sznitman", "T1.6", n,
                                         200, params={"trend_grid": grid}))
+
+
+@pytest.mark.parametrize("grid", [[1000, 100], [100, 100]])
+def test_t16_trend_grid_must_increase_strictly(no_simulation, grid):
+    # [1000, 100] ran and failed on the order; [100, 100] reported two
+    # statistics named ks_logistic_n100, and one ECDF overwrote the other
+    with pytest.raises(ConfigError, match="trend_grid.*strictly increasing"):
+        run_experiment(ExperimentConfig("bolthausen-sznitman", "T1.6", 100,
+                                        100, params={"trend_grid": grid}))
+
+
+@pytest.mark.parametrize("tag, params, key", [
+    ("T1.5", {"ell": 2.7}, "ell"),
+    ("T1.5", {"ell": True}, "ell"),
+    ("T1.2", {"k": 2.9}, "k"),
+    ("L7.1", {"variance_paths": 10.5}, "variance_paths"),
+    ("L7.1", {"r_values": [1.9]}, "r_values"),
+    ("T1.6", {"trend_grid": [100.7, 1000]}, "trend_grid"),
+    ("T1.1", {"alpha": True}, "alpha"),
+    ("L7.1", {"r_rule": True}, "r rule"),
+    ("T1.1", {"t_grid": [0.5, True]}, "t_grid"),
+    ("L9.2", {"c": True}, "c="),
+    ("L9.2", {"c": 1.0, "c_reps": "400"}, "c_reps"),
+])
+def test_bools_and_non_integral_counts_are_rejected_before_simulating(
+        no_simulation, tag, params, key):
+    # each was truncated or read as 1: ell=2.7 ran with ell 2, ell=true
+    # with 1, trend_grid=[100.7, 1000] at 100, r_rule=true at level 1
+    measure = ("bolthausen-sznitman" if tag in ("T1.6", "L9.2")
+               else "kingman")
+    with pytest.raises(ConfigError, match=key):
+        run_experiment(ExperimentConfig(measure, tag, 100, 100,
+                                        params=params))
+
+
+def test_integral_floats_are_counts():
+    # JSON reads 1e2 as a float; the sizes and statistic names stay ints
+    rep = run_experiment(ExperimentConfig(
+        "bolthausen-sznitman", "T1.6", 50, 100,
+        params={"ell": 1.0, "trend_grid": [50.0, 1e2]},
+        tolerances={"trend_rise": 1.0}))
+    resolved = rep.config["resolved"]
+    assert resolved == {"ell": 1, "trend_grid": [50, 100]}
+    assert {type(v) for v in [resolved["ell"], *resolved["trend_grid"]]} \
+        == {int}
+    assert stat_names(rep)[:2] == ["ks_logistic_n50", "ks_logistic_n100"]
 
 
 def test_empty_trend_grid_is_rejected():
