@@ -338,7 +338,7 @@ def _cmd_paths(args: argparse.Namespace, want_lengths: bool) -> int:
                                 args.n)
     for i in range(reps):
         # replication i is the one-path chunk on the Philox key (seed, i),
-        # the key run_ensemble gives chunk i; replication 0 is simulate_path
+        # chunk i of sub-run 0 in run_ensemble; replication 0 is simulate_path
         path = _run_chunk(sampler, args.n, 1, seed, i,
                           [PathRecorder])["paths"][0]
         if args.out is None:

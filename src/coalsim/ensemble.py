@@ -27,22 +27,25 @@ one-replication runs with a recorder.
 
 Reproducibility contract: a run of reps replications is cut into
 P = ceil(reps / MAX_LANES) chunks of near-equal size, the larger first
-(sizes differ by at most one), and chunk i runs on its own Philox
-stream, keyed by the two key words (seed, i).  One work threshold,
-POOL_MIN_WORK, decides when a run uses a second CPU: a run of more than
-MAX_LANES // 4 replications whose replications times n reach it has P
-raised to two, so that a second CPU can take half of it.  Chunk 0's
-key is the one `Philox(key=seed)` takes, so a one-chunk run draws what
-a single stream under `seed` draws.  When a run has two or more chunks,
-its replications times n reach POOL_MIN_WORK, and the process may use
-two or more CPUs, the chunks run in a pool of forked worker processes,
-one per usable CPU (at most one per chunk); otherwise they run in order
-in this process, since a smaller run loses more to the pool's start-up
-than it gains.  Either way the chunks' arrays are joined in chunk
-order, so results depend on (measure, n, reps, seed, trackers) and on
-nothing else: the chunk count reads only n and reps, and results are
-byte-identical for any CPU count and either choice.  To use fewer CPUs,
-restrict the process's affinity (for example with `taskset`).
+(sizes differ by at most one), and chunk c runs on its own Philox
+stream, keyed by the two key words (seed, i * 2**32 + c), i the run's
+sub-run index in [0, 2**32), 0 unless its caller gives one: no two
+seeds, and no two sub-runs of one seed, share a stream.  One work
+threshold, POOL_MIN_WORK, decides when a run uses a second CPU: a run of
+more than MAX_LANES // 4 replications whose replications times n reach
+it has P raised to two, so that a second CPU can take half of it.  The
+key of chunk 0 of sub-run 0 is the one `Philox(key=seed)` takes, so a
+one-chunk run draws what a single stream under `seed` draws.  When a run
+has two or more chunks, its replications times n reach POOL_MIN_WORK,
+and the process may use two or more CPUs, the chunks run in a pool of
+forked worker processes, one per usable CPU (at most one per chunk);
+otherwise they run in order in this process, since a smaller run loses
+more to the pool's start-up than it gains.  Either way the chunks'
+arrays are joined in chunk order, so results depend on (measure, n,
+reps, seed, sub-run, trackers) and on nothing else: the chunk count
+reads only n and reps, and results are byte-identical for any CPU count
+and either choice.  To use fewer CPUs, restrict the process's affinity
+(for example with `taskset`).
 
 Wide chunks pay the fixed cost of a lockstep step (a few tens of
 microseconds, whatever the width) fewer times, and two of them fill two
@@ -384,8 +387,8 @@ class PathRecorder(ChunkTracker):
 
 
 def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, seed: int,
-               chunk: int, factories) -> dict[str, np.ndarray]:
-    rng = _make_rng(seed, chunk)
+               stream: int, factories) -> dict[str, np.ndarray]:
+    rng = _make_rng(seed, stream)
     trackers = [f() for f in factories]
     for tr in trackers:
         tr.begin(size, n, rng)
@@ -450,8 +453,9 @@ def _adopt(job) -> None:
 
 
 def _pooled_chunk(chunk: int) -> dict[str, np.ndarray]:
-    sampler, n, sizes, seed, factories = _JOB
-    return _run_chunk(sampler, n, sizes[chunk], seed, chunk, factories)
+    sampler, n, plan, seed, factories = _JOB
+    size, stream = plan[chunk]
+    return _run_chunk(sampler, n, size, seed, stream, factories)
 
 
 def _run_pooled(job, workers: int) -> list[dict[str, np.ndarray]] | None:
@@ -463,23 +467,26 @@ def _run_pooled(job, workers: int) -> list[dict[str, np.ndarray]] | None:
     if ("fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
         return None
-    sizes = job[2]
+    plan = job[2]
     with multiprocessing.get_context("fork").Pool(
             workers, initializer=_adopt, initargs=(job,)) as pool:
-        return pool.map(_pooled_chunk, range(len(sizes)), chunksize=1)
+        return pool.map(_pooled_chunk, range(len(plan)), chunksize=1)
 
 
-def run_ensemble(rates, n: int, reps: int, seed: int,
-                 tracker_factories) -> dict[str, np.ndarray]:
+def run_ensemble(rates, n: int, reps: int, seed: int, tracker_factories,
+                 sub_run: int = 0) -> dict[str, np.ndarray]:
     """Simulate `reps` paths of size n, returning each tracker's arrays
     concatenated in replication order.  `rates` may be a RateFunctions
     instance or the underlying measure; `seed` is an integer in
-    [0, 2**64)."""
+    [0, 2**64), and chunk c runs on the key (seed, sub_run * 2**32 + c)."""
     if not _is_integer(n) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
     if not _is_integer(reps) or reps < 1:
         raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
     seed = _check_seed(seed)
+    if not _is_integer(sub_run) or not 0 <= sub_run < 2 ** 32:
+        raise ValueError(f"sub_run must be an integer in [0, 2**32), "
+                         f"got {sub_run!r}")
     factories = tuple(tracker_factories)
     if not factories:
         raise ValueError("need at least one tracker factory")
@@ -488,14 +495,15 @@ def run_ensemble(rates, n: int, reps: int, seed: int,
     chunks = -(-reps // MAX_LANES)
     if reps > MAX_LANES // 4 and work >= POOL_MIN_WORK:
         chunks = max(chunks, 2)
-    # near-equal sizes, the larger first
-    sizes = [(reps + i) // chunks for i in range(chunks - 1, -1, -1)]
-    workers = min(len(sizes), _usable_cpus())
+    # (size, key word) of each chunk: near-equal sizes, the larger first
+    plan = [((reps + chunks - 1 - c) // chunks, (int(sub_run) << 32) + c)
+            for c in range(chunks)]
+    workers = min(chunks, _usable_cpus())
     parts = None
     if workers > 1 and work >= POOL_MIN_WORK:
-        parts = _run_pooled((sampler, n, sizes, seed, factories), workers)
+        parts = _run_pooled((sampler, n, plan, seed, factories), workers)
     if parts is None:
-        parts = [_run_chunk(sampler, n, size, seed, ci, factories)
-                 for ci, size in enumerate(sizes)]
+        parts = [_run_chunk(sampler, n, size, seed, stream, factories)
+                 for size, stream in plan]
     return {name: np.concatenate([p[name] for p in parts])
             for name in parts[0]}

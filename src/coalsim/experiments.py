@@ -171,9 +171,10 @@ def _require_uniform(rates: RateFunctions) -> None:
 
 
 def _number(value) -> float:
-    """A real number as a float; a bool or a string is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{value!r} is not a number")
+    """A finite real number as a float; a bool or a string is not one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{value!r} is not a finite number")
     return float(value)
 
 
@@ -186,15 +187,6 @@ def _param(cfg: ExperimentConfig, key: str, default, convert=_number):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{cfg.theorem} cannot use params "
                           f"{key}={value!r}: {exc}") from None
-
-
-def _sub_seed(cfg: ExperimentConfig, offset: int) -> int:
-    """seed + offset, the seed of a sub-run, which runners take before they
-    simulate; ConfigError if it leaves the key range [0, 2**64)."""
-    if cfg.seed + offset >= 2 ** 64:
-        raise ConfigError(f"{cfg.theorem} runs a sub-run on seed + {offset}, "
-                          f"beyond 2**64 - 1 for seed {cfg.seed}")
-    return cfg.seed + offset
 
 
 def _count(low: int):
@@ -523,10 +515,11 @@ def run_order_statistics(cfg: ExperimentConfig, rates: RateFunctions):
     ell = _param(cfg, "ell", 3, _count(1))
     _require_ell_at_most(ell, cfg.n)
     alpha, alpha_src = _resolve_alpha(cfg, rates)
+    if alpha_src == "config" and not 1.0 < alpha <= 2.0:
+        raise ConfigError(f"T1.5 needs params alpha in (1, 2], got {alpha}")
     if not alpha > 1.0:
         raise RegimeError(f"heavy-tail regime needs alpha > 1, "
                           f"got {alpha}")
-    alpha = min(alpha, 2.0)
     s_n = rates.s_at(cfg.n)
     kappa = rates.rate_of_decrease(s_n) / s_n
     x_grid = _param(cfg, "x_grid", (1.0,), _grid(positive=True))
@@ -563,19 +556,18 @@ def run_order_statistics(cfg: ExperimentConfig, rates: RateFunctions):
 
 def run_bs_trend(cfg: ExperimentConfig, rates: RateFunctions):
     """Uniform-measure extremes: the KS distance of the centered-scaled
-    maximum from the logistic law at each trend size, run i on seed + i,
-    and the largest rise of that distance from one size to the next."""
+    maximum from the logistic law at each trend size, size i as sub-run
+    i, and the largest rise of that distance from one size to the next."""
     ell = _param(cfg, "ell", 1, _count(1))
     trend_grid = _param(cfg, "trend_grid", (), _trend_grid)
     _require_ell_at_most(ell, trend_grid[0])
     if cfg.n != trend_grid[0]:
         raise ConfigError(f"T1.6 runs at the trend_grid sizes; n={cfg.n} "
                           f"must be the smallest, {trend_grid[0]}")
-    seeds = [_sub_seed(cfg, i) for i in range(len(trend_grid))]
     stats, ecdf = [], {}
-    for n_i, seed in zip(trend_grid, seeds):
-        out = run_ensemble(rates, n_i, cfg.replications, seed,
-                           [lambda: TopLengthsTracker(ell)])
+    for i, n_i in enumerate(trend_grid):
+        out = run_ensemble(rates, n_i, cfg.replications, cfg.seed,
+                           [lambda: TopLengthsTracker(ell)], sub_run=i)
         ll = math.log(math.log(n_i))
         centered = ll * (out["top_lengths"][:, 0] - t_sequence(n_i))
         stats.append(_info(f"ks_logistic_n{n_i}",
@@ -590,9 +582,9 @@ def run_bs_trend(cfg: ExperimentConfig, rates: RateFunctions):
 
 def run_bs_moments(cfg: ExperimentConfig, rates: RateFunctions):
     """Exact uniform-measure block-count checks: ascending factorial
-    moments at the times of t_grid, on seed, and with params c the
+    moments at the times of t_grid, as sub-run 0, and with params c the
     exponential law of the scaled count at the c-dependent centering
-    time, on seed + 101.  An empty t_grid skips the moments and their
+    time, as sub-run 1.  An empty t_grid skips the moments and their
     run, and then c is required, as it is when c_n or c_reps is given."""
     t_grid = _param(cfg, "t_grid", (0.25, 0.5, 1.0), _grid(allow_empty=True))
     r = _param(cfg, "r", 1, _count(1))
@@ -604,7 +596,6 @@ def run_bs_moments(cfg: ExperimentConfig, rates: RateFunctions):
         n_c = _param(cfg, "c_n", cfg.n, _count(2))
         reps_c = _param(cfg, "c_reps", cfg.replications, _count(1))
         t_c = t_c_sequence(n_c, c)
-        seed_c = _sub_seed(cfg, 101)
         resolved.update({"c": c, "c_n": n_c, "t_c": t_c})
     else:
         unread = sorted({"c_n", "c_reps"} & set(cfg.params))
@@ -632,8 +623,9 @@ def run_bs_moments(cfg: ExperimentConfig, rates: RateFunctions):
             cfg.tolerance("moment_z", 3.0), se=se))
 
     if "c" in cfg.params:
-        out = run_ensemble(rates, n_c, reps_c, seed_c,
-                           [lambda: BlockCountAtTimesTracker([t_c])])
+        out = run_ensemble(rates, n_c, reps_c, cfg.seed,
+                           [lambda: BlockCountAtTimesTracker([t_c])],
+                           sub_run=1)
         scaled = math.exp(-t_c) * out["blocks_at"][:, 0].astype(float)
         stats.append(_scored("scaled_count_mean", scaled.mean(), c,
                              cfg.tolerance("c_mean", 0.15 * c),
@@ -682,19 +674,19 @@ def run_factorial_replay(cfg: ExperimentConfig, rates: RateFunctions):
     empirical factorial moments at the first passage below r_level with
     the exact product formula; plus the conditional variance-mean
     inequality over `variance_paths` independent chains, run in lockstep
-    as one ensemble that streams each chain's r = 1, 2 products up to
-    its crossing and stores no path."""
+    as sub-run 2, one ensemble that streams each chain's r = 1, 2
+    products up to its crossing and stores no path.  The frozen chain is
+    the path under the seed; the replay draws on sub-run 1's first key."""
     r_level = parse_r_rule(cfg.params.get("r_rule", "n/2"), cfg.n)
-    if not r_level >= 1:
-        raise ConfigError(f"need r >= 1, got r={r_level}")
+    if not 1 <= r_level < cfg.n:     # also rejects NaN
+        raise ConfigError(f"need 1 <= r < n={cfg.n}, got r={r_level}")
     r_values = _param(cfg, "r_values", (1, 2),
                       lambda values: [_count(1)(v) for v in values])
     n_paths = _param(cfg, "variance_paths", 1000, _count(1))
-    replay_seed, chains_seed = _sub_seed(cfg, 1), _sub_seed(cfg, 1000)
     path = simulate_path(rates, cfg.n, cfg.seed)
     rho, _ = path.stopping_times(r_level)
     reps = cfg.replications
-    rng = _make_rng(replay_seed)
+    rng = _make_rng(cfg.seed, 1 << 32)
     y = np.full(reps, cfg.n, dtype=np.int64)
     for b, k in zip(path.block_count_before[:rho], path.merger_size[:rho]):
         y -= _draw_singleton_loss(rng, np.full(reps, b), y, np.full(reps, k))
@@ -715,8 +707,8 @@ def run_factorial_replay(cfg: ExperimentConfig, rates: RateFunctions):
 
     # variance-mean domination along independent chains, via the exact
     # r = 1, 2 formulas: Var = E[(Y)_2] + E[Y] - E[Y]^2 <= E[Y]
-    out = run_ensemble(rates, cfg.n, n_paths, chains_seed,
-                       [lambda: _ChainMomentsTracker(r_level)])
+    out = run_ensemble(rates, cfg.n, n_paths, cfg.seed,
+                       [lambda: _ChainMomentsTracker(r_level)], sub_run=2)
     e1, e2 = out["chain_moment_1"], out["chain_moment_2"]
     worst = float(np.max(e2 + e1 - e1 * e1 - e1))
     stats.append(_bounded("max_var_minus_mean", max(worst, 0.0),

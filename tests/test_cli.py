@@ -84,6 +84,11 @@ _EXPERIMENT = ("experiment", "--measure", "kingman", "--theorem", "T1.1",
      "--reps", "100", "--param", "x_grid=[]"),
     ("experiment", "--measure", "kingman", "--theorem", "C1.4", "--n", "100",
      "--reps", "100"),
+    ("experiment", "--measure", "kingman", "--theorem", "L7.1", "--n", "50",
+     "--reps", "100", "--param", "variance_paths=3", "--param", "r_rule=n"),
+    ("experiment", "--measure", "bolthausen-sznitman", "--theorem", "L9.2",
+     "--n", "1000", "--reps", "100", "--param", "c=Infinity",
+     "--param", "t_grid=[]"),
 ])
 def test_library_value_errors_are_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -92,15 +97,14 @@ def test_library_value_errors_are_usage_errors(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_experiment_sub_run_seed_beyond_the_key_range(capsys):
-    # L7.1 replays on seed + 1: the top seed simulated first and then
-    # failed with a message about the seed given
-    code, _, err = run_cli(capsys, "experiment", "--measure", "kingman",
+def test_experiment_at_the_top_seed(capsys):
+    # L7.1 replayed on seed + 1, and the top seed exited 2
+    code, out, _ = run_cli(capsys, "experiment", "--measure", "kingman",
                            "--theorem", "L7.1", "--n", "50", "--reps", "100",
                            "--seed", str(2 ** 64 - 1),
                            "--param", "variance_paths=3")
-    assert code == 2
-    assert err.startswith("error: L7.1 runs a sub-run on seed + 1, ")
+    assert code in (0, 3)
+    assert json.loads(out)["seed"] == 2 ** 64 - 1
 
 
 # ---------------------------------------------------------------------------

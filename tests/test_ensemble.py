@@ -364,6 +364,24 @@ def test_wide_run_splits_into_two_keyed_halves(monkeypatch):
             out[name], np.concatenate([h[name] for h in halves]))
 
 
+@pytest.mark.parametrize("sub_run", [1, 2, 2 ** 32 - 1])
+def test_sub_run_chunks_draw_on_their_own_key_block(monkeypatch, sub_run):
+    # chunk c of sub-run i draws on the key words (seed, i * 2**32 + c),
+    # pooled where two CPUs are usable; the seed stays the first word, up
+    # to the top of its range
+    log_pooling(monkeypatch)
+    n, reps, seed = 40, 2 * MAX_LANES + 1, 2 ** 64 - 1
+    factories = [lambda: TopLengthsTracker(2)]
+    out = run_ensemble(BS, n, reps, seed, factories, sub_run=sub_run)
+    sizes = [reps // 3 + 1, reps // 3 + 1, reps // 3]
+    assert sum(sizes) == reps
+    chunks = [_chunk_draws(n, size, seed, (sub_run << 32) + c, factories)
+              for c, size in enumerate(sizes)]
+    assert (out["top_lengths"].tobytes() == np.concatenate(
+        [chunk["top_lengths"] for chunk in chunks]).tobytes())
+    assert _POOLED == ([True] if ensemble._usable_cpus() > 1 else [])
+
+
 @pytest.mark.parametrize("reps, pool_min_work", [
     (MAX_LANES // 4, 0),                         # too narrow to split
     (MAX_LANES // 2, 40 * (MAX_LANES // 2) + 1),  # below the threshold
@@ -701,6 +719,9 @@ def test_validation():
     for seed in (-1, 1.5, 2 ** 64, "7", True):
         with pytest.raises(ValueError):
             run_ensemble(BS, 10, 10, seed, [absorption])
+    for sub_run in (-1, 2 ** 32, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="sub_run"):
+            run_ensemble(BS, 10, 10, 1, [absorption], sub_run=sub_run)
     out = run_ensemble(BS, np.int64(10), np.int32(3), np.uint64(1),
                        [absorption])
     assert out["crossing_jumps"].shape == (3,)

@@ -22,6 +22,7 @@ from coalsim.experiments import (CATALOG, ConfigError, ExperimentConfig,
 from coalsim.measure import (bolthausen_sznitman, kingman, parse_measure,
                              power_beta)
 from coalsim.rates import rates_for
+from coalsim.sim import DEFAULT_SEED
 
 
 # ---------------------------------------------------------------------------
@@ -355,20 +356,21 @@ def test_run_bs_trend_and_moments():
 
 
 def test_run_bs_moments_c_branch(monkeypatch):
-    # an empty t_grid skips the moment run: the c branch is the only one
+    # an empty t_grid skips the moment run: the c branch, sub-run 1 of the
+    # seed, is the only one
     calls = []
     real = experiments.run_ensemble
 
-    def counting(rates, n, reps, seed, factories):
-        calls.append((n, reps, seed))
-        return real(rates, n, reps, seed, factories)
+    def counting(rates, n, reps, seed, factories, sub_run=0):
+        calls.append((n, reps, seed, sub_run))
+        return real(rates, n, reps, seed, factories, sub_run)
 
     monkeypatch.setattr(experiments, "run_ensemble", counting)
     cfg = ExperimentConfig("bolthausen-sznitman", "L9.2", 150, 500,
                            params={"t_grid": (), "c": 1.0, "c_reps": 400},
                            tolerances={"c_mean": 0.5})
     rep = run_experiment(cfg)
-    assert calls == [(150, 400, cfg.seed + 101)]
+    assert calls == [(150, 400, cfg.seed, 1)]
     assert stat_names(rep) == ["scaled_count_mean"]
     res = rep.config["resolved"]
     assert res["t_grid"] == [] and res["r"] == 1
@@ -377,26 +379,27 @@ def test_run_bs_moments_c_branch(monkeypatch):
 
 
 def test_bs_runners_keep_their_seeds(monkeypatch):
-    # trend run i on seed + i, the moment run on seed, the c branch on
-    # seed + 101, up to the top of the key range
+    # every run on the seed given: trend size i as sub-run i, the moment
+    # run as sub-run 0 and the c branch as sub-run 1, up to the top of the
+    # key range
     calls = []
 
-    def record(rates, n, reps, seed, factories):
-        calls.append((n, seed))
+    def record(rates, n, reps, seed, factories, sub_run=0):
+        calls.append((n, seed, sub_run))
         return {"top_lengths": np.ones((reps, 1)),
                 "blocks_at": np.arange(reps)[:, None] + np.ones((1, 3))}
 
     monkeypatch.setattr(experiments, "run_ensemble", record)
     top = 2 ** 64 - 1
     run_experiment(ExperimentConfig(
-        "bolthausen-sznitman", "T1.6", 10, 100, seed=top - 2,
+        "bolthausen-sznitman", "T1.6", 10, 100, seed=top,
         params={"trend_grid": [10, 20, 30]}))
-    assert calls == [(10, top - 2), (20, top - 1), (30, top)]
+    assert calls == [(10, top, 0), (20, top, 1), (30, top, 2)]
     calls.clear()
     run_experiment(ExperimentConfig(
-        "bolthausen-sznitman", "L9.2", 10, 100, seed=top - 101,
+        "bolthausen-sznitman", "L9.2", 10, 100, seed=top,
         params={"c": 2.0, "c_n": 40}))
-    assert calls == [(10, top - 101), (40, top)]
+    assert calls == [(10, top, 0), (40, top, 1)]
 
 
 def test_run_factorial_replay_exact_law():
@@ -433,22 +436,33 @@ def test_chain_moments_match_stored_paths(measure):
 
 
 def test_factorial_replay_records_single_paths_only(monkeypatch):
-    # the frozen chain is a one-path run; the variance chains stream their
-    # products and store no path
-    calls = []
+    # the frozen chain is the one-path run under the seed; the replay draws
+    # on the key (seed, 2**32), sub-run 1's first; the variance chains,
+    # sub-run 2, stream their products and store no path
+    calls, replay_keys = [], []
 
     def recording(real):
-        def run(rates, n, reps, seed, factories):
-            calls.append((reps, [type(f()) for f in factories]))
-            return real(rates, n, reps, seed, factories)
+        def run(rates, n, reps, seed, factories, sub_run=0):
+            calls.append((reps, seed, sub_run,
+                          [type(f()) for f in factories]))
+            return real(rates, n, reps, seed, factories, sub_run)
         return run
 
+    real_make_rng = experiments._make_rng
+
+    def make_rng(seed, stream=0):
+        replay_keys.append((seed, stream))
+        return real_make_rng(seed, stream)
+
+    monkeypatch.setattr(experiments, "_make_rng", make_rng)
     for module in (experiments, ensemble):
         monkeypatch.setattr(module, "run_ensemble",
                             recording(module.run_ensemble))
-    run_experiment(ExperimentConfig("kingman", "L7.1", 200, 100,
+    run_experiment(ExperimentConfig("kingman", "L7.1", 200, 100, seed=9,
                                     params={"variance_paths": 50}))
-    assert calls == [(1, [PathRecorder]), (50, [_ChainMomentsTracker])]
+    assert calls == [(1, 9, 0, [PathRecorder]),
+                     (50, 9, 2, [_ChainMomentsTracker])]
+    assert replay_keys == [(9, 2 ** 32)]
 
 
 def test_factorial_replay_point_mass_scores_exactly(monkeypatch):
@@ -527,21 +541,60 @@ def test_dropped_alias_tags_are_unknown(no_simulation, tag):
         run_experiment(ExperimentConfig("kingman", tag, 100, 100))
 
 
-@pytest.mark.parametrize("tag, params, offset", [
-    ("T1.6", {"trend_grid": [50, 100, 200]}, 2),
-    ("L9.2", {"c": 1.0}, 101),
-    ("L7.1", {"variance_paths": 3}, 1000),
-])
-def test_sub_run_seeds_beyond_the_key_range_are_rejected_before_simulating(
-        no_simulation, tag, params, offset):
-    # the sub-run on seed + offset raised, after simulating, that the
-    # (valid) seed given was not an integer in [0, 2**64)
+@pytest.mark.parametrize("tag, params", [
+    ("T1.6", {"trend_grid": [50, 100, 200]}),
+    ("L9.2", {"c": 1.0}),
+    ("L7.1", {"variance_paths": 3}),
+], ids=["T1.6", "L9.2-c", "L7.1"])
+def test_the_top_seed_runs_every_sub_run(tag, params):
+    # sub-runs keep the seed as the first key word, so the top of the key
+    # range runs every tag; seeds of sub-runs taken as seed + offset were
+    # refused from 2**64 - offset on
     measure = "kingman" if tag == "L7.1" else "bolthausen-sznitman"
-    seed = 2 ** 64 - offset
-    with pytest.raises(ConfigError,
-                       match=rf"seed \+ {offset}, .* for seed {seed}$"):
-        run_experiment(ExperimentConfig(measure, tag, 50, 100, seed=seed,
+    top = 2 ** 64 - 1
+    report = run_experiment(ExperimentConfig(
+        measure, tag, 50, 100, seed=top, params=params,
+        tolerances={"trend_rise": 1.0} if tag == "T1.6" else {}))
+    assert report.seed == top
+    assert all(math.isfinite(s.value) for s in report.statistics)
+
+
+@pytest.mark.parametrize("rule", [math.inf, "n", "n*5", 50])
+def test_l71_level_at_or_above_n_is_rejected_before_simulating(
+        no_simulation, rule):
+    # the frozen chain starts at n blocks, already at or below such a
+    # level: rho was 0, and the report read PASS with all three
+    # statistics 0
+    with pytest.raises(ConfigError, match="1 <= r < n=50"):
+        run_experiment(ExperimentConfig(
+            "kingman", "L7.1", 50, 100,
+            params={"r_rule": rule, "variance_paths": 3}))
+
+
+@pytest.mark.parametrize("tag, params, key", [
+    ("L9.2", {"t_grid": [], "c": math.inf}, "c="),
+    ("L9.2", {"t_grid": [], "c": math.nan}, "c="),
+    ("T1.5", {"alpha": math.inf}, "alpha="),
+    ("T1.5", {"alpha": -math.inf}, "alpha="),
+    ("T1.2", {"k": math.inf}, "k="),
+])
+def test_non_finite_numbers_are_rejected_before_simulating(
+        no_simulation, tag, params, key):
+    # c=Infinity scored scaled_count_mean = 1000 against target inf with
+    # tolerance inf, and passed
+    measure = "bolthausen-sznitman" if tag == "L9.2" else "kingman"
+    with pytest.raises(ConfigError, match=f"{key}.*not a finite number"):
+        run_experiment(ExperimentConfig(measure, tag, 1000, 100,
                                         params=params))
+
+
+@pytest.mark.parametrize("alpha", [5.0, 2.5, 1.0, 0.5, -1.0])
+def test_t15_config_alpha_outside_its_range_is_rejected_before_simulating(
+        no_simulation, alpha):
+    # alpha = 5 ran with alpha 2 clipped in while params recorded 5
+    with pytest.raises(ConfigError, match=r"alpha in \(1, 2\]"):
+        run_experiment(ExperimentConfig("kingman", "T1.5", 100, 100,
+                                        params={"alpha": alpha}))
 
 
 @pytest.mark.parametrize("tag, key, grid", [
@@ -748,9 +801,9 @@ def test_every_key_a_runner_reads_is_declared(tag):
         cfg.tolerances.read - tolerances
 
 
-@pytest.mark.parametrize("tag", sorted(CATALOG))
-def test_every_stream_in_a_report_is_distinct(tag, monkeypatch):
-    # every Philox key a report constructs, its sub-runs three chunks long
+def record_keys(monkeypatch) -> list:
+    """Log the two key words of every Philox stream constructed, in this
+    process: chunks run in order, never in pool workers."""
     keys = []
     philox = np.random.Philox
 
@@ -760,16 +813,44 @@ def test_every_stream_in_a_report_is_distinct(tag, monkeypatch):
         return philox(*args, key=key, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", recording)
-    # chunks run in worker processes would construct their keys there
     monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 1)
+    return keys
+
+
+def key_config(tag, reps, seed=DEFAULT_SEED):
+    """The smoke-size config of a tag at `reps` replications, its sub-runs
+    as long."""
     measure, n, params, tolerances = _ALL_KEYS[tag]
-    reps = 2 * ensemble.MAX_LANES + 1
     longer = {"trend_grid": [30, 40, 50], "c_reps": reps,
               "variance_paths": reps}
     params = {key: longer.get(key, value) for key, value in params.items()}
     if "trend_grid" in params:
         n = min(params["trend_grid"])    # T1.6's n is its smallest size
-    run_experiment(ExperimentConfig(measure, tag, n, reps, params=params,
-                                    tolerances=tolerances))
+    return ExperimentConfig(measure, tag, n, reps, seed, params=params,
+                            tolerances=tolerances)
+
+
+@pytest.mark.parametrize("tag", sorted(CATALOG))
+def test_every_stream_in_a_report_is_distinct(tag, monkeypatch):
+    # every Philox key a report constructs, its sub-runs three chunks long
+    keys = record_keys(monkeypatch)
+    run_experiment(key_config(tag, 2 * ensemble.MAX_LANES + 1))
     assert len(keys) >= 3
     assert len(set(keys)) == len(keys), sorted(keys)
+
+
+@pytest.mark.parametrize("tag", sorted(CATALOG))
+def test_reports_at_nearby_seeds_share_no_stream(tag, monkeypatch):
+    # sub-runs took the seeds seed + offset: L7.1 at seed s replayed on the
+    # key (s + 1, 0), from which its frozen path drew at s + 1, T1.6 ran
+    # trend size i on (s + i, 0) and L9.2 its c branch on (s + 101, 0),
+    # the keys of the first runs at s + i and s + 101
+    keys = record_keys(monkeypatch)
+    seed = 41
+    run_experiment(key_config(tag, 100, seed))
+    first = set(keys)
+    for step in (1, 2, 101, 1000):
+        keys.clear()
+        run_experiment(key_config(tag, 100, seed + step))
+        assert first and keys
+        assert first.isdisjoint(keys), (step, sorted(first & set(keys)))
