@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="KEY=VALUE",
                    help="experiment parameter, repeatable, the only way to "
                         "set one; VALUE parsed as JSON when possible "
-                        "(examples: ell=3, k=2, c=2, r_rule=\"n/2\", "
+                        "(examples: k=2, c=2, r_rule=\"n/2\", "
                         "t_grid=[0.25,0.5,1])")
     p.add_argument("--tol", action="append", default=None,
                    metavar="NAME=VALUE",

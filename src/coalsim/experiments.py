@@ -71,10 +71,12 @@ class ExperimentConfig:
             if not isinstance(getattr(self, what), dict):
                 raise ValueError(f"{what} must be a dict")
         for name, tol in self.tolerances.items():
+            # an infinite tolerance turns its gate off while the report
+            # still counts it as passed
             if (not isinstance(tol, numbers.Real) or isinstance(tol, bool)
-                    or not tol > 0):
-                raise ValueError(f"tolerance {name!r} must be a number "
-                                 f"above 0, got {tol!r}")
+                    or not 0 < tol < math.inf):
+                raise ValueError(f"tolerance {name!r} must be a finite "
+                                 f"number above 0, got {tol!r}")
 
     def tolerance(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))
@@ -210,13 +212,6 @@ def _trend_grid(grid) -> list[int]:
     return out
 
 
-def _require_ell_at_most(ell: int, n: int) -> None:
-    """A sample of n leaves has n external lengths; asking for more than
-    that would score zero-filled slots."""
-    if ell > n:
-        raise ConfigError(f"ell={ell} exceeds the smallest sample size {n}")
-
-
 def _grid(positive: bool = False, allow_empty: bool = False):
     """Converter of a list of numbers (no bools) to a float array of
     finite values, each > 0 when `positive` and >= 0 otherwise, nonempty
@@ -247,13 +242,6 @@ def known_rv_exponent(measure: LambdaMeasure) -> float:
     if measure.atoms:
         contribs.append(1.0)
     return max(contribs)
-
-
-def _resolve_alpha(cfg: ExperimentConfig,
-                   rates: RateFunctions) -> tuple[float, str]:
-    if "alpha" in cfg.params:
-        return _param(cfg, "alpha", None), "config"
-    return known_rv_exponent(rates.measure), "family"
 
 
 def parse_r_rule(rule, n: int) -> float:
@@ -383,7 +371,7 @@ def run_typical_length(cfg: ExperimentConfig, rates: RateFunctions):
     One length per path keeps the sample i.i.d. across replications;
     within-path lengths are dependent at finite n.
     """
-    alpha, alpha_src = _resolve_alpha(cfg, rates)
+    alpha = known_rv_exponent(rates.measure)
     scale_rule = cfg.params.get("scale", "mu_over_n")
     if scale_rule == "mu_over_n":
         scale = rates.rate_of_decrease(cfg.n) / cfg.n
@@ -404,9 +392,8 @@ def run_typical_length(cfg: ExperimentConfig, rates: RateFunctions):
         _info("scaled_mean", scaled.mean(),
               se=scaled.std(ddof=1) / math.sqrt(scaled.size)),
     ]
-    resolved = {"alpha": alpha, "alpha_source": alpha_src,
-                "scale": float(scale), "scale_rule": scale_rule,
-                "t_grid": t_grid.tolist()}
+    resolved = {"alpha": alpha, "scale": float(scale),
+                "scale_rule": scale_rule, "t_grid": t_grid.tolist()}
     return stats, resolved, {"scaled_length": _decimated_ecdf(scaled)}
 
 
@@ -506,17 +493,13 @@ def run_lln(cfg: ExperimentConfig, rates: RateFunctions):
 
 
 def run_order_statistics(cfg: ExperimentConfig, rates: RateFunctions):
-    """Top-ell external lengths scaled by kappa(s_n): the maximum against
-    its heavy-tail limit CDF and, unscaled, against the Poisson
-    surrogate F_n of its finite-n law (finite_n_max_cdf), and exceedance
-    counts against the Poisson mean/variance identity on an x-grid.  The
-    distance between F_n and the limit is reported as
+    """The maximum external length scaled by kappa(s_n) against its
+    heavy-tail limit CDF for the measure's exponent and, unscaled, against
+    the Poisson surrogate F_n of its finite-n law (finite_n_max_cdf), and
+    exceedance counts against the Poisson mean/variance identity on an
+    x-grid.  The distance between F_n and the limit is reported as
     resolved["limit_gap"]."""
-    ell = _param(cfg, "ell", 3, _count(1))
-    _require_ell_at_most(ell, cfg.n)
-    alpha, alpha_src = _resolve_alpha(cfg, rates)
-    if alpha_src == "config" and not 1.0 < alpha <= 2.0:
-        raise ConfigError(f"T1.5 needs params alpha in (1, 2], got {alpha}")
+    alpha = known_rv_exponent(rates.measure)
     if not alpha > 1.0:
         raise RegimeError(f"heavy-tail regime needs alpha > 1, "
                           f"got {alpha}")
@@ -525,7 +508,7 @@ def run_order_statistics(cfg: ExperimentConfig, rates: RateFunctions):
     x_grid = _param(cfg, "x_grid", (1.0,), _grid(positive=True))
     out = run_ensemble(
         rates, cfg.n, cfg.replications, cfg.seed,
-        [lambda: TopLengthsTracker(ell),
+        [lambda: TopLengthsTracker(1),
          lambda: ThresholdCountTracker(x_grid / kappa)])
     top = out["top_lengths"][:, 0]
     scaled_max = top * kappa
@@ -547,8 +530,7 @@ def run_order_statistics(cfg: ExperimentConfig, rates: RateFunctions):
                               / math.sqrt(counts.shape[0]) / lam))
         stats.append(_bounded(f"count_var_rel_err_x{x:g}",
                               abs(var - lam) / lam, mv_tol))
-    resolved = {"alpha": alpha, "alpha_source": alpha_src, "ell": ell,
-                "s_n": float(s_n), "kappa": float(kappa),
+    resolved = {"alpha": alpha, "s_n": float(s_n), "kappa": float(kappa),
                 "x_grid": x_grid.tolist(),
                 "limit_gap": limit_gap(finite_n, kappa, alpha)}
     return stats, resolved, {"scaled_max": _decimated_ecdf(scaled_max)}
@@ -558,16 +540,14 @@ def run_bs_trend(cfg: ExperimentConfig, rates: RateFunctions):
     """Uniform-measure extremes: the KS distance of the centered-scaled
     maximum from the logistic law at each trend size, size i as sub-run
     i, and the largest rise of that distance from one size to the next."""
-    ell = _param(cfg, "ell", 1, _count(1))
     trend_grid = _param(cfg, "trend_grid", (), _trend_grid)
-    _require_ell_at_most(ell, trend_grid[0])
     if cfg.n != trend_grid[0]:
         raise ConfigError(f"T1.6 runs at the trend_grid sizes; n={cfg.n} "
                           f"must be the smallest, {trend_grid[0]}")
     stats, ecdf = [], {}
     for i, n_i in enumerate(trend_grid):
         out = run_ensemble(rates, n_i, cfg.replications, cfg.seed,
-                           [lambda: TopLengthsTracker(ell)], sub_run=i)
+                           [lambda: TopLengthsTracker(1)], sub_run=i)
         ll = math.log(math.log(n_i))
         centered = ll * (out["top_lengths"][:, 0] - t_sequence(n_i))
         stats.append(_info(f"ks_logistic_n{n_i}",
@@ -577,15 +557,15 @@ def run_bs_trend(cfg: ExperimentConfig, rates: RateFunctions):
     worst_rise = max(b - a for a, b in zip(trend, trend[1:]))
     stats.append(_bounded("trend_max_rise", max(worst_rise, 0.0),
                           cfg.tolerance("trend_rise", 0.02)))
-    return stats, {"ell": ell, "trend_grid": trend_grid}, ecdf
+    return stats, {"trend_grid": trend_grid}, ecdf
 
 
 def run_bs_moments(cfg: ExperimentConfig, rates: RateFunctions):
     """Exact uniform-measure block-count checks: ascending factorial
     moments at the times of t_grid, as sub-run 0, and with params c the
     exponential law of the scaled count at the c-dependent centering
-    time, as sub-run 1.  An empty t_grid skips the moments and their
-    run, and then c is required, as it is when c_n or c_reps is given."""
+    time, as sub-run 1 at the same n and replications.  An empty t_grid
+    skips the moments and their run, and then c is required."""
     t_grid = _param(cfg, "t_grid", (0.25, 0.5, 1.0), _grid(allow_empty=True))
     r = _param(cfg, "r", 1, _count(1))
     resolved = {"t_grid": t_grid.tolist(), "r": r}
@@ -593,17 +573,11 @@ def run_bs_moments(cfg: ExperimentConfig, rates: RateFunctions):
         c = _param(cfg, "c", None)
         if not c > 0:
             raise ConfigError(f"c must be positive, got {c}")
-        n_c = _param(cfg, "c_n", cfg.n, _count(2))
-        reps_c = _param(cfg, "c_reps", cfg.replications, _count(1))
-        t_c = t_c_sequence(n_c, c)
-        resolved.update({"c": c, "c_n": n_c, "t_c": t_c})
-    else:
-        unread = sorted({"c_n", "c_reps"} & set(cfg.params))
-        if unread:
-            raise ConfigError(f"L9.2 reads params {unread} only with c")
-        if not t_grid.size:
-            raise ConfigError("L9.2 with an empty t_grid scores nothing; "
-                              "give params c or a nonempty t_grid")
+        t_c = t_c_sequence(cfg.n, c)
+        resolved.update({"c": c, "t_c": t_c})
+    elif not t_grid.size:
+        raise ConfigError("L9.2 with an empty t_grid scores nothing; "
+                          "give params c or a nonempty t_grid")
 
     stats = []
     if t_grid.size:
@@ -623,7 +597,7 @@ def run_bs_moments(cfg: ExperimentConfig, rates: RateFunctions):
             cfg.tolerance("moment_z", 3.0), se=se))
 
     if "c" in cfg.params:
-        out = run_ensemble(rates, n_c, reps_c, cfg.seed,
+        out = run_ensemble(rates, cfg.n, cfg.replications, cfg.seed,
                            [lambda: BlockCountAtTimesTracker([t_c])],
                            sub_run=1)
         scaled = math.exp(-t_c) * out["blocks_at"][:, 0].astype(float)
@@ -724,16 +698,17 @@ def run_factorial_replay(cfg: ExperimentConfig, rates: RateFunctions):
 # that checks more than one of the paper's statements names them.
 CATALOG = {
     "T1.1": (run_typical_length, _require_dustless,
-             {"alpha", "scale", "t_grid"}, {"ks", "envelope"},
+             {"scale", "t_grid"}, {"ks", "envelope"},
              "typical external length scaled by mu(n)/n against its limit "
-             "CDF, alpha from the family or the alpha param, and the tail "
-             "envelope (T1.1, T1.3, C1.4)"),
+             "CDF for the measure's exponent alpha, and the tail envelope "
+             "(T1.1, T1.3, C1.4)"),
     "T1.2": (run_independence, _require_dustless, {"k"}, {"corr", "gap"},
              "asymptotic independence of k marked external lengths"),
     "T1.5": (run_order_statistics, _require_dustless,
-             {"ell", "alpha", "x_grid"}, {"ks", "count_moments"},
-             "top order statistics against Frechet / Poisson counts"),
-    "T1.6": (run_bs_trend, _require_uniform, {"ell", "trend_grid"},
+             {"x_grid"}, {"ks", "count_moments"},
+             "maximum external length against Frechet, exceedance counts "
+             "against Poisson"),
+    "T1.6": (run_bs_trend, _require_uniform, {"trend_grid"},
              {"trend_rise"},
              "Bolthausen-Sznitman extremes, logistic trend diagnostic"),
     "P2.1": (run_lln, _require_dustless, {"r_rule"}, {"ratio", "log_gap"},
@@ -747,7 +722,7 @@ CATALOG = {
              {"moment_z", "var_slack"},
              "conditional factorial-moment replay oracle"),
     "L9.2": (run_bs_moments, _require_uniform,
-             {"t_grid", "r", "c", "c_n", "c_reps"}, {"moment_z", "c_mean"},
+             {"t_grid", "r", "c"}, {"moment_z", "c_mean"},
              "exact Bolthausen-Sznitman block-count moments"),
 }
 

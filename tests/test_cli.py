@@ -89,6 +89,8 @@ _EXPERIMENT = ("experiment", "--measure", "kingman", "--theorem", "T1.1",
     ("experiment", "--measure", "bolthausen-sznitman", "--theorem", "L9.2",
      "--n", "1000", "--reps", "100", "--param", "c=Infinity",
      "--param", "t_grid=[]"),
+    ("experiment", "--measure", "bolthausen-sznitman", "--theorem", "L9.2",
+     "--n", "1000", "--reps", "100", "--tol", "moment_z=Infinity"),
 ])
 def test_library_value_errors_are_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -329,8 +331,8 @@ def test_experiment_bad_param_value_is_usage_error(capsys, theorem, param):
 
 
 @pytest.mark.parametrize("measure, theorem, n, param", [
-    ("kingman", "T1.5", 200, "ell=2.5"),
-    ("kingman", "T1.1", 100, "alpha=true"),
+    ("kingman", "T1.2", 200, "k=2.5"),
+    ("kingman", "T1.1", 100, "t_grid=[0.5,true]"),
     ("bolthausen-sznitman", "T1.6", 100, "trend_grid=[1000,100]"),
 ])
 def test_experiment_bool_fraction_or_unordered_grid_is_usage_error(
@@ -379,14 +381,12 @@ def test_experiment_param_shorthands(capsys):
     code, out, _ = run_cli(
         capsys, "experiment", "--measure", "kingman", "--theorem", "T1.5",
         "--n", "200", "--reps", "100",
-        "--param", "ell=2", "--param", "x_grid=[1.0]",
+        "--param", "x_grid=[1.0, 2]",
         "--tol", "ks=1", "--tol", "count_moments=50")
     assert code == 0
     doc = json.loads(out)
-    params = doc["config"]["params"]
-    assert params["ell"] == 2
-    assert params["x_grid"] == [1.0]
-    assert doc["config"]["resolved"]["ell"] == 2
+    assert doc["config"]["params"]["x_grid"] == [1.0, 2]
+    assert doc["config"]["resolved"]["x_grid"] == [1.0, 2.0]
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -412,11 +412,12 @@ def test_experiment_key_given_twice_is_usage_error(capsys, what):
 
 @pytest.mark.parametrize("theorem, params, message", [
     ("T1.6", ["trend_grid=[100,1000]", "r=2"], "does not read params ['r']"),
-    ("L9.2", ["ell=2"], "does not read params ['ell']"),
+    ("L9.2", ["trend_grid=[100,1000]"],
+     "does not read params ['trend_grid']"),
     ("T1.6", [], "trend_grid"),
     ("T1.6", ["trend_grid=[1000]"], "trend_grid"),
     ("L9.2", ["t_grid=[]"], "t_grid"),
-], ids=["T1.6-r", "L9.2-ell", "T1.6-no-trend", "T1.6-one-size",
+], ids=["T1.6-r", "L9.2-trend_grid", "T1.6-no-trend", "T1.6-one-size",
         "L9.2-empty-t_grid"])
 def test_experiment_bs_key_it_does_not_score_is_usage_error(
         capsys, theorem, params, message):

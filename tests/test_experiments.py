@@ -70,7 +70,8 @@ def test_config_validation():
                 {"seed": True}, {"params": [1]}, {"tolerances": [1]},
                 {"tolerances": {"ks": "abc"}}, {"tolerances": {"ks": None}},
                 {"tolerances": {"ks": True}},
-                {"tolerances": {"ks": float("nan")}}):
+                {"tolerances": {"ks": float("nan")}},
+                {"tolerances": {"ks": math.inf}}):
         with pytest.raises(ValueError):
             ExperimentConfig(**{**good, **bad})
     numpy_ints = ExperimentConfig("kingman", "T1.1", np.int64(100),
@@ -252,7 +253,7 @@ def test_run_typical_length_small():
     assert stat_names(rep) == ["ks_vs_limit", "envelope_gap", "scaled_mean"]
     assert rep.verdict == "PASS"
     res = rep.config["resolved"]
-    assert res["alpha"] == 2.0 and res["alpha_source"] == "family"
+    assert res["alpha"] == 2.0
     assert res["scale_rule"] == "mu_over_n"
     assert res["scale"] == pytest.approx(199.0 / 2.0)
     assert "scaled_length" in rep.ecdf_grids
@@ -308,7 +309,7 @@ def test_run_lln_small():
 
 def test_run_order_statistics_small():
     cfg = ExperimentConfig("kingman", "T1.5", 500, 1000,
-                           params={"ell": 2, "x_grid": (1.0, 2.0)},
+                           params={"x_grid": (1.0, 2.0)},
                            tolerances={"ks": 0.3, "count_moments": 1.0})
     rep = run_experiment(cfg)
     assert stat_names(rep) == ["ks_max_vs_limit",
@@ -319,20 +320,10 @@ def test_run_order_statistics_small():
                                "count_var_rel_err_x2"]
     res = rep.config["resolved"]
     assert res["alpha"] == 2.0
-    assert res["ell"] == 2
     assert res["s_n"] == pytest.approx(
         (1.0 + math.sqrt(4.0 * 499.0 + 1.0)) / 2.0)
     assert "scaled_max" in rep.ecdf_grids
     assert rep.verdict == "PASS"
-
-
-def test_run_order_statistics_alpha_override():
-    cfg = ExperimentConfig("kingman", "T1.5", 300, 500,
-                           params={"alpha": 1.5},
-                           tolerances={"ks": 1.0, "count_moments": 50.0})
-    rep = run_experiment(cfg)
-    assert rep.config["resolved"]["alpha_source"] == "config"
-    assert rep.config["resolved"]["alpha"] == 1.5
 
 
 def test_run_bs_trend_and_moments():
@@ -343,7 +334,7 @@ def test_run_bs_trend_and_moments():
     names = stat_names(rep)
     assert names == ["ks_logistic_n300", "ks_logistic_n600",
                      "trend_max_rise"]
-    assert rep.config["resolved"] == {"ell": 1, "trend_grid": [300, 600]}
+    assert rep.config["resolved"] == {"trend_grid": [300, 600]}
     assert "centered_max_n300" in rep.ecdf_grids
     assert rep.verdict == "PASS"
 
@@ -357,7 +348,7 @@ def test_run_bs_trend_and_moments():
 
 def test_run_bs_moments_c_branch(monkeypatch):
     # an empty t_grid skips the moment run: the c branch, sub-run 1 of the
-    # seed, is the only one
+    # seed at the config's n and replications, is the only one
     calls = []
     real = experiments.run_ensemble
 
@@ -366,15 +357,15 @@ def test_run_bs_moments_c_branch(monkeypatch):
         return real(rates, n, reps, seed, factories, sub_run)
 
     monkeypatch.setattr(experiments, "run_ensemble", counting)
-    cfg = ExperimentConfig("bolthausen-sznitman", "L9.2", 150, 500,
-                           params={"t_grid": (), "c": 1.0, "c_reps": 400},
+    cfg = ExperimentConfig("bolthausen-sznitman", "L9.2", 150, 400,
+                           params={"t_grid": (), "c": 1.0},
                            tolerances={"c_mean": 0.5})
     rep = run_experiment(cfg)
     assert calls == [(150, 400, cfg.seed, 1)]
     assert stat_names(rep) == ["scaled_count_mean"]
     res = rep.config["resolved"]
     assert res["t_grid"] == [] and res["r"] == 1
-    assert res["c"] == 1.0 and res["c_n"] == 150
+    assert res["c"] == 1.0
     assert res["t_c"] > 0.0
 
 
@@ -398,8 +389,8 @@ def test_bs_runners_keep_their_seeds(monkeypatch):
     calls.clear()
     run_experiment(ExperimentConfig(
         "bolthausen-sznitman", "L9.2", 10, 100, seed=top,
-        params={"c": 2.0, "c_n": 40}))
-    assert calls == [(10, top, 0), (40, top, 1)]
+        params={"c": 2.0}))
+    assert calls == [(10, top, 0), (10, top, 1)]
 
 
 def test_run_factorial_replay_exact_law():
@@ -574,8 +565,8 @@ def test_l71_level_at_or_above_n_is_rejected_before_simulating(
 @pytest.mark.parametrize("tag, params, key", [
     ("L9.2", {"t_grid": [], "c": math.inf}, "c="),
     ("L9.2", {"t_grid": [], "c": math.nan}, "c="),
-    ("T1.5", {"alpha": math.inf}, "alpha="),
-    ("T1.5", {"alpha": -math.inf}, "alpha="),
+    ("T1.5", {"x_grid": [math.inf]}, "x_grid="),
+    ("T1.5", {"x_grid": [1.0, -math.inf]}, "x_grid="),
     ("T1.2", {"k": math.inf}, "k="),
 ])
 def test_non_finite_numbers_are_rejected_before_simulating(
@@ -588,13 +579,24 @@ def test_non_finite_numbers_are_rejected_before_simulating(
                                         params=params))
 
 
-@pytest.mark.parametrize("alpha", [5.0, 2.5, 1.0, 0.5, -1.0])
-def test_t15_config_alpha_outside_its_range_is_rejected_before_simulating(
-        no_simulation, alpha):
-    # alpha = 5 ran with alpha 2 clipped in while params recorded 5
-    with pytest.raises(ConfigError, match=r"alpha in \(1, 2\]"):
-        run_experiment(ExperimentConfig("kingman", "T1.5", 100, 100,
-                                        params={"alpha": alpha}))
+@pytest.mark.parametrize("tag, key, value", [
+    ("T1.1", "alpha", 1.5),
+    ("T1.5", "alpha", 1.5),
+    ("T1.5", "ell", 2),
+    ("T1.6", "ell", 2),
+    ("L9.2", "c_n", 1000),
+    ("L9.2", "c_reps", 200),
+])
+def test_removed_keys_are_refused_before_simulating(no_simulation, tag, key,
+                                                    value):
+    # alpha is the measure's own exponent, T1.5 and T1.6 score only the
+    # maximum, and L9.2's c branch runs at the config's n and replications
+    measure = ("bolthausen-sznitman" if tag in ("T1.6", "L9.2")
+               else "kingman")
+    with pytest.raises(ConfigError,
+                       match=rf"{tag} does not read params \['{key}'\]"):
+        run_experiment(ExperimentConfig(measure, tag, 100, 100,
+                                        params={key: value}))
 
 
 @pytest.mark.parametrize("tag, key, grid", [
@@ -640,7 +642,7 @@ class _ReadLog(dict):
 # Smoke-size runs of each tag with every key it declares set.
 _ALL_KEYS = {
     "T1.1": ("kingman", 100,
-             {"alpha": 2.0, "scale": "mu_over_n", "t_grid": [0.5, 1.0]},
+             {"scale": "mu_over_n", "t_grid": [0.5, 1.0]},
              {"ks": 1.0, "envelope": 1.0}),
     "T1.2": ("kingman", 50, {"k": 2}, {"corr": 1.0, "gap": 1.0}),
     "T4.1": ("kingman", 50, {"r_rule": "n/2"},
@@ -648,32 +650,17 @@ _ALL_KEYS = {
     "P2.1": ("kingman", 200,
              {"r_rule": "n^0.5"},
              {"ratio": 1.0, "log_gap": 1.0}),
-    "T1.5": ("kingman", 100,
-             {"ell": 2, "alpha": 2.0, "x_grid": [1.0]},
+    "T1.5": ("kingman", 100, {"x_grid": [1.0]},
              {"ks": 1.0, "count_moments": 100.0}),
     "T1.6": ("bolthausen-sznitman", 50,
-             {"ell": 1, "trend_grid": [50, 100]}, {"trend_rise": 1.0}),
+             {"trend_grid": [50, 100]}, {"trend_rise": 1.0}),
     "L9.2": ("bolthausen-sznitman", 100,
-             {"t_grid": [0.5], "r": 1, "c": 1.0, "c_n": 100, "c_reps": 100},
+             {"t_grid": [0.5], "r": 1, "c": 1.0},
              {"moment_z": 100.0, "c_mean": 10.0}),
     "L7.1": ("kingman", 50,
              {"r_rule": "n/2", "r_values": [1, 2], "variance_paths": 3},
              {"moment_z": 100.0, "var_slack": 1.0}),
 }
-
-
-@pytest.mark.parametrize("tag, n, params", [
-    ("T1.5", 3, {"ell": 5}),
-    ("T1.6", 3, {"ell": 7, "trend_grid": [3, 10]}),
-    ("T1.6", 100, {"ell": 20, "trend_grid": [10, 50]}),
-])
-def test_ell_above_the_sample_is_rejected_before_simulating(no_simulation,
-                                                           tag, n, params):
-    # a sample of n leaves has n external lengths: the slots beyond them
-    # held zeros, and T1.6 at n = 3 with ell = 7 reported PASS
-    measure = "bolthausen-sznitman" if tag == "T1.6" else "kingman"
-    with pytest.raises(ConfigError, match="ell"):
-        run_experiment(ExperimentConfig(measure, tag, n, 100, params=params))
 
 
 @pytest.mark.parametrize("n, grid", [(5, [100, 1000]), (1000, [100, 1000]),
@@ -696,22 +683,19 @@ def test_t16_trend_grid_must_increase_strictly(no_simulation, grid):
 
 
 @pytest.mark.parametrize("tag, params, key", [
-    ("T1.5", {"ell": 2.7}, "ell"),
-    ("T1.5", {"ell": True}, "ell"),
+    ("T1.5", {"x_grid": [1.0, True]}, "x_grid"),
     ("T1.2", {"k": 2.9}, "k"),
     ("L7.1", {"variance_paths": 10.5}, "variance_paths"),
     ("L7.1", {"r_values": [1.9]}, "r_values"),
     ("T1.6", {"trend_grid": [100.7, 1000]}, "trend_grid"),
-    ("T1.1", {"alpha": True}, "alpha"),
     ("L7.1", {"r_rule": True}, "r rule"),
     ("T1.1", {"t_grid": [0.5, True]}, "t_grid"),
     ("L9.2", {"c": True}, "c="),
-    ("L9.2", {"c": 1.0, "c_reps": "400"}, "c_reps"),
 ])
 def test_bools_and_non_integral_counts_are_rejected_before_simulating(
         no_simulation, tag, params, key):
-    # each was truncated or read as 1: ell=2.7 ran with ell 2, ell=true
-    # with 1, trend_grid=[100.7, 1000] at 100, r_rule=true at level 1
+    # each was truncated or read as 1: trend_grid=[100.7, 1000] ran at
+    # 100, r_rule=true at level 1
     measure = ("bolthausen-sznitman" if tag in ("T1.6", "L9.2")
                else "kingman")
     with pytest.raises(ConfigError, match=key):
@@ -723,12 +707,11 @@ def test_integral_floats_are_counts():
     # JSON reads 1e2 as a float; the sizes and statistic names stay ints
     rep = run_experiment(ExperimentConfig(
         "bolthausen-sznitman", "T1.6", 50, 100,
-        params={"ell": 1.0, "trend_grid": [50.0, 1e2]},
+        params={"trend_grid": [50.0, 1e2]},
         tolerances={"trend_rise": 1.0}))
     resolved = rep.config["resolved"]
-    assert resolved == {"ell": 1, "trend_grid": [50, 100]}
-    assert {type(v) for v in [resolved["ell"], *resolved["trend_grid"]]} \
-        == {int}
+    assert resolved == {"trend_grid": [50, 100]}
+    assert {type(v) for v in resolved["trend_grid"]} == {int}
     assert stat_names(rep)[:2] == ["ks_logistic_n50", "ks_logistic_n100"]
 
 
@@ -752,18 +735,8 @@ def test_configs_that_gate_nothing_are_rejected_before_simulating(
                                         200, params=params))
 
 
-@pytest.mark.parametrize("params", [{"c_n": 10 ** 6}, {"c_reps": 500},
-                                    {"t_grid": [], "c_n": 1000}])
-def test_l92_c_branch_keys_need_c(no_simulation, params):
-    # without c no run reads c_n or c_reps: the report gated only the
-    # moments and read PASS
-    with pytest.raises(ConfigError, match="only with c"):
-        run_experiment(ExperimentConfig("bolthausen-sznitman", "L9.2", 1000,
-                                        200, params=params))
-
-
-_L92_ONLY = {"t_grid": [0.5], "r": 2, "c": 2.0, "c_n": 100, "c_reps": 100}
-_T16_ONLY = {"ell": 2, "trend_grid": [50, 100]}
+_L92_ONLY = {"t_grid": [0.5], "r": 2, "c": 2.0}
+_T16_ONLY = {"trend_grid": [50, 100]}
 
 
 @pytest.mark.parametrize("tag, what, key, value", [
@@ -821,8 +794,7 @@ def key_config(tag, reps, seed=DEFAULT_SEED):
     """The smoke-size config of a tag at `reps` replications, its sub-runs
     as long."""
     measure, n, params, tolerances = _ALL_KEYS[tag]
-    longer = {"trend_grid": [30, 40, 50], "c_reps": reps,
-              "variance_paths": reps}
+    longer = {"trend_grid": [30, 40, 50], "variance_paths": reps}
     params = {key: longer.get(key, value) for key, value in params.items()}
     if "trend_grid" in params:
         n = min(params["trend_grid"])    # T1.6's n is its smallest size
