@@ -326,6 +326,18 @@ def test_run_order_statistics_small():
     assert rep.verdict == "PASS"
 
 
+def test_run_order_statistics_alpha_override():
+    # there is no override: alpha is the measure's own exponent, 2 - a for
+    # a power-beta density, and a params alpha is refused
+    rep = run_experiment(ExperimentConfig(
+        HEAVY, "T1.5", 300, 500,
+        tolerances={"ks": 1.0, "count_moments": 50.0}))
+    assert rep.config["resolved"]["alpha"] == 1.5
+    with pytest.raises(ConfigError, match=r"does not read params \['alpha'\]"):
+        run_experiment(ExperimentConfig("kingman", "T1.5", 300, 500,
+                                        params={"alpha": 1.5}))
+
+
 def test_run_bs_trend_and_moments():
     cfg = ExperimentConfig("bolthausen-sznitman", "T1.6", 300, 500,
                            params={"trend_grid": (300, 600)},
@@ -562,6 +574,17 @@ def test_l71_level_at_or_above_n_is_rejected_before_simulating(
             params={"r_rule": rule, "variance_paths": 3}))
 
 
+@pytest.mark.parametrize("alpha", [5.0, 2.5, 1.0, 0.5, -1.0])
+def test_t15_config_alpha_outside_its_range_is_rejected_before_simulating(
+        no_simulation, alpha):
+    # the measure fixes alpha, so params hold none to range-check: any
+    # alpha, in (1, 2] or not, is an unknown key
+    with pytest.raises(ConfigError,
+                       match=r"T1.5 does not read params \['alpha'\]"):
+        run_experiment(ExperimentConfig("kingman", "T1.5", 100, 100,
+                                        params={"alpha": alpha}))
+
+
 @pytest.mark.parametrize("tag, params, key", [
     ("L9.2", {"t_grid": [], "c": math.inf}, "c="),
     ("L9.2", {"t_grid": [], "c": math.nan}, "c="),
@@ -663,6 +686,22 @@ _ALL_KEYS = {
 }
 
 
+@pytest.mark.parametrize("tag, n, params", [
+    ("T1.5", 3, {"ell": 5}),
+    ("T1.6", 3, {"ell": 7, "trend_grid": [3, 10]}),
+    ("T1.6", 100, {"ell": 20, "trend_grid": [10, 50]}),
+])
+def test_ell_above_the_sample_is_rejected_before_simulating(no_simulation,
+                                                           tag, n, params):
+    # a sample of n leaves has n external lengths, and the slots beyond
+    # them held zeros; T1.5 and T1.6 now score only the maximum, which
+    # every n >= 2 has, so ell is an unknown key at any size
+    measure = "bolthausen-sznitman" if tag == "T1.6" else "kingman"
+    with pytest.raises(ConfigError,
+                       match=rf"{tag} does not read params \['ell'\]"):
+        run_experiment(ExperimentConfig(measure, tag, n, 100, params=params))
+
+
 @pytest.mark.parametrize("n, grid", [(5, [100, 1000]), (1000, [100, 1000]),
                                      (100, [10, 100, 1000])])
 def test_t16_n_must_be_the_smallest_trend_size(no_simulation, n, grid):
@@ -735,14 +774,31 @@ def test_configs_that_gate_nothing_are_rejected_before_simulating(
                                         200, params=params))
 
 
+@pytest.mark.parametrize("params", [{"c_n": 10 ** 6}, {"c_reps": 500},
+                                    {"t_grid": [], "c_n": 1000}])
+def test_l92_c_branch_keys_need_c(no_simulation, params):
+    # the c branch runs at the config's n and replications: c_n and
+    # c_reps are unknown keys, with c or without
+    key = next(k for k in params if k.startswith("c_"))
+    for given in (params, {**params, "c": 2.0}):
+        with pytest.raises(ConfigError,
+                           match=rf"L9.2 does not read params \['{key}'\]"):
+            run_experiment(ExperimentConfig("bolthausen-sznitman", "L9.2",
+                                            1000, 200, params=given))
+
+
 _L92_ONLY = {"t_grid": [0.5], "r": 2, "c": 2.0}
 _T16_ONLY = {"trend_grid": [50, 100]}
 
 
 @pytest.mark.parametrize("tag, what, key, value", [
     *[("T1.6", "params", key, value) for key, value in _L92_ONLY.items()],
+    # keys the other tag once read, which neither reads now
+    ("T1.6", "params", "c_n", 100),
+    ("T1.6", "params", "c_reps", 100),
     ("T1.6", "tolerances", "moment_z", 3.0),
     ("T1.6", "tolerances", "c_mean", 0.3),
+    ("L9.2", "params", "ell", 2),
     *[("L9.2", "params", key, value) for key, value in _T16_ONLY.items()],
     ("L9.2", "tolerances", "trend_rise", 0.02),
 ])
