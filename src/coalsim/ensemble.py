@@ -14,13 +14,14 @@ decides its tagged leaves from its own uniforms, so a run that tracks
 only tagged leaves draws no dY.  Paths are not stored unless a
 PathRecorder asks for them.
 
-A tracker that can finish with a lane says so through done(rows): a
-tagged-leaf tracker once the lane's marks are absorbed, a level crossing
-once the lane has crossed.  When every tracker of a run overrides done,
-the loop retires a lane, with its state, after the first jump at which
-every tracker is done with it, and the lane draws nothing more.  A run
-with any tracker that keeps the default (never done) does not ask, and
-runs each lane down to one block.
+A tracker that can finish with a lane says so by what observe returns:
+a bool mask over the rows it saw, True for the lanes it still reads.  A
+tagged-leaf tracker keeps a lane until its marks are absorbed, a level
+crossing until the lane has crossed.  When every tracker of a run returns
+a mask at a jump, the loop retires, with their state, the lanes that no
+mask keeps, and such a lane draws nothing more.  A tracker that never
+finishes with a lane returns None, and in a run with one, every lane
+runs down to one block.
 
 This is the only jump loop: single paths (`sim.simulate_path`) are
 one-replication runs with a recorder.
@@ -117,13 +118,12 @@ class ChunkTracker:
     arrays (first axis = replication) from result().  A tracker that
     reads the singleton count sets `needs_singletons`: then y_before and
     dy are arrays aligned with rows, else None.  A tracker that draws
-    keeps the chunk's rng from begin() and draws in observe().  A tracker
-    that reads nothing more of a lane after some jump overrides done();
-    when every tracker of a run does, the loop asks them after each jump
-    and retires the lanes they are all done with.  done(rows) is asked
-    right after observe(rows), on the same rows, so it may answer from
-    what observe computed.  The default is never done, and a run with
-    such a tracker never asks.
+    keeps the chunk's rng from begin() and draws in observe().  observe()
+    returns None when the tracker never finishes with a lane; otherwise
+    it returns, at every jump, a bool array aligned with `rows` that is
+    True for the lanes it still reads.  The loop ORs the masks of a
+    jump's trackers and retires the lanes that none keeps, unless some
+    tracker returned None.
 
     `run_ensemble` builds one tracker per chunk of up to MAX_LANES
     lanes by calling its factory, and a chunk may run in a forked worker
@@ -137,18 +137,15 @@ class ChunkTracker:
     def begin(self, size: int, n: int, rng: np.random.Generator) -> None:
         raise NotImplementedError
 
-    def observe(self, rows, x_before, y_before, k, dy, t_new) -> None:
+    def observe(self, rows, x_before, y_before, k, dy,
+                t_new) -> np.ndarray | None:
         """One jump of the live lanes `rows` (replication indices within
         the chunk): block count X and singleton count Y before the jump,
         merger size K, singletons absorbed dY, and the time t_new of the
-        jump, which ends the holding interval of X and Y."""
+        jump, which ends the holding interval of X and Y.  Returns None,
+        or one bool per lane of `rows`: True while the tracker still
+        reads the lane after this jump."""
         raise NotImplementedError
-
-    def done(self, rows) -> np.ndarray:
-        """One bool per live lane `rows`, asked right after observe(rows)
-        has seen the jump: True once this tracker reads nothing more of
-        the lane."""
-        return np.zeros(rows.size, dtype=bool)
 
     def result(self) -> dict[str, np.ndarray]:
         raise NotImplementedError
@@ -195,12 +192,9 @@ class MarkedLeafTracker(ChunkTracker):
                 self.lengths[sub, mark] = t_new[lane]
                 self.alive[sub, mark] = False
                 alive[mark, lane] = False
-        self._done = ~alive.any(0)
+        return alive.any(0)
 
     _absorbed = staticmethod(_in_uniform_subset)
-
-    def done(self, rows):
-        return self._done
 
     def result(self):
         return {"marked_lengths": self.lengths}
@@ -326,10 +320,10 @@ class LevelCrossingTracker(ChunkTracker):
         self.crossed = np.full(size, n <= self.r_level)
 
     def observe(self, rows, x_before, y_before, k, dy, t_new):
-        self._done = self.crossed[rows]
-        act = (~self._done).nonzero()[0]
+        reading = ~self.crossed[rows]
+        act = reading.nonzero()[0]
         if not act.size:
-            return
+            return reading
         sub = rows[act]
         x_act = x_before[act]
         self.inv_sum[sub] += 1.0 / x_act
@@ -338,10 +332,8 @@ class LevelCrossingTracker(ChunkTracker):
         went = rows[lanes]
         self.time[went] = t_new[lanes]
         self.crossed[went] = True
-        self._done[lanes] = True
-
-    def done(self, rows):
-        return self._done
+        reading[lanes] = False
+        return reading
 
     def result(self):
         return {"crossing_inv_sum": self.inv_sum, "crossing_time": self.time,
@@ -393,10 +385,8 @@ def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, seed: int,
     for tr in trackers:
         tr.begin(size, n, rng)
     needs_dy = any(tr.needs_singletons for tr in trackers)
-    retiring = all(type(tr).done is not ChunkTracker.done
-                   for tr in trackers)
     # State of the live lanes only, aligned with `rows`; lanes that reach
-    # one block, or that every tracker is done with, are dropped from all
+    # one block, or that no tracker still reads, are dropped from all
     # of it at once.
     rows = np.arange(size)
     x = np.full(size, n, dtype=np.int64)
@@ -408,19 +398,22 @@ def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, seed: int,
         t_new = t + rng.standard_exponential(rows.size) / lam
         if needs_dy:
             dy = _draw_singleton_loss(rng, x, y, k)
-        for tr in trackers:
-            tr.observe(rows, x, y, k, dy, t_new)
+        # the lanes some tracker still reads; None when one reads them all
+        reading = trackers[0].observe(rows, x, y, k, dy, t_new)
+        for tr in trackers[1:]:
+            mask = tr.observe(rows, x, y, k, dy, t_new)
+            if reading is not None:
+                reading = None if mask is None else reading | mask
         x -= k - 1
         t = t_new
         if needs_dy:
             y = y - dy
         live = x > 1
-        if retiring:
-            done = trackers[0].done(rows)
-            for tr in trackers[1:]:
-                done = done & tr.done(rows)
-            live &= ~done
-        if not live.all():
+        if reading is not None:
+            live &= reading
+        # count_nonzero: 0.4-0.8 us against 1.1-1.3 us for live.all() at
+        # 100 to 2048 lanes
+        if np.count_nonzero(live) < live.size:
             rows, x, t = rows[live], x[live], t[live]
             if needs_dy:
                 y = y[live]

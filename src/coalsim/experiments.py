@@ -613,9 +613,9 @@ class _ChainMomentsTracker(LevelCrossingTracker):
     counts X_j after each jump up to the first passage rho to <= r_level;
     X_rho and the two products are updated at each jump before the
     crossing, so no path is stored and no dY is drawn.  It takes the
-    level check and done() of the level crossing, and keeps none of its
-    time, jump count or harmonic sum: one gather of the live lanes a
-    jump."""
+    level check of the level crossing and, like it, returns the lanes not
+    yet crossed, and keeps none of its time, jump count or harmonic sum:
+    one gather of the live lanes a jump."""
 
     def begin(self, size, n, rng):
         self.crossed = np.full(size, n <= self.r_level)
@@ -624,8 +624,8 @@ class _ChainMomentsTracker(LevelCrossingTracker):
         self.prod2 = np.ones(size)
 
     def observe(self, rows, x_before, y_before, k, dy, t_new):
-        self._done = self.crossed[rows]
-        act = (~self._done).nonzero()[0]
+        reading = ~self.crossed[rows]
+        act = reading.nonzero()[0]
         sub = rows[act]
         after = x_before[act] - k[act] + 1
         self.blocks[sub] = after
@@ -633,7 +633,8 @@ class _ChainMomentsTracker(LevelCrossingTracker):
         self.prod2[sub] *= 1.0 - 2.0 / after
         went = (after <= self.r_level).nonzero()[0]
         self.crossed[sub[went]] = True
-        self._done[act[went]] = True
+        reading[act[went]] = False
+        return reading
 
     def result(self):
         x = self.blocks

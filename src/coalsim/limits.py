@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .sim import DEFAULT_SEED, _make_rng
+from .sim import DEFAULT_SEED, _is_integer, _make_rng
 
 FAMILIES = ("typical", "frechet", "poisson_tail", "logistic",
             "gumbel_shifted", "exact_bs_moment")
@@ -33,7 +33,7 @@ def _check_alpha(alpha: float, low_open: bool = False) -> float:
 
 def _nonnegative(t, name: str = "t") -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):     # also rejects NaN
         raise ValueError(f"{name} must be nonnegative")
     return t
 
@@ -114,10 +114,10 @@ def sample_cox_extremes(ell: int, seed: int = DEFAULT_SEED,
     Inverse-transform exponentials keep the sampler exact.  Returns shape
     (ell,) for reps=1, else (reps, ell).
     """
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    if reps < 1:
-        raise ValueError("reps must be positive")
+    if not _is_integer(ell) or ell < 1:
+        raise ValueError(f"ell must be a positive integer, got {ell!r}")
+    if not _is_integer(reps) or reps < 1:
+        raise ValueError(f"reps must be a positive integer, got {reps!r}")
     rng = _make_rng(seed)
     exps = -np.log1p(-rng.random((reps, ell + 1)))
     arrivals = np.cumsum(exps[:, :ell], axis=1)
@@ -133,10 +133,10 @@ def moehle_factorial_moment(n: int, t, r: int) -> float | np.ndarray:
     """E[N(t)(N(t)+1)...(N(t)+r-1)] started from n blocks, exact:
     Gamma(r+1)/Gamma(1+r e^-t) * Gamma(n+r e^-t)/Gamma(n), in log-gamma
     form so large n cannot overflow."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if r < 1:
-        raise ValueError("r must be a positive integer")
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if not _is_integer(r) or r < 1:
+        raise ValueError(f"r must be a positive integer, got {r!r}")
     t = _nonnegative(t)
     scalar = t.ndim == 0
     w = r * np.exp(-t)

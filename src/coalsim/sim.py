@@ -17,7 +17,12 @@ so a (measure, n, seed) triple pins the path bit for bit:
 
 1. K for every live lane: a mixture first draws one selection uniform per
    lane, then each component draws for its lanes in component order; a
-   measure with one component draws no selection uniform;
+   measure with one component draws no selection uniform.  A power-beta
+   rejection round draws its uniforms as one block, row by row: the
+   one-piece round a (2, lanes) block, every lane's proposal uniform
+   before every acceptance uniform, the stream order of one call for the
+   proposals followed by one for the acceptances; the two-piece round a
+   (3, lanes) block;
 2. W, one standard exponential per lane;
 3. dY, when some tracker reads the singletons (`_draw_singleton_loss`):
    when every live lane has K = 2, or at least _PAIR_DRAW_LANES do, two
@@ -29,7 +34,7 @@ so a (measure, n, seed) triple pins the path bit for bit:
    uniform per mark and live lane).
 
 A lane is live until it reaches one block or, in a run whose trackers
-can all finish with a lane, until every tracker is done with it (a
+can all finish with a lane, until no tracker still reads it (a
 tagged-leaf run: once the lane's marks are absorbed).  A retired lane
 draws nothing in any of the four steps.
 """
@@ -284,7 +289,7 @@ def _atom_walk(p: float, m: float, rate: np.ndarray,
 def _powerbeta_draw(prefix, log_h, g_at, h_prefix,
                     rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
     if log_h is None:       # b = 1: every proposal is accepted
-        return _propose(prefix, rng, b - 2)
+        return _propose(prefix, rng.random(b.shape), b - 2)
     if h_prefix is None:
         return _redraw_until_accepted(_one_piece_round, (prefix, log_h, rng),
                                       b, None)
@@ -293,18 +298,20 @@ def _powerbeta_draw(prefix, log_h, g_at, h_prefix,
         np.nonzero(b > 2)[0])
 
 
-def _propose(prefix, rng: np.random.Generator, top: np.ndarray) -> np.ndarray:
+def _propose(prefix, u: np.ndarray, top: np.ndarray) -> np.ndarray:
     """K from g truncated at B by a search of the prefix table, for lanes
-    with top = B - 2.  For a uniform u < 1, t = u prefix[top] <=
-    prefix[top], so the search returns at most top and K lies in [2, B]
-    without a clamp."""
-    return prefix.searchsorted(rng.random(top.shape) * prefix[top]) + 2
+    with top = B - 2 and one uniform u each.  For u < 1, t = u prefix[top]
+    <= prefix[top], so the search returns at most top and K lies in
+    [2, B] without a clamp."""
+    return prefix.searchsorted(u * prefix[top]) + 2
 
 
 def _one_piece_round(prefix, log_h, rng: np.random.Generator, bb):
     top = bb - 2
-    k = _propose(prefix, rng, top)
-    return k, rng.random(bb.shape) <= np.exp(log_h[bb - k] - log_h[top])
+    # proposal row, then acceptance row, indexed: unpacking costs more
+    uv = rng.random((2, bb.size))
+    k = _propose(prefix, uv[0], top)
+    return k, uv[1] > np.exp(log_h[bb - k] - log_h[top])
 
 
 def _two_piece_round(prefix, log_h, g_at, h_prefix,
@@ -319,7 +326,7 @@ def _two_piece_round(prefix, log_h, g_at, h_prefix,
                  bb - np.searchsorted(h_prefix, u * h_prefix[bb - m - 1]))
     ratio = np.where(is_low, np.exp(log_h[bb - k] - log_h[bb - m]),
                      g_at[k] / g_at[m + 1])
-    return k, v <= ratio
+    return k, v > ratio
 
 
 def _pitman_draw(dens: PowerBetaDensity, rng: np.random.Generator,
@@ -330,23 +337,23 @@ def _pitman_draw(dens: PowerBetaDensity, rng: np.random.Generator,
 
 def _pitman_round(dens: PowerBetaDensity, rng: np.random.Generator, bb):
     k = rng.binomial(bb, rng.beta(dens.a - 2.0, dens.b, bb.shape))
-    return k, k >= 2
+    return k, k < 2
 
 
 def _redraw_until_accepted(one_round, args: tuple, b: np.ndarray,
                            todo: np.ndarray | None) -> np.ndarray:
     """K for lanes with block counts b from rounds of one_round(*args,
-    block counts) -> (K, accepted), each over the lanes the round before
+    block counts) -> (K, rejected), each over the lanes the round before
     rejected.  With todo None the first round runs on every lane, on b
     itself; otherwise on the lanes in `todo`, and the others take 2."""
     if todo is None:
-        k, accepted = one_round(*args, b)
-        todo = (~accepted).nonzero()[0]
+        k, rejected = one_round(*args, b)
+        todo = rejected.nonzero()[0]
     else:
         k = np.full(b.shape, 2, dtype=np.int64)
     while todo.size:
-        k[todo], accepted = one_round(*args, b[todo])
-        todo = todo[~accepted]
+        k[todo], rejected = one_round(*args, b[todo])
+        todo = todo[rejected]
     return k
 
 
@@ -379,7 +386,7 @@ def _draw_singleton_loss(rng: np.random.Generator, b: np.ndarray,
     if count < lanes and count < _PAIR_DRAW_LANES:
         return _hypergeometric_loss(rng, b, y, k)
     first, second = _in_uniform_subset(rng.random((2, lanes)), None, y, b)
-    dy = first + second
+    dy = np.add(first, second, dtype=np.int64)
     if count < lanes:
         rest = (~pair).nonzero()[0]
         dy[rest] += _hypergeometric_loss(rng, b[rest] - 2,
@@ -389,7 +396,7 @@ def _draw_singleton_loss(rng: np.random.Generator, b: np.ndarray,
 
 def _in_uniform_subset(u, alive, num, den) -> list[np.ndarray]:
     """Which of len(u) distinct items of a pool of `den` per lane fall in
-    a uniform num-subset of it, one int64 row of 0 or 1 per item.  Decided
+    a uniform num-subset of it, one bool row per item.  Decided
     in turn, without replacement, item j is taken when u_j (den - seen) <
     num - taken, seen counting the items decided before it and taken
     those of them taken; each comparison is exact up to one point of the
@@ -401,7 +408,7 @@ def _in_uniform_subset(u, alive, num, den) -> list[np.ndarray]:
         if j:
             den = den - (1 if alive is None else alive[j - 1])
             num = num - hit
-        hit = (u[j] * den < num).astype(np.int64)
+        hit = u[j] * den < num
         if alive is not None:
             hit &= alive[j]
         hits.append(hit)
@@ -500,8 +507,8 @@ class CoalescentPath:
     def stopping_times(self, r_level: float) -> tuple[int, float]:
         """(rho, rho~): jump index and time of first reaching <= r_level
         blocks; (0, 0.0) when r_level >= n."""
-        if r_level < 1:
-            raise ValueError("r_level must be >= 1")
+        if not r_level >= 1:     # also rejects NaN
+            raise ValueError(f"r_level must be >= 1, got {r_level!r}")
         if r_level >= self.n:
             return 0, 0.0
         after = self._blocks_after()
@@ -514,10 +521,12 @@ class CoalescentPath:
 
         Exact given the realized chain; 0 whenever r exceeds X_rho.
         """
-        if not 0 <= rho_index <= self.num_jumps:
-            raise ValueError("rho_index out of range")
-        if r < 1:
-            raise ValueError("r must be a positive integer")
+        if (not _is_integer(rho_index)
+                or not 0 <= rho_index <= self.num_jumps):
+            raise ValueError(f"rho_index must be an integer in "
+                             f"[0, {self.num_jumps}], got {rho_index!r}")
+        if not _is_integer(r) or r < 1:
+            raise ValueError(f"r must be a positive integer, got {r!r}")
         after = self._blocks_after()
         x_rho = self.n if rho_index == 0 else int(after[rho_index - 1])
         if r > x_rho:

@@ -91,6 +91,8 @@ _EXPERIMENT = ("experiment", "--measure", "kingman", "--theorem", "T1.1",
      "--param", "t_grid=[]"),
     ("experiment", "--measure", "bolthausen-sznitman", "--theorem", "L9.2",
      "--n", "1000", "--reps", "100", "--tol", "moment_z=Infinity"),
+    ("limits", "--family", "exact_bs_moment", "--n", "100", "--t", "nan",
+     "--r", "2"),
 ])
 def test_library_value_errors_are_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -16,9 +16,11 @@ from scipy import special
 import coalsim
 from coalsim import ensemble
 from coalsim.ensemble import (MAX_LANES, BlockCountAtTimesTracker,
-                              LevelCrossingTracker, MarkedLeafTracker,
-                              PathRecorder, ThresholdCountTracker,
-                              TopLengthsTracker, _run_chunk, run_ensemble)
+                              ChunkTracker, LevelCrossingTracker,
+                              MarkedLeafTracker, PathRecorder,
+                              ThresholdCountTracker, TopLengthsTracker,
+                              _run_chunk, run_ensemble)
+from coalsim.experiments import _ChainMomentsTracker
 from coalsim.measure import bolthausen_sznitman, kingman, parse_measure
 from coalsim.rates import rates_for
 from coalsim.sim import MergerSizeSampler
@@ -494,25 +496,22 @@ class ForgetsTaken(MarkedLeafTracker):
 
 
 class RetiresOneJumpEarly(MarkedLeafTracker):
-    """Seeded defect: also done with a lane once it is down to two blocks,
-    one jump early for the marks still alive, which the last merger would
-    take."""
+    """Seeded defect: also stops reading a lane once it is down to two
+    blocks, one jump early for the marks still alive, which the last
+    merger would take."""
 
     def observe(self, rows, x_before, y_before, k, dy, t_new):
-        super().observe(rows, x_before, y_before, k, dy, t_new)
-        self.at_two = np.zeros(self.alive.shape[0], dtype=bool)
-        self.at_two[rows] = x_before - k + 1 == 2
-
-    def done(self, rows):
-        return super().done(rows) | self.at_two[rows]
+        reading = super().observe(rows, x_before, y_before, k, dy, t_new)
+        return reading & (x_before - k + 1 != 2)
 
 
 class RetiresAtFirstMark(MarkedLeafTracker):
-    """Seeded defect: done with a lane once any one of its marks is
+    """Seeded defect: stops reading a lane once any one of its marks is
     absorbed, while a second may still be alive."""
 
-    def done(self, rows):
-        return ~self.alive[rows].all(1)
+    def observe(self, rows, x_before, y_before, k, dy, t_new):
+        super().observe(rows, x_before, y_before, k, dy, t_new)
+        return self.alive[rows].all(1)
 
 
 @pytest.mark.parametrize("defect", [AbsorbsKMinusOne, ForgetsTaken,
@@ -542,9 +541,10 @@ class CountsObserves(MarkedLeafTracker):
     def observe(self, rows, x_before, y_before, k, dy, t_new):
         self.calls[rows] += 1
         before = self.alive[rows, 0]
-        super().observe(rows, x_before, y_before, k, dy, t_new)
+        reading = super().observe(rows, x_before, y_before, k, dy, t_new)
         went = rows[before & ~self.alive[rows, 0]]
         self.absorbed_at[went] = self.calls[went]
+        return reading
 
     def result(self):
         return {**super().result(), "calls": self.calls,
@@ -568,7 +568,7 @@ class CountsCrossingObserves(LevelCrossingTracker):
 
     def observe(self, rows, x_before, y_before, k, dy, t_new):
         self.calls[rows] += 1
-        super().observe(rows, x_before, y_before, k, dy, t_new)
+        return super().observe(rows, x_before, y_before, k, dy, t_new)
 
     def result(self):
         return {**super().result(), "calls": self.calls}
@@ -588,35 +588,38 @@ def test_lane_runs_on_until_every_tracker_is_done():
     assert np.all(out["marked_lengths"][:, 0] <= out["crossing_time"])
 
 
-class DoneChecked:
-    """Mixin: after every observe, done(rows) must equal what the
-    tracker's own arrays say of those lanes."""
+class ReadingChecked:
+    """Mixin: the mask that every observe returns must equal what the
+    tracker's own arrays say of those lanes: True for the lanes it still
+    reads."""
 
     checks = 0
 
     def observe(self, rows, x_before, y_before, k, dy, t_new):
-        super().observe(rows, x_before, y_before, k, dy, t_new)
+        reading = super().observe(rows, x_before, y_before, k, dy, t_new)
         if isinstance(self, LevelCrossingTracker):
-            want = self.crossed[rows]
+            want = ~self.crossed[rows]
         else:
-            want = ~self.alive[rows].any(1)
-        np.testing.assert_array_equal(self.done(rows), want)
+            want = self.alive[rows].any(1)
+        assert reading.dtype == bool
+        np.testing.assert_array_equal(reading, want)
         self.checks += 1
+        return reading
 
 
-class CheckedMarks(DoneChecked, MarkedLeafTracker):
+class CheckedMarks(ReadingChecked, MarkedLeafTracker):
     pass
 
 
-class CheckedAbsorbsKMinusOne(DoneChecked, AbsorbsKMinusOne):
+class CheckedAbsorbsKMinusOne(ReadingChecked, AbsorbsKMinusOne):
     pass
 
 
-class CheckedForgetsTaken(DoneChecked, ForgetsTaken):
+class CheckedForgetsTaken(ReadingChecked, ForgetsTaken):
     pass
 
 
-class CheckedCrossing(DoneChecked, LevelCrossingTracker):
+class CheckedCrossing(ReadingChecked, LevelCrossingTracker):
     pass
 
 
@@ -625,10 +628,10 @@ class CheckedCrossing(DoneChecked, LevelCrossingTracker):
 @pytest.mark.parametrize("marks", [CheckedMarks, CheckedAbsorbsKMinusOne,
                                    CheckedForgetsTaken])
 def test_done_answers_for_the_rows_just_observed(marks, k, with_dy):
-    # done(rows) is asked right after observe(rows) and may answer from
-    # what observe computed; it must still be what the arrays say.  A
-    # run with a top-lengths tracker draws dY and never retires a lane,
-    # so there the check alone asks done
+    # the mask observe(rows) returns, which says which of those lanes the
+    # tracker is done with, must be what its arrays say.  A run with a
+    # top-lengths tracker draws dY and never retires a lane, so there the
+    # check alone reads the masks
     made = []
 
     def track(tracker):
@@ -641,6 +644,73 @@ def test_done_answers_for_the_rows_just_observed(marks, k, with_dy):
     for measure in ("beta:0.5,1.5", "kingman + dirac:p=0.5,m=1"):
         run_ensemble(parse_measure(measure), 40, 64, 5, factories)
     assert len(made) == 4 and all(tr.checks for tr in made)
+
+
+def _recording(cls):
+    """cls, also noting what each observe returned: None, or the dtype and
+    length of the mask with the number of rows it came for."""
+
+    class Recording(cls):
+        def observe(self, rows, x_before, y_before, k, dy, t_new):
+            reading = super().observe(rows, x_before, y_before, k, dy,
+                                      t_new)
+            self.returned.append(None if reading is None else (
+                reading.dtype, reading.shape, rows.size))
+            return reading
+
+    return Recording
+
+
+class ReadsEveryLane(ChunkTracker):
+    """Keeps every lane running down to one block, and records nothing."""
+
+    def begin(self, size, n, rng):
+        pass
+
+    def observe(self, rows, x_before, y_before, k, dy, t_new):
+        return None
+
+    def result(self):
+        return {}
+
+
+# each library tracker: the arguments it is built with, and whether it
+# finishes with lanes, so that it returns masks
+_LIBRARY_TRACKERS = {
+    MarkedLeafTracker: ((2,), True), TopLengthsTracker: ((3,), False),
+    ThresholdCountTracker: (((0.1, 1.0),), False),
+    BlockCountAtTimesTracker: (((0.1, 1.0),), False),
+    LevelCrossingTracker: ((5,), True), PathRecorder: ((), False),
+    _ChainMomentsTracker: ((5,), True)}
+
+
+@pytest.mark.parametrize("alongside", [False, True])
+@pytest.mark.parametrize("cls", _LIBRARY_TRACKERS,
+                         ids=lambda cls: cls.__name__)
+def test_observe_returns_none_or_a_mask_on_every_jump(cls, alongside):
+    # a library tracker that never finishes with a lane returns None at
+    # every jump, one that can returns at every jump a bool mask with one
+    # entry per row; beside a tracker that returns None the lanes run on
+    # to one block, past the jump at which it is done
+    args, retires = _LIBRARY_TRACKERS[cls]
+    made = []
+
+    def factory():
+        tracker = _recording(cls)(*args)
+        tracker.returned = []
+        made.append(tracker)
+        return tracker
+
+    factories = [factory] + ([ReadsEveryLane] if alongside else [])
+    for measure in ("beta:0.5,1.5", "kingman + dirac:p=0.5,m=1"):
+        run_ensemble(parse_measure(measure), 40, 16, 5, factories)
+    returned = [r for tracker in made for r in tracker.returned]
+    assert len(made) == 2 and returned
+    if retires:
+        assert all(r is not None and r[0] == bool and r[1] == (r[2],)
+                   for r in returned)
+    else:
+        assert all(r is None for r in returned)
 
 
 # marked_lengths of run_ensemble(measure, 12, 3, 2026, [MarkedLeafTracker(2)])

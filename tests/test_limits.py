@@ -112,6 +112,14 @@ def test_cox_sampler_shapes_and_order():
         sample_cox_extremes(2, reps=0)
 
 
+@pytest.mark.parametrize("ell, reps", [(True, 1), (1.0, 1), (2, True),
+                                       (2, 3.0)])
+def test_cox_sampler_needs_integer_counts(ell, reps):
+    # a bool is not a count, and True once drew with ell = 1
+    with pytest.raises(ValueError, match="positive integer"):
+        sample_cox_extremes(ell, seed=5, reps=reps)
+
+
 def test_cox_sampler_max_is_logistic():
     draws = sample_cox_extremes(1, seed=2024, reps=20_000)
     assert ks_statistic(draws[:, 0], logistic_cdf) < 0.015
@@ -144,6 +152,16 @@ def test_moehle_validation():
         moehle_factorial_moment(5, 1.0, 0)
     with pytest.raises(ValueError):
         moehle_factorial_moment(5, -1.0, 1)
+
+
+@pytest.mark.parametrize("n, t, r", [
+    (100, np.nan, 2), (100, [0.5, np.nan], 2), (100, 0.5, 1.5),
+    (100.5, 0.5, 2), (100, 0.5, True), (True, 0.5, 2)])
+def test_moehle_rejects_nan_times_and_non_integer_counts(n, t, r):
+    # each was once taken: NaN gave a NaN moment, r = 1.5 and n = 100.5 a
+    # moment of no block count, and r = True the moment of order 1
+    with pytest.raises(ValueError):
+        moehle_factorial_moment(n, t, r)
 
 
 # ---------------------------------------------------------------------------

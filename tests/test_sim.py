@@ -223,6 +223,20 @@ def test_conditional_factorial_moment_frozen():
         path.conditional_factorial_moment(1, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda path: path.stopping_times(np.nan),
+    lambda path: path.conditional_factorial_moment(1, True),
+    lambda path: path.conditional_factorial_moment(1, 1.5),
+    lambda path: path.conditional_factorial_moment(1.0, 1),
+    lambda path: path.conditional_factorial_moment(True, 1)],
+    ids=["nan_level", "bool_r", "fraction_r", "float_rho", "bool_rho"])
+def test_path_functionals_reject_bad_input(call):
+    # a NaN level once raised IndexError, r = True read as 1 and r = 1.5
+    # raised TypeError
+    with pytest.raises(ValueError):
+        call(handmade_path())
+
+
 def test_first_waiting_time_mean():
     # n = 2 under kingman:2 jumps at rate 2
     times = [simulate_path(kingman(2.0), 2, seed=s).jump_time[-1]
@@ -486,16 +500,6 @@ def test_powerbeta_rejection_draws_pinned(text):
     assert (rows, float(rng.random()).hex()) == _PINNED_REJECTION_DRAWS[text]
 
 
-class ConstantUniforms:
-    """A generator stub whose every uniform is `value`."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self, shape):
-        return np.full(shape, self.value)
-
-
 @pytest.mark.parametrize("text", ["powerbeta:c=1,a=0.5,b=1",
                                   "powerbeta:c=1,a=2,b=1", "beta:0.5,1.5",
                                   "beta:1,1.5", "beta:2.5,3",
@@ -508,7 +512,7 @@ def test_proposal_stays_in_range_without_a_clamp(text):
     prefix = sampler._components[0][2].args[0]
     blocks = np.arange(2, n + 1)
     for u in (0.0, 1.0 - 2.0 ** -53):
-        k = sim._propose(prefix, ConstantUniforms(u), blocks - 2)
+        k = sim._propose(prefix, np.full(blocks.shape, u), blocks - 2)
         assert np.all((k >= 2) & (k <= blocks))
         np.testing.assert_array_equal(k, 2 if u == 0.0 else blocks)
 
@@ -647,7 +651,7 @@ def test_wide_powerbeta_proposal_is_the_table_search(text):
     b = np.random.default_rng(5).integers(2, 3001, 2048)
     rng, ref = (np.random.Generator(np.random.Philox(key=np.uint64(8)))
                 for _ in range(2))
-    k = sim._propose(prefix, rng, b - 2)
+    k = sim._propose(prefix, rng.random(b.shape), b - 2)
     expect = [2 + int(np.searchsorted(prefix, u * prefix[top]))
               for u, top in zip(ref.random(b.size), b - 2)]
     assert np.count_nonzero(k == 2) > b.size // 2
