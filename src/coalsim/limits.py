@@ -31,11 +31,13 @@ def _check_alpha(alpha: float, low_open: bool = False) -> float:
     return alpha
 
 
-def _nonnegative(t, name: str = "t") -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):     # also rejects NaN
-        raise ValueError(f"{name} must be nonnegative")
-    return t
+def _points(x, name: str, low: float, closed: bool) -> np.ndarray:
+    """x as a float array whose points all lie at or above low (closed)
+    or above it; a NaN point, or one out of range, raises ValueError."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= low if closed else x > low):     # also rejects NaN
+        raise ValueError(f"{name} must be {'>=' if closed else '>'} {low}")
+    return x
 
 
 def _scalar_or_array(value: np.ndarray, scalar: bool):
@@ -52,7 +54,7 @@ def typical_density(alpha: float, t) -> float | np.ndarray:
     diverges there and the exponential law is the honest limit.
     """
     alpha = _check_alpha(alpha)
-    t = _nonnegative(t)
+    t = _points(t, "t", 0.0, True)
     scalar = t.ndim == 0
     if alpha == 1.0:
         return _scalar_or_array(np.exp(-t), scalar)
@@ -63,7 +65,7 @@ def typical_density(alpha: float, t) -> float | np.ndarray:
 def typical_cdf(alpha: float, t) -> float | np.ndarray:
     """F(t) = 1 - (1+(alpha-1)t)^(-alpha/(alpha-1)); 1 - e^-t at alpha=1."""
     alpha = _check_alpha(alpha)
-    t = _nonnegative(t)
+    t = _points(t, "t", 0.0, True)
     scalar = t.ndim == 0
     if alpha == 1.0:
         return _scalar_or_array(-np.expm1(-t), scalar)
@@ -77,9 +79,7 @@ def typical_cdf(alpha: float, t) -> float | np.ndarray:
 def poisson_intensity_tail(alpha: float, x) -> float | np.ndarray:
     """Mean number of limit points above x: ((alpha-1)x)^(-alpha/(alpha-1))."""
     alpha = _check_alpha(alpha, low_open=True)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("x must be positive")
+    x = _points(x, "x", 0.0, False)
     scalar = x.ndim == 0
     expo = alpha / (alpha - 1.0)
     return _scalar_or_array(((alpha - 1.0) * x) ** -expo, scalar)
@@ -88,9 +88,7 @@ def poisson_intensity_tail(alpha: float, x) -> float | np.ndarray:
 def frechet_cdf(alpha: float, x) -> float | np.ndarray:
     """The void probability of the tail Poisson count above x."""
     alpha = _check_alpha(alpha, low_open=True)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("x must be positive")
+    x = _points(x, "x", 0.0, False)
     scalar = x.ndim == 0
     return _scalar_or_array(np.exp(-poisson_intensity_tail(alpha, x)), scalar)
 
@@ -99,7 +97,7 @@ def frechet_cdf(alpha: float, x) -> float | np.ndarray:
 # alpha = 1 extremes: logistic law and the Cox construction
 
 def logistic_cdf(x) -> float | np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = _points(x, "x", -np.inf, True)
     scalar = x.ndim == 0
     return _scalar_or_array(special.expit(x), scalar)
 
@@ -137,7 +135,7 @@ def moehle_factorial_moment(n: int, t, r: int) -> float | np.ndarray:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not _is_integer(r) or r < 1:
         raise ValueError(f"r must be a positive integer, got {r!r}")
-    t = _nonnegative(t)
+    t = _points(t, "t", 0.0, True)
     scalar = t.ndim == 0
     w = r * np.exp(-t)
     value = np.exp(special.gammaln(r + 1.0) - special.gammaln(1.0 + w)
@@ -175,7 +173,7 @@ class LimitLaw:
         if self.family == "logistic":
             return logistic_cdf(x)
         if self.family == "gumbel_shifted":
-            x = np.asarray(x, dtype=float)
+            x = _points(x, "x", -np.inf, True)
             return _scalar_or_array(np.exp(-np.exp(-x)), x.ndim == 0)
         raise ValueError(f"{self.family} is not a distribution")
 
@@ -183,10 +181,10 @@ class LimitLaw:
         if self.family == "typical":
             return typical_density(self.alpha, x)
         if self.family == "logistic":
-            x = np.asarray(x, dtype=float)
+            x = _points(x, "x", -np.inf, True)
             p = special.expit(x)
             return _scalar_or_array(p * (1.0 - p), x.ndim == 0)
         if self.family == "gumbel_shifted":
-            x = np.asarray(x, dtype=float)
+            x = _points(x, "x", -np.inf, True)
             return _scalar_or_array(np.exp(-x - np.exp(-x)), x.ndim == 0)
         raise ValueError(f"no density for {self.family}")

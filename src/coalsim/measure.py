@@ -74,8 +74,8 @@ class LambdaMeasure:
     densities: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.atom_at_zero < 0:
-            raise ValueError("atom at zero must be nonnegative")
+        if not 0 <= self.atom_at_zero < math.inf:     # also rejects NaN
+            raise ValueError("atom at zero must be finite and nonnegative")
         object.__setattr__(self, "atoms", tuple(
             (float(p), float(m)) for p, m in self.atoms))
         object.__setattr__(self, "densities", tuple(self.densities))
@@ -84,8 +84,8 @@ class LambdaMeasure:
                 raise ValueError(
                     "interior atoms live in (0, 1): use atom_at_zero for "
                     "p = 0; an atom at p = 1 is not supported")
-            if m <= 0:
-                raise ValueError("atom masses must be positive")
+            if not 0 < m < math.inf:
+                raise ValueError("atom masses must be finite and positive")
         for dens in self.densities:
             if not isinstance(dens, PowerBetaDensity):
                 raise ValueError(f"unsupported density component: {dens!r}")

@@ -228,7 +228,7 @@ class RateFunctions:
     def rate_of_decrease(self, x) -> float:
         """mu(x) for real x >= 1 (scalar or array)."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(arr < 1.0):
+        if not np.all(arr >= 1.0):     # also rejects NaN
             raise ValueError("mu is defined for x >= 1")
         out = self._mu_parts(arr, order=0)
         return float(out[0]) if np.ndim(x) == 0 else out
@@ -236,7 +236,7 @@ class RateFunctions:
     def mu_derivatives(self, x: float) -> tuple[float, float, float]:
         """(mu(x), mu'(x), mu''(x)) at scalar x >= 1."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(arr < 1.0):
+        if not np.all(arr >= 1.0):     # also rejects NaN
             raise ValueError("mu is defined for x >= 1")
         return tuple(float(self._mu_parts(arr, order=r)[0]) for r in (0, 1, 2))
 
@@ -436,7 +436,7 @@ def t_sequence(n) -> float:
     arr = np.atleast_1d(np.asarray(n, dtype=float))
     out = np.zeros_like(arr)
     for i, v in enumerate(arr):
-        if v <= 1.0:
+        if not v > 1.0:     # also rejects NaN
             raise ValueError("t(n) needs n > 1")
         ll = math.log(math.log(v)) if math.log(v) > 0 else float("-inf")
         if ll <= 0.0:
@@ -448,7 +448,7 @@ def t_sequence(n) -> float:
 
 def t_c_sequence(n, c: float) -> float:
     """t(n) - log(c)/loglog n, clamped to 0; the N(t) observation times."""
-    if c <= 0:
+    if not c > 0:     # also rejects NaN
         raise ValueError("c must be positive")
     arr = np.atleast_1d(np.asarray(n, dtype=float))
     out = np.zeros_like(arr)

@@ -727,8 +727,8 @@ _PINNED_MARKS = {
         ["0x1.23de4ef559317p-4", "0x1.bdfb842c31cc6p-3"],
         ["0x1.75af1e39ffd79p-3", "0x1.5de3f82d79d73p-3"]],
     "beta:3,5": [
-        ["0x1.8d7b0bfa8a636p-1", "0x1.0ff774a1954d0p-2"],
-        ["0x1.16cacb20ddfa1p-1", "0x1.8c3b73827a665p-1"],
+        ["0x1.1de6c49847284p-1", "0x1.0ff774a1954d0p-2"],
+        ["0x1.513416c8c0fe1p+0", "0x1.27697fc89c5c8p-1"],
         ["0x1.5f657d6ff59dap-4", "0x1.c0a36af259d74p-6"]],
 }
 

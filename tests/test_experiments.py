@@ -469,11 +469,11 @@ def test_factorial_replay_records_single_paths_only(monkeypatch):
 
 
 def test_factorial_replay_point_mass_scores_exactly(monkeypatch):
-    # dirac:p=0.5 merges about half of 300 singletons at the first jump,
-    # which already crosses n/2, so every replay lane ends with the same Y:
-    # a zero standard error scores 0 at the exact target and inf off it
+    # every first jump merges K >= 2 of the 300 singletons and so crosses
+    # the level n - 1, where every replay lane ends with the same Y: a zero
+    # standard error scores 0 at the exact target and inf off it
     cfg = ExperimentConfig("dirac:p=0.5,m=1", "L7.1", 300, 100, seed=5,
-                           params={"variance_paths": 3})
+                           params={"variance_paths": 3, "r_rule": 299})
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rep = run_experiment(cfg)

@@ -70,8 +70,11 @@ def test_poisson_tail_frozen_values():
     assert frechet_cdf(1.5, 1.0) == pytest.approx(math.exp(-8.0), rel=1e-12)
     with pytest.raises(ValueError):
         poisson_intensity_tail(1.0, 1.0)
-    with pytest.raises(ValueError):
-        frechet_cdf(1.5, 0.0)
+    for x in (0.0, math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            frechet_cdf(1.5, x)
+        with pytest.raises(ValueError):
+            poisson_intensity_tail(1.5, x)
 
 
 def test_tail_intensity_is_scaled_cdf_limit():
@@ -190,6 +193,14 @@ def test_limit_law_dispatch():
         LimitLaw("poisson_tail", 1.5).cdf(1.0)
     with pytest.raises(ValueError):
         LimitLaw("exact_bs_moment").density(1.0)
+    # a NaN point is refused, not read as NaN
+    for x in (math.nan, np.array([0.0, math.nan])):
+        with pytest.raises(ValueError):
+            logistic_cdf(x)
+        for family in ("logistic", "gumbel_shifted"):
+            for value in (LimitLaw(family).cdf, LimitLaw(family).density):
+                with pytest.raises(ValueError):
+                    value(x)
     p = LimitLaw("logistic").density(0.0)
     assert p == pytest.approx(0.25, rel=1e-14)
     # the Gumbel density is the derivative of its CDF

@@ -48,6 +48,17 @@ def test_measure_validation():
         LambdaMeasure(densities=(np.ones_like,))
 
 
+@pytest.mark.parametrize("bad", [
+    dict(atom_at_zero=math.nan), dict(atom_at_zero=math.inf),
+    dict(atoms=((0.5, math.nan),)), dict(atoms=((0.5, math.inf),)),
+    dict(atoms=((math.nan, 1.0),))])
+def test_measure_refuses_non_finite_masses(bad):
+    # a NaN mass at 0 was once accepted: it is truthy, yet no rate table
+    # row was made for it, and the sampler raised StopIteration
+    with pytest.raises(ValueError, match="finite|live in"):
+        LambdaMeasure(**bad)
+
+
 def test_addition_concatenates():
     m = kingman(2.0) + bolthausen_sznitman() + LambdaMeasure(
         atoms=((0.3, 0.5),))

@@ -457,6 +457,17 @@ def test_kappa_is_mu_over_x():
                                          rel=1e-14)
 
 
+@pytest.mark.parametrize("measure", [KINGMAN, BS])
+def test_mu_refuses_points_below_one_and_nan(measure):
+    # NaN once passed the x >= 1 check: Kingman's mu_derivatives(nan)
+    # read (nan, nan, 1.0)
+    r = rates_for(measure)
+    for x in (0.5, math.nan, np.array([2.0, math.nan])):
+        for value in (r.rate_of_decrease, r.mu_derivatives, r.kappa):
+            with pytest.raises(ValueError, match="x >= 1"):
+                value(x)
+
+
 # ---------------------------------------------------------------------------
 # scale sequences
 
@@ -487,8 +498,9 @@ def test_t_sequence_formula_and_clamps():
     assert t_sequence(n) == pytest.approx(expected, rel=1e-12)
     assert t_sequence(2.0) == 0.0     # iterated log not yet positive
     np.testing.assert_allclose(t_sequence(np.array([2.0, n])), [0.0, expected])
-    with pytest.raises(ValueError):
-        t_sequence(1.0)
+    for n in (1.0, math.nan, np.array([2.0, math.nan])):
+        with pytest.raises(ValueError):
+            t_sequence(n)
 
 
 def test_t_c_sequence():
@@ -497,8 +509,9 @@ def test_t_c_sequence():
     assert t_c_sequence(n, 2.0) == pytest.approx(
         t_sequence(n) - math.log(2.0) / 2.0, rel=1e-12)
     assert t_c_sequence(n, 1e9) == 0.0
-    with pytest.raises(ValueError):
-        t_c_sequence(n, 0.0)
+    for args in ((n, 0.0), (n, math.nan), (1e6, math.nan), (math.nan, 2.0)):
+        with pytest.raises(ValueError):
+            t_c_sequence(*args)
 
 
 # ---------------------------------------------------------------------------

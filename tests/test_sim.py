@@ -81,7 +81,7 @@ _PINNED_PATHS = {
     ("kingman + dirac:p=0.5,m=1", 8, 123456789): (
         [8, 7, 6, 5, 3, 2], [2, 2, 2, 3, 2, 2], [2, 2, 1, 2, 1, 0],
         [0.02897640741629165, 0.07222704892133261, 0.08944002716462926,
-         0.1608991393785824, 1.6909283797584358, 1.792231508352983]),
+         0.1608991393785824, 0.2746698525453174, 0.5988665040070812]),
     ("beta:0.5,1.5", 6, 7): (
         [6, 4, 3, 2], [3, 2, 2, 2], [3, 2, 1, 0],
         [0.08944600531259209, 0.34169733821977943, 1.652550310861133,
@@ -300,12 +300,23 @@ REJECTION_MEASURES = ["beta:0.5,1.5", "powerbeta:c=2,a=0.5,b=1.7",
                       "beta:3.5,0.5", "beta:5,20", "powerbeta:c=1,a=100,b=1"]
 
 
-@pytest.mark.parametrize("text", REJECTION_MEASURES)
+# Pitman's draw for atoms and for a >= 3.  At beta:3,50 P(K >= 2) under
+# Beta(a - 2, b) is 1/459 at B = 3; the p = 0.5 atom's pmf at K = 2
+# underflows from B = 1097 on; the p = 0.01 atom takes the pair route up
+# to B = 141 (C(B, 2) < 1/p**2) and the plain route from 142 on
+PITMAN_BLOCKS = {"dirac:p=0.5,m=1": (3, 50, 2000),
+                 "dirac:p=0.01,m=1": (3, 50, 2000, 100_000),
+                 "kingman + dirac:p=0.5,m=1": (3, 50, 2000),
+                 "beta:3,50": (3, 50, 2000)}
+
+
+@pytest.mark.parametrize("text", REJECTION_MEASURES + list(PITMAN_BLOCKS))
 def test_powerbeta_rejection_chi_square(text):
-    # one call over lanes with three block counts, so the rejection rounds
-    # run on lanes with unequal B; each B is then tested on its own lanes
+    # one call over lanes with several block counts, so the rejection
+    # rounds run on lanes with unequal B; each B is then tested on its own
+    # lanes
     rates = rates_for(parse_measure(text))
-    blocks = (3, 50, 2000)
+    blocks = PITMAN_BLOCKS.get(text, (3, 50, 2000))
     sampler = MergerSizeSampler(rates, max(blocks))
     assert sampler.strategy.split("+")[-1] in ("powerbeta", "pitman")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(42)))
@@ -404,7 +415,7 @@ SAMPLER_STRATEGIES = [
     (PB_HALF, "powerbeta"),
     (parse_measure("beta:0.5,1.5"), "powerbeta"),
     (parse_measure("kingman + beta:0.5,1.5"), "kingman+powerbeta"),
-    (MIXED, "kingman+atom"),
+    (MIXED, "kingman+pitman"),
     (parse_measure("beta:1.5,0.5"), "powerbeta"),        # b < 1
     (parse_measure("beta:0.5,0.5"), "powerbeta"),        # b < 1
     (parse_measure("beta:2.5,3"), "powerbeta"),          # 2 < a < 3, b > 1
@@ -445,12 +456,37 @@ def test_sampler_rates_are_the_component_rates(measure, strategy):
     ("kingman + beta:0.5,0.5", "kingman+powerbeta"),
     ("beta:5,20", "pitman"),
     ("powerbeta:c=1,a=100,b=1", "pitman"),
-    ("beta:3,0.5 + beta:0.5,0.5 + dirac:p=0.5,m=1", "atom+pitman+powerbeta"),
+    ("beta:3,0.5 + beta:0.5,0.5 + dirac:p=0.5,m=1", "pitman+powerbeta"),
 ])
 def test_each_density_draws_its_own_kind(text, strategy):
     # no component sends the whole measure to another sampler
     sampler = MergerSizeSampler(rates_for(parse_measure(text)), 10)
     assert sampler.strategy == strategy
+
+
+@pytest.mark.parametrize("text, blocks", [
+    ("beta:3,50", 3), ("beta:5,20", 3), ("beta:5,20", 50),
+    ("powerbeta:c=1,a=100,b=1", 3), ("dirac:p=0.01,m=1", 141),
+    ("dirac:p=0.01,m=1", 142)])
+def test_pitman_rounds_per_draw(monkeypatch, text, blocks):
+    # each lane takes the route with the larger acceptance, so a draw
+    # takes few rounds also where P(K >= 2) under Beta(a - 2, b) is small
+    # (1/459 at beta:3,50 with B = 3) and on each side of the p = 0.01
+    # atom's route boundary
+    lane_rounds = []
+    real_round = sim._pitman_round
+
+    def counted(*args):
+        lane_rounds.append(args[-1].size)
+        return real_round(*args)
+
+    monkeypatch.setattr(sim, "_pitman_round", counted)
+    sampler = MergerSizeSampler(rates_for(parse_measure(text)), blocks)
+    assert sampler.strategy == "pitman"
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(6)))
+    lanes = 20_000
+    sampler.sample_step(rng, np.full(lanes, blocks, dtype=np.int64))
+    assert sum(lane_rounds) / lanes <= 4.0, sum(lane_rounds) / lanes
 
 
 def test_powerbeta_b1_draws_pinned():
