@@ -1,10 +1,11 @@
 """Vectorized Monte Carlo over many independent trajectories.
 
 All replications in a chunk advance in lockstep: one jump of every live
-path per iteration, with the merger-size draws, waiting times and
-hypergeometric singleton losses batched across the chunk (draw order in
-`sim`).  The loop keeps the state of the live lanes only (block count X,
-singleton count Y, time) and drops lanes as they reach one block.
+path per iteration, or two where the trackers allow it (`ChunkTracker`),
+with the merger-size draws, waiting times and hypergeometric singleton
+losses batched across the chunk (draw order in `sim`).  The loop keeps
+the state of the live lanes only (block count X, singleton count Y,
+time) and drops lanes as they reach one block.
 Statistics are accumulated by streaming trackers, which see each jump as
 (rows, X_before, Y_before, K, dY, t_new), t_new the time of the jump;
 Y_before and dY are drawn and passed only when some tracker sets
@@ -62,7 +63,8 @@ import os
 import numpy as np
 
 from .sim import (CoalescentPath, MergerSizeSampler, _check_seed,
-                  _draw_singleton_loss, _in_uniform_subset, _is_integer,
+                  _draw_pair_loss, _draw_singleton_loss,
+                  _hypergeometric_loss, _in_uniform_subset, _is_integer,
                   _make_rng, as_rate_functions)
 
 # The most lanes a chunk holds.  A lockstep step has a fixed cost,
@@ -125,6 +127,18 @@ class ChunkTracker:
     jump's trackers and retires the lanes that none keeps, unless some
     tracker returned None.
 
+    A tracker that can see two jumps of a lane as one gives a method
+    `split`, which takes the pair as one jump, with observe's arguments
+    (K the two mergers' K1 + K2 - 1, dY their joint loss, t_new the
+    second jump's time), and returns one bool per lane: True where it
+    must see the two jumps apart.  In a run that draws dY and whose
+    trackers all give `split`, a lockstep iteration whose dY would take
+    the whole-lane hypergeometric takes a second jump on every lane with
+    two or more blocks left (draw order in `sim`).  The lanes that some
+    tracker splits are shown first their first jump, then their second;
+    every other lane is shown the pair as one jump.  Only the masks that
+    observe returns for the last of these two calls retire lanes.
+
     `run_ensemble` builds one tracker per chunk of up to MAX_LANES
     lanes by calling its factory, and a chunk may run in a forked worker
     process (when the run pools: two or more chunks, replications times
@@ -133,6 +147,8 @@ class ChunkTracker:
     only the arrays of result() come back."""
 
     needs_singletons = False
+    # split(rows, x_before, y_before, k, dy, t_new) -> bool array, or None
+    split = None
 
     def begin(self, size: int, n: int, rng: np.random.Generator) -> None:
         raise NotImplementedError
@@ -220,6 +236,9 @@ class TopLengthsTracker(ChunkTracker):
         self.top = np.zeros((size, self.ell))
         self.slots = np.arange(self.ell)
 
+    def split(self, rows, x_before, y_before, k, dy, t_new):
+        return y_before - dy < np.minimum(y_before, self.ell)
+
     def observe(self, rows, x_before, y_before, k, dy, t_new):
         y_after = y_before - dy
         hit = np.nonzero(y_after < np.minimum(y_before, self.ell))[0]
@@ -245,6 +264,9 @@ class _HeldAtTimesTracker(ChunkTracker):
 
     def __init__(self, times):
         self.times = np.asarray(times, dtype=float)
+        if self.times.ndim != 1:
+            raise ValueError(f"times must be a 1-d sequence, got "
+                             f"{self.times.ndim} dimensions")
         if np.isnan(self.times).any():
             raise ValueError("times must not be NaN")
 
@@ -254,6 +276,11 @@ class _HeldAtTimesTracker(ChunkTracker):
         self.queue = np.append(self.times[self.order], np.inf)
         self.passed = np.full(size, np.searchsorted(self.queue, 0.0))
         self.upcoming = self.queue[self.passed]
+
+    def split(self, rows, x_before, y_before, k, dy, t_new):
+        # a lane whose next time comes before the pair's end reads the
+        # count held between its two jumps
+        return self.upcoming[rows] < t_new
 
     def _record(self, rows, held, t_new) -> None:
         hit = np.nonzero(self.upcoming[rows] < t_new)[0]
@@ -378,6 +405,43 @@ class PathRecorder(ChunkTracker):
         return {"paths": paths}
 
 
+def _second_jump(sampler: MergerSizeSampler, rng: np.random.Generator,
+                 trackers, rows, x, y, k, t_new) -> tuple:
+    """The rest of a lockstep iteration that takes two jumps, after the
+    first jump's K = k and time t_new: K2 and W2 on the lanes with two or
+    more blocks left, the pair's singleton loss in one draw
+    (`sim._draw_pair_loss`), and its split into the two jumps' losses on
+    the lanes that some tracker splits, which are shown their first jump
+    here.  Returns the jump every lane is shown last, (x_before,
+    y_before, K, dY, t_new): the second jump where the pair was split,
+    the pair as one jump elsewhere."""
+    x1 = x - k + 1
+    second = (x1 > 1).nonzero()[0]
+    k2 = np.ones_like(k)        # no second jump: a merger of one block
+    t2 = t_new.copy()
+    if second.size:
+        if second.size == x1.size:      # views of every lane, no copies
+            second = slice(None)
+        lam, k2[second] = sampler.sample_step(rng, x1[second])
+        t2[second] += rng.standard_exponential(lam.size) / lam
+    m, dy = _draw_pair_loss(rng, x, y, k, k2, second)
+    joined = k + k2 - 1
+    reads = trackers[0].split(rows, x, y, joined, dy, t2)
+    for tr in trackers[1:]:
+        reads = reads | tr.split(rows, x, y, joined, dy, t2)
+    split = reads & (k2 > 1)
+    lanes = split.nonzero()[0]
+    if not lanes.size:
+        return x, y, joined, dy, t2
+    first = np.zeros_like(dy)
+    first[lanes] = _hypergeometric_loss(rng, m[lanes], dy[lanes], k[lanes])
+    for tr in trackers:
+        tr.observe(rows[lanes], x[lanes], y[lanes], k[lanes], first[lanes],
+                   t_new[lanes])
+    return (np.where(split, x1, x), y - first, np.where(split, k2, joined),
+            dy - first, t2)
+
+
 def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, seed: int,
                stream: int, factories) -> dict[str, np.ndarray]:
     rng = _make_rng(seed, stream)
@@ -385,6 +449,9 @@ def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, seed: int,
     for tr in trackers:
         tr.begin(size, n, rng)
     needs_dy = any(tr.needs_singletons for tr in trackers)
+    # whether an iteration whose dY takes the whole-lane hypergeometric
+    # takes a second jump (ChunkTracker.split)
+    pairs = needs_dy and all(tr.split is not None for tr in trackers)
     # State of the live lanes only, aligned with `rows`; lanes that reach
     # one block, or that no tracker still reads, are dropped from all
     # of it at once.
@@ -397,7 +464,10 @@ def _run_chunk(sampler: MergerSizeSampler, n: int, size: int, seed: int,
         lam, k = sampler.sample_step(rng, x)
         t_new = t + rng.standard_exponential(rows.size) / lam
         if needs_dy:
-            dy = _draw_singleton_loss(rng, x, y, k)
+            dy = _draw_singleton_loss(rng, x, y, k, pairs)
+            if dy is None:
+                x, y, k, dy, t_new = _second_jump(sampler, rng, trackers,
+                                                  rows, x, y, k, t_new)
         # the lanes some tracker still reads; None when one reads them all
         reading = trackers[0].observe(rows, x, y, k, dy, t_new)
         for tr in trackers[1:]:

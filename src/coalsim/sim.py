@@ -31,7 +31,14 @@ so a (measure, n, seed) triple pins the path bit for bit:
    uniforms per lane, all lanes' first before their second, also for
    lanes with no singletons left, then numpy's hypergeometric draw of
    the other K - 2 merging blocks over the K >= 3 lanes; otherwise the
-   hypergeometric draw over all lanes;
+   hypergeometric draw over all lanes, unless every tracker can split a
+   pair of jumps (`ensemble.ChunkTracker`).  Then the iteration takes a
+   second jump in its place: K2 for the lanes left with X1 >= 2 blocks,
+   drawn as in step 1, W2, one standard exponential per such lane, one
+   uniform per such lane, which decides whether the block the first
+   merger formed is among the second's K2, the pair's loss D over all
+   lanes in lane order (`_draw_pair_loss`), and last, in lane order over
+   the lanes that some tracker splits, the first jump's share of D;
 4. each tracker's own draws, in tracker order (`MarkedLeafTracker`: one
    uniform per mark and live lane).
 
@@ -361,7 +368,8 @@ def _redraw_until_accepted(one_round, args: tuple, b: np.ndarray,
 # singleton losses
 
 def _draw_singleton_loss(rng: np.random.Generator, b: np.ndarray,
-                         y: np.ndarray, k: np.ndarray) -> np.ndarray:
+                         y: np.ndarray, k: np.ndarray,
+                         pairs: bool = False) -> np.ndarray | None:
     """dY for each lane: how many of the K merging blocks, a uniform
     K-subset of the b current blocks, are among the y singletons
     (hypergeometric).  b, y and k are int64 arrays, one entry per lane.
@@ -374,7 +382,9 @@ def _draw_singleton_loss(rng: np.random.Generator, b: np.ndarray,
     hypergeometric then draws the other K - 2 blocks of the K >= 3
     lanes, in lane order, from the b - 2 blocks left, y - taken of them
     singletons; it consumes nothing for a lane with none left.  A
-    narrower mixed step draws every lane by the hypergeometric.
+    narrower mixed step draws every lane by the hypergeometric, or, with
+    `pairs` set, draws nothing and returns None: the caller then takes
+    the step as the first jump of a pair (`_draw_pair_loss`).
 
     Below _SCALAR_DRAW_LANES lanes the hypergeometric is drawn as one
     scalar call per lane, in lane order: the same draws from the same
@@ -384,7 +394,7 @@ def _draw_singleton_loss(rng: np.random.Generator, b: np.ndarray,
     pair = k == 2
     count = np.count_nonzero(pair)
     if count < lanes and count < _PAIR_DRAW_LANES:
-        return _hypergeometric_loss(rng, b, y, k)
+        return None if pairs else _hypergeometric_loss(rng, b, y, k)
     first, second = _in_uniform_subset(rng.random((2, lanes)), None, y, b)
     dy = np.add(first, second, dtype=np.int64)
     if count < lanes:
@@ -392,6 +402,29 @@ def _draw_singleton_loss(rng: np.random.Generator, b: np.ndarray,
         dy[rest] += _hypergeometric_loss(rng, b[rest] - 2,
                                          y[rest] - dy[rest], k[rest] - 2)
     return dy
+
+
+def _draw_pair_loss(rng: np.random.Generator, b: np.ndarray,
+                    y: np.ndarray, k: np.ndarray, k2: np.ndarray,
+                    second) -> tuple[np.ndarray, np.ndarray]:
+    """(M, D) of two jumps taken as a pair: M of the b blocks before the
+    pair are taken by either merger, a uniform M-subset of them, and D of
+    those are among the y singletons (hypergeometric, in lane order).
+    The first merger takes k blocks, the second k2 of the b - k + 1 left,
+    and `second` (an index array or a slice) picks the lanes that take a
+    second jump; the others have k2 = 1 and M = k.  The block the first
+    merger forms is among the second's k2 with probability
+    k2 / (b - k + 1), decided by one uniform per lane of `second`, in
+    lane order, and M = k + k2 - 1 when it is, k + k2 otherwise.  Given
+    D, the first jump's loss is hypergeometric, its k blocks a uniform
+    k-subset of the M: `_hypergeometric_loss(rng, M, D, k)`."""
+    m = k + k2 - 1
+    k2 = k2[second]
+    if k2.size:
+        # the first merger's block is left out of the second merger
+        left_out = rng.random(k2.size) * (b[second] - k[second] + 1) >= k2
+        m[second] += left_out
+    return m, _hypergeometric_loss(rng, b, y, m)
 
 
 def _in_uniform_subset(u, alive, num, den) -> list[np.ndarray]:

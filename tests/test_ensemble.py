@@ -2,6 +2,8 @@
 the paths a PathRecorder stores on the same run, plus the reproducibility
 and validation contracts."""
 
+import hashlib
+import math
 import multiprocessing
 import os
 import re
@@ -24,9 +26,11 @@ from coalsim.experiments import _ChainMomentsTracker
 from coalsim.measure import bolthausen_sznitman, kingman, parse_measure
 from coalsim.rates import rates_for
 from coalsim.sim import MergerSizeSampler
+from labeled_oracle import two_sample_ks
 
 BS = bolthausen_sznitman()
 MIXED = parse_measure("kingman + dirac:p=0.5,m=1")
+HEAVY = parse_measure("powerbeta:c=1,a=0.5,b=1")
 
 
 def absorption():
@@ -769,6 +773,133 @@ def test_marked_leaves_alone_draw_no_singleton_loss(monkeypatch):
         run_ensemble(BS, 30, 64, 3, [MarkedLeafTracker, PathRecorder])
 
 
+# ---------------------------------------------------------------------------
+# paired iterations: two jumps where every tracker can split them
+
+
+@pytest.fixture
+def paired(monkeypatch):
+    """The live lanes of each paired iteration of the in-process runs."""
+    widths = []
+    second_jump = ensemble._second_jump
+
+    def counted(sampler, rng, trackers, rows, *state):
+        widths.append(rows.size)
+        return second_jump(sampler, rng, trackers, rows, *state)
+
+    monkeypatch.setattr(ensemble, "_second_jump", counted)
+    return widths
+
+
+@pytest.mark.parametrize("measure", [BS, HEAVY], ids=["bs", "heavy"])
+def test_paired_run_counts_agree_with_top_lengths(paired, measure):
+    # TopLengthsTracker(n) splits every pair that takes a singleton, and
+    # the threshold counts every pair with a threshold before its end, so
+    # most pairs are split; each lane's count above a threshold, the
+    # singleton count held there, must equal its top lengths above it
+    n, thresholds = 60, (0.002, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)
+    out = run_ensemble(measure, n, 256, 41,
+                       [lambda: TopLengthsTracker(n),
+                        lambda: ThresholdCountTracker(thresholds)])
+    assert paired
+    top, counts = out["top_lengths"], out["exceed_counts"]
+    assert np.all(top > 0)
+    for c, thr in enumerate(thresholds):
+        np.testing.assert_array_equal(counts[:, c], (top > thr).sum(1))
+    assert 0 < counts.mean() < n
+
+
+@pytest.mark.parametrize("n, thresholds", [
+    (200, ()), (200, (0.5, 1.0, 1.5)), (2000, ())],
+    ids=["top", "top-and-counts", "top-n2000"])
+def test_paired_run_matches_one_jump_run(paired, n, thresholds):
+    # Bolthausen-Sznitman in 500-lane runs, which pair every iteration,
+    # against runs held to one jump per iteration by a PathRecorder: the
+    # longest external length within the two-sample 1 % Kolmogorov-Smirnov
+    # critical value 1.628 sqrt(2 / draws), and the mean threshold counts
+    # within 4.5 standard errors.  The counts split most pairs; the top
+    # length alone splits a pair once per lane, so at n = 2000 most pairs
+    # are shown as one jump
+    def runs(extra, seed):
+        outs = [run_ensemble(BS, n, 500, seed + i,
+                             [lambda: TopLengthsTracker(1),
+                              lambda: ThresholdCountTracker(thresholds)]
+                             + extra) for i in range(8)]
+        return (np.concatenate([o["top_lengths"][:, 0] for o in outs]),
+                np.concatenate([o["exceed_counts"] for o in outs]))
+
+    one_top, one_counts = runs([PathRecorder], 100)
+    assert not paired
+    top, counts = runs([], 200)
+    assert paired
+    draws = top.size
+    assert two_sample_ks(one_top, top) < 1.628 * math.sqrt(2 / draws)
+    se = np.sqrt((one_counts.var(0, ddof=1) + counts.var(0, ddof=1)) / draws)
+    assert np.all(np.abs(one_counts.mean(0) - counts.mean(0)) < 4.5 * se)
+
+
+@pytest.mark.parametrize("factories", [
+    [lambda: TopLengthsTracker(2), PathRecorder],
+    [lambda: TopLengthsTracker(2), lambda: MarkedLeafTracker(1)],
+    [lambda: ThresholdCountTracker((0.1,)), absorption],
+    [lambda: BlockCountAtTimesTracker((0.1,))]],
+    ids=["recorder", "marks", "crossing", "no-dy"])
+def test_runs_without_a_split_take_one_jump_per_iteration(paired, factories):
+    # a tracker without `split` reads every jump, and a run without dY
+    # has no whole-lane hypergeometric to save
+    run_ensemble(BS, 60, 64, 3, factories)
+    assert not paired
+
+
+def _digest(out):
+    """sha256 over a run's arrays, by name."""
+    h = hashlib.sha256()
+    for name in sorted(out):
+        h.update(name.encode())
+        h.update(out[name].tobytes())
+    return h.hexdigest()
+
+
+def test_runs_that_never_pair_keep_their_bytes(paired):
+    # numpy 2.4.6; the digests of the one-jump loop.  Kingman has K = 2 on
+    # every lane, so every dY takes the pair rule and no iteration pairs
+    out = run_ensemble(kingman(), 200, 300, 2026,
+                       [lambda: TopLengthsTracker(3),
+                        lambda: ThresholdCountTracker((0.0, 0.01, 0.05, 0.2))])
+    assert _digest(out) == ("eb7aa24d47b68445e205a550749942ce"
+                            "464be5975e2573843dcf6e464d4dbdce")
+    assert not paired
+    # power-beta a = 0.5 on 2048 lanes: its wide steps, at least
+    # _PAIR_DRAW_LANES K = 2 lanes each, take the pair rule, and these
+    # early counts are read while every step is wide; only the narrow
+    # steps of the tail pair
+    out = run_ensemble(HEAVY, 64, 2048, 2026,
+                       [lambda: ThresholdCountTracker((0.001, 0.005, 0.02))])
+    assert _digest(out) == ("157dbe66c086525fba049a21c2bd8700"
+                            "25935d4c72873bdc65ceab4cee7567d9")
+    assert paired
+
+
+# sha256 of run_ensemble(measure, 100, 64, 2026, [TopLengthsTracker(3),
+# ThresholdCountTracker((0.05, 0.3, 1.0))]) (numpy 2.4.6): every narrow
+# mixed step pairs, in the draw order of `sim`, K1, W1, K2, W2, the
+# uniforms that decide I, D and the split draws
+_PINNED_PAIRED_RUNS = {
+    "bolthausen-sznitman": ("cee084a93222bcf18a55901a941475c7"
+                            "3573dfe1ed4d91a6c9237142d896b284"),
+    "powerbeta:c=1,a=0.5,b=1": ("91a246f83c6cd30c732d60a5e8189ad0"
+                                "b03d3ff14c9a4be32bb60e22444913cc")}
+
+
+@pytest.mark.parametrize("measure", sorted(_PINNED_PAIRED_RUNS))
+def test_paired_run_pinned(paired, measure):
+    out = run_ensemble(parse_measure(measure), 100, 64, 2026,
+                       [lambda: TopLengthsTracker(3),
+                        lambda: ThresholdCountTracker((0.05, 0.3, 1.0))])
+    assert _digest(out) == _PINNED_PAIRED_RUNS[measure]
+    assert paired
+
+
 def test_duplicate_output_names_rejected():
     with pytest.raises(ValueError):
         run_ensemble(BS, 10, 10, 1, [absorption, absorption])
@@ -812,6 +943,14 @@ def test_validation():
     for tracker in (ThresholdCountTracker, BlockCountAtTimesTracker):
         with pytest.raises(ValueError):
             tracker([0.5, np.nan])
+        # times are a 1-d sequence, refused before any work; none is fine
+        for times in (0.5, [[0.1, 0.2]]):
+            with pytest.raises(ValueError, match="1-d"):
+                tracker(times)
+            with pytest.raises(ValueError, match="1-d"):
+                run_ensemble(kingman(), 10, 4, 1, [lambda: tracker(times)])
+        out = run_ensemble(kingman(), 10, 4, 1, [lambda: tracker([])])
+        assert all(arr.shape == (4, 0) for arr in out.values())
     # more marks or top lengths than leaves surface at begin time
     for tracker in (MarkedLeafTracker, TopLengthsTracker):
         with pytest.raises(ValueError):

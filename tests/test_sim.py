@@ -264,6 +264,40 @@ def test_fast_sampler_matches_exact_law(measure):
     assert np.max(np.abs(pmf - exact)) < 0.006
 
 
+# one measure per kind of merger-size draw, and the largest block count a
+# battery or benchmark run draws K at with it: 1e6 for Bolthausen-Sznitman
+# (criterion 10), 1e5 for the others.  A paired lockstep iteration draws
+# its second K at every X1 below n, so each kind is tested from B = 3 up
+KS_KINDS = {"kingman": ("kingman", 100_000),
+            "uniform": ("bolthausen-sznitman", 1_000_000),
+            "powerbeta b = 1": ("powerbeta:c=1,a=0.5,b=1", 100_000),
+            "powerbeta b > 1": ("beta:0.5,1.5", 100_000),
+            "powerbeta b < 1": ("beta:0.5,0.5", 100_000),
+            "pitman atom": ("dirac:p=0.5,m=1", 100_000),
+            "pitman a >= 3": ("beta:5,20", 100_000)}
+
+
+@pytest.mark.parametrize("kind", sorted(KS_KINDS))
+def test_merger_size_draw_ks_at_every_block_count(kind):
+    # K against merger_size_distribution(B) by the Kolmogorov-Smirnov
+    # distance of the cdfs at 200 000 draws a case; 1.628 / sqrt(200 000)
+    # = 0.00364 is the 1 % critical value of a continuous law, conservative
+    # for a discrete one.  lam against total_jump_rate to 1e-8 relative, the
+    # b = 1 rate table's distance from the closed form up to B = 1e6
+    text, top = KS_KINDS[kind]
+    rates = rates_for(parse_measure(text))
+    sampler = MergerSizeSampler(rates, top)
+    assert kind.split()[0] == sampler.strategy
+    draws, critical = 200_000, 1.628 / math.sqrt(200_000)
+    for b in (3, 100, 10_000, top):
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(b)))
+        lam, k = sampler.sample_step(rng, np.full(draws, b, dtype=np.int64))
+        np.testing.assert_allclose(lam, rates.total_jump_rate(b), rtol=1e-8)
+        cdf = np.cumsum(rates.merger_size_distribution(b))
+        ecdf = np.cumsum(np.bincount(k, minlength=b + 1)[2:]) / draws
+        assert np.abs(ecdf - cdf).max() < critical, (b, kind)
+
+
 # b < 1: h decreases as g does, so K is drawn from the two-piece envelope
 TWO_PIECE = parse_measure("beta:0.5,0.5")
 
@@ -567,6 +601,21 @@ def _pair_then_hypergeometric(rng, b, y, k):
     return dy
 
 
+def _chi_square_p(observed, expected):
+    """p-value of observed counts against expected ones, the cells
+    expected below 5 merged into the largest."""
+    small = expected < 5.0
+    top = np.argmax(expected)
+    observed, expected = observed.astype(float), expected.copy()
+    observed[top] += observed[small].sum()
+    expected[top] += expected[small].sum()
+    observed, expected = observed[~small], expected[~small]
+    if observed.size == 1:
+        return 1.0
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    return stats.chi2.sf(chi2, observed.size - 1)
+
+
 def test_pair_singleton_loss_chi_square():
     # one all-pair call over lanes with unequal (b, y), as the engine makes
     # it, and one call that mixes those lanes with K >= 3 lanes, shuffled,
@@ -595,21 +644,80 @@ def test_pair_singleton_loss_chi_square():
             support = pmf > 0
             assert observed.size == ki + 1
             assert observed[~support].sum() == 0, (bi, yi, ki)
-            obs, exp = observed[support], pmf[support] * draws
-            small = exp < 5.0       # merged into the largest cell
-            top = np.argmax(exp)
-            obs[top] += obs[small].sum()
-            exp[top] += exp[small].sum()
-            obs, exp = obs[~small], exp[~small]
-            if obs.size > 1:
-                chi2 = float(((obs - exp) ** 2 / exp).sum())
-                p_value = stats.chi2.sf(chi2, obs.size - 1)
-                assert p_value > 1e-3, (bi, yi, ki, chi2)
+            assert _chi_square_p(observed[support],
+                                 pmf[support] * draws) > 1e-3, (bi, yi, ki)
         ref = np.random.Generator(np.random.Philox(key=key))
         np.testing.assert_array_equal(
             dy, _pair_then_hypergeometric(ref, b, y, k))
         np.testing.assert_equal(rng.bit_generator.state,
                                 ref.bit_generator.state)
+
+
+def _pair_loss_without_the_merged_block(rng, b, y, k, k2, second):
+    # a defect: M = K1 + K2, as if the second merger never took the block
+    # the first one formed
+    m = k + k2
+    return m, sim._hypergeometric_loss(rng, b, y, m)
+
+
+def _split_pair_losses(rng, b, y, k, k2, pair_draw):
+    # the pair's loss D in one draw, then split on every lane
+    m, d = pair_draw(rng, b, y, k, k2, np.arange(b.size))
+    first = sim._hypergeometric_loss(rng, m, d, k)
+    return first, d - first
+
+
+def test_pair_loss_chi_square():
+    # (X0, Y0, K1, K2): the joint (dY1, dY2) of a split pair against two
+    # hypergeometrics in turn, dY1 ~ hypergeom(X0, Y0, K1) and dY2 ~
+    # hypergeom(X1, Y0 - dY1, K2) with X1 = X0 - K1 + 1 (the block the
+    # first merger forms is no singleton).  Cases with only singletons,
+    # none, K2 = X1 (the second merger takes every block) and the engine's
+    # wide K; lanes of every case shuffled into one call.  Dropping the
+    # indicator that the second merger takes the first one's block
+    # (M = K1 + K2) is rejected on every case where K2 < X1 and Y0 > 0
+    cases = [(6, 3, 2, 3), (10, 7, 3, 2), (12, 5, 4, 4), (8, 8, 3, 3),
+             (9, 0, 2, 2), (7, 4, 3, 5), (5, 2, 2, 4), (40, 25, 10, 12),
+             (200, 150, 3, 40)]
+    draws = 100_000
+    case = np.repeat(np.arange(len(cases)), draws)
+    np.random.default_rng(3).shuffle(case)
+    b, y, k, k2 = np.array(cases, dtype=np.int64)[case].T
+    for pair_draw in (sim._draw_pair_loss,
+                      _pair_loss_without_the_merged_block):
+        exact = pair_draw is sim._draw_pair_loss
+        lanes = np.ones(case.size, dtype=bool)
+        if not exact:       # M = K1 + K2 would exceed X0 where K2 = X1
+            lanes = (k2 < b - k + 1)
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(29)))
+        first, second = _split_pair_losses(
+            rng, b[lanes], y[lanes], k[lanes], k2[lanes], pair_draw)
+        for i, (x0, y0, k1, kk2) in enumerate(cases):
+            x1 = x0 - k1 + 1
+            if not exact and (kk2 == x1 or y0 == 0):
+                continue
+            on = case[lanes] == i
+            cells = (k1 + 1, kk2 + 1)
+            observed = np.bincount(
+                np.ravel_multi_index((first[on], second[on]), cells),
+                minlength=cells[0] * cells[1])
+            joint = np.zeros(cells)
+            for a in range(k1 + 1):
+                joint[a] = (stats.hypergeom(x0, y0, k1).pmf(a)
+                            * stats.hypergeom(x1, y0 - a, kk2).pmf(
+                                np.arange(kk2 + 1)))
+            joint = joint.ravel()
+            support = joint > 0
+            if exact:
+                assert observed[~support].sum() == 0, cases[i]
+                assert _chi_square_p(observed[support],
+                                     joint[support] * draws) > 1e-3, cases[i]
+            else:
+                # a draw off the support rejects outright
+                assert (observed[~support].sum() > 0
+                        or _chi_square_p(observed[support],
+                                         joint[support] * draws) < 1e-3), \
+                    cases[i]
 
 
 def test_in_uniform_subset_is_the_sequential_rule():
