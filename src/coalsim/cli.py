@@ -306,14 +306,14 @@ def _cmd_rates(args: argparse.Namespace) -> int:
                 lines.append(_finite_row("--x", x, cells))
         else:
             lines.append("b,total_rate,mean_decrement")
-            for b in _float_list(args.b, "--b"):
-                ib = int(b)
-                if ib != b:
+            for entry in _float_list(args.b, "--b"):
+                b = int(entry)
+                if b != entry:
                     raise UsageError(
-                        f"--b entries must be integers, got {b!r}")
-                row = _finite_row("--b", b, (rates.total_jump_rate(ib),
-                                              rates.mean_decrement(ib)))
-                lines.append(f"{ib},{row}")
+                        f"--b entries must be integers, got {entry!r}")
+                row = _finite_row("--b", entry, (rates.total_jump_rate(b),
+                                                  rates.mean_decrement(b)))
+                lines.append(f"{b},{row}")
     _write_text(_open_out(args), "\n".join(lines) + "\n")
     return 0
 

@@ -62,10 +62,11 @@ import os
 
 import numpy as np
 
-from .sim import (CoalescentPath, MergerSizeSampler, _check_seed,
+from .rates import _count_arg
+from .sim import (CoalescentPath, MergerSizeSampler, _check_level,
                   _draw_pair_loss, _draw_singleton_loss,
-                  _hypergeometric_loss, _in_uniform_subset, _is_integer,
-                  _make_rng, as_rate_functions)
+                  _hypergeometric_loss, _in_uniform_subset, _make_rng,
+                  as_rate_functions)
 
 # The most lanes a chunk holds.  A lockstep step has a fixed cost,
 # whatever its width (one CPU, 2-vCPU Xeon VM, lanes held at X = 3000,
@@ -185,10 +186,7 @@ class MarkedLeafTracker(ChunkTracker):
     """
 
     def __init__(self, k: int = 1):
-        if not _is_integer(k) or k < 1:
-            raise ValueError(f"need an integer of at least one marked "
-                             f"leaf, got {k!r}")
-        self.k = k
+        self.k = _count_arg(k, "k", 1)
 
     def begin(self, size, n, rng):
         if self.k > n:
@@ -225,9 +223,7 @@ class TopLengthsTracker(ChunkTracker):
     needs_singletons = True
 
     def __init__(self, ell: int):
-        if not _is_integer(ell) or ell < 1:
-            raise ValueError(f"ell must be a positive integer, got {ell!r}")
-        self.ell = ell
+        self.ell = _count_arg(ell, "ell", 1)
 
     def begin(self, size, n, rng):
         if self.ell > n:
@@ -336,9 +332,7 @@ class LevelCrossingTracker(ChunkTracker):
     time of each path."""
 
     def __init__(self, r_level: float):
-        if not r_level >= 1:     # also rejects NaN
-            raise ValueError(f"r_level must be >= 1, got {r_level!r}")
-        self.r_level = r_level
+        self.r_level = _check_level(r_level)
 
     def begin(self, size, n, rng):
         self.inv_sum = np.zeros(size)
@@ -542,24 +536,20 @@ def run_ensemble(rates, n: int, reps: int, seed: int, tracker_factories,
     concatenated in replication order.  `rates` may be a RateFunctions
     instance or the underlying measure; `seed` is an integer in
     [0, 2**64), and chunk c runs on the key (seed, sub_run * 2**32 + c)."""
-    if not _is_integer(n) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    if not _is_integer(reps) or reps < 1:
-        raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
-    seed = _check_seed(seed)
-    if not _is_integer(sub_run) or not 0 <= sub_run < 2 ** 32:
-        raise ValueError(f"sub_run must be an integer in [0, 2**32), "
-                         f"got {sub_run!r}")
+    n = _count_arg(n, "n", 2)
+    reps = _count_arg(reps, "reps", 1)
+    seed = _count_arg(seed, "seed", 0, 2 ** 64)
+    sub_run = _count_arg(sub_run, "sub_run", 0, 2 ** 32)
     factories = tuple(tracker_factories)
     if not factories:
         raise ValueError("need at least one tracker factory")
     sampler = MergerSizeSampler(as_rate_functions(rates), n)
-    work = int(reps) * int(n)
+    work = reps * n
     chunks = -(-reps // MAX_LANES)
     if reps > MAX_LANES // 4 and work >= POOL_MIN_WORK:
         chunks = max(chunks, 2)
     # (size, key word) of each chunk: near-equal sizes, the larger first
-    plan = [((reps + chunks - 1 - c) // chunks, (int(sub_run) << 32) + c)
+    plan = [((reps + chunks - 1 - c) // chunks, (sub_run << 32) + c)
             for c in range(chunks)]
     workers = min(chunks, _usable_cpus())
     parts = None

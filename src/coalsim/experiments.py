@@ -27,9 +27,10 @@ from .ensemble import (BlockCountAtTimesTracker, LevelCrossingTracker,
                        TopLengthsTracker, run_ensemble)
 from .measure import LambdaMeasure, PowerBetaDensity, parse_measure
 from .quadrature import adaptive_integrate
-from .rates import RateFunctions, rates_for, t_c_sequence, t_sequence
-from .sim import (DEFAULT_SEED, MergerSizeSampler, _check_seed,
-                  _draw_singleton_loss, _is_integer, _make_rng, simulate_path)
+from .rates import (RateFunctions, _count_arg, rates_for, t_c_sequence,
+                    t_sequence)
+from .sim import (DEFAULT_SEED, MergerSizeSampler, _draw_singleton_loss,
+                  _make_rng, simulate_path)
 
 
 class RegimeError(RuntimeError):
@@ -58,15 +59,12 @@ class ExperimentConfig:
         if self.theorem not in CATALOG:
             raise ValueError(f"unknown experiment tag {self.theorem!r}; "
                              f"choose from {sorted(CATALOG)}")
-        if not _is_integer(self.n) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        if not _is_integer(self.replications) or self.replications < 100:
-            raise ValueError(f"need an integer of at least 100 replications, "
-                             f"got {self.replications!r}")
         # plain ints, so that to_dict() serializes
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "replications", int(self.replications))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        for name, low, high in (("n", 2, math.inf),
+                                ("replications", 100, math.inf),
+                                ("seed", 0, 2 ** 64)):
+            object.__setattr__(self, name, _count_arg(getattr(self, name),
+                                                      name, low, high))
         for what in ("params", "tolerances"):
             if not isinstance(getattr(self, what), dict):
                 raise ValueError(f"{what} must be a dict")

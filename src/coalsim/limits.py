@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .sim import DEFAULT_SEED, _is_integer, _make_rng
+from .rates import _count_arg
+from .sim import DEFAULT_SEED, _make_rng
 
 FAMILIES = ("typical", "frechet", "poisson_tail", "logistic",
             "gumbel_shifted", "exact_bs_moment")
@@ -112,10 +113,7 @@ def sample_cox_extremes(ell: int, seed: int = DEFAULT_SEED,
     Inverse-transform exponentials keep the sampler exact.  Returns shape
     (ell,) for reps=1, else (reps, ell).
     """
-    if not _is_integer(ell) or ell < 1:
-        raise ValueError(f"ell must be a positive integer, got {ell!r}")
-    if not _is_integer(reps) or reps < 1:
-        raise ValueError(f"reps must be a positive integer, got {reps!r}")
+    ell, reps = _count_arg(ell, "ell", 1), _count_arg(reps, "reps", 1)
     rng = _make_rng(seed)
     exps = -np.log1p(-rng.random((reps, ell + 1)))
     arrivals = np.cumsum(exps[:, :ell], axis=1)
@@ -131,10 +129,7 @@ def moehle_factorial_moment(n: int, t, r: int) -> float | np.ndarray:
     """E[N(t)(N(t)+1)...(N(t)+r-1)] started from n blocks, exact:
     Gamma(r+1)/Gamma(1+r e^-t) * Gamma(n+r e^-t)/Gamma(n), in log-gamma
     form so large n cannot overflow."""
-    if not _is_integer(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not _is_integer(r) or r < 1:
-        raise ValueError(f"r must be a positive integer, got {r!r}")
+    n, r = _count_arg(n, "n", 1), _count_arg(r, "r", 1)
     t = _points(t, "t", 0.0, True)
     scalar = t.ndim == 0
     w = r * np.exp(-t)

@@ -141,6 +141,16 @@ def _powerbeta_rate(dens: PowerBetaDensity, arr: np.ndarray) -> np.ndarray:
                 - arr * _beta_continued(a - 1.0, bp + arr - 1.0))
 
 
+def _count_arg(value, name: str, low: int, high: float = math.inf) -> int:
+    """value as a Python int: an int or numpy integer, not a bool, in
+    [low, high); anything else raises ValueError naming the argument."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not low <= value < high):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}), "
+                         f"got {value!r}")
+    return int(value)
+
+
 def _log_binom(b, k):
     return (special.gammaln(b + 1.0) - special.gammaln(k + 1.0)
             - special.gammaln(b - k + 1.0))
@@ -158,10 +168,8 @@ class RateFunctions:
 
     def merger_rate(self, b: int, k: int) -> float:
         """lam(b, k): rate at which a given k-set of the b blocks merges."""
-        if not (isinstance(b, (int, np.integer)) and isinstance(k, (int, np.integer))):
-            raise ValueError("merger_rate takes integer block counts")
-        if not 2 <= k <= b:
-            raise ValueError(f"need 2 <= k <= b, got k={k}, b={b}")
+        b = _count_arg(b, "b", 2)
+        k = _count_arg(k, "k", 2, b + 1)
         total = 0.0
         if k == 2:
             total += self.measure.atom_at_zero
@@ -195,9 +203,7 @@ class RateFunctions:
 
     def merger_size_weights(self, b: int) -> np.ndarray:
         """Unnormalized P(K = k) weights C(b,k) lam(b,k) for k = 2..b."""
-        if b < 2:
-            raise ValueError("need b >= 2")
-        b = int(b)
+        b = _count_arg(b, "b", 2)
         ks = np.arange(2.0, b + 1.0)
         w = np.zeros(b - 1)
         logc = _log_binom(float(b), ks)
@@ -436,8 +442,8 @@ def t_sequence(n) -> float:
     arr = np.atleast_1d(np.asarray(n, dtype=float))
     out = np.zeros_like(arr)
     for i, v in enumerate(arr):
-        if not v > 1.0:     # also rejects NaN
-            raise ValueError("t(n) needs n > 1")
+        if not 1.0 < v < math.inf:     # also rejects NaN
+            raise ValueError("t(n) needs a finite n > 1")
         ll = math.log(math.log(v)) if math.log(v) > 0 else float("-inf")
         if ll <= 0.0:
             continue
@@ -448,8 +454,8 @@ def t_sequence(n) -> float:
 
 def t_c_sequence(n, c: float) -> float:
     """t(n) - log(c)/loglog n, clamped to 0; the N(t) observation times."""
-    if not c > 0:     # also rejects NaN
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:     # also rejects NaN
+        raise ValueError("c must be positive and finite")
     arr = np.atleast_1d(np.asarray(n, dtype=float))
     out = np.zeros_like(arr)
     base = np.atleast_1d(t_sequence(arr))

@@ -93,6 +93,9 @@ _EXPERIMENT = ("experiment", "--measure", "kingman", "--theorem", "T1.1",
      "--n", "1000", "--reps", "100", "--tol", "moment_z=Infinity"),
     ("limits", "--family", "exact_bs_moment", "--n", "100", "--t", "nan",
      "--r", "2"),
+    ("simulate", "--measure", "kingman", "--n", "5", "--reps", "0"),
+    ("experiment", "--measure", "bolthausen-sznitman", "--theorem", "L9.2",
+     "--n", "1000", "--reps", "100", "--param", "c=-1"),
 ])
 def test_library_value_errors_are_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -446,7 +449,7 @@ def test_experiment_usage_error_from_config_validation(capsys):
         capsys, "experiment", "--measure", "kingman", "--theorem", "T1.1",
         "--n", "100", "--reps", "50")
     assert code == 2
-    assert "100 replications" in err
+    assert "replications must be an integer in [100, inf)" in err
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +504,31 @@ def test_config_values_take_their_flag_type(tmp_path, capsys):
     assert run_cli(capsys, "rates", "--config", str(cfg))[0] == 2
 
 
+def test_config_list_values_are_repeated_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    base = {"measure": "kingman", "theorem": "T1.2", "n": 200, "reps": 100}
+    cfg.write_text(json.dumps({**base, "param": ["k=3"],
+                               "tol": ["corr=0.5"]}))
+    code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg))
+    assert code in (0, 3)
+    doc = json.loads(out)
+    assert doc["config"]["params"] == {"k": 3}
+    assert doc["config"]["tolerances"] == {"corr": 0.5}
+    # a flag given beside the file wins
+    code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg),
+                           "--param", "k=2")
+    assert code in (0, 3)
+    assert json.loads(out)["config"]["params"] == {"k": 2}
+    # a repeatable flag's key takes a list, not one text
+    cfg.write_text(json.dumps({**base, "param": "k=3"}))
+    assert run_cli(capsys, "experiment", "--config", str(cfg))[0] == 2
+
+
 def test_config_file_must_be_object(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text("[1, 2]")
+    assert run_cli(capsys, "rates", "--config", str(cfg))[0] == 2
+    cfg.write_text("{not json")
     assert run_cli(capsys, "rates", "--config", str(cfg))[0] == 2
     assert run_cli(capsys, "rates", "--config",
                    str(tmp_path / "missing.json"))[0] == 2

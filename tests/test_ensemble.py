@@ -321,6 +321,29 @@ def test_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
     assert _POOLED == ([True] * 3 if ensemble._usable_cpus() > 1 else [])
 
 
+class _Daemon:
+    daemon = True
+
+
+@pytest.mark.parametrize("name, stand_in", [
+    ("get_all_start_methods", lambda: ["spawn"]),
+    ("current_process", _Daemon)], ids=["no_fork", "daemon"])
+def test_run_that_cannot_pool_runs_in_order(monkeypatch, name, stand_in):
+    # where fork is missing, or this process is a daemon, a run of two
+    # pooled chunks falls back to running them in order, and starts no pool
+    in_order = _two_chunk_absorption(5)
+    log_pooling(monkeypatch)
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, name, stand_in)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert _two_chunk_absorption(5).tobytes() == in_order.tobytes()
+    assert _POOLED == [False]
+
+
 def _two_chunk_absorption(seed):
     return run_ensemble(kingman(), 10, MAX_LANES + 1, seed,
                         [absorption])["crossing_time"]
@@ -937,7 +960,8 @@ def test_validation():
             TopLengthsTracker(k)
     with pytest.raises(ValueError):
         BlockCountAtTimesTracker([-1.0])
-    for level in (0.5, np.nan):
+    # a text level once raised TypeError, and True ran at level 1
+    for level in (0.5, np.nan, "5", True):
         with pytest.raises(ValueError):
             LevelCrossingTracker(level)
     for tracker in (ThresholdCountTracker, BlockCountAtTimesTracker):

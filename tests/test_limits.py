@@ -119,7 +119,7 @@ def test_cox_sampler_shapes_and_order():
                                        (2, 3.0)])
 def test_cox_sampler_needs_integer_counts(ell, reps):
     # a bool is not a count, and True once drew with ell = 1
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match=r"(ell|reps) must be an integer"):
         sample_cox_extremes(ell, seed=5, reps=reps)
 
 

@@ -106,6 +106,13 @@ def test_parse_beta_rejects_a_normalizer_out_of_range(text):
             parse_measure(text)
 
 
+@pytest.mark.parametrize("text", ["beta:1", "beta:-1,1",
+                                  "powerbeta:c=-1,a=1,b=1"])
+def test_parse_rejects_missing_or_nonpositive_parameters(text):
+    with pytest.raises(MeasureParseError):
+        parse_measure(text)
+
+
 def test_parse_powerbeta_key_order_free():
     a = parse_measure("powerbeta:c=2,a=0.5,b=1")
     b = parse_measure("powerbeta:b=1,c=2,a=0.5")

@@ -111,6 +111,16 @@ def test_merger_rate_validation():
         RateFunctions(LambdaMeasure())
 
 
+@pytest.mark.parametrize("b", [1, 2.5, True, np.float64(3.0)],
+                         ids=["one", "fraction", "bool", "float"])
+@pytest.mark.parametrize("method", ["merger_size_weights",
+                                    "merger_size_distribution"])
+def test_merger_size_weights_need_a_block_count(method, b):
+    # b = 2.5 once gave the weights of b = 2
+    with pytest.raises(ValueError, match="b must be an integer"):
+        getattr(rates_for(parse_measure("beta:0.5,1.5")), method)(b)
+
+
 @pytest.mark.parametrize("text", [
     "kingman:0.5 + dirac:p=0.3,m=1.5",
     "bolthausen-sznitman",
@@ -498,7 +508,9 @@ def test_t_sequence_formula_and_clamps():
     assert t_sequence(n) == pytest.approx(expected, rel=1e-12)
     assert t_sequence(2.0) == 0.0     # iterated log not yet positive
     np.testing.assert_allclose(t_sequence(np.array([2.0, n])), [0.0, expected])
-    for n in (1.0, math.nan, np.array([2.0, math.nan])):
+    # t(n) tends to infinity: an infinite n once clamped to 0
+    for n in (1.0, math.nan, np.array([2.0, math.nan]), math.inf,
+              np.array([2.0, math.inf])):
         with pytest.raises(ValueError):
             t_sequence(n)
 
@@ -509,7 +521,8 @@ def test_t_c_sequence():
     assert t_c_sequence(n, 2.0) == pytest.approx(
         t_sequence(n) - math.log(2.0) / 2.0, rel=1e-12)
     assert t_c_sequence(n, 1e9) == 0.0
-    for args in ((n, 0.0), (n, math.nan), (1e6, math.nan), (math.nan, 2.0)):
+    for args in ((n, 0.0), (n, math.nan), (1e6, math.nan), (math.nan, 2.0),
+                 (math.inf, 2.0), (1e6, math.inf)):
         with pytest.raises(ValueError):
             t_c_sequence(*args)
 

@@ -225,16 +225,29 @@ def test_conditional_factorial_moment_frozen():
 
 @pytest.mark.parametrize("call", [
     lambda path: path.stopping_times(np.nan),
+    lambda path: path.stopping_times("5"),
+    lambda path: path.stopping_times(True),
     lambda path: path.conditional_factorial_moment(1, True),
     lambda path: path.conditional_factorial_moment(1, 1.5),
     lambda path: path.conditional_factorial_moment(1.0, 1),
     lambda path: path.conditional_factorial_moment(True, 1)],
-    ids=["nan_level", "bool_r", "fraction_r", "float_rho", "bool_rho"])
+    ids=["nan_level", "text_level", "bool_level", "bool_r", "fraction_r",
+         "float_rho", "bool_rho"])
 def test_path_functionals_reject_bad_input(call):
-    # a NaN level once raised IndexError, r = True read as 1 and r = 1.5
-    # raised TypeError
+    # a NaN level once raised IndexError, a text level TypeError, a level
+    # True read as 1, r = True read as 1 and r = 1.5 raised TypeError
     with pytest.raises(ValueError):
         call(handmade_path())
+
+
+@pytest.mark.parametrize("text", ["kingman", "powerbeta:c=1,a=0.5,b=1"])
+@pytest.mark.parametrize("max_blocks", [1, True, 2.5, np.float64(3.0)],
+                         ids=["one", "bool", "fraction", "float"])
+def test_sampler_refuses_a_table_size_that_is_not_a_count(text, max_blocks):
+    # 2.5 once built the tables for 2, and 1 raised IndexError for the
+    # power-beta tables but built kingman's
+    with pytest.raises(ValueError, match="max_blocks"):
+        MergerSizeSampler(rates_for(parse_measure(text)), max_blocks)
 
 
 def test_first_waiting_time_mean():
