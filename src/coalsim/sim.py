@@ -150,17 +150,19 @@ class MergerSizeSampler:
       Beta(2-alpha, alpha) coalescents): C(B,k) lam(B,k) = const(B) g(k)
       h(B-k) with g(k) = Gamma(a+k-2)/k!, decreasing for a < 3, and
       h(j) = Gamma(b+j)/j!.  For b >= 1, h is nondecreasing: K is proposed
-      from g truncated at B by one global prefix table and accepted with
-      probability h(B-K)/h(B-2).  For b = 1, h is constant: every proposal
-      is accepted, no acceptance uniform is drawn, and the rate table is
-      const(B) prefix[B-2], which normalises the draw, in place of the
-      closed form (up to 1e-10 relative apart for B <= 1e4, 1e-8 for
-      B <= 1e6).  For b < 1, h decreases too, and the envelope has two
-      pieces split at m = max(floor(B/2), 2): K <= m proposed from g's
-      table and accepted with h(B-K)/h(B-m), and j = B-K < B-m proposed
-      from a prefix table of h and accepted with g(K)/g(m+1).  Each round
-      draws a selection uniform, which picks a piece in proportion to its
-      envelope mass, then a proposal and an acceptance uniform;
+      from g truncated at B by one global prefix table indexed by B (a
+      lane whose target falls in its first entry takes K = 2 without a
+      search) and accepted with probability h(B-K)/h(B-2).  For b = 1, h
+      is constant: every proposal is accepted, no acceptance uniform is
+      drawn, and the rate table is const(B) prefix[B], which normalises
+      the draw, in place of the closed form (up to 1e-10 relative apart
+      for B <= 1e4, 1e-8 for B <= 1e6).  For b < 1, h decreases too, and
+      the envelope has two pieces split at m = max(floor(B/2), 2): K <= m
+      proposed from g's table and accepted with h(B-K)/h(B-m), and
+      j = B-K < B-m proposed from a prefix table of h and accepted with
+      g(K)/g(m+1).  Each round draws a selection uniform, which picks a
+      piece in proportion to its envelope mass, then a proposal and an
+      acceptance uniform;
     * ``pitman`` (interior atoms, and power-beta with a >= 3, where g
       does not decrease): Pitman's (1999) Poisson construction, as
       C(B,k) lam(B,k) is the integral of C(B,k) p**k (1-p)**(B-k) against
@@ -235,19 +237,28 @@ class MergerSizeSampler:
 
 
 def _powerbeta_tables(dens: PowerBetaDensity, rate: np.ndarray) -> tuple:
-    """(prefix, log_h, g_at, h_prefix) of the ``powerbeta`` draw for block
-    counts below rate.size, and for b = 1 the rate table const(B)
-    prefix[B-2], which normalises the draw.  prefix[j] = sum_{k=2}^{j+2}
-    g(k): P(K <= j+2 | B) under the proposal is prefix[j]/prefix[B-2], so
-    one table serves all B.  log_h is None for b = 1; g_at[k] = g(k) and
-    h_prefix[j] = sum_{i=0}^{j} h(i) serve the b < 1 draw, None otherwise.
-    Blocks of _TABLE_BLOCK entries keep the temporaries small; each
-    block's first g (and h) carries the sum so far, so cumsum makes the
-    same additions in the same order as over the whole array."""
+    """(prefix, log_h, log_h_lag, g_at, h_prefix) of the ``powerbeta``
+    draw for block counts below rate.size, and for b = 1 the rate table
+    const(B) prefix[B], which normalises the draw.  prefix is indexed by
+    B: prefix[B] = sum_{k=2}^{B} g(k), so P(K <= j | B) under the
+    proposal is prefix[j]/prefix[B] and one table serves all B; its two
+    leading entries are -inf, so a search of t >= 0 returns K itself.
+    log_h[j] = log h(j) and log_h_lag[B] = log h(B-2) are two views of
+    one array whose two leading entries are -inf (h vanishes below 0);
+    both are None for b = 1.  g_at[k] = g(k) and h_prefix[j] =
+    sum_{i=0}^{j} h(i) serve the b < 1 draw, None otherwise.  Blocks of
+    _TABLE_BLOCK entries keep the temporaries small; each block's first g
+    (and h) carries the sum so far, so cumsum makes the same additions in
+    the same order as over the whole array."""
     size = rate.size
     two_piece = dens.b < 1.0
-    prefix = np.empty(size - 2)
-    log_h = None if dens.b == 1.0 else np.empty(size)
+    prefix = np.empty(size)
+    prefix[:2] = -np.inf
+    log_h = log_h_lag = None
+    if dens.b != 1.0:
+        padded = np.empty(size + 2)
+        padded[:2] = -np.inf
+        log_h, log_h_lag = padded[2:], padded[:size]
     g_at = np.empty(size) if two_piece else None
     h_prefix = np.empty(size) if two_piece else None
     total = h_total = 0.0
@@ -267,12 +278,12 @@ def _powerbeta_tables(dens: PowerBetaDensity, rate: np.ndarray) -> tuple:
         if two_piece:
             g_at[first:hi] = g
         g[0] += total
-        part = np.cumsum(g, out=prefix[first - 2:hi - 2])
+        part = np.cumsum(g, out=prefix[first:hi])
         total = part[-1]
         if log_h is None:
             rate[first:hi] = dens.c * np.exp(
                 log_fact - special.gammaln(dens.a + ks - 1.0)) * part
-    return prefix, log_h, g_at, h_prefix
+    return prefix, log_h, log_h_lag, g_at, h_prefix
 
 
 # ---------------------------------------------------------------------------
@@ -289,43 +300,48 @@ def _uniform_draw(rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(raw, 2.0), bb).astype(np.int64)
 
 
-def _powerbeta_draw(prefix, log_h, g_at, h_prefix,
+def _powerbeta_draw(prefix, log_h, log_h_lag, g_at, h_prefix,
                     rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
     if log_h is None:       # b = 1: every proposal is accepted
-        return _propose(prefix, rng.random(b.shape), b - 2)
+        return _propose(prefix, rng.random(b.shape), b)
     if h_prefix is None:
-        return _redraw_until_accepted(_one_piece_round, (prefix, log_h, rng),
-                                      b, None)
+        return _redraw_until_accepted(
+            _one_piece_round, (prefix, log_h, log_h_lag, rng), b, None)
     return _redraw_until_accepted(
         _two_piece_round, (prefix, log_h, g_at, h_prefix, rng), b,
         np.nonzero(b > 2)[0])
 
 
 def _propose(prefix, u: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """K from g truncated at B by a search of the prefix table, for lanes
-    with top = B - 2 and one uniform u each.  For u < 1, t = u prefix[top]
-    <= prefix[top], so the search returns at most top and K lies in
-    [2, B] without a clamp."""
-    return prefix.searchsorted(u * prefix[top]) + 2
+    """K from g truncated at top by a search of the B-indexed prefix
+    table, for lanes with one uniform u each.  For u < 1, t = u
+    prefix[top] <= prefix[top], and t >= 0 > prefix[1], so the search
+    returns K in [2, top] without a clamp.  Most lanes have t <=
+    prefix[2], where the search would return 2; only the others search."""
+    t = u * prefix[top]
+    wide = (t > prefix[2]).nonzero()[0]
+    k = np.empty(t.shape, dtype=np.int64)   # np.full costs 1 us more
+    k.fill(2)
+    k[wide] = prefix.searchsorted(t[wide])
+    return k
 
 
-def _one_piece_round(prefix, log_h, rng: np.random.Generator, bb):
-    top = bb - 2
+def _one_piece_round(prefix, log_h, log_h_lag, rng: np.random.Generator,
+                     bb):
     # proposal row, then acceptance row, indexed: unpacking costs more
     uv = rng.random((2, bb.size))
-    k = _propose(prefix, uv[0], top)
-    return k, uv[1] > np.exp(log_h[bb - k] - log_h[top])
+    k = _propose(prefix, uv[0], bb)
+    return k, uv[1] > np.exp(log_h[bb - k] - log_h_lag[bb])
 
 
 def _two_piece_round(prefix, log_h, g_at, h_prefix,
                      rng: np.random.Generator, bb):
     m = np.maximum(bb // 2, 2)
-    low = prefix[m - 2] * np.exp(log_h[bb - m])   # K <= m
+    low = prefix[m] * np.exp(log_h[bb - m])       # K <= m
     high = g_at[m + 1] * h_prefix[bb - m - 1]     # K > m
     pick, u, v = rng.random((3, bb.size))
     is_low = pick * (low + high) < low
-    k = np.where(is_low,
-                 np.searchsorted(prefix, u * prefix[m - 2]) + 2,
+    k = np.where(is_low, _propose(prefix, u, m),
                  bb - np.searchsorted(h_prefix, u * h_prefix[bb - m - 1]))
     ratio = np.where(is_low, np.exp(log_h[bb - k] - log_h[bb - m]),
                      g_at[k] / g_at[m + 1])

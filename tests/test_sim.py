@@ -421,16 +421,18 @@ def test_large_a_rates_and_draws_stay_finite():
 
 
 def _whole_powerbeta_tables(rates, dens, max_blocks):
-    """The power-beta sampler's tables, each computed over one array."""
+    """The power-beta sampler's tables, each computed over one array; the
+    prefix table is indexed by B, two -inf entries in front of the sums."""
     js = np.arange(max_blocks + 1.0)
     log_fact = special.gammaln(js + 1.0)
     ks = js[2:]
     g = np.exp(special.gammaln(dens.a + ks - 2.0) - log_fact[2:])
-    prefix = np.cumsum(g)
+    sums = np.cumsum(g)
+    prefix = np.concatenate(([-np.inf, -np.inf], sums))
     rate_table = np.zeros(max_blocks + 1)
     if dens.b == 1.0:
         rate_table[2:] = dens.c * np.exp(
-            log_fact[2:] - special.gammaln(dens.a + ks - 1.0)) * prefix
+            log_fact[2:] - special.gammaln(dens.a + ks - 1.0)) * sums
         return prefix, rate_table, None
     rate_table[2:] = rates.component_rates()[0](ks)
     return prefix, rate_table, special.gammaln(dens.b + js) - log_fact
@@ -588,14 +590,15 @@ def test_powerbeta_rejection_draws_pinned(text):
                                   "beta:1,1.5", "beta:2.5,3",
                                   "powerbeta:c=2,a=0.5,b=1.7"])
 def test_proposal_stays_in_range_without_a_clamp(text):
-    # t = u prefix[B-2] <= prefix[B-2] for u < 1, so the table search
-    # proposes K in [2, B] at the extreme uniforms 0 and 1 - 2**-53
+    # t = u prefix[B] <= prefix[B] for u < 1, and t >= 0 > prefix[1], so
+    # the table search proposes K in [2, B] at the extreme uniforms 0 and
+    # 1 - 2**-53
     n = 3000
     sampler = MergerSizeSampler(rates_for(parse_measure(text)), n)
     prefix = sampler._components[0][2].args[0]
     blocks = np.arange(2, n + 1)
     for u in (0.0, 1.0 - 2.0 ** -53):
-        k = sim._propose(prefix, np.full(blocks.shape, u), blocks - 2)
+        k = sim._propose(prefix, np.full(blocks.shape, u), blocks)
         assert np.all((k >= 2) & (k <= blocks))
         np.testing.assert_array_equal(k, 2 if u == 0.0 else blocks)
 
@@ -800,20 +803,93 @@ def test_few_lane_singleton_loss_is_the_array_draw(lanes):
 
 @pytest.mark.parametrize("text", ["powerbeta:c=1,a=0.5,b=1", "beta:0.5,1.5"])
 def test_wide_powerbeta_proposal_is_the_table_search(text):
-    # at a chunk's full width, lane i proposes K = 2 + the table search of
-    # u_i prefix[B_i - 2], one uniform a lane in lane order, and most
-    # proposals fall in the first entry (K = 2)
+    # at a chunk's full width, lane i proposes K = 2 + the search of
+    # u_i sums[B_i - 2] in sums[j] = g(2) + ... + g(j + 2), one uniform a
+    # lane in lane order, and most proposals fall in the first entry
+    # (K = 2)
     sampler = MergerSizeSampler(rates_for(parse_measure(text)), 3000)
     prefix = sampler._components[0][2].args[0]
+    sums = prefix[2:]
     b = np.random.default_rng(5).integers(2, 3001, 2048)
     rng, ref = (np.random.Generator(np.random.Philox(key=np.uint64(8)))
                 for _ in range(2))
-    k = sim._propose(prefix, rng.random(b.shape), b - 2)
-    expect = [2 + int(np.searchsorted(prefix, u * prefix[top]))
+    k = sim._propose(prefix, rng.random(b.shape), b)
+    expect = [2 + int(np.searchsorted(sums, u * sums[top]))
               for u, top in zip(ref.random(b.size), b - 2)]
     assert np.count_nonzero(k == 2) > b.size // 2
     np.testing.assert_array_equal(k, expect)
     assert rng.random() == ref.random()
+
+
+def _full_search_draw(draw, rng, b):
+    """The power-beta draw of `draw` with every lane searching the table
+    sums[j] = g(2) + ... + g(j + 2), indexed by B - 2: the same rounds,
+    the same uniforms, K = 2 + the search of u sums[top]."""
+    prefix, log_h, _, g_at, h_prefix = draw.args
+    sums = prefix[2:]
+
+    def propose(u, top):
+        return sums.searchsorted(u * sums[top]) + 2
+
+    if log_h is None:
+        return propose(rng.random(b.shape), b - 2)
+    k = np.full(b.shape, 2, dtype=np.int64)
+    todo = np.arange(b.size) if h_prefix is None else np.nonzero(b > 2)[0]
+    while todo.size:
+        bb = b[todo]
+        if h_prefix is None:
+            u, v = rng.random((2, bb.size))
+            kk = propose(u, bb - 2)
+            ratio = np.exp(log_h[bb - kk] - log_h[bb - 2])
+        else:
+            m = np.maximum(bb // 2, 2)
+            low = sums[m - 2] * np.exp(log_h[bb - m])
+            high = g_at[m + 1] * h_prefix[bb - m - 1]
+            pick, u, v = rng.random((3, bb.size))
+            is_low = pick * (low + high) < low
+            kk = np.where(is_low, propose(u, m - 2), bb - np.searchsorted(
+                h_prefix, u * h_prefix[bb - m - 1]))
+            ratio = np.where(is_low, np.exp(log_h[bb - kk] - log_h[bb - m]),
+                             g_at[kk] / g_at[m + 1])
+        k[todo] = kk
+        todo = todo[v > ratio]
+    return k
+
+
+@pytest.mark.parametrize("text", ["powerbeta:c=1,a=0.5,b=1",   # b = 1
+                                  "beta:0.5,1.5",              # one piece
+                                  "beta:1.5,0.5"])             # two pieces
+@pytest.mark.parametrize("width", [1, 19, 20, 256, 2048])
+def test_powerbeta_draw_is_the_full_search(text, width):
+    # only lanes whose target lies above the first entry search the table;
+    # the others take K = 2.  Every B from 2 to n, in steps of `width`
+    # lanes, draws the K a search on every lane draws, and leaves the
+    # stream where that draw leaves it
+    n = 3000
+    sampler = MergerSizeSampler(rates_for(parse_measure(text)), n)
+    draw = sampler._components[0][2]
+    blocks = np.random.default_rng(width).permutation(np.arange(2, n + 1))
+    rng, ref = (np.random.Generator(np.random.Philox(key=np.uint64(width)))
+                for _ in range(2))
+    for lo in range(0, blocks.size, width):
+        b = blocks[lo:lo + width]
+        np.testing.assert_array_equal(sampler.sample_step(rng, b)[1],
+                                      _full_search_draw(draw, ref, b))
+    assert rng.random() == ref.random()
+    # at u = 0, at a target exactly on the first entry, just above it,
+    # and on an entry further up
+    prefix = draw.args[0]
+    sums = prefix[2:]
+    for lo in range(0, blocks.size, width):
+        b = blocks[lo:lo + width]
+        on_first = prefix[2] / prefix[b]
+        above = np.nextafter(on_first, 1.0)
+        on_middle = prefix[np.maximum(b // 2, 2)] / prefix[b]
+        for u in (np.zeros(b.size), on_first, above, on_middle):
+            expect = sums.searchsorted(u * sums[b - 2]) + 2
+            np.testing.assert_array_equal(sim._propose(prefix, u, b), expect)
+        exact = on_first * prefix[b] == prefix[2]
+        assert np.all(sim._propose(prefix, on_first, b)[exact] == 2)
 
 
 def test_uniform_inverse_cdf_matches_exact():
